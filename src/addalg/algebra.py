@@ -2,6 +2,9 @@
 
 An Algebra is a structure-constant tensor: table[i][j] holds the
 coordinates of b_i * b_j in the distinguished basis, plus a unit vector.
+Multiplication reads a sparse integer copy of the tensor: each cell is the
+tuple of its nonzero (k, c) pairs, scaled by the common denominator of
+all structure constants.  A monoid algebra has one pair per cell.
 Constructors cover explicit tensors, group/monoid multiplication tables,
 products of polynomial quotients, companion-matrix subalgebras, full
 matrix algebras and direct products.
@@ -11,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
-from .errors import BadUnit, EmptyDescription, NotAssociative
+from .errors import AddalgError, BadUnit, EmptyDescription, NotAssociative
 from .linalg import ONE, ZERO, Vec, vec
 from .polynomials import Poly
 
@@ -43,6 +47,13 @@ class Algebra:
     def __init__(self, table, unit, label="", validate=True, split_etale=False,
                  source_table=None):
         self.table = tuple(tuple(vec(cell) for cell in row) for row in table)
+        # sparse[i][j] holds the nonzero (k, den * c) of b_i * b_j, all integers
+        self.den = lcm(*[c.denominator for row in self.table for cell in row for c in cell])
+        self.sparse = tuple(
+            tuple(tuple((k, c.numerator * (self.den // c.denominator))
+                        for k, c in enumerate(cell) if c) for cell in row)
+            for row in self.table
+        )
         self.dim = len(self.table)
         self.unit = vec(unit)
         self.label = label
@@ -82,17 +93,20 @@ class Algebra:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def mul_coords(self, x: Vec, y: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.table[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for k, t in enumerate(row[j]):
-                            if t:
-                                out[k] += c * t
-        return tuple(out)
+        """Coordinates of x * y, accumulated in integers over the nonzeros."""
+        xn, dx = linalg.integer_row(x)
+        yn, dy = linalg.integer_row(y)
+        ys = [(j, b) for j, b in enumerate(yn) if b]
+        acc = [0] * self.dim
+        for i, a in enumerate(xn):
+            if a:
+                row = self.sparse[i]
+                for j, b in ys:
+                    c = a * b
+                    for k, t in row[j]:
+                        acc[k] += c * t
+        den = dx * dy * self.den
+        return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
     @property
     def commutative(self) -> bool:
@@ -196,8 +210,10 @@ class Element:
             ker = linalg.nullspace(lmat, alg.dim)
             return NonInvertible(witness=Element(alg, ker[0]))
         inv = Element(alg, y)
-        # regular one-sided invertibility is two-sided in finite dimension
-        assert (inv * self).coords == alg.unit
+        # one-sided inverses are two-sided in a finite-dimensional associative algebra
+        if (inv * self).coords != alg.unit:
+            raise NotAssociative("right inverse is not a left inverse; "
+                                 "the structure constants are not associative")
         return inv
 
     @property
@@ -223,7 +239,9 @@ def min_poly(x: Element) -> Poly:
             k = len(powers) - 1
             mat = [tuple(powers[i][j] for i in range(k)) for j in range(alg.dim)]
             sol = linalg.solve(mat, v)
-            assert sol is not None
+            if sol is None:
+                raise AddalgError("power lies in the span of lower powers but "
+                                  "no dependence was solved for")
             coeffs = [-c for c in sol] + [ONE]
             return Poly(tuple(coeffs))
         red, piv = linalg.rref(list(basis) + [v])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
 from . import classify, discrete, fixtures, gen, serialize, sumsets
 from . import subspace as sub
 from .errors import (
@@ -198,6 +198,9 @@ def cmd_kneser(args):
 def cmd_nfold(args):
     _, spaces = _load_algebra(args)
     names = args.spaces.split(",") if args.spaces else []
+    if len(names) < 2:
+        raise SchemaError(f"--spaces needs at least two comma-separated names, "
+                          f"got {args.spaces!r}")
     picked = []
     for n in names:
         if n not in spaces:
@@ -239,58 +242,10 @@ def cmd_tao(args):
 
 def cmd_group_sweep(args):
     table = _table(args)
-    if args.threads > 1 and args.exhaustive:
-        report = _parallel_group_sweep(table, args.threads)
-    else:
-        report = discrete.group_kneser_sweep(
-            table, exhaustive=args.exhaustive, seed=args.seed, count=args.count)
+    report = discrete.group_kneser_sweep(
+        table, exhaustive=args.exhaustive, seed=args.seed, count=args.count)
     _emit(args, {"fixture": table.label, **report.to_json()})
     return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def _parallel_group_sweep(table, threads):
-    """Split the A-subset range across a thread pool; fold reports in order."""
-    from .discrete import SweepReport, _nonempty_subsets
-
-    subsets = list(_nonempty_subsets(table.size))
-    alg = table.algebra()
-
-    def chunk(a_list):
-        part = SweepReport()
-        for a in a_list:
-            for b in subsets:
-                ab = discrete.minkowski(table, a, b)
-                h = discrete.combinatorial_stabilizer(table, ab, "left")
-                part.pairs_checked += 1
-                if len(ab) < len(a) + len(b) - len(h):
-                    part.violations.append({
-                        "A": sorted(a), "B": sorted(b),
-                        "issue": "combinatorial bound",
-                        "|AB|": len(ab), "|A|": len(a), "|B|": len(b),
-                        "|H|": len(h),
-                    })
-                    continue
-                pspan = sub.product_span(discrete.lift_subset(alg, a),
-                                         discrete.lift_subset(alg, b))
-                hdim = sub.stabilizer(pspan, "left").dim
-                if pspan.dim != len(ab) or hdim != len(h):
-                    part.violations.append({
-                        "A": sorted(a), "B": sorted(b),
-                        "issue": "algebra route disagrees",
-                        "dim_span": pspan.dim, "|AB|": len(ab),
-                        "dim_stab": hdim, "|H|": len(h),
-                    })
-        return part
-
-    chunks = [subsets[i::threads] for i in range(threads)]
-    total = SweepReport()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(chunk, chunks):
-            total.pairs_checked += part.pairs_checked
-            total.violations.extend(part.violations)
-    # canonical order regardless of chunking
-    total.violations.sort(key=lambda v: (v["A"], v["B"]))
-    return total
 
 
 def cmd_monoid_check(args):
@@ -304,7 +259,11 @@ def cmd_monoid_check(args):
 
 
 def cmd_gen(args):
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise SchemaError(f"--dims must be comma-separated integers, "
+                          f"got {args.dims!r}") from None
     inst = gen.gen_instance(args.family, args.seed, n=args.n, dims=dims)
     sys.stdout.write(dumps(inst.to_json()))
     return EXIT_OK
@@ -318,7 +277,9 @@ def _add_common(p, fixture=True, infile=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--cap", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; every run is single-threaded "
+                        "and the output does not depend on it")
     if fixture:
         p.add_argument("--fixture")
     if infile:

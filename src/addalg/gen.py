@@ -124,7 +124,9 @@ def gen_instance(family: str, seed: int, n: int | None = None,
                 "label": f"Q[T]/({p})"}
         alg = algebra_from_desc(desc)
         verdict = classify.finite_subalgebras_verdict(alg, seed=seed)
-        assert verdict.kind == "Finite", "squarefree quotient must be Finite"
+        if verdict.kind != "Finite":  # squarefree is Finite; only the search can miss
+            raise RetryBudgetExhausted(
+                f"no generator of {desc['label']} found ({verdict.kind})")
         spaces = {}
         for name, d in zip(string.ascii_uppercase, dims):
             spaces[name] = random_subspace(alg, min(d, alg.dim), rng)

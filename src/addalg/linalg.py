@@ -7,7 +7,9 @@ subspaces are equal iff their basis tuples compare equal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -16,7 +18,7 @@ ONE = Fraction(1)
 
 
 def vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def zero_vec(n: int) -> Vec:
@@ -39,46 +41,54 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """Integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def integer_row(row) -> tuple[list[int], int]:
+    """(den * row, den) with den the lcm of the row's denominators."""
+    den = lcm(*[a.denominator for a in row])
+    if den == 1:
+        return [a.numerator for a in row], 1
+    return [a.numerator * (den // a.denominator) for a in row], den
+
+
 def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Canonical reduced row echelon form.
 
-    Returns (nonzero rows, pivot columns).  Fraction-free forward
-    elimination is not needed here because rows are normalized as we go;
-    Fraction keeps everything exact.
+    Returns (nonzero rows, pivot columns).  Elimination is fraction-free,
+    in the style of Bareiss (1968): each row is cleared to integers, each
+    step combines two integer rows, and every new row is divided by its
+    content.  Rows stay fully reduced (pivot columns cleared) throughout,
+    so the canonical Fraction form, pivot 1, is one division per entry on
+    return.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
     pivots: list[int] = []
-    out: list[list[Fraction]] = []
-    for row in work:
-        # reduce against existing pivot rows
+    out: list[list[int]] = []
+    for r in rows:
+        row = integer_row(r)[0]
         for prow, pc in zip(out, pivots):
             c = row[pc]
             if c:
-                for j in range(pc, ncols):
-                    row[j] -= c * prow[j]
-        # find pivot
-        for j in range(ncols):
-            if row[j]:
-                inv = 1 / row[j]
-                for k in range(j, ncols):
-                    row[k] *= inv
-                # clear this column in earlier rows
-                for prow in out:
-                    c = prow[j]
-                    if c:
-                        for k in range(j, ncols):
-                            prow[k] -= c * row[k]
-                # insert keeping pivot columns increasing
-                pos = 0
-                while pos < len(pivots) and pivots[pos] < j:
-                    pos += 1
-                out.insert(pos, row)
-                pivots.insert(pos, j)
-                break
-    return tuple(tuple(r) for r in out), tuple(pivots)
+                p = prow[pc]
+                row = [p * a - c * b for a, b in zip(row, prow)]
+        row = _primitive(row)
+        j = next((j for j, a in enumerate(row) if a), None)
+        if j is None:
+            continue
+        p = row[j]
+        for i, prow in enumerate(out):
+            c = prow[j]
+            if c:
+                out[i] = _primitive([p * a - c * b for a, b in zip(prow, row)])
+        pos = bisect_left(pivots, j)
+        pivots.insert(pos, j)
+        out.insert(pos, row)
+    basis = tuple(tuple(Fraction(a, row[pc]) if a else ZERO for a in row)
+                  for row, pc in zip(out, pivots))
+    return basis, tuple(pivots)
 
 
 def rank(rows) -> int:
@@ -93,7 +103,8 @@ def reduce_against(basis: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> V
         c = row[pc]
         if c:
             for j in range(pc, n):
-                row[j] -= c * brow[j]
+                if brow[j]:
+                    row[j] -= c * brow[j]
     return tuple(row)
 
 

@@ -96,7 +96,9 @@ def span_of(vectors: list[Element]) -> Subspace:
 
 
 def full_space(algebra: Algebra) -> Subspace:
-    return from_vecs(algebra, [algebra.basis_vec(i) for i in range(algebra.dim)])
+    """The whole algebra; the identity matrix is already its canonical RREF."""
+    n = algebra.dim
+    return Subspace(algebra, tuple(algebra.basis_vec(i) for i in range(n)), tuple(range(n)))
 
 
 def unit_span(algebra: Algebra) -> Subspace:
@@ -167,29 +169,26 @@ def translate(x: Element, v: Subspace, side="left") -> Subspace:
     return from_vecs(alg, vecs)
 
 
-def _membership_matrix(v: Subspace):
-    """Rows N with x in V iff N x = 0."""
-    return linalg.nullspace(v.basis, v.algebra.dim) if v.dim else \
-        tuple(v.algebra.basis_vec(i) for i in range(v.algebra.dim))
-
-
 def stabilizer(v: Subspace, side="left") -> Subspace:
-    """Solution space of x*V <= V (left) or V*x <= V (right)."""
+    """Solution space of x*V <= V (left) or V*x <= V (right).
+
+    Directly the kernel of x -> (residual of x*b against V) over the basis
+    b of V.  The residual vanishes on the pivot columns of V's RREF basis,
+    so only the non-pivot coordinates give equations.
+    """
     alg = v.algebra
-    if v.dim == 0:
+    n = alg.dim
+    if v.dim in (0, n):
         return full_space(alg)
-    nmat = _membership_matrix(v)
-    if not nmat:
-        return full_space(alg)  # V is everything
+    free = [k for k in range(n) if k not in v.pivots]
+    units = [alg.basis_vec(i) for i in range(n)]
     rows = []
     for b in v.basis:
-        mul = alg.right_mul_matrix(b) if side == "left" else alg.left_mul_matrix(b)
-        for nrow in nmat:
-            rows.append(tuple(
-                sum((nrow[k] * mul[k][j] for k in range(alg.dim)), ZERO)
-                for j in range(alg.dim)
-            ))
-    return from_vecs(alg, linalg.nullspace(rows, alg.dim))
+        images = [alg.mul_coords(e, b) if side == "left" else alg.mul_coords(b, e)
+                  for e in units]
+        residuals = [linalg.reduce_against(v.basis, v.pivots, y) for y in images]
+        rows.extend(tuple(r[k] for r in residuals) for k in free)
+    return from_vecs(alg, linalg.nullspace(rows, n))
 
 
 def annihilator(v: Subspace, side="left") -> Subspace:
@@ -314,7 +313,8 @@ def invertible_basis(v: Subspace, trials: int = 64, seed: int = 0) -> list[Eleme
     for b in v.basis:
         if linalg.rank(rows + [b]) > len(rows):
             rows.append(b)
-    assert len(rows) == v.dim
+    if len(rows) != v.dim:
+        raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
     out: list[Element] = []
     alphas: list[int] = []
     alpha = 0
@@ -334,7 +334,8 @@ def invertible_basis(v: Subspace, trials: int = 64, seed: int = 0) -> list[Eleme
     if len(out) < v.dim:
         raise NoInvertibleFound("Vandermonde-line search exhausted its budget")
     got = from_vecs(alg, [e.coords for e in out])
-    assert got == v, "invertible basis must span exactly V"
+    if got != v:
+        raise NoInvertibleFound("Vandermonde-line points do not span V")
     return out
 
 

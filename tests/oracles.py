@@ -1,8 +1,9 @@
 """Independent oracles, deliberately written apart from the production code.
 
 Schoolbook polynomial Euclid, brute-force Z/m sumsets, a direct
-partition enumerator, and rank via Gaussian elimination on stacked
-integer matrices.  Used to cross-check library results.
+partition enumerator, rank via Gaussian elimination on stacked
+integer matrices, and the plain Fraction kernel (RREF, nullspace,
+product span, stabilizer).  Used to cross-check library results.
 """
 
 from fractions import Fraction
@@ -79,3 +80,93 @@ def frac_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+# -- reference exact kernel -----------------------------------------------
+#
+# The plain Fraction elimination and the dense membership-matrix stabilizer
+# the library used before its integer kernel.  Products are read off the
+# dense structure-constant tensor, never through Algebra.mul_coords.
+
+
+def ref_rref(rows):
+    """Canonical RREF over Fraction: (nonzero rows, pivot columns)."""
+    work = [list(map(Fraction, r)) for r in rows]
+    if not work:
+        return (), ()
+    ncols = len(work[0])
+    pivots = []
+    out = []
+    for row in work:
+        for prow, pc in zip(out, pivots):
+            c = row[pc]
+            if c:
+                for j in range(pc, ncols):
+                    row[j] -= c * prow[j]
+        for j in range(ncols):
+            if row[j]:
+                inv = 1 / row[j]
+                for k in range(j, ncols):
+                    row[k] *= inv
+                for prow in out:
+                    c = prow[j]
+                    if c:
+                        for k in range(j, ncols):
+                            prow[k] -= c * row[k]
+                pos = 0
+                while pos < len(pivots) and pivots[pos] < j:
+                    pos += 1
+                out.insert(pos, row)
+                pivots.insert(pos, j)
+                break
+    return tuple(tuple(r) for r in out), tuple(pivots)
+
+
+def ref_nullspace(rows, ncols):
+    """Canonical basis of the right kernel, one vector per free column."""
+    basis, pivots = ref_rref(rows)
+    out = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for brow, pc in zip(basis, pivots):
+            x[pc] = -brow[f]
+        out.append(tuple(x))
+    return tuple(out)
+
+
+def ref_mul(table, x, y):
+    """x * y from the dense tensor: sum of x_i y_j table[i][j]."""
+    n = len(table)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] += x[i] * y[j] * table[i][j][k]
+    return tuple(out)
+
+
+def ref_product_span(table, v_basis, w_basis):
+    """RREF of the span of all pairwise products."""
+    return ref_rref([ref_mul(table, a, b) for a in v_basis for b in w_basis])
+
+
+def ref_stabilizer(table, v_basis, side="left"):
+    """RREF of {x : xV <= V} (left) or {x : Vx <= V} (right).
+
+    N is a membership matrix (x in V iff N x = 0) and R_b the matrix of
+    x -> x b (or b x); the stabilizer is the kernel of the stacked N R_b.
+    """
+    n = len(table)
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    nmat = ref_nullspace(v_basis, n) if v_basis else units
+    if not nmat:
+        return ref_rref(units)
+    rows = []
+    for b in v_basis:
+        cols = [ref_mul(table, e, b) if side == "left" else ref_mul(table, b, e)
+                for e in units]
+        for nrow in nmat:
+            rows.append(tuple(sum((nrow[k] * cols[j][k] for k in range(n)), Fraction(0))
+                              for j in range(n)))
+    return ref_rref(ref_nullspace(rows, n))

@@ -178,3 +178,19 @@ def test_pow_and_scale():
     assert (g ** 5).coords == alg.unit
     assert (g ** 0).coords == alg.unit
     assert g.scale(F(3, 2)).coords[1] == F(3, 2)
+
+
+def test_invert_raises_on_non_associative_constants():
+    # basis 1, x, y with xy = 1 and yx = 0: y is a right inverse of x only,
+    # which associativity forbids; (xy)x = x but x(yx) = 0
+    z, one = [0, 0, 0], [1, 0, 0]
+    table = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], z, one],
+        [[0, 0, 1], z, z],
+    ]
+    with pytest.raises(NotAssociative):
+        from_structure_constants(table, one)
+    alg = from_structure_constants(table, one, validate=False)
+    with pytest.raises(NotAssociative):
+        alg.basis_element(1).invert()

@@ -134,6 +134,23 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["nfold", "--spaces", "A"],
+    ["nfold", "--spaces", ""],
+    ["gen", "--family", "split", "--dims", "x"],
+    ["gen", "--family", "group", "--dims", "2,x"],
+])
+def test_exit_code_malformed_nfold_and_gen(capsys, tmp_path, argv):
+    if argv[0] == "nfold":
+        argv = argv + ["--in", write_instance(tmp_path, Q4_INSTANCE)]
+    code = cli.main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_exit_code_oracle_unavailable(capsys, tmp_path):
     # atom on a non-split algebra is exit 3
     inst = {

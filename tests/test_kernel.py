@@ -1,0 +1,111 @@
+"""Differential tests: the integer, sparse kernel against the Fraction reference.
+
+rref and nullspace are compared on random rational matrices with mixed
+denominators, zero rows and dependent rows.  product_span and both
+stabilizers are compared on random subspaces of algebras with 0/1,
+rational and non-commutative structure constants.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addalg import linalg
+from addalg import subspace as sub
+from addalg.algebra import poly_quotient_product
+from addalg.fixtures import algebra_fixture
+from addalg.polynomials import Poly
+
+from oracles import ref_nullspace, ref_product_span, ref_rref, ref_stabilizer
+
+RATS = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+SPARSE_RATS = st.one_of(st.just(F(0)), st.just(F(0)), RATS)
+
+
+@st.composite
+def matrices(draw):
+    """Rows of one width, padded with zero rows and combinations of earlier rows."""
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(SPARSE_RATS, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append([F(0)] * ncols)
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            picks = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+            coeffs = draw(st.lists(RATS, min_size=len(picks), max_size=len(picks)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, picks)), F(0))
+                         for j in range(ncols)])
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(case):
+    _, rows = case
+    assert linalg.rref(rows) == ref_rref(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_nullspace_matches_reference(case):
+    ncols, rows = case
+    assert linalg.nullspace(rows, ncols) == ref_nullspace(rows, ncols)
+
+
+def _algebras():
+    # T^2 - T/2 + 1/3 and T^3 + 2 give structure constants with denominators
+    polyprod = poly_quotient_product(
+        [Poly.of(F(1, 3), F(-1, 2), 1), Poly.of(2, 0, 0, 1)], label="polyprod")
+    named = {name: algebra_fixture(name) for name in ("QZ6", "QS3", "Q5", "M2x2")}
+    return {**named, "polyprod": polyprod}
+
+
+ALGEBRAS = _algebras()
+
+
+@st.composite
+def subspaces(draw, alg):
+    """A coordinate subspace, or the span of random sparse rational vectors."""
+    n = alg.dim
+    if draw(st.booleans()):
+        picked = draw(st.sets(st.integers(0, n - 1)))
+        return sub.from_vecs(alg, [alg.basis_vec(i) for i in sorted(picked)])
+    vec = st.lists(SPARSE_RATS, min_size=n, max_size=n)
+    return sub.from_vecs(alg, draw(st.lists(vec, max_size=n)))
+
+
+@st.composite
+def space_pairs(draw):
+    name = draw(st.sampled_from(sorted(ALGEBRAS)))
+    alg = ALGEBRAS[name]
+    return alg, draw(subspaces(alg)), draw(subspaces(alg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_pairs())
+def test_product_span_matches_reference(case):
+    alg, v, w = case
+    got = sub.product_span(v, w)
+    assert (got.basis, got.pivots) == ref_product_span(alg.table, v.basis, w.basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_pairs(), st.sampled_from(["left", "right"]))
+def test_stabilizer_matches_reference(case, side):
+    alg, v, w = case
+    for space in (v, sub.product_span(v, w)):
+        got = sub.stabilizer(space, side)
+        assert (got.basis, got.pivots) == ref_stabilizer(alg.table, space.basis, side)
+
+
+def test_left_and_right_stabilizers_differ_in_m2():
+    # V = span(E11, E12) is the right ideal E11 M_2: V x <= V for every x,
+    # while x V <= V only for upper-triangular x
+    m2 = ALGEBRAS["M2x2"]
+    v = sub.from_vecs(m2, [m2.basis_vec(0), m2.basis_vec(1)])
+    left, right = sub.stabilizer(v, "left"), sub.stabilizer(v, "right")
+    assert left.dim == 3 and right.dim == 4
+    for side, got in (("left", left), ("right", right)):
+        assert (got.basis, got.pivots) == ref_stabilizer(m2.table, v.basis, side)
