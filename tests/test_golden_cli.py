@@ -1,0 +1,148 @@
+"""Byte-for-byte CLI goldens.
+
+`golden_cli.json` records the argv, exit code, stdout and stderr of a
+fixed list of commands: the criterion-9 commands, generated instances of
+every family, and the certificate, kneser, stabilizer and annihilator
+reports on each of them.  The generated instances and certificates depend
+on the order in which the seeded candidate streams draw, so a replay that
+matches byte for byte shows that order is unchanged.
+
+An argv item "@NAME" stands for a file holding instance NAME: either a
+literal from INSTANCES or the stdout of the command saved as NAME.
+
+Regenerate (only when an output is meant to change) with
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from addalg import cli
+from addalg.serialize import dumps
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+# Q^5 with a 4-dimensional A that holds no invertible: the invertibility
+# search runs through its grid-free sampling branch and reports PROBABLY_NO.
+INSTANCES = {
+    "q5-singular": dumps({
+        "algebra": {"kind": "poly_quotient_product",
+                    "factors": [["0", "1"]] * 5, "label": "Q5"},
+        "subspaces": {
+            "A": [["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                  ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"]],
+            "B": [["1", "0", "0", "0", "1"], ["0", "1", "0", "0", "0"],
+                  ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"]],
+        },
+    }),
+}
+
+GEN_CASES = [(family, n, dims, seed)
+             for family, n, dims in (("split", 4, "2,2"), ("group", 7, "2,2"),
+                                     ("polyprod", 3, "2,2"), ("polyprod", 5, "2,2"),
+                                     ("split", 5, "3,4"), ("group", 7, "3,4"))
+             for seed in (0, 1, 2)]
+
+CLASSIFY_FIXTURES = ("QT2", "QT3", "QT4", "QP2", "QT2xQT2", "Q1", "Q3", "Q5",
+                     "M2x2", "QZ4", "QZ6", "QV4", "QS3", "Q[paper-m7]", "Q[graded-m]")
+
+
+def cases():
+    """(argv, save_as) for every recorded command, in replay order."""
+    out = [
+        (["fixtures", "--json"], None),
+        (["classify", "--fixture", "QT4", "--json"], None),
+        (["classify", "--fixture", "Q5", "--json"], None),
+        (["monoid-check", "--fixture", "paper-m7", "--A", "1,a,b",
+          "--B", "1,a,b", "--lambda", "1", "--json"], None),
+        (["group-sweep", "--fixture", "Z5", "--exhaustive", "--json"], None),
+        (["group-sweep", "--fixture", "Z5", "--exhaustive", "--json",
+          "--threads", "8"], None),
+        (["gen", "--family", "group", "--seed", "3", "--n", "7", "--dims", "2,3"],
+         "crit9"),
+        (["kneser", "--in", "@crit9", "--A", "A", "--B", "B", "--json"], None),
+        (["group-sweep", "--fixture", "S3", "--seed", "1", "--count", "40", "--json"],
+         None),
+    ]
+    for name in CLASSIFY_FIXTURES:
+        for seed in ("0", "1"):
+            out.append((["classify", "--fixture", name, "--seed", seed,
+                         "--trials", "16", "--json"], None))
+    for family, n, dims, seed in GEN_CASES:
+        name = f"{family}-n{n}-d{dims.replace(',', '')}-s{seed}"
+        out.append((["gen", "--family", family, "--seed", str(seed), "--n", str(n),
+                     "--dims", dims], name))
+        inst = f"@{name}"
+        out += [
+            (["certificate", "--in", inst, "--A", "A", "--B", "B", "--json"], None),
+            (["certificate", "--in", inst, "--A", "B", "--B", "A", "--seed", "1",
+              "--trials", "4", "--json"], None),
+            (["kneser", "--in", inst, "--A", "A", "--B", "B", "--json"], None),
+            (["stabilizer", "--in", inst, "--V", "A", "--json"], None),
+            (["stabilizer", "--in", inst, "--V", "B", "--side", "right", "--json"],
+             None),
+            (["annihilator", "--in", inst, "--V", "A", "--side", "right", "--json"],
+             None),
+            (["annihilator", "--in", inst, "--V", "B", "--side", "right", "--json"],
+             None),
+        ]
+    for seed in ("0", "5"):
+        out.append((["certificate", "--in", "@q5-singular", "--A", "A", "--B", "B",
+                     "--seed", seed, "--json"], None))
+        out.append((["certificate", "--in", "@q5-singular", "--A", "B", "--B", "B",
+                     "--seed", seed, "--json"], None))
+    return out
+
+
+def run_cases(tmpdir):
+    """Run every case in-process; returns the records in replay order."""
+    files = {}
+
+    def path_of(name, text):
+        p = pathlib.Path(tmpdir) / f"{name}.json"
+        p.write_text(text)
+        files[name] = str(p)
+
+    for name, text in INSTANCES.items():
+        path_of(name, text)
+    records = []
+    for argv, save_as in cases():
+        real = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(real)
+        records.append({"argv": argv, "code": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue()})
+        if save_as:
+            path_of(save_as, out.getvalue())
+    return records
+
+
+@pytest.fixture(scope="module")
+def replayed(tmp_path_factory):
+    return run_cases(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_the_case_list(golden):
+    assert [g["argv"] for g in golden] == [argv for argv, _ in cases()]
+
+
+@pytest.mark.parametrize("index", range(len(cases())))
+def test_golden_cli_byte_identical(golden, replayed, index):
+    assert replayed[index] == golden[index]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(run_cases(tmp), indent=1) + "\n")
