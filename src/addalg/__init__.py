@@ -4,8 +4,10 @@ subalgebra-lattice classification, e-transform certificates,
 connectivity atoms, small-doubling checks, and the group/monoid
 bridges."""
 
+from fractions import Fraction as Rat
+
 from .algebra import Algebra, Element, NonInvertible, min_poly
-from .exact import Poly, Rat, SqfProfile, poly_gcd, squarefree_decompose
+from .polynomials import Poly, SqfProfile, poly_gcd, squarefree_decompose
 from .subspace import Subspace
 
 __version__ = "0.1.0"

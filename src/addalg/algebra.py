@@ -137,15 +137,35 @@ class Algebra:
 
     # -- multiplication operators --------------------------------------
 
+    def mul_images(self, v: Vec, side: str) -> tuple[list[list[int]], int]:
+        """Images of the basis under x -> v*x (side "left") or x -> x*v ("right").
+
+        Read straight off `sparse` in integers: returns (rows, den) where
+        rows[i] is den times the coordinates of v*b_i (or of b_i*v).
+        """
+        vn, dv = linalg.integer_row(v)
+        nz = [(j, a) for j, a in enumerate(vn) if a]
+        sp = self.sparse
+        rows = []
+        for i in range(self.dim):
+            acc = [0] * self.dim
+            for j, a in nz:
+                for k, t in (sp[j][i] if side == "left" else sp[i][j]):
+                    acc[k] += a * t
+            rows.append(acc)
+        return rows, dv * self.den
+
+    def _mul_matrix(self, v: Vec, side: str):
+        rows, den = self.mul_images(v, side)
+        return [tuple(Fraction(a, den) if a else ZERO for a in col) for col in zip(*rows)]
+
     def right_mul_matrix(self, v: Vec):
         """Matrix of x -> x*v (columns indexed by basis of x)."""
-        cols = [self.mul_coords(self.basis_vec(i), v) for i in range(self.dim)]
-        return [tuple(cols[i][k] for i in range(self.dim)) for k in range(self.dim)]
+        return self._mul_matrix(v, "right")
 
     def left_mul_matrix(self, v: Vec):
         """Matrix of x -> v*x."""
-        cols = [self.mul_coords(v, self.basis_vec(i)) for i in range(self.dim)]
-        return [tuple(cols[i][k] for i in range(self.dim)) for k in range(self.dim)]
+        return self._mul_matrix(v, "left")
 
     def __repr__(self):
         return f"Algebra({self.label or 'anonymous'}, dim={self.dim})"
@@ -218,7 +238,9 @@ class Element:
 
     @property
     def is_invertible(self) -> bool:
-        return linalg.det(self.algebra.left_mul_matrix(self.coords)) != 0
+        """The one invertibility test: x -> self*x has full rank."""
+        alg = self.algebra
+        return linalg.rank(alg.mul_images(self.coords, "left")[0]) == alg.dim
 
     def __repr__(self):
         return f"Element({[str(c) for c in self.coords]})"
@@ -351,16 +373,6 @@ def direct_product(a: Algebra, b: Algebra, label="") -> Algebra:
                    validate=False, split_etale=a.split_etale and b.split_etale)
 
 
-def _companion_matrix(p: Poly):
-    d = p.degree
-    m = [[ZERO] * d for _ in range(d)]
-    for i in range(1, d):
-        m[i][i - 1] = ONE
-    for i in range(d):
-        m[i][d - 1] = -p.coeffs[i]
-    return m
-
-
 def companion_algebra(polys, label="") -> Algebra:
     """Subalgebra Q[M] of a matrix algebra, M block-diagonal companion.
 
@@ -370,42 +382,14 @@ def companion_algebra(polys, label="") -> Algebra:
     if not polys:
         raise EmptyDescription("need at least one companion polynomial")
     r = sum(p.degree for p in polys)
-    blocks = [_companion_matrix(p) for p in polys]
-    m = [[ZERO] * r for _ in range(r)]
+    coords = [ZERO] * (r * r)  # M as an element of M_r(Q), E_ij at index i*r + j
     off = 0
-    for blk in blocks:
-        d = len(blk)
+    for p in polys:
+        d = p.degree
         for i in range(d):
-            for j in range(d):
-                m[off + i][off + j] = blk[i][j]
+            if i:
+                coords[(off + i) * r + off + i - 1] = ONE
+            coords[(off + i) * r + off + d - 1] = -p.coeffs[i]
         off += d
-    # minimal polynomial of M via first dependence among vectorized powers
-    def flat(mat):
-        return tuple(mat[i][j] for i in range(r) for j in range(r))
-
-    def matmul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(r)), ZERO) for j in range(r)]
-            for i in range(r)
-        ]
-
-    ident = [[ONE if i == j else ZERO for j in range(r)] for i in range(r)]
-    powers = [flat(ident)]
-    basis: list = []
-    pivots: list = []
-    cur = ident
-    mu = None
-    while mu is None:
-        v = flat(cur)
-        residual = linalg.reduce_against(tuple(basis), tuple(pivots), v)
-        if linalg.is_zero_vec(residual):
-            k = len(powers) - 1
-            mat = [tuple(powers[i][j] for i in range(k)) for j in range(r * r)]
-            sol = linalg.solve(mat, v)
-            mu = Poly(tuple([-c for c in sol] + [ONE]))
-            break
-        red, piv = linalg.rref(list(basis) + [v])
-        basis, pivots = list(red), list(piv)
-        cur = matmul(cur, m)
-        powers.append(flat(cur))
+    mu = min_poly(matrix_algebra(r).element(coords))
     return poly_quotient_product([mu], label=label or f"Q[M], mu = {mu}")

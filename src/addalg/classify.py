@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
+from . import linalg
 from . import subspace as sub
 from .algebra import Algebra, Element, min_poly
 from .errors import CapExceeded, NotSplitEtale
@@ -75,11 +77,11 @@ def _generator_candidates(alg: Algebra, trials: int, seed: int):
     for a in range(1, n + 3):
         yield alg.element([Fraction(a) ** i for i in range(n)])
     rng = random.Random(seed)
-    t = 2
-    for k in range(trials):
-        if k and k % 8 == 0:
-            t += 2
-        yield alg.element([Fraction(rng.randint(-t, t)) for _ in range(n)])
+    units = [alg.basis_vec(i) for i in range(n)]
+    for k in range(0, trials, 8):  # the coefficient bound grows by 2 every 8 draws
+        draws = linalg.random_combinations(units, 2 + k // 4, rng)
+        for coords in islice(draws, min(8, trials - k)):
+            yield alg.element(coords)
 
 
 def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) -> Verdict:

@@ -272,11 +272,26 @@ def cmd_gen(args):
 # -- argument wiring ---------------------------------------------------
 
 
+def nonnegative_int(text):
+    """argparse type for --trials, --count and --cap."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_SCHEMA, f"error: {self.prog}: {message}\n")
+
+
 def _add_common(p, fixture=True, infile=True):
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--cap", type=int, default=10)
+    p.add_argument("--trials", type=nonnegative_int, default=64)
+    p.add_argument("--cap", type=nonnegative_int, default=10)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; every run is single-threaded "
                         "and the output does not depend on it")
@@ -287,7 +302,7 @@ def _add_common(p, fixture=True, infile=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="addalg",
         description="Exact additive combinatorics in finite-dimensional "
                     "algebras over Q")
@@ -334,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p = add("group-sweep", cmd_group_sweep, help="subset-pair bound sweep")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=nonnegative_int, default=200)
     p = add("monoid-check", cmd_monoid_check,
             help="monoid connectivity bound on labeled subsets")
     p.add_argument("--A", required=True, help="comma-separated element labels")

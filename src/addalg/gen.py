@@ -11,9 +11,9 @@ import random
 import string
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
-from . import classify
+from . import classify, linalg
 from . import subspace as sub
 from .algebra import Algebra
 from .errors import RetryBudgetExhausted, SchemaError
@@ -57,12 +57,9 @@ def random_subspace(alg: Algebra, dim: int, rng: random.Random,
     """Random dim-dimensional subspace certified to contain an invertible."""
     if not 1 <= dim <= alg.dim:
         raise SchemaError(f"subspace dim must be in 1..{alg.dim}, got {dim}")
+    draws = linalg.random_combinations([alg.basis_vec(i) for i in range(alg.dim)], 3, rng)
     for _ in range(retries):
-        vecs = [
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.dim))
-            for _ in range(dim)
-        ]
-        got = sub.from_vecs(alg, vecs)
+        got = sub.from_vecs(alg, list(islice(draws, dim)))
         if got.dim != dim:
             continue
         if sub.contains_invertible(got, seed=rng.randint(0, 2**30)).kind == "YES":

@@ -41,6 +41,28 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def combine(coeffs, rows) -> Vec:
+    """The linear combination sum_i coeffs[i] * rows[i] of non-empty rows."""
+    acc = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, a in enumerate(row):
+                if a:
+                    acc[j] += c * a
+    return tuple(acc)
+
+
+def random_combinations(rows, bound: int, rng):
+    """Endless seeded stream of combinations of rows, coefficients in [-bound, bound].
+
+    Each item draws its len(rows) coefficients from rng, in row order, only
+    when it is asked for, so other draws from the same rng may sit between
+    items.
+    """
+    while True:
+        yield combine([rng.randint(-bound, bound) for _ in rows], rows)
+
+
 def _primitive(row: list[int]) -> list[int]:
     """Integer row divided by its content (the gcd of its entries)."""
     g = gcd(*row)
@@ -147,12 +169,12 @@ def solve(matrix, rhs: Vec) -> Vec | None:
     return tuple(x)
 
 
-def mat_vec(matrix, x: Vec) -> Vec:
-    return tuple(sum((r[j] * x[j] for j in range(len(x))), ZERO) for r in matrix)
-
-
 def det(matrix) -> Fraction:
-    """Determinant by fraction-free style elimination over Fraction."""
+    """Determinant by elimination over Fraction.
+
+    The library tests invertibility by rank (Element.is_invertible); det is
+    kept as a reference for the tests and for the benchmark's tracer.
+    """
     n = len(matrix)
     m = [list(r) for r in matrix]
     sign = 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain, islice, product
 
 from . import linalg
 from .algebra import Algebra, Element
@@ -20,7 +20,7 @@ from .errors import (
     NoInvertibleFound,
     ZeroSubspace,
 )
-from .linalg import ZERO, Vec
+from .linalg import Vec
 
 __all__ = [
     "Subspace",
@@ -131,15 +131,7 @@ def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
         for row in range(n)
     ]
     combos = linalg.nullspace(mat, r + s)
-    vecs = []
-    for c in combos:
-        acc = [ZERO] * n
-        for i in range(r):
-            if c[i]:
-                for j in range(n):
-                    acc[j] += c[i] * v.basis[i][j]
-        vecs.append(tuple(acc))
-    return from_vecs(v.algebra, vecs)
+    return from_vecs(v.algebra, [linalg.combine(c[:r], v.basis) for c in combos])
 
 
 def product_span(v: Subspace, w: Subspace) -> Subspace:
@@ -181,11 +173,11 @@ def stabilizer(v: Subspace, side="left") -> Subspace:
     if v.dim in (0, n):
         return full_space(alg)
     free = [k for k in range(n) if k not in v.pivots]
-    units = [alg.basis_vec(i) for i in range(n)]
     rows = []
     for b in v.basis:
-        images = [alg.mul_coords(e, b) if side == "left" else alg.mul_coords(b, e)
-                  for e in units]
+        # x -> x*b for the left stabilizer, x -> b*x for the right one; the
+        # images of one b share an integer scale, which leaves the kernel alone
+        images = alg.mul_images(b, "right" if side == "left" else "left")[0]
         residuals = [linalg.reduce_against(v.basis, v.pivots, y) for y in images]
         rows.extend(tuple(r[k] for r in residuals) for k in free)
     return from_vecs(alg, linalg.nullspace(rows, n))
@@ -217,8 +209,15 @@ class InvertibilityCertificate:
     trials_used: int
 
 
-def _det_at(alg: Algebra, coords: Vec) -> Fraction:
-    return linalg.det(alg.left_mul_matrix(coords))
+def _first_invertible(alg: Algebra, candidates) -> tuple[Element | None, int]:
+    """The first invertible candidate (or None) and how many were tried."""
+    used = 0
+    for coords in candidates:
+        used += 1
+        x = Element(alg, coords)
+        if x.is_invertible:
+            return x, used
+    return None, used
 
 
 def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0,
@@ -231,69 +230,28 @@ def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0,
     claimed when proven: det of left multiplication restricted to V is a
     polynomial of degree <= dim(algebra) per coordinate, so vanishing on
     a full (n+1)-point grid per coordinate proves it vanishes identically.
+    Grid points are not counted in trials_used.
     """
     alg = v.algebra
     if v.dim == 0:
         raise ZeroSubspace("cannot search the zero subspace for invertibles")
-    used = 0
-
-    def check(coords: Vec) -> Element | None:
-        nonlocal used
-        used += 1
-        if not linalg.is_zero_vec(coords) and _det_at(alg, coords) != 0:
-            return Element(alg, coords)
-        return None
-
     if v.contains_unit():
-        return InvertibilityCertificate("YES", alg.one(), used)
-    for b in v.basis:
-        w = check(b)
-        if w is not None:
-            return InvertibilityCertificate("YES", w, used)
+        return InvertibilityCertificate("YES", alg.one(), 0)
     r = v.dim
     # Vandermonde line through the basis: x_1 + a x_2 + ... + a^{r-1} x_r
-    for a in range(1, alg.dim + r + 2):
-        coords = list(v.basis[0])
-        p = 1
-        for row in v.basis[1:]:
-            p *= a
-            for j in range(alg.dim):
-                coords[j] += p * row[j]
-        w = check(tuple(coords))
-        if w is not None:
-            return InvertibilityCertificate("YES", w, used)
-    grid = alg.dim + 1
-    if grid ** r <= exhaustive_cap:
-        found = None
-
-        def walk(idx, coords):
-            nonlocal found
-            if found is not None:
-                return
-            if idx == r:
-                if not linalg.is_zero_vec(coords) and _det_at(alg, coords) != 0:
-                    found = tuple(coords)
-                return
-            for c in range(grid):
-                nxt = [x + c * y for x, y in zip(coords, v.basis[idx])] if c else list(coords)
-                walk(idx + 1, nxt)
-
-        walk(0, [ZERO] * alg.dim)
-        if found is not None:
-            return InvertibilityCertificate("YES", Element(alg, found), used)
-        return InvertibilityCertificate("NO_PROVEN", None, used)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(r)]
-        coords = [ZERO] * alg.dim
-        for c, row in zip(coeffs, v.basis):
-            if c:
-                for j in range(alg.dim):
-                    coords[j] += c * row[j]
-        w = check(tuple(coords))
-        if w is not None:
-            return InvertibilityCertificate("YES", w, used)
-    return InvertibilityCertificate("PROBABLY_NO", None, used)
+    line = (linalg.combine([a ** i for i in range(r)], v.basis)
+            for a in range(1, alg.dim + r + 2))
+    w, used = _first_invertible(alg, chain(v.basis, line))
+    if w is not None:
+        return InvertibilityCertificate("YES", w, used)
+    grid = range(alg.dim + 1)
+    if len(grid) ** r <= exhaustive_cap:
+        w, _ = _first_invertible(alg, (linalg.combine(cs, v.basis)
+                                       for cs in product(grid, repeat=r)))
+        return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)
+    draws = islice(linalg.random_combinations(v.basis, 9, random.Random(seed)), trials)
+    w, sampled = _first_invertible(alg, draws)
+    return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 
 
 def invertible_basis(v: Subspace, trials: int = 64, seed: int = 0) -> list[Element]:
@@ -315,22 +273,9 @@ def invertible_basis(v: Subspace, trials: int = 64, seed: int = 0) -> list[Eleme
             rows.append(b)
     if len(rows) != v.dim:
         raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
-    out: list[Element] = []
-    alphas: list[int] = []
-    alpha = 0
-    while len(out) < v.dim and alpha <= alg.dim + v.dim + 1:
-        coords = list(rows[0])
-        p = 1
-        for row in rows[1:]:
-            p *= alpha
-            if p:
-                for j in range(alg.dim):
-                    coords[j] += p * row[j]
-        coords = tuple(coords)
-        if _det_at(alg, coords) != 0:
-            out.append(Element(alg, coords))
-            alphas.append(alpha)
-        alpha += 1
+    line = (Element(alg, linalg.combine([alpha ** i for i in range(v.dim)], rows))
+            for alpha in range(alg.dim + v.dim + 2))
+    out = list(islice((x for x in line if x.is_invertible), v.dim))
     if len(out) < v.dim:
         raise NoInvertibleFound("Vandermonde-line search exhausted its budget")
     got = from_vecs(alg, [e.coords for e in out])

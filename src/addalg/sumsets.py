@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from . import classify
+from . import classify, linalg
 from . import subspace as sub
 from .algebra import Element
 from .errors import (
@@ -108,19 +109,10 @@ class DiderrichCertificate:
 
 def _pivot_candidates(b: Subspace, budget: int, seed: int):
     """Invertible elements of B to drive the transform, invertible basis first."""
-    alg = b.algebra
-    basis = sub.invertible_basis(b, seed=seed)
-    yield from basis
-    rng = random.Random(seed)
-    for _ in range(budget):
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(b.dim)]
-        coords = [Fraction(0)] * alg.dim
-        for c, row in zip(coeffs, b.basis):
-            if c:
-                for j in range(alg.dim):
-                    coords[j] += c * row[j]
-        x = Element(alg, tuple(coords))
-        if not x.is_zero and x.is_invertible:
+    yield from sub.invertible_basis(b, seed=seed)
+    for coords in islice(linalg.random_combinations(b.basis, 5, random.Random(seed)), budget):
+        x = Element(b.algebra, coords)
+        if x.is_invertible:
             yield x
 
 
@@ -129,15 +121,14 @@ def _recurse(a: Subspace, b: Subspace, budget: int, seed: int) -> tuple[Subspace
     alg = a.algebra
     if a.dim == 1:
         return sub.unit_span(alg), b, 0
+    # span(AB) <= B gives Ae <= B, so A n Be^-1 = A, for every e in B: no pivot can shrink A
+    if b.contains_space(sub.product_span(a, b)):
+        return sub.subalgebra_generated(a.elements()), b, 0
     for e in _pivot_candidates(b, budget, seed):
         a_e, b_e = e_transform(a, b, e)
         if a_e.dim < a.dim:
             h, v, depth = _recurse(a_e, b_e, budget, seed + 1)
             return h, v, depth + 1
-    # stabilization branch: only valid when span(AB) really sits inside B
-    prod = sub.product_span(a, b)
-    if b.contains_space(prod):
-        return sub.subalgebra_generated(a.elements()), b, 0
     raise BudgetExhausted(
         "no transform pivot shrank A and span(AB) is not inside B; "
         "increase the pivot sampling budget"

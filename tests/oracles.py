@@ -146,6 +146,14 @@ def ref_mul(table, x, y):
     return tuple(out)
 
 
+def ref_mul_matrix(table, v, side="left"):
+    """Dense matrix of x -> v x (left) or x -> x v (right), one ref_mul per column."""
+    n = len(table)
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    cols = [ref_mul(table, v, e) if side == "left" else ref_mul(table, e, v) for e in units]
+    return [tuple(col[k] for col in cols) for k in range(n)]
+
+
 def ref_product_span(table, v_basis, w_basis):
     """RREF of the span of all pairwise products."""
     return ref_rref([ref_mul(table, a, b) for a in v_basis for b in w_basis])

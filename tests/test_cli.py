@@ -139,6 +139,11 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     ["nfold", "--spaces", ""],
     ["gen", "--family", "split", "--dims", "x"],
     ["gen", "--family", "group", "--dims", "2,x"],
+    ["classify", "--fixture", "QT2", "--trials", "-1"],
+    ["certificate", "--A", "A", "--B", "B", "--trials", "-3"],
+    ["group-sweep", "--fixture", "Z5", "--count", "-1"],
+    ["atom", "--V", "A", "--lambda", "1", "--cap", "-1"],
+    ["classify", "--fixture", "QT2", "--trials", "x"],
 ])
 def test_exit_code_malformed_nfold_and_gen(capsys, tmp_path, argv):
     if argv[0] == "nfold":

@@ -2,11 +2,15 @@
 
 rref and nullspace are compared on random rational matrices with mixed
 denominators, zero rows and dependent rows.  product_span and both
-stabilizers are compared on random subspaces of algebras with 0/1,
-rational and non-commutative structure constants.
+stabilizers are compared on random subspaces, and both multiplication
+matrices and the rank-based invertibility test on random elements, of
+algebras with 0/1, rational and non-commutative structure constants.
+The seeded candidate stream is pinned to its draw order.
 """
 
+import random
 from fractions import Fraction as F
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,13 @@ from addalg.algebra import poly_quotient_product
 from addalg.fixtures import algebra_fixture
 from addalg.polynomials import Poly
 
-from oracles import ref_nullspace, ref_product_span, ref_rref, ref_stabilizer
+from oracles import (
+    ref_mul_matrix,
+    ref_nullspace,
+    ref_product_span,
+    ref_rref,
+    ref_stabilizer,
+)
 
 RATS = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
 SPARSE_RATS = st.one_of(st.just(F(0)), st.just(F(0)), RATS)
@@ -109,3 +119,53 @@ def test_left_and_right_stabilizers_differ_in_m2():
     assert left.dim == 3 and right.dim == 4
     for side, got in (("left", left), ("right", right)):
         assert (got.basis, got.pivots) == ref_stabilizer(m2.table, v.basis, side)
+
+
+@st.composite
+def elements(draw):
+    """An element of one of the algebras: sparse rational, a multiple of a basis
+    vector, or 1 - c b_i (singular of corank 1 for b_i = g in Q[Z6] or e_i in Q^5)."""
+    name = draw(st.sampled_from(sorted(ALGEBRAS)))
+    alg = ALGEBRAS[name]
+    kind = draw(st.sampled_from(["sparse", "basis", "unit-minus"]))
+    if kind == "sparse":
+        return alg.element(draw(st.lists(SPARSE_RATS, min_size=alg.dim, max_size=alg.dim)))
+    b = alg.basis_element(draw(st.integers(0, alg.dim - 1)))
+    c = draw(st.one_of(st.just(F(1)), RATS))
+    return b.scale(c) if kind == "basis" else alg.one() - b.scale(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements())
+def test_mul_matrices_match_reference(x):
+    alg = x.algebra
+    assert alg.left_mul_matrix(x.coords) == ref_mul_matrix(alg.table, x.coords, "left")
+    assert alg.right_mul_matrix(x.coords) == ref_mul_matrix(alg.table, x.coords, "right")
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements())
+def test_is_invertible_matches_det(x):
+    assert x.is_invertible == (linalg.det(x.algebra.left_mul_matrix(x.coords)) != 0)
+
+
+def test_is_invertible_one_sided_in_m2():
+    # E11 + E12 is singular; E12 + E21 is its own inverse
+    m2 = ALGEBRAS["M2x2"]
+    assert not m2.element([1, 1, 0, 0]).is_invertible
+    assert m2.element([0, 1, 1, 0]).is_invertible
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**30), st.integers(0, 9), st.integers(1, 4))
+def test_random_combinations_draw_order(seed, bound, nrows):
+    # each item draws its coefficients in row order, one randint per row
+    rows = [tuple(F(i * 7 + j, j + 1) for j in range(5)) for i in range(nrows)]
+    got = list(islice(linalg.random_combinations(rows, bound, random.Random(seed)), 6))
+    rng = random.Random(seed)
+    want = []
+    for _ in range(6):
+        coeffs = [rng.randint(-bound, bound) for _ in rows]
+        want.append(tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
+                          for j in range(5)))
+    assert got == want

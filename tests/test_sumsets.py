@@ -118,6 +118,25 @@ def test_certificate_group_algebra_ap():
     assert cert.recursion_depth < a.dim
 
 
+def test_certificate_stabilized_pair_tries_no_pivot(monkeypatch):
+    # span(AB) = B when B is the whole algebra, so no e-transform can shrink A
+    calls = []
+    real = sumsets.e_transform
+
+    def counting(a, b, e):
+        calls.append(e)
+        return real(a, b, e)
+
+    monkeypatch.setattr(sumsets, "e_transform", counting)
+    alg = algebra_fixture("QZ5")
+    a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1), alg.basis_vec(3)])
+    full = sub.full_space(alg)
+    cert = sumsets.diderrich_certificate(a, full)
+    assert calls == []
+    assert cert.recursion_depth == 0 and cert.space == full
+    assert not cert.violations()
+
+
 def test_certificate_rejects_noncommutative_a():
     m2 = algebra_fixture("M2x2")
     full = sub.full_space(m2)
