@@ -4,7 +4,9 @@ An Algebra is a structure-constant tensor: table[i][j] holds the
 coordinates of b_i * b_j in the distinguished basis, plus a unit vector.
 Multiplication reads a sparse integer copy of the tensor: each cell is the
 tuple of its nonzero (k, c) pairs, scaled by the common denominator of
-all structure constants.  A monoid algebra has one pair per cell.
+all structure constants.  A monoid algebra has one pair per cell.  One
+integer core (Algebra.mul_pairs) sums every product; mul_coords and
+mul_images are its views for rational coordinates.
 Constructors cover explicit tensors, group/monoid multiplication tables,
 products of polynomial quotients, companion-matrix subalgebras, full
 matrix algebras and direct products.
@@ -92,19 +94,27 @@ class Algebra:
     def basis_vec(self, i: int) -> Vec:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
+    def mul_pairs(self, xs, ys) -> list[int]:
+        """den * (x*y), from the nonzero (index, integer) pairs of x and of y.
+
+        The one product core: every product and multiplication image is
+        summed here, in integers over `sparse`.
+        """
+        acc = [0] * self.dim
+        sparse = self.sparse
+        for i, a in xs:
+            row = sparse[i]
+            for j, b in ys:
+                c = a * b
+                for k, t in row[j]:
+                    acc[k] += c * t
+        return acc
+
     def mul_coords(self, x: Vec, y: Vec) -> Vec:
-        """Coordinates of x * y, accumulated in integers over the nonzeros."""
+        """Coordinates of x * y."""
         xn, dx = linalg.integer_row(x)
         yn, dy = linalg.integer_row(y)
-        ys = [(j, b) for j, b in enumerate(yn) if b]
-        acc = [0] * self.dim
-        for i, a in enumerate(xn):
-            if a:
-                row = self.sparse[i]
-                for j, b in ys:
-                    c = a * b
-                    for k, t in row[j]:
-                        acc[k] += c * t
+        acc = self.mul_pairs(linalg.nonzeros(xn), linalg.nonzeros(yn))
         den = dx * dy * self.den
         return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
@@ -137,22 +147,19 @@ class Algebra:
 
     # -- multiplication operators --------------------------------------
 
-    def mul_images(self, v: Vec, side: str) -> tuple[list[list[int]], int]:
+    def mul_images(self, v, side: str) -> tuple[list[list[int]], int]:
         """Images of the basis under x -> v*x (side "left") or x -> x*v ("right").
 
-        Read straight off `sparse` in integers: returns (rows, den) where
-        rows[i] is den times the coordinates of v*b_i (or of b_i*v).
+        v is a rational row (Fraction or int entries).  Returns (rows, den)
+        where rows[i] is den times the coordinates of v*b_i (or of b_i*v),
+        as integers.
         """
         vn, dv = linalg.integer_row(v)
-        nz = [(j, a) for j, a in enumerate(vn) if a]
-        sp = self.sparse
-        rows = []
-        for i in range(self.dim):
-            acc = [0] * self.dim
-            for j, a in nz:
-                for k, t in (sp[j][i] if side == "left" else sp[i][j]):
-                    acc[k] += a * t
-            rows.append(acc)
+        nz = linalg.nonzeros(vn)
+        if side == "left":
+            rows = [self.mul_pairs(nz, ((i, 1),)) for i in range(self.dim)]
+        else:
+            rows = [self.mul_pairs(((i, 1),), nz) for i in range(self.dim)]
         return rows, dv * self.den
 
     def _mul_matrix(self, v: Vec, side: str):
@@ -250,13 +257,12 @@ def min_poly(x: Element) -> Poly:
     """Monic minimal polynomial, from the first dependence among powers."""
     alg = x.algebra
     powers = [alg.unit]
-    basis: list = []
-    pivots: list = []
+    rows, pivots = (), ()
     cur = alg.one()
     while True:
         v = cur.coords
-        residual = linalg.reduce_against(tuple(basis), tuple(pivots), v)
-        if linalg.is_zero_vec(residual):
+        y = linalg.integer_row(v)[0]
+        if not any(linalg.residual(rows, pivots, y)):
             # solve sum_i c_i powers[i] = v for the dependence
             k = len(powers) - 1
             mat = [tuple(powers[i][j] for i in range(k)) for j in range(alg.dim)]
@@ -266,8 +272,7 @@ def min_poly(x: Element) -> Poly:
                                   "no dependence was solved for")
             coeffs = [-c for c in sol] + [ONE]
             return Poly(tuple(coeffs))
-        red, piv = linalg.rref(list(basis) + [v])
-        basis, pivots = list(red), list(piv)
+        rows, pivots = linalg.int_rref(rows + (y,))
         cur = cur * x
         powers.append(cur.coords)
 

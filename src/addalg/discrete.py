@@ -138,8 +138,7 @@ def lift_subset(alg: Algebra, a: frozenset[int]) -> sub.Subspace:
         raise TableMismatch("algebra was not built from a multiplication table")
     if not a:
         raise EmptySubset("cannot lift the empty subset")
-    n = alg.dim
-    return sub.from_vecs(alg, [alg.basis_vec(i) for i in sorted(a)])
+    return sub.coordinate_span(alg, a)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ __all__ = ["Instance", "random_subspace", "random_subset", "gen_instance", "FAMI
 
 FAMILIES = ("split", "group", "polyprod")
 
+_ROOTS = range(-4, 5)  # the distinct roots a polyprod polynomial draws from
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -74,7 +76,7 @@ def random_subset(size: int, total: int, rng: random.Random) -> tuple[int, ...]:
 
 def _squarefree_poly(deg: int, rng: random.Random) -> Poly:
     """Monic squarefree polynomial with distinct small integer roots."""
-    roots = rng.sample(range(-4, 5), deg)
+    roots = rng.sample(_ROOTS, deg)
     p = Poly.one()
     for r in roots:
         p = p * Poly.of(-r, 1)
@@ -116,6 +118,8 @@ def gen_instance(family: str, seed: int, n: int | None = None,
         return Instance(family, seed, desc, alg, spaces, subsets)
     if family == "polyprod":
         n = 3 if n is None else n
+        if not 1 <= n <= len(_ROOTS):
+            raise SchemaError(f"polyprod degree must be in 1..{len(_ROOTS)}, got {n}")
         p = _squarefree_poly(n, rng)
         desc = {"kind": "poly_quotient_product", "factors": [p.to_json()],
                 "label": f"Q[T]/({p})"}

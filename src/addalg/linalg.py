@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Everything works on tuples of Fraction.  Row-echelon forms are fully
-reduced and canonical (pivot entries 1, pivot columns cleared), so two
-subspaces are equal iff their basis tuples compare equal.
+Elimination works on integer rows: rational rows are cleared to integers
+at the boundary (integer_row).  int_rref gives the canonical reduced row
+echelon form as primitive integer rows with positive pivots and cleared
+pivot columns, so two spans are equal iff their forms compare equal.
+The Fraction functions (rref, nullspace, solve) are views of the integer
+ones, with pivot entries 1.  Vectors are tuples of Fraction.
 """
 
 from __future__ import annotations
@@ -77,30 +80,46 @@ def integer_row(row) -> tuple[list[int], int]:
     return [a.numerator * (den // a.denominator) for a in row], den
 
 
-def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Canonical reduced row echelon form.
+def nonzeros(row) -> list[tuple[int, int]]:
+    """The (column, entry) pairs of a row's nonzero entries."""
+    return [(j, a) for j, a in enumerate(row) if a]
 
-    Returns (nonzero rows, pivot columns).  Elimination is fraction-free,
-    in the style of Bareiss (1968): each row is cleared to integers, each
-    step combines two integer rows, and every new row is divided by its
-    content.  Rows stay fully reduced (pivot columns cleared) throughout,
-    so the canonical Fraction form, pivot 1, is one division per entry on
-    return.
+
+def _reduce_row(row, out, pivots) -> tuple[list[int], int | None]:
+    """Integer row reduced against echelon rows, made primitive, and its first nonzero column.
+
+    The rows in out have their pivots at the sorted columns in pivots and are
+    zero before them; each step is one fraction-free combination of two
+    integer rows.
+    """
+    for prow, pc in zip(out, pivots):
+        c = row[pc]
+        if c:
+            p = prow[pc]
+            row = [p * a - c * b for a, b in zip(row, prow)]
+    row = _primitive(row)
+    return row, next((j for j, a in enumerate(row) if a), None)
+
+
+def int_rref(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Canonical reduced row echelon form of integer rows, in primitive integer rows.
+
+    Returns (nonzero rows, pivot columns).  Each row is the canonical RREF
+    row scaled to coprime integers with a positive pivot, and every other
+    pivot column is cleared in it.  The form is unique, so two spans are
+    equal iff their forms compare equal.  Elimination is fraction-free, in
+    the style of Bareiss (1968): each step combines two integer rows, and
+    every new row is divided by its content.
     """
     pivots: list[int] = []
-    out: list[list[int]] = []
+    out: list = []
     for r in rows:
-        row = integer_row(r)[0]
-        for prow, pc in zip(out, pivots):
-            c = row[pc]
-            if c:
-                p = prow[pc]
-                row = [p * a - c * b for a, b in zip(row, prow)]
-        row = _primitive(row)
-        j = next((j for j, a in enumerate(row) if a), None)
+        row, j = _reduce_row(r, out, pivots)
         if j is None:
             continue
         p = row[j]
+        if p < 0:
+            row, p = [-a for a in row], -p
         for i, prow in enumerate(out):
             c = prow[j]
             if c:
@@ -108,49 +127,87 @@ def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
         pos = bisect_left(pivots, j)
         pivots.insert(pos, j)
         out.insert(pos, row)
-    basis = tuple(tuple(Fraction(a, row[pc]) if a else ZERO for a in row)
-                  for row, pc in zip(out, pivots))
-    return basis, tuple(pivots)
+    return tuple(map(tuple, out)), tuple(pivots)
+
+
+def fraction_rows(rows, pivots) -> tuple[Vec, ...]:
+    """The Fraction view of int_rref's rows: each row divided by its pivot."""
+    return tuple(tuple(Fraction(a, row[pc]) if a else ZERO for a in row)
+                 for row, pc in zip(rows, pivots))
+
+
+def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Canonical reduced row echelon form of rational rows, pivot entries 1.
+
+    Returns (nonzero rows, pivot columns): int_rref of the rows cleared to
+    integers, then its Fraction view.
+    """
+    red, pivots = int_rref([integer_row(r)[0] for r in rows])
+    return fraction_rows(red, pivots), pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    """Rank of rational rows: the number of rows of a forward integer echelon form."""
+    pivots: list[int] = []
+    out: list = []
+    for r in rows:
+        row, j = _reduce_row(integer_row(r)[0], out, pivots)
+        if j is not None:
+            pos = bisect_left(pivots, j)
+            pivots.insert(pos, j)
+            out.insert(pos, row)
+    return len(out)
 
 
-def reduce_against(basis: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> Vec:
-    """Residual of v after elimination against a canonical RREF basis."""
-    row = list(v)
-    n = len(row)
-    for brow, pc in zip(basis, pivots):
-        c = row[pc]
+def residual(rows, pivots, y) -> list[int]:
+    """L times the residual of integer y after elimination against int_rref rows.
+
+    L is the lcm of the rows' pivots, so every y reduced against the same
+    rows gets the same scale.  Every other pivot column is cleared in each
+    row, so y's own entry at a pivot column gives that row's multiple.
+    """
+    scale = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
+    res = [scale * a for a in y] if scale > 1 else y
+    for row, pc in zip(rows, pivots):
+        c = y[pc]
         if c:
-            for j in range(pc, n):
-                if brow[j]:
-                    row[j] -= c * brow[j]
-    return tuple(row)
+            f = c * (scale // row[pc])
+            res = [a - f * b for a, b in zip(res, row)]
+    return res
 
 
-def in_span(basis: tuple[Vec, ...], pivots: tuple[int, ...], v: Vec) -> bool:
-    return is_zero_vec(reduce_against(basis, pivots, v))
+def int_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """Basis of {x : M x = 0} for integer rows M, over one common denominator.
+
+    Returns (vectors, L), one vector per free column f: vectors[i] / L is
+    the canonical kernel vector with 1 at f, the solved entries at the
+    pivot columns and 0 elsewhere.  L is the lcm of the RREF pivots.
+    """
+    red, pivots = int_rref(rows)
+    scale = lcm(*[row[pc] for row, pc in zip(red, pivots)])
+    taken = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in taken:
+            continue
+        x = [0] * ncols
+        x[f] = scale
+        for row, pc in zip(red, pivots):
+            if row[f]:
+                x[pc] = -row[f] * (scale // row[pc])
+        out.append(x)
+    return out, scale
 
 
 def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:
-    """Canonical basis of {x : M x = 0} (right kernel)."""
+    """Canonical basis of {x : M x = 0} (right kernel), over Fraction."""
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for empty matrix")
         ncols = len(rows[0])
-    basis, pivots = rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for brow, pc in zip(basis, pivots):
-            x[pc] = -brow[f]
-        out.append(tuple(x))
-    return tuple(out)
+    vecs, scale = int_nullspace([integer_row(r)[0] for r in rows], ncols)
+    return tuple(tuple(Fraction(a, scale) if a else ZERO for a in x) for x in vecs)
 
 
 def solve(matrix, rhs: Vec) -> Vec | None:

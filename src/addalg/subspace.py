@@ -1,15 +1,18 @@
 """Subspace calculus inside an algebra.
 
-Subspaces carry a canonical reduced-row-echelon basis, so equality is
-structural.  The module implements spans, lattice operations, product
-spans of subspaces, stabilizers, annihilators, invertibility
-certificates and generated subalgebras.
+A subspace is stored as its canonical reduced row echelon form in
+primitive integer rows (linalg.int_rref), so equality and hashing are
+structural; `basis` is the cached Fraction view of the same form.  Spans,
+lattice operations, product spans, stabilizers and annihilators work on
+the integer rows.  The module also implements invertibility certificates
+and generated subalgebras.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, product
 
 from . import linalg
@@ -26,6 +29,7 @@ __all__ = [
     "Subspace",
     "span_of",
     "from_vecs",
+    "coordinate_span",
     "full_space",
     "unit_span",
     "zero_space",
@@ -45,16 +49,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Subspace:
+    """A subspace, stored as its canonical RREF in primitive integer rows.
+
+    rows are the RREF rows scaled to coprime integers with a positive pivot,
+    with every other pivot column cleared (linalg.int_rref).
+    """
+
     algebra: Algebra
-    basis: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        """The canonical RREF over Fraction, pivot entries 1."""
+        return linalg.fraction_rows(self.rows, self.pivots)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def _holds(self, y) -> bool:
+        """Whether the integer row y lies in the subspace."""
+        return not any(linalg.residual(self.rows, self.pivots, y))
 
     def contains_vec(self, v: Vec) -> bool:
-        return linalg.in_span(self.basis, self.pivots, v)
+        return self._holds(linalg.integer_row(v)[0])
 
     def contains(self, x: Element) -> bool:
         if x.algebra is not self.algebra:
@@ -62,7 +81,7 @@ class Subspace:
         return self.contains_vec(x.coords)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains_vec(v) for v in other.basis)
+        return all(self._holds(y) for y in other.rows)
 
     def elements(self) -> list[Element]:
         return [Element(self.algebra, v) for v in self.basis]
@@ -80,9 +99,13 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.algebra.label or 'algebra'})"
 
 
+def _span(algebra: Algebra, rows) -> Subspace:
+    """Span of integer rows."""
+    return Subspace(algebra, *linalg.int_rref(rows))
+
+
 def from_vecs(algebra: Algebra, vecs) -> Subspace:
-    basis, pivots = linalg.rref([linalg.vec(v) for v in vecs])
-    return Subspace(algebra, basis, pivots)
+    return _span(algebra, [linalg.integer_row(linalg.vec(v))[0] for v in vecs])
 
 
 def span_of(vectors: list[Element]) -> Subspace:
@@ -95,10 +118,18 @@ def span_of(vectors: list[Element]) -> Subspace:
     return from_vecs(alg, [v.coords for v in vectors])
 
 
-def full_space(algebra: Algebra) -> Subspace:
-    """The whole algebra; the identity matrix is already its canonical RREF."""
+def coordinate_span(algebra: Algebra, indices) -> Subspace:
+    """Span of the basis vectors b_i, i in indices; their unit rows are already canonical."""
     n = algebra.dim
-    return Subspace(algebra, tuple(algebra.basis_vec(i) for i in range(n)), tuple(range(n)))
+    pivots = tuple(sorted(set(indices)))
+    if pivots and not 0 <= pivots[0] <= pivots[-1] < n:
+        raise ValueError(f"basis indices must lie in 0..{n - 1}")
+    rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in pivots)
+    return Subspace(algebra, rows, pivots)
+
+
+def full_space(algebra: Algebra) -> Subspace:
+    return coordinate_span(algebra, range(algebra.dim))
 
 
 def unit_span(algebra: Algebra) -> Subspace:
@@ -116,7 +147,7 @@ def _check_same(v: Subspace, w: Subspace):
 
 def lattice_sum(v: Subspace, w: Subspace) -> Subspace:
     _check_same(v, w)
-    return from_vecs(v.algebra, list(v.basis) + list(w.basis))
+    return _span(v.algebra, v.rows + w.rows)
 
 
 def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
@@ -124,14 +155,12 @@ def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
     _check_same(v, w)
     if v.dim == 0 or w.dim == 0:
         return zero_space(v.algebra)
-    n = v.algebra.dim
-    r, s = v.dim, w.dim
-    mat = [
-        tuple(v.basis[i][row] for i in range(r)) + tuple(-w.basis[j][row] for j in range(s))
-        for row in range(n)
-    ]
-    combos = linalg.nullspace(mat, r + s)
-    return from_vecs(v.algebra, [linalg.combine(c[:r], v.basis) for c in combos])
+    v_cols = list(zip(*v.rows))
+    mat = [col_v + tuple(-a for a in col_w) for col_v, col_w in zip(v_cols, zip(*w.rows))]
+    combos = linalg.int_nullspace(mat, v.dim + w.dim)[0]
+    # the first dim V entries of a kernel vector combine V's rows into a vector of V n W
+    return _span(v.algebra, [[sum(c * a for c, a in zip(cs, col)) for col in v_cols]
+                             for cs in combos])
 
 
 def product_span(v: Subspace, w: Subspace) -> Subspace:
@@ -140,32 +169,32 @@ def product_span(v: Subspace, w: Subspace) -> Subspace:
     if v.dim == 0 or w.dim == 0:
         return zero_space(v.algebra)
     alg = v.algebra
-    seen = set()
-    vecs = []
-    for a in v.basis:
-        for b in w.basis:
-            p = alg.mul_coords(a, b)
-            if p not in seen:
-                seen.add(p)
-                vecs.append(p)
-    return from_vecs(alg, vecs)
+    right = [linalg.nonzeros(b) for b in w.rows]
+    # dict keys dedup the integer products and keep their order
+    products = {}
+    for a in v.rows:
+        left = linalg.nonzeros(a)
+        for b in right:
+            products[tuple(alg.mul_pairs(left, b))] = None
+    return _span(alg, products)
 
 
 def translate(x: Element, v: Subspace, side="left") -> Subspace:
     """Span of x*V (left) or V*x (right)."""
     alg = v.algebra
+    xs = linalg.nonzeros(linalg.integer_row(x.coords)[0])
     if side == "left":
-        vecs = [alg.mul_coords(x.coords, b) for b in v.basis]
+        rows = [alg.mul_pairs(xs, linalg.nonzeros(b)) for b in v.rows]
     else:
-        vecs = [alg.mul_coords(b, x.coords) for b in v.basis]
-    return from_vecs(alg, vecs)
+        rows = [alg.mul_pairs(linalg.nonzeros(b), xs) for b in v.rows]
+    return _span(alg, rows)
 
 
 def stabilizer(v: Subspace, side="left") -> Subspace:
     """Solution space of x*V <= V (left) or V*x <= V (right).
 
-    Directly the kernel of x -> (residual of x*b against V) over the basis
-    b of V.  The residual vanishes on the pivot columns of V's RREF basis,
+    Directly the kernel of x -> (residual of x*b against V) over the rows
+    b of V, in integers.  The residual vanishes on the pivot columns of V,
     so only the non-pivot coordinates give equations.
     """
     alg = v.algebra
@@ -174,13 +203,14 @@ def stabilizer(v: Subspace, side="left") -> Subspace:
         return full_space(alg)
     free = [k for k in range(n) if k not in v.pivots]
     rows = []
-    for b in v.basis:
+    for b in v.rows:
         # x -> x*b for the left stabilizer, x -> b*x for the right one; the
-        # images of one b share an integer scale, which leaves the kernel alone
+        # images of one b, and their residuals, share one integer scale,
+        # which leaves the kernel alone
         images = alg.mul_images(b, "right" if side == "left" else "left")[0]
-        residuals = [linalg.reduce_against(v.basis, v.pivots, y) for y in images]
-        rows.extend(tuple(r[k] for r in residuals) for k in free)
-    return from_vecs(alg, linalg.nullspace(rows, n))
+        residuals = [linalg.residual(v.rows, v.pivots, y) for y in images]
+        rows.extend([r[k] for r in residuals] for k in free)
+    return _span(alg, linalg.int_nullspace(rows, n)[0])
 
 
 def annihilator(v: Subspace, side="left") -> Subspace:
@@ -189,10 +219,11 @@ def annihilator(v: Subspace, side="left") -> Subspace:
     if v.dim == 0:
         return full_space(alg)
     rows = []
-    for b in v.basis:
-        mul = alg.right_mul_matrix(b) if side == "left" else alg.left_mul_matrix(b)
-        rows.extend(tuple(r) for r in mul)
-    return from_vecs(alg, linalg.nullspace(rows, alg.dim))
+    for b in v.rows:
+        # the equations of x*b = 0 (or b*x = 0) are the columns of the images
+        images = alg.mul_images(b, "right" if side == "left" else "left")[0]
+        rows.extend(zip(*images))
+    return _span(alg, linalg.int_nullspace(rows, alg.dim)[0])
 
 
 def is_subalgebra(v: Subspace) -> bool:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addalg import cli, gen
+from addalg import cli, fixtures, gen
 from addalg.errors import SchemaError
-from addalg.serialize import dumps, load_instance
+from addalg.serialize import dumps, load_instance, parse_rat
 
 
 def run(capsys, *argv):
@@ -144,6 +149,7 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     ["group-sweep", "--fixture", "Z5", "--count", "-1"],
     ["atom", "--V", "A", "--lambda", "1", "--cap", "-1"],
     ["classify", "--fixture", "QT2", "--trials", "x"],
+    ["gen", "--family", "polyprod", "--n", "12"],
 ])
 def test_exit_code_malformed_nfold_and_gen(capsys, tmp_path, argv):
     if argv[0] == "nfold":
@@ -154,6 +160,142 @@ def test_exit_code_malformed_nfold_and_gen(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# A valid call of every subcommand: (source flags, other flags).  "@INST"
+# stands for a file holding Q4_INSTANCE.
+VALID_CALLS = {
+    "fixtures": ([], []),
+    "validate": (["--in", "@INST"], []),
+    "info": (["--in", "@INST"], []),
+    "span": (["--in", "@INST"], ["--V", "A"]),
+    "product": (["--in", "@INST"], ["--A", "A", "--B", "B"]),
+    "stabilizer": (["--in", "@INST"], ["--V", "A"]),
+    "annihilator": (["--in", "@INST"], ["--V", "C"]),
+    "classify": (["--fixture", "QT2"], []),
+    "certificate": (["--in", "@INST"], ["--A", "A", "--B", "B"]),
+    "kneser": (["--in", "@INST"], ["--A", "A", "--B", "B"]),
+    "nfold": (["--in", "@INST"], ["--spaces", "A,B,C"]),
+    "atom": (["--in", "@INST"], ["--V", "A", "--lambda", "1/2"]),
+    "hamidoune": (["--in", "@INST"], ["--W", "B", "--V", "A", "--lambda", "1"]),
+    "tao": (["--in", "@INST"], ["--V", "C", "--W", "C", "--epsilon", "1"]),
+    "group-sweep": (["--fixture", "Z3"], []),
+    "monoid-check": (["--fixture", "paper-m7"],
+                     ["--A", "1,a,b", "--B", "1,a,b", "--lambda", "1"]),
+    "gen": ([], ["--family", "split"]),
+}
+SPACE_FLAGS = {"span": ["--V"], "product": ["--A", "--B"], "stabilizer": ["--V"],
+               "annihilator": ["--V"], "certificate": ["--A", "--B"],
+               "kneser": ["--A", "--B"], "nfold": ["--spaces"], "atom": ["--V"],
+               "hamidoune": ["--W", "--V"], "tao": ["--V", "--W"]}
+# rational flags and the interval each must lie in: (flag, low, high, high included)
+RATIONAL_FLAGS = {"atom": ("--lambda", 0, 1, True), "hamidoune": ("--lambda", 0, 1, True),
+                  "monoid-check": ("--lambda", 0, 1, True), "tao": ("--epsilon", 0, 2, False)}
+TABLE_COMMANDS = ("group-sweep", "monoid-check")
+GEN_N_RANGE = {"split": (1, None), "group": (1, None), "polyprod": (1, 9)}
+GEN_DEFAULT_N = {"split": 4, "group": 5, "polyprod": 3}
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+NOT_INT = st.text(alphabet="0123456789-+./ex", max_size=5).filter(lambda t: not _is_int(t))
+NAME = st.text(alphabet=string.ascii_letters + string.digits + "[]-", min_size=1, max_size=8)
+
+
+@st.composite
+def malformed_calls(draw):
+    """argv of one subcommand with one flag malformed or out of range."""
+    cmd = draw(st.sampled_from(sorted(VALID_CALLS)))
+    source, rest = VALID_CALLS[cmd]
+    faults = ["int", "negative"]
+    if source:
+        faults.append("source")
+    if cmd in SPACE_FLAGS:
+        faults.append("space")
+    if cmd in RATIONAL_FLAGS:
+        faults.append("rational")
+    if cmd == "monoid-check":
+        faults.append("label")
+    if cmd == "group-sweep":
+        faults.append("count")
+    if cmd == "gen":
+        faults += ["gen-n", "gen-dims"]
+    fault = draw(st.sampled_from(faults))
+    extra = []
+    if fault == "int":
+        flag = draw(st.sampled_from(["--seed", "--threads", "--trials", "--cap"]
+                                    + (["--n"] if cmd == "gen" else [])))
+        extra = [f"{flag}={draw(NOT_INT)}"]
+    elif fault == "negative":
+        flag = draw(st.sampled_from(["--trials", "--cap"]))
+        extra = [f"{flag}={draw(st.integers(max_value=-1))}"]
+    elif fault == "count":
+        extra = [f"--count={draw(st.one_of(st.integers(max_value=-1), NOT_INT))}"]
+    elif fault == "source":
+        known = fixtures.TABLE_NAMES if cmd in TABLE_COMMANDS else fixtures.ALGEBRA_NAMES
+        source = draw(st.sampled_from([
+            [],
+            ["--in", "@MISSING"],
+            ["--fixture=" + draw(NAME.filter(lambda t: t not in known))],
+        ]))
+    elif fault == "space":
+        flag = draw(st.sampled_from(SPACE_FLAGS[cmd]))
+        names = draw(st.lists(NAME.filter(lambda t: t not in Q4_INSTANCE["subspaces"]),
+                              min_size=1, max_size=3))
+        extra = [f"{flag}={','.join(names)}"]
+    elif fault == "rational":
+        flag, low, high, closed = RATIONAL_FLAGS[cmd]
+
+        def bad(text):
+            try:
+                q = parse_rat(text)
+            except SchemaError:
+                return True
+            return not (low < q and (q <= high if closed else q < high))
+
+        value = draw(st.one_of(st.fractions().map(str), st.text("0123456789/-.ex", max_size=5))
+                     .filter(bad))
+        extra = [f"{flag}={value}"]
+    elif fault == "label":
+        extra = [f"--A=1,{draw(NAME.filter(lambda t: t not in '1ab'))}"]
+    elif fault == "gen-n":
+        family = draw(st.sampled_from(sorted(GEN_N_RANGE)))
+        low, high = GEN_N_RANGE[family]
+        n = draw(st.integers(-10 ** 6, 10 ** 6).filter(
+            lambda n: n < low or (high is not None and n > high)))
+        extra = [f"--family={family}", f"--n={n}"]
+    elif fault == "gen-dims":
+        family = draw(st.sampled_from(sorted(GEN_N_RANGE)))
+        n = GEN_DEFAULT_N[family]
+        bad_dim = st.integers(max_value=0) if family == "polyprod" else st.one_of(
+            st.integers(max_value=0), st.integers(n + 1, 10 ** 6))
+        dims = draw(st.lists(st.integers(1, min(n, 3)), max_size=2))
+        dims.insert(draw(st.integers(0, len(dims))), draw(bad_dim))
+        extra = [f"--family={family}", f"--dims={','.join(map(str, dims))}"]
+    return [cmd, *source, *rest, *extra]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_calls())
+def test_malformed_flags_exit_2_or_3_with_one_error_line(tmp_path_factory, argv):
+    inst = tmp_path_factory.getbasetemp() / "q4-cli.json"
+    inst.write_text(dumps(Q4_INSTANCE))
+    missing = tmp_path_factory.getbasetemp() / "missing.json"
+    argv = [str(inst) if a == "@INST" else str(missing) if a == "@MISSING" else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (2, 3), argv
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
 def test_exit_code_oracle_unavailable(capsys, tmp_path):

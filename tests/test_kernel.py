@@ -1,16 +1,19 @@
 """Differential tests: the integer, sparse kernel against the Fraction reference.
 
-rref and nullspace are compared on random rational matrices with mixed
-denominators, zero rows and dependent rows.  product_span and both
+rref, rank and nullspace are compared on random rational matrices with
+mixed denominators, zero rows and dependent rows.  product_span and both
 stabilizers are compared on random subspaces, and both multiplication
 matrices and the rank-based invertibility test on random elements, of
 algebras with 0/1, rational and non-commutative structure constants.
-The seeded candidate stream is pinned to its draw order.
+The stored integer form of a Subspace is checked to be canonical, and
+its membership tests agree with a Fraction rank reference.  The seeded
+candidate stream is pinned to its draw order.
 """
 
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from addalg.fixtures import algebra_fixture
 from addalg.polynomials import Poly
 
 from oracles import (
+    frac_rank,
     ref_mul_matrix,
     ref_nullspace,
     ref_product_span,
@@ -55,6 +59,7 @@ def matrices(draw):
 def test_rref_matches_reference(case):
     _, rows = case
     assert linalg.rref(rows) == ref_rref(rows)
+    assert linalg.rank(rows) == len(ref_rref(rows)[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,6 +124,94 @@ def test_left_and_right_stabilizers_differ_in_m2():
     assert left.dim == 3 and right.dim == 4
     for side, got in (("left", left), ("right", right)):
         assert (got.basis, got.pivots) == ref_stabilizer(m2.table, v.basis, side)
+
+
+def _assert_stored_form(space):
+    """rows are primitive integer rows with positive pivots and cleared pivot columns."""
+    n = space.algebra.dim
+    assert list(space.pivots) == sorted(set(space.pivots))
+    assert len(space.rows) == len(space.pivots)
+    for row, pc in zip(space.rows, space.pivots):
+        assert len(row) == n and all(type(a) is int for a in row)
+        assert gcd(*row) == 1
+        assert row[pc] > 0 and not any(row[:pc])
+        assert all(row[q] == 0 for q in space.pivots if q != pc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_pairs())
+def test_stored_form_is_canonical(case):
+    alg, v, w = case
+    spaces = [v, w, sub.product_span(v, w), sub.lattice_sum(v, w),
+              sub.lattice_intersect(v, w), sub.full_space(alg), sub.zero_space(alg)]
+    for side in ("left", "right"):
+        spaces += [sub.stabilizer(v, side), sub.annihilator(w, side)]
+    for space in spaces:
+        _assert_stored_form(space)
+        assert space.basis == ref_rref(space.basis)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_pairs(), st.data())
+def test_from_vecs_is_independent_of_the_spanning_set(case, data):
+    # the basis, some combinations of it and zero rows, shuffled and each
+    # rescaled by a nonzero rational, span the same space
+    alg, v, _ = case
+    vecs = list(v.basis)
+    if vecs:
+        for _ in range(data.draw(st.integers(0, 3))):
+            coeffs = data.draw(st.lists(RATS, min_size=len(vecs), max_size=len(vecs)))
+            vecs.append(linalg.combine(coeffs, v.basis))
+    vecs += [alg.zero().coords] * data.draw(st.integers(0, 2))
+    vecs = data.draw(st.permutations(vecs))
+    scales = data.draw(st.lists(RATS.filter(bool), min_size=len(vecs), max_size=len(vecs)))
+    got = sub.from_vecs(alg, [linalg.vec_scale(c, x) for c, x in zip(scales, vecs)])
+    assert got == v and hash(got) == hash(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.data())
+def test_from_vecs_basis_matches_reference(name, data):
+    alg = ALGEBRAS[name]
+    vecs = data.draw(st.lists(st.lists(SPARSE_RATS, min_size=alg.dim, max_size=alg.dim),
+                              max_size=alg.dim + 1))
+    got = sub.from_vecs(alg, vecs)
+    _assert_stored_form(got)
+    assert (got.basis, got.pivots) == ref_rref(vecs)
+    picked = data.draw(st.sets(st.integers(0, alg.dim - 1)))
+    assert sub.coordinate_span(alg, picked) == sub.from_vecs(
+        alg, [alg.basis_vec(i) for i in sorted(picked)])
+
+
+@st.composite
+def membership_cases(draw):
+    """Generators of V and W, and a vector x: random, inside span(V) or just off it."""
+    name = draw(st.sampled_from(sorted(ALGEBRAS)))
+    alg = ALGEBRAS[name]
+    n = alg.dim
+    vec = st.lists(SPARSE_RATS, min_size=n, max_size=n)
+    gens_v = draw(st.lists(vec, min_size=1, max_size=n))
+    gens_w = draw(st.one_of(
+        st.lists(vec, min_size=1, max_size=3),
+        st.lists(st.sampled_from(gens_v), min_size=1, max_size=3)))
+    coeffs = draw(st.lists(RATS, min_size=len(gens_v), max_size=len(gens_v)))
+    inside = linalg.combine(coeffs, gens_v)
+    x = draw(st.sampled_from([
+        tuple(draw(vec)),
+        inside,
+        linalg.vec_add(inside, alg.basis_vec(draw(st.integers(0, n - 1)))),
+    ]))
+    return alg, gens_v, gens_w, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_cases())
+def test_membership_matches_reference(case):
+    alg, gens_v, gens_w, x = case
+    v, w = sub.from_vecs(alg, gens_v), sub.from_vecs(alg, gens_w)
+    rank_v = frac_rank(gens_v)
+    assert v.contains_vec(x) == (frac_rank(gens_v + [list(x)]) == rank_v)
+    assert v.contains_space(w) == (frac_rank(gens_v + gens_w) == rank_v)
 
 
 @st.composite
