@@ -2,8 +2,9 @@
 
 `golden_cli.json` records the argv, exit code, stdout and stderr of a
 fixed list of commands: the criterion-9 commands, generated instances of
-every family, and the certificate, kneser, stabilizer and annihilator
-reports on each of them.  The generated instances and certificates depend
+every family, the certificate, kneser, stabilizer and annihilator
+reports on each of them, and the atom, hamidoune and tao reports on
+split instances, with their error exits.  The generated instances and certificates depend
 on the order in which the seeded candidate streams draw, so a replay that
 matches byte for byte shows that order is unchanged.
 
@@ -39,6 +40,27 @@ INSTANCES = {
                   ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"]],
         },
     }),
+    # Q^5 with V = x*S for the partition subalgebra S of {0,2},{1},{3,4} and
+    # x = (2, -3, 5, 1, -4): span(VV) = x^2 S has dim V, so Tao's hypotheses hold.
+    "q5-translate": dumps({
+        "algebra": {"kind": "poly_quotient_product",
+                    "factors": [["0", "1"]] * 5, "label": "Q5"},
+        "subspaces": {
+            "V": [["2", "0", "5", "0", "0"], ["0", "-3", "0", "0", "0"],
+                  ["0", "0", "0", "1", "-4"]],
+            "S": [["1", "0", "1", "0", "0"], ["0", "1", "0", "0", "0"],
+                  ["0", "0", "0", "1", "1"]],
+        },
+    }),
+    # Q[T]/(T^2) x Q, not split etale: U holds the unit, N holds no invertible.
+    "nonsplit": dumps({
+        "algebra": {"kind": "poly_quotient_product",
+                    "factors": [["0", "0", "1"], ["0", "1"]], "label": "QT2xQ"},
+        "subspaces": {
+            "U": [["1", "0", "1"], ["0", "1", "0"]],
+            "N": [["0", "1", "0"], ["0", "0", "1"]],
+        },
+    }),
 }
 
 GEN_CASES = [(family, n, dims, seed)
@@ -46,6 +68,15 @@ GEN_CASES = [(family, n, dims, seed)
                                      ("polyprod", 3, "2,2"), ("polyprod", 5, "2,2"),
                                      ("split", 5, "3,4"), ("group", 7, "3,4"))
              for seed in (0, 1, 2)]
+
+# Split instances for the exact atom: V is A, W is B.
+ATOM_GEN_CASES = [(n, dims, seed)
+                  for n, pairs in ((4, (("1,3", 0), ("3,2", 1))),
+                                   (5, (("2,4", 0), ("4,3", 1))),
+                                   (6, (("3,5", 0), ("5,2", 1))))
+                  for dims, seed in pairs]
+LAMBDAS = ("1/4", "1/2", "3/4", "1")
+EPSILONS = ("1/2", "1")
 
 CLASSIFY_FIXTURES = ("QT2", "QT3", "QT4", "QP2", "QT2xQT2", "Q1", "Q3", "Q5",
                      "M2x2", "QZ4", "QZ6", "QV4", "QS3", "Q[paper-m7]", "Q[graded-m]")
@@ -95,6 +126,47 @@ def cases():
                      "--seed", seed, "--json"], None))
         out.append((["certificate", "--in", "@q5-singular", "--A", "B", "--B", "B",
                      "--seed", seed, "--json"], None))
+    out += _atom_cases()
+    return out
+
+
+def _connectivity_cases(inst, v, w):
+    """atom of V at every lambda, hamidoune of (W, V), tao of (V, V) and (V, W)."""
+    out = [(["atom", "--in", inst, "--V", v, "--lambda", lam, "--json"], None)
+           for lam in LAMBDAS]
+    out += [(["hamidoune", "--in", inst, "--W", w, "--V", v, "--lambda", lam,
+              "--json"], None) for lam in LAMBDAS]
+    out += [(["tao", "--in", inst, "--V", v, "--W", other, "--epsilon", eps,
+              "--json"], None) for other in (v, w) for eps in EPSILONS]
+    return out
+
+
+def _atom_cases():
+    out = []
+    for n, dims, seed in ATOM_GEN_CASES:
+        name = f"split-n{n}-d{dims.replace(',', '')}-s{seed}"
+        out.append((["gen", "--family", "split", "--seed", str(seed), "--n", str(n),
+                     "--dims", dims], name))
+        out += _connectivity_cases(f"@{name}", "A", "B")
+    out += _connectivity_cases("@q5-translate", "V", "S")
+    # no invertible in V: exit 2, before the split and cap checks
+    out += [
+        (["atom", "--in", "@q5-singular", "--V", "A", "--lambda", "1/2", "--json"], None),
+        (["atom", "--in", "@q5-singular", "--V", "A", "--lambda", "1/2", "--cap", "4",
+          "--json"], None),
+        (["hamidoune", "--in", "@q5-singular", "--W", "B", "--V", "A", "--lambda", "1",
+          "--json"], None),
+        (["atom", "--in", "@nonsplit", "--V", "N", "--lambda", "1", "--json"], None),
+    ]
+    # above the partition cap, or not split etale: exit 3
+    out += [
+        (["atom", "--in", "@q5-singular", "--V", "B", "--lambda", "1/2", "--json"], None),
+        (["atom", "--in", "@q5-singular", "--V", "B", "--lambda", "1/2", "--cap", "4",
+          "--json"], None),
+        (["tao", "--in", "@q5-translate", "--V", "V", "--W", "V", "--epsilon", "1",
+          "--cap", "4", "--json"], None),
+        (["atom", "--in", "@nonsplit", "--V", "U", "--lambda", "1", "--json"], None),
+    ]
     return out
 
 
