@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import linalg
 from . import subspace as sub
 from .algebra import Algebra, Element, min_poly
 from .errors import CapExceeded, NotSplitEtale
-from .linalg import ONE, ZERO
 from .polynomials import SqfProfile, squarefree_decompose
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "finite_subalgebras_verdict",
     "set_partitions",
     "bell_number",
+    "split_partitions",
     "enumerate_subalgebras_split",
 ]
 
@@ -138,20 +139,28 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def enumerate_subalgebras_split(alg: Algebra, cap: int = DEFAULT_PARTITION_CAP):
-    """All subalgebras of Q^n: one per set partition, spanned by block indicators.
+@cache
+def _lex_partitions(n: int) -> tuple:
+    return tuple(tuple(map(tuple, part)) for part in set_partitions(n))
 
-    Returns (partition, Subspace) pairs in lex partition order.
+
+def split_partitions(alg: Algebra, cap: int = DEFAULT_PARTITION_CAP) -> tuple:
+    """The set partitions of alg's basis indices in lex order, as tuples of tuples.
+
+    In Q^n, built with its idempotent basis, these index the subalgebras.
+    Raises NotSplitEtale for any other algebra and CapExceeded above cap.
     """
     if not alg.split_etale:
         raise NotSplitEtale(f"{alg!r} was not built with an idempotent basis")
     n = alg.dim
     if n > cap:
         raise CapExceeded(f"dimension {n} above enumeration cap {cap}")
-    out = []
-    for part in set_partitions(n):
-        vecs = []
-        for block in part:
-            vecs.append(tuple(ONE if i in block else ZERO for i in range(n)))
-        out.append((tuple(tuple(b) for b in part), sub.from_vecs(alg, vecs)))
-    return out
+    return _lex_partitions(n)
+
+
+def enumerate_subalgebras_split(alg: Algebra, cap: int = DEFAULT_PARTITION_CAP):
+    """All subalgebras of Q^n: one per set partition, spanned by block indicators.
+
+    Returns (partition, Subspace) pairs in lex partition order.
+    """
+    return [(part, sub.block_span(alg, part)) for part in split_partitions(alg, cap)]

@@ -147,11 +147,14 @@ def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
 
 
 def rank(rows) -> int:
-    """Rank of rational rows: the number of rows of a forward integer echelon form."""
+    """Rank of integer rows: the number of rows of a forward integer echelon form.
+
+    Rational rows are cleared to integers by the caller (integer_row).
+    """
     pivots: list[int] = []
     out: list = []
     for r in rows:
-        row, j = _reduce_row(integer_row(r)[0], out, pivots)
+        row, j = _reduce_row(r, out, pivots)
         if j is not None:
             pos = bisect_left(pivots, j)
             pivots.insert(pos, j)

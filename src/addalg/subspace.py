@@ -30,6 +30,7 @@ __all__ = [
     "span_of",
     "from_vecs",
     "coordinate_span",
+    "block_span",
     "full_space",
     "unit_span",
     "zero_space",
@@ -126,6 +127,22 @@ def coordinate_span(algebra: Algebra, indices) -> Subspace:
         raise ValueError(f"basis indices must lie in 0..{n - 1}")
     rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in pivots)
     return Subspace(algebra, rows, pivots)
+
+
+def block_span(algebra: Algebra, blocks) -> Subspace:
+    """Span of the block indicators sum_{i in P} b_i, P in blocks.
+
+    The blocks are non-empty and disjoint, so their 0/1 indicators, sorted
+    by least index, are already canonical rows with pivot min(P).
+    """
+    n = algebra.dim
+    blocks = sorted(sorted(b) for b in blocks)
+    members = [i for b in blocks for i in b]
+    if not all(blocks) or len(set(members)) < len(members) \
+            or not all(0 <= i < n for i in members):
+        raise ValueError(f"blocks must be non-empty, disjoint subsets of 0..{n - 1}")
+    rows = tuple(tuple(int(i in b) for i in range(n)) for b in blocks)
+    return Subspace(algebra, rows, tuple(b[0] for b in blocks))
 
 
 def full_space(algebra: Algebra) -> Subspace:
@@ -297,11 +314,12 @@ def invertible_basis(v: Subspace, trials: int = 64, seed: int = 0) -> list[Eleme
         raise NoInvertibleFound(f"no invertible element found in {v!r} ({cert.kind})")
     alg = v.algebra
     a = cert.witness
-    # basis of V starting with the invertible witness
-    rows = [a.coords]
-    for b in v.basis:
-        if linalg.rank(rows + [b]) > len(rows):
+    # basis of V starting with the invertible witness; rank reads integer rows
+    rows, ints = [a.coords], [linalg.integer_row(a.coords)[0]]
+    for b, y in zip(v.basis, v.rows):
+        if linalg.rank(ints + [y]) > len(ints):
             rows.append(b)
+            ints.append(y)
     if len(rows) != v.dim:
         raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
     line = (Element(alg, linalg.combine([alpha ** i for i in range(v.dim)], rows))

@@ -318,27 +318,46 @@ def atom_exact_split(v: Subspace, lam: Fraction,
     """Exact atom of V in a split etale algebra.
 
     The atom containing the unit is a subalgebra, and in Q^n the
-    subalgebras are exactly the partition spans, so exhaustive
-    minimization of c over them computes kappa and the atom.
+    subalgebras are exactly the partition spans W_pi = span{e_P : P in pi},
+    so exhaustive minimization of c over them computes kappa and the atom.
+    The basis is orthogonal idempotents, so span(W_pi V) is the direct sum
+    of the e_P V, and e_P V is V cut to the columns of P: each c is
+    sum_P rank(V|_P) - lambda*|pi|, and each block's rank is computed once.
+    Only the atom is built as a Subspace.
     """
     lam = Fraction(lam)
     _check_lambda(lam)
     if sub.contains_invertible(v).kind != "YES":
         raise NoInvertibleFound("V must contain an invertible element")
+    parts = classify.split_partitions(v.algebra, cap=cap)
+    cols = list(zip(*v.rows))
+    ranks = {}
+    values = {}  # (dim span(WV), dim W) -> c
+    num, den = lam.numerator, lam.denominator
     evaluated = []
     best = None
     tie = False
-    for part, space in classify.enumerate_subalgebras_split(v.algebra, cap=cap):
-        c = connectivity_value(space, v, lam)
+    for part in parts:
+        dim_wv = 0
+        for block in part:
+            r = ranks.get(block)
+            if r is None:
+                r = ranks[block] = linalg.rank([cols[i] for i in block])
+            dim_wv += r
+        k = len(part)
+        c = values.get((dim_wv, k))
+        if c is None:
+            c = values[dim_wv, k] = dim_wv - lam * k
         evaluated.append((part, c))
-        key = (c, space.dim)
+        key = (dim_wv * den - k * num, k)  # (den * c, dim W)
         if best is None or key < best[0]:
-            best = (key, part, space)
+            best = (key, part, c)
             tie = False
         elif key == best[0]:
             tie = True  # the unique-atom result says this should not happen
-    _, part, atom = best
-    return ConnectivityReport(lam=lam, v=v, kappa=best[0][0], atom=atom,
+    _, part, kappa = best
+    return ConnectivityReport(lam=lam, v=v, kappa=kappa,
+                              atom=sub.block_span(v.algebra, part),
                               atom_partition=part, evaluated=tuple(evaluated),
                               tie_anomaly=tie)
 

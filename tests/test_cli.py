@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +45,17 @@ def test_fixtures_listing(capsys):
     data = json.loads(out)
     assert "Z5" in data["tables"] and "QT4" in data["algebras"]
     assert data["schema_version"] == 1
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m addalg` with src/ on PYTHONPATH and nothing installed."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "addalg", "fixtures", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out = run(capsys, "fixtures", "--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert code == 0
 
 
 def test_classify_fixture(capsys):

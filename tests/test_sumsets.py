@@ -2,17 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addalg import classify, gen, sumsets
 from addalg import subspace as sub
 from addalg.errors import (
     EpsilonOutOfRange,
     LambdaOutOfRange,
+    NoInvertibleFound,
     NoInvertibleInA,
     NotCommutative,
     NotInB,
     NotInvertible,
     NotSplitEtale,
+    ZeroSubspace,
 )
 from addalg.fixtures import algebra_fixture
 
@@ -314,6 +318,71 @@ def test_atom_invariants_and_stabilizer_containment():
             assert rep.atom.contains_space(sub.stabilizer(v, "left"))
             assert sumsets.connectivity_value(rep.atom, v, lam) == rep.kappa
             assert not rep.tie_anomaly
+
+
+SPLIT = {n: algebra_fixture(f"Q{n}") for n in range(1, 7)}
+RATS = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+SPARSE_RATS = st.one_of(st.just(F(0)), RATS, RATS)
+
+
+@st.composite
+def split_cases(draw):
+    """(V, lambda) in Q^1..Q^6: sparse rows with mixed denominators, and
+    now and then a zero column, which leaves V without an invertible."""
+    n = draw(st.integers(1, 6))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=1 if n > 1 else 0)) \
+        if draw(st.integers(0, 4)) == 0 else set()
+    rows = draw(st.lists(st.lists(SPARSE_RATS, min_size=n, max_size=n),
+                         min_size=1, max_size=n + 1))
+    rows = [[F(0) if j in zero_cols else a for j, a in enumerate(r)] for r in rows]
+    q = draw(st.integers(1, 8))
+    lam = F(draw(st.integers(1, q)), q)
+    return sub.from_vecs(SPLIT[n], rows), lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_atom_values_match_product_spans(case):
+    """Every c from the per-block ranks equals the generic product-span route."""
+    v, lam = case
+    alg = v.algebra
+    has_unit_point = v.dim > 0 and all(any(row[j] for row in v.rows)
+                                       for j in range(alg.dim))
+    if not has_unit_point:
+        with pytest.raises((NoInvertibleFound, ZeroSubspace)):
+            sumsets.atom_exact_split(v, lam)
+        return
+    rep = sumsets.atom_exact_split(v, lam)
+    spaces = classify.enumerate_subalgebras_split(alg)
+    assert [part for part, _ in rep.evaluated] == [part for part, _ in spaces]
+    for (_, c), (_, space) in zip(rep.evaluated, spaces):
+        assert type(c) is F and c == sumsets.connectivity_value(space, v, lam)
+    assert rep.kappa == min(c for _, c in rep.evaluated)
+    assert rep.atom == dict(spaces)[rep.atom_partition]
+    assert sumsets.connectivity_value(rep.atom, v, lam) == rep.kappa
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from(list(classify.set_partitions(n))),
+                        st.randoms(use_true_random=False))))
+def test_block_span_is_canonical(case):
+    """block_span equals from_vecs of the block indicators, in any block order."""
+    n, part, rnd = case
+    alg = SPLIT[n]
+    blocks = [rnd.sample(b, len(b)) for b in part]
+    rnd.shuffle(blocks)
+    got = sub.block_span(alg, blocks)
+    want = sub.from_vecs(alg, [[F(int(i in b)) for i in range(n)] for b in part])
+    assert got == want and hash(got) == hash(want)
+    assert got.pivots == tuple(b[0] for b in part)
+
+
+def test_block_span_rejects_bad_blocks():
+    q3 = SPLIT[3]
+    for blocks in ([[0, 1], [1, 2]], [[0], []], [[0, 3]], [[-1]]):
+        with pytest.raises(ValueError):
+            sub.block_span(q3, blocks)
 
 
 def test_atom_requires_split_etale():
