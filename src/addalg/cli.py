@@ -1,9 +1,11 @@
 """Command-line frontend.
 
 Subcommands map one-to-one onto library operations; output is canonical
-JSON (--json) or aligned human text.  Exit codes: 0 all checks pass,
-1 a checked inequality or validation failed, 2 input/schema error,
-3 budget exhausted or the requested oracle is unavailable.
+JSON (--json) or aligned human text.  COMMANDS declares each subcommand
+with only the options its handler reads; any other flag is a usage
+error.  Exit codes: 0 all checks pass, 1 a checked inequality or
+validation failed, 2 input/schema error, 3 budget exhausted or the
+requested oracle is unavailable.
 """
 
 from __future__ import annotations
@@ -53,38 +55,26 @@ def _emit(args, payload) -> None:
     walk(payload)
 
 
-def _load_algebra(args):
-    if getattr(args, "infile", None):
-        _, alg, spaces = serialize.load_instance(args.infile)
+def _source(infile, fixture=None, table=False):
+    """What --in FILE or --fixture NAME names, reading a file once: the
+    monoid table when `table`, else the algebra and its named subspaces."""
+    if infile:
+        if table:
+            return serialize.table_from_json(serialize.read_instance(infile)["algebra"])
+        _, alg, spaces = serialize.load_instance(infile)
         return alg, spaces
-    if getattr(args, "fixture", None):
-        return fixtures.algebra_fixture(args.fixture), {}
+    if fixture:
+        if table:
+            return fixtures.table_fixture(fixture)
+        return fixtures.algebra_fixture(fixture), {}
     raise SchemaError("need --fixture NAME or --in FILE")
 
 
-def _space(args, spaces, flag):
-    name = getattr(args, flag, None)
-    if name is None:
-        raise SchemaError(f"missing --{flag}")
+def _space(spaces, name):
     if name not in spaces:
         raise SchemaError(f"no subspace {name!r} in the instance file "
                           f"(have: {', '.join(sorted(spaces)) or 'none'})")
     return spaces[name]
-
-
-def _table(args):
-    if getattr(args, "infile", None):
-        raw, _, _ = serialize.load_instance(args.infile)
-        return serialize.table_from_json(raw["algebra"])
-    if getattr(args, "fixture", None):
-        return fixtures.table_fixture(args.fixture)
-    raise SchemaError("need --fixture NAME or --in FILE")
-
-
-def _subset(table, csv, flag):
-    if not csv:
-        raise SchemaError(f"missing --{flag} (comma-separated element labels)")
-    return table.subset(csv.split(","))
 
 
 def _basis_json(space):
@@ -101,7 +91,7 @@ def cmd_fixtures(args):
 
 
 def cmd_validate(args):
-    alg, _ = _load_algebra(args)
+    alg, _ = _source(args.infile, args.fixture)
     try:
         alg._validate()
         ok = True
@@ -116,7 +106,7 @@ def cmd_validate(args):
 
 
 def cmd_info(args):
-    alg, spaces = _load_algebra(args)
+    alg, spaces = _source(args.infile, args.fixture)
     _emit(args, {
         "label": alg.label,
         "dim": alg.dim,
@@ -129,15 +119,15 @@ def cmd_info(args):
 
 
 def cmd_span(args):
-    _, spaces = _load_algebra(args)
-    v = _space(args, spaces, "V")
+    _, spaces = _source(args.infile)
+    v = _space(spaces, args.V)
     _emit(args, {"name": args.V, "dim": v.dim, "basis": _basis_json(v)})
     return EXIT_OK
 
 
 def cmd_product(args):
-    _, spaces = _load_algebra(args)
-    a, b = _space(args, spaces, "A"), _space(args, spaces, "B")
+    _, spaces = _source(args.infile)
+    a, b = _space(spaces, args.A), _space(spaces, args.B)
     p = sub.product_span(a, b)
     _emit(args, {"dim_A": a.dim, "dim_B": b.dim, "dim_AB": p.dim,
                  "basis": _basis_json(p)})
@@ -145,8 +135,8 @@ def cmd_product(args):
 
 
 def _cmd_solution_space(args, op):
-    _, spaces = _load_algebra(args)
-    v = _space(args, spaces, "V")
+    _, spaces = _source(args.infile)
+    v = _space(spaces, args.V)
     out = op(v, args.side)
     _emit(args, {"side": args.side, "dim": out.dim, "basis": _basis_json(out),
                  "is_subalgebra": sub.is_subalgebra(out) if out.dim else False})
@@ -162,7 +152,7 @@ def cmd_annihilator(args):
 
 
 def cmd_classify(args):
-    alg, _ = _load_algebra(args)
+    alg, _ = _source(args.infile, args.fixture)
     verdict = classify.finite_subalgebras_verdict(alg, trials=args.trials,
                                                   seed=args.seed)
     _emit(args, {"label": alg.label, **verdict.to_json()})
@@ -170,8 +160,8 @@ def cmd_classify(args):
 
 
 def cmd_certificate(args):
-    _, spaces = _load_algebra(args)
-    a, b = _space(args, spaces, "A"), _space(args, spaces, "B")
+    _, spaces = _source(args.infile)
+    a, b = _space(spaces, args.A), _space(spaces, args.B)
     cert = sumsets.diderrich_certificate(a, b, budget=args.trials, seed=args.seed)
     violations = cert.violations()
     _emit(args, {
@@ -187,8 +177,8 @@ def cmd_certificate(args):
 
 
 def cmd_kneser(args):
-    _, spaces = _load_algebra(args)
-    a, b = _space(args, spaces, "A"), _space(args, spaces, "B")
+    _, spaces = _source(args.infile)
+    a, b = _space(spaces, args.A), _space(spaces, args.B)
     report = sumsets.kneser_check(a, b)
     _emit(args, report.to_json())
     ok = report.bound_holds and report.strong_bound_holds is not False
@@ -196,33 +186,28 @@ def cmd_kneser(args):
 
 
 def cmd_nfold(args):
-    _, spaces = _load_algebra(args)
-    names = args.spaces.split(",") if args.spaces else []
+    _, spaces = _source(args.infile)
+    names = args.spaces.split(",")
     if len(names) < 2:
         raise SchemaError(f"--spaces needs at least two comma-separated names, "
                           f"got {args.spaces!r}")
-    picked = []
-    for n in names:
-        if n not in spaces:
-            raise SchemaError(f"no subspace {n!r} in the instance file")
-        picked.append(spaces[n])
-    report = sumsets.kneser_nfold_check(picked)
+    report = sumsets.kneser_nfold_check([_space(spaces, n) for n in names])
     _emit(args, report.to_json())
     ok = report.bound_holds and report.strong_bound_holds
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_atom(args):
-    _, spaces = _load_algebra(args)
-    v = _space(args, spaces, "V")
+    _, spaces = _source(args.infile)
+    v = _space(spaces, args.V)
     report = sumsets.atom_exact_split(v, parse_rat(args.lam), cap=args.cap)
     _emit(args, report.to_json())
     return EXIT_OK if not report.tie_anomaly else EXIT_VIOLATION
 
 
 def cmd_hamidoune(args):
-    _, spaces = _load_algebra(args)
-    w, v = _space(args, spaces, "W"), _space(args, spaces, "V")
+    _, spaces = _source(args.infile)
+    w, v = _space(spaces, args.W), _space(spaces, args.V)
     lam = parse_rat(args.lam)
     atom = sumsets.atom_exact_split(v, lam, cap=args.cap).atom
     report = sumsets.hamidoune_check(w, v, lam, atom)
@@ -231,8 +216,8 @@ def cmd_hamidoune(args):
 
 
 def cmd_tao(args):
-    _, spaces = _load_algebra(args)
-    v, w = _space(args, spaces, "V"), _space(args, spaces, "W")
+    _, spaces = _source(args.infile)
+    v, w = _space(spaces, args.V), _space(spaces, args.W)
     report = sumsets.tao_check(v, w, parse_rat(args.epsilon), cap=args.cap)
     _emit(args, report.to_json())
     if report.hypotheses_met and not report.conclusions_hold:
@@ -241,7 +226,7 @@ def cmd_tao(args):
 
 
 def cmd_group_sweep(args):
-    table = _table(args)
+    table = _source(args.infile, args.fixture, table=True)
     report = discrete.group_kneser_sweep(
         table, exhaustive=args.exhaustive, seed=args.seed, count=args.count)
     _emit(args, {"fixture": table.label, **report.to_json()})
@@ -249,9 +234,8 @@ def cmd_group_sweep(args):
 
 
 def cmd_monoid_check(args):
-    table = _table(args)
-    a = _subset(table, args.A, "A")
-    b = _subset(table, args.B, "B")
+    table = _source(args.infile, args.fixture, table=True)
+    a, b = table.subset(args.A.split(",")), table.subset(args.B.split(","))
     report = discrete.monoid_hamidoune_check(table, a, b, parse_rat(args.lam))
     _emit(args, {"fixture": table.label, **report.to_json()})
     ok = report.hamidoune_ok and report.atom_dominates_stab
@@ -286,19 +270,72 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_SCHEMA, f"error: {self.prog}: {message}\n")
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11's argparse drops a lone "--" from an option's values,
+        # so `--seed=--` would parse to [] without meeting its type: keep
+        # "--" as the literal value instead.
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
-def _add_common(p, fixture=True, infile=True):
-    p.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=nonnegative_int, default=64)
-    p.add_argument("--cap", type=nonnegative_int, default=10)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; every run is single-threaded "
-                        "and the output does not depend on it")
-    if fixture:
-        p.add_argument("--fixture")
-    if infile:
-        p.add_argument("--in", dest="infile")
+
+# add_argument keywords of every option, by flag
+OPTIONS = {
+    "--json": {"action": "store_true", "help": "emit canonical JSON"},
+    "--in": {"dest": "infile"},
+    "--fixture": {},
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": nonnegative_int, "default": 64},
+    "--cap": {"type": nonnegative_int, "default": 10},
+    "--count": {"type": nonnegative_int, "default": 200},
+    "--threads": {"type": int, "default": 1,
+                  "help": "accepted for compatibility; every run is single-threaded "
+                          "and the output does not depend on it"},
+    "--exhaustive": {"action": "store_true"},
+    "--side": {"choices": ("left", "right"), "default": "left"},
+    "--spaces": {"required": True, "help": "comma-separated subspace names"},
+    "--lambda": {"dest": "lam", "required": True},
+    "--epsilon": {"required": True},
+    "--family": {"required": True, "choices": gen.FAMILIES},
+    "--n": {"type": int, "default": None},
+    "--dims": {"default": "2,2", "help": "comma-separated dims/sizes"},
+    **{flag: {"required": True, "help": "subspace name; for monoid-check, "
+                                        "comma-separated element labels"}
+       for flag in ("--A", "--B", "--V", "--W")},
+}
+
+# name: (handler, summary, options besides --json)
+COMMANDS = {
+    "fixtures": (cmd_fixtures, "list built-in fixtures", ()),
+    "validate": (cmd_validate, "check unit law and associativity", ("--in", "--fixture")),
+    "info": (cmd_info, "algebra summary", ("--in", "--fixture")),
+    "span": (cmd_span, "canonical basis of a named subspace", ("--in", "--V")),
+    "product": (cmd_product, "span of the Minkowski product", ("--in", "--A", "--B")),
+    "stabilizer": (cmd_stabilizer, "stabilizer of a named subspace",
+                   ("--in", "--V", "--side")),
+    "annihilator": (cmd_annihilator, "annihilator of a named subspace",
+                    ("--in", "--V", "--side")),
+    "classify": (cmd_classify, "finitely-many-subalgebras verdict",
+                 ("--in", "--fixture", "--seed", "--trials")),
+    "certificate": (cmd_certificate, "e-transform certificate",
+                    ("--in", "--A", "--B", "--seed", "--trials")),
+    "kneser": (cmd_kneser, "dimension lower bound for a pair", ("--in", "--A", "--B")),
+    "nfold": (cmd_nfold, "n-fold dimension lower bounds", ("--in", "--spaces")),
+    "atom": (cmd_atom, "exact atom in a split etale algebra",
+             ("--in", "--V", "--lambda", "--cap")),
+    "hamidoune": (cmd_hamidoune, "connectivity lower bound",
+                  ("--in", "--W", "--V", "--lambda", "--cap")),
+    "tao": (cmd_tao, "small-doubling structure check",
+            ("--in", "--V", "--W", "--epsilon", "--cap")),
+    "group-sweep": (cmd_group_sweep, "subset-pair bound sweep",
+                    ("--in", "--fixture", "--exhaustive", "--seed", "--count", "--threads")),
+    "monoid-check": (cmd_monoid_check, "monoid connectivity bound on labeled subsets",
+                     ("--in", "--fixture", "--A", "--B", "--lambda")),
+    "gen": (cmd_gen, "generate a seeded random instance file",
+            ("--family", "--seed", "--n", "--dims")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,58 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact additive combinatorics in finite-dimensional "
                     "algebras over Q")
     subs = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kw):
-        p = subs.add_parser(name, **kw)
-        _add_common(p)
+    for name, (func, summary, flags) in COMMANDS.items():
+        p = subs.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        return p
-
-    add("fixtures", cmd_fixtures, help="list built-in fixtures")
-    add("validate", cmd_validate, help="check unit law and associativity")
-    add("info", cmd_info, help="algebra summary")
-    p = add("span", cmd_span, help="canonical basis of a named subspace")
-    p.add_argument("--V", required=True)
-    p = add("product", cmd_product, help="span of the Minkowski product")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    for name, func in (("stabilizer", cmd_stabilizer),
-                       ("annihilator", cmd_annihilator)):
-        p = add(name, func, help=f"{name} of a named subspace")
-        p.add_argument("--V", required=True)
-        p.add_argument("--side", choices=("left", "right"), default="left")
-    add("classify", cmd_classify, help="finitely-many-subalgebras verdict")
-    p = add("certificate", cmd_certificate, help="e-transform certificate")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p = add("kneser", cmd_kneser, help="dimension lower bound for a pair")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p = add("nfold", cmd_nfold, help="n-fold dimension lower bounds")
-    p.add_argument("--spaces", required=True, help="comma-separated names")
-    p = add("atom", cmd_atom, help="exact atom in a split etale algebra")
-    p.add_argument("--V", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p = add("hamidoune", cmd_hamidoune, help="connectivity lower bound")
-    p.add_argument("--W", required=True)
-    p.add_argument("--V", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p = add("tao", cmd_tao, help="small-doubling structure check")
-    p.add_argument("--V", required=True)
-    p.add_argument("--W", required=True)
-    p.add_argument("--epsilon", required=True)
-    p = add("group-sweep", cmd_group_sweep, help="subset-pair bound sweep")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--count", type=nonnegative_int, default=200)
-    p = add("monoid-check", cmd_monoid_check,
-            help="monoid connectivity bound on labeled subsets")
-    p.add_argument("--A", required=True, help="comma-separated element labels")
-    p.add_argument("--B", required=True, help="comma-separated element labels")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p = add("gen", cmd_gen, help="generate a seeded random instance file")
-    p.add_argument("--family", required=True, choices=gen.FAMILIES)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dims", default="2,2", help="comma-separated dims/sizes")
+        for flag in ("--json", *flags):
+            kw = OPTIONS[flag]
+            if flag == "--in":  # required unless --fixture is offered in its place
+                kw = {**kw, "required": "--fixture" not in flags}
+            p.add_argument(flag, **kw)
     return top
 
 

@@ -80,13 +80,6 @@ class MulTable:
     def is_group(self) -> bool:
         return len(units(self)) == self.size
 
-    def is_commutative(self) -> bool:
-        return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
-
     def algebra(self) -> Algebra:
         return monoid_algebra(self)
 
@@ -198,8 +191,7 @@ def _nonempty_subsets(n: int):
         yield frozenset(i for i in range(n) if mask >> i & 1)
 
 
-def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200,
-                       check_algebra_route=True) -> SweepReport:
+def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> SweepReport:
     """Check |AB| >= |A| + |B| - |H_AB| over subset pairs of a group.
 
     Each pair is also re-derived through the group algebra: the lift of
@@ -207,7 +199,7 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200,
     """
     if exhaustive and not m.is_group():
         raise NotAGroup(f"{m.label} has non-invertible elements")
-    alg = m.algebra() if check_algebra_route else None
+    alg = m.algebra()
     report = SweepReport()
     if exhaustive:
         pairs = ((a, b) for a in _nonempty_subsets(m.size) for b in _nonempty_subsets(m.size))
@@ -228,16 +220,15 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200,
                 "|AB|": len(ab), "|A|": len(a), "|B|": len(b), "|H|": len(h),
             })
             continue
-        if alg is not None:
-            pspan = sub.product_span(lift_subset(alg, a), lift_subset(alg, b))
-            hdim = sub.stabilizer(pspan, "left").dim
-            if pspan.dim != len(ab) or hdim != len(h):
-                report.violations.append({
-                    "A": sorted(a), "B": sorted(b),
-                    "issue": "algebra route disagrees",
-                    "dim_span": pspan.dim, "|AB|": len(ab),
-                    "dim_stab": hdim, "|H|": len(h),
-                })
+        pspan = sub.product_span(lift_subset(alg, a), lift_subset(alg, b))
+        hdim = sub.stabilizer(pspan, "left").dim
+        if pspan.dim != len(ab) or hdim != len(h):
+            report.violations.append({
+                "A": sorted(a), "B": sorted(b),
+                "issue": "algebra route disagrees",
+                "dim_span": pspan.dim, "|AB|": len(ab),
+                "dim_stab": hdim, "|H|": len(h),
+            })
     return report
 
 
@@ -272,14 +263,13 @@ class MonoidHamidouneReport:
 
 
 def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
-                           lam: Fraction,
-                           candidate_subalgebras=None) -> MonoidHamidouneReport:
+                           lam: Fraction) -> MonoidHamidouneReport:
     """|BA| >= lam*|A| + |B| - lam*dim(atom) in the monoid algebra.
 
     When the monoid algebra is split etale the atom is computed exactly;
-    otherwise the minimum runs over candidate subalgebras (the scalars,
-    the stabilizer of the lift of A, and any user-supplied ones), which
-    only upper-bounds the true atom term.
+    otherwise the minimum runs over two candidate subalgebras (the
+    scalars and the stabilizer of the lift of A), which only upper-bounds
+    the true atom term.
     """
     from . import sumsets
 
@@ -297,11 +287,8 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
         report = sumsets.atom_exact_split(va, lam)
         atom, exact = report.atom, True
     else:
-        candidates = [sub.unit_span(alg), sub.stabilizer(va, "left")]
-        if candidate_subalgebras:
-            candidates.extend(candidate_subalgebras)
         best = None
-        for c in candidates:
+        for c in (sub.unit_span(alg), sub.stabilizer(va, "left")):
             if not sub.is_subalgebra(c):
                 continue
             val = sumsets.connectivity_value(c, va, lam)

@@ -27,6 +27,7 @@ __all__ = ["Instance", "random_subspace", "random_subset", "gen_instance", "FAMI
 FAMILIES = ("split", "group", "polyprod")
 
 _ROOTS = range(-4, 5)  # the distinct roots a polyprod polynomial draws from
+RETRIES = 64  # subspace draws random_subspace makes before giving up
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,19 @@ class Instance:
         return out
 
 
-def random_subspace(alg: Algebra, dim: int, rng: random.Random,
-                    retries: int = 64) -> Subspace:
+def random_subspace(alg: Algebra, dim: int, rng: random.Random) -> Subspace:
     """Random dim-dimensional subspace certified to contain an invertible."""
     if not 1 <= dim <= alg.dim:
         raise SchemaError(f"subspace dim must be in 1..{alg.dim}, got {dim}")
     draws = linalg.random_combinations([alg.basis_vec(i) for i in range(alg.dim)], 3, rng)
-    for _ in range(retries):
+    for _ in range(RETRIES):
         got = sub.from_vecs(alg, list(islice(draws, dim)))
         if got.dim != dim:
             continue
         if sub.contains_invertible(got, seed=rng.randint(0, 2**30)).kind == "YES":
             return got
     raise RetryBudgetExhausted(
-        f"no invertible-containing subspace of dim {dim} in {retries} draws")
+        f"no invertible-containing subspace of dim {dim} in {RETRIES} draws")
 
 
 def random_subset(size: int, total: int, rng: random.Random) -> tuple[int, ...]:

@@ -143,10 +143,6 @@ class Poly:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(items) -> "Poly":
-        return Poly(_strip(Fraction(s) for s in items))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -225,13 +221,6 @@ class SqfProfile:
 
     parts: tuple[tuple[int, Poly], ...]
     content: Fraction
-
-    def reconstruct(self) -> Poly:
-        acc = Poly.of(self.content)
-        for mult, factor in self.parts:
-            for _ in range(mult):
-                acc = acc * factor
-        return acc
 
     def to_json(self):
         return {

@@ -21,7 +21,7 @@ from .algebra import (
     poly_quotient_product,
 )
 from .discrete import MulTable
-from .errors import AddalgError, SchemaError
+from .errors import SchemaError
 from .polynomials import Poly
 
 SCHEMA_VERSION = 1
@@ -33,6 +33,7 @@ __all__ = [
     "poly_from_json",
     "table_from_json",
     "algebra_from_desc",
+    "read_instance",
     "load_instance",
     "dumps",
 ]
@@ -63,7 +64,7 @@ def table_from_json(d) -> MulTable:
     try:
         return MulTable.build(d["table"], d.get("unit", 0),
                               d.get("labels"), d.get("label", ""))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, IndexError) as e:
         raise SchemaError(f"bad monoid table: {e}") from None
 
 
@@ -99,8 +100,8 @@ def algebra_from_desc(d) -> Algebra:
     raise SchemaError(f"unknown algebra kind {kind!r}")
 
 
-def load_instance(path: str):
-    """Read an instance file; returns (raw dict, Algebra, {name: Subspace})."""
+def read_instance(path: str) -> dict:
+    """The JSON object of an instance file, checked to hold an 'algebra'."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -108,13 +109,19 @@ def load_instance(path: str):
         raise SchemaError(f"cannot read instance file {path}: {e}") from None
     if not isinstance(raw, dict) or "algebra" not in raw:
         raise SchemaError("instance file needs an 'algebra' description")
-    try:
-        alg = algebra_from_desc(raw["algebra"])
-    except AddalgError:
-        raise
+    return raw
+
+
+def load_instance(path: str):
+    """Read an instance file; returns (raw dict, Algebra, {name: Subspace})."""
+    raw = read_instance(path)
+    alg = algebra_from_desc(raw["algebra"])
+    named = raw.get("subspaces") or {}
+    if not isinstance(named, dict):
+        raise SchemaError("'subspaces' must be an object mapping names to matrices")
     spaces = {}
-    for name, rows in (raw.get("subspaces") or {}).items():
-        if not isinstance(rows, list) or not rows:
+    for name, rows in named.items():
+        if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
             raise SchemaError(f"subspace {name!r} must be a nonempty matrix")
         vecs = [[parse_rat(c) for c in row] for row in rows]
         if any(len(v) != alg.dim for v in vecs):

@@ -268,8 +268,11 @@ def _first_invertible(alg: Algebra, candidates) -> tuple[Element | None, int]:
     return None, used
 
 
-def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0,
-                        exhaustive_cap: int = 1000) -> InvertibilityCertificate:
+# Largest grid, in points, that contains_invertible searches exhaustively.
+GRID_CAP = 1000
+
+
+def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0) -> InvertibilityCertificate:
     """Search V for an invertible element.
 
     Deterministic candidates first (basis vectors, unit, points on the
@@ -293,7 +296,7 @@ def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0,
     if w is not None:
         return InvertibilityCertificate("YES", w, used)
     grid = range(alg.dim + 1)
-    if len(grid) ** r <= exhaustive_cap:
+    if len(grid) ** r <= GRID_CAP:
         w, _ = _first_invertible(alg, (linalg.combine(cs, v.basis)
                                        for cs in product(grid, repeat=r)))
         return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)

@@ -1,6 +1,6 @@
 """Independent oracles, deliberately written apart from the production code.
 
-Schoolbook polynomial Euclid, brute-force Z/m sumsets, a direct
+Schoolbook polynomial Euclid and products, brute-force Z/m sumsets, a direct
 partition enumerator, rank via Gaussian elimination on stacked
 integer matrices, and the plain Fraction kernel (RREF, nullspace,
 product span, stabilizer).  Used to cross-check library results.
@@ -35,6 +35,20 @@ def euclid_gcd(f, g):
         return []
     lead = f[-1]
     return [c / lead for c in f]
+
+
+def sqf_rebuild(content, parts):
+    """content * prod(factor ** mult) over (mult, factor coefficients)
+    parts, as a coefficient list (lowest degree first), schoolbook."""
+    acc = [Fraction(content)]
+    for mult, factor in parts:
+        for _ in range(mult):
+            out = [Fraction(0)] * (len(acc) + len(factor) - 1)
+            for i, a in enumerate(acc):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            acc = out
+    return acc
 
 
 def zmod_sumset(m, a, b):

@@ -152,6 +152,15 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     path = write_instance(tmp_path, Q4_INSTANCE)
     code, _ = run(capsys, "span", "--in", path, "--V", "Z")
     assert code == 2
+    # "subspaces" not an object; a subspace row not a list
+    for name, subspaces in (("list.json", [1]), ("row.json", {"A": [1]})):
+        path = write_instance(tmp_path, {**Q4_INSTANCE, "subspaces": subspaces}, name)
+        code, _ = run(capsys, "info", "--in", path)
+        assert code == 2
+    # a table entry out of range, read as a table without building the algebra
+    table = {"algebra": {"kind": "group_table", "table": [[0, 5], [1, 0]]}}
+    code, _ = run(capsys, "group-sweep", "--in", write_instance(tmp_path, table, "t.json"))
+    assert code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,9 +174,16 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     ["atom", "--V", "A", "--lambda", "1", "--cap", "-1"],
     ["classify", "--fixture", "QT2", "--trials", "x"],
     ["gen", "--family", "polyprod", "--n", "12"],
+    ["classify", "--fixture", "QT2", "--seed=--"],
+    ["classify", "--fixture", "QT2", "--trials=--"],
+    ["group-sweep", "--fixture", "Z5", "--seed=--"],
+    ["group-sweep", "--fixture", "Z5", "--count=--"],
+    ["gen", "--family", "split", "--dims=--"],
+    ["atom", "--V=--", "--lambda", "1"],
+    ["atom", "--V", "A", "--lambda=--"],
 ])
 def test_exit_code_malformed_nfold_and_gen(capsys, tmp_path, argv):
-    if argv[0] == "nfold":
+    if argv[0] in ("nfold", "atom"):
         argv = argv + ["--in", write_instance(tmp_path, Q4_INSTANCE)]
     code = cli.main(argv + ["--json"])
     captured = capsys.readouterr()
@@ -311,6 +327,36 @@ def test_malformed_flags_exit_2_or_3_with_one_error_line(tmp_path_factory, argv)
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+# Declared options no handler reads: gen prints its instance as JSON
+# whatever --json says, and --threads is kept for callers that pass it.
+UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}}
+
+
+class ReadRecorder:
+    """Stands in for a parsed namespace and records the attributes read."""
+
+    def __init__(self, namespace):
+        self.namespace, self.read = namespace, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.namespace, name)
+
+
+@pytest.mark.parametrize("cmd", sorted(VALID_CALLS))
+def test_every_declared_option_is_read(capsys, tmp_path, cmd):
+    inst = write_instance(tmp_path, Q4_INSTANCE)
+    source, rest = VALID_CALLS[cmd]
+    parser = cli.build_parser()
+    args = parser.parse_args([cmd, *(inst if a == "@INST" else a for a in source), *rest])
+    subparser = parser._subparsers._group_actions[0].choices[cmd]
+    declared = {a.dest for a in subparser._actions if a.option_strings and a.dest != "help"}
+    recorder = ReadRecorder(args)
+    assert args.func(recorder) == 0
+    capsys.readouterr()
+    assert recorder.read == declared - UNREAD_OPTIONS.get(cmd, set())
 
 
 def test_exit_code_oracle_unavailable(capsys, tmp_path):

@@ -43,8 +43,8 @@ def test_units():
     assert not m7.is_group()
     gm = graded_m()
     assert discrete.units(gm) == frozenset({0})
-    assert not symmetric_3().is_commutative()
-    assert m7.is_commutative()
+    assert not symmetric_3().algebra().commutative
+    assert m7.algebra().commutative
 
 
 def test_minkowski_examples():

@@ -5,8 +5,9 @@ import pytest
 
 from addalg.errors import ConstantPolynomial
 from addalg.polynomials import Poly, poly_gcd, squarefree_decompose
+from addalg.serialize import poly_from_json
 
-from oracles import euclid_gcd
+from oracles import euclid_gcd, sqf_rebuild
 
 T = Poly.x()
 
@@ -89,7 +90,7 @@ def test_squarefree_reconstruction_random():
         deg = rng.randint(1, 10)
         f = Poly(tuple(F(rng.randint(-3, 3)) for _ in range(deg)) + (F(rng.randint(1, 3)),))
         p = squarefree_decompose(f)
-        assert p.reconstruct() == f
+        assert sqf_rebuild(p.content, [(m, g.coeffs) for m, g in p.parts]) == list(f.coeffs)
         mults = [m for m, _ in p.parts]
         assert len(set(mults)) == len(mults)  # distinct multiplicities
         for _, g in p.parts:
@@ -116,4 +117,4 @@ def test_squarefree_structured_products():
 def test_json_roundtrip():
     f = Poly.of(0, -1, 1)
     assert f.to_json() == ["0", "-1", "1"]
-    assert Poly.from_json(f.to_json()) == f
+    assert poly_from_json(f.to_json()) == f
