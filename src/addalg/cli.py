@@ -3,14 +3,15 @@
 Subcommands map one-to-one onto library operations; output is canonical
 JSON (--json) or aligned human text.  COMMANDS declares each subcommand
 with only the options its handler reads; any other flag is a usage
-error.  Exit codes: 0 all checks pass, 1 a checked inequality or
-validation failed, 2 input/schema error, 3 budget exhausted or the
-requested oracle is unavailable.
+error.  Exit codes: 0 all checks pass, 1 a checked inequality failed,
+2 input/schema error (an invalid structure-constant table among them),
+3 budget exhausted or the requested oracle is unavailable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import classify, discrete, fixtures, gen, serialize, sumsets
@@ -91,18 +92,11 @@ def cmd_fixtures(args):
 
 
 def cmd_validate(args):
+    # loading validates: structure constants are checked as they are built
+    # (an invalid table exits 2), and every other kind is valid by construction
     alg, _ = _source(args.infile, args.fixture)
-    try:
-        alg._validate()
-        ok = True
-        detail = None
-    except AddalgError as e:
-        ok, detail = False, str(e)
-    payload = {"label": alg.label, "dim": alg.dim, "valid": ok}
-    if detail:
-        payload["error"] = detail
-    _emit(args, payload)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    _emit(args, {"label": alg.label, "dim": alg.dim, "valid": True})
+    return EXIT_OK
 
 
 def cmd_info(args):
@@ -338,7 +332,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so it is built once."""
     top = _Parser(
         prog="addalg",
         description="Exact additive combinatorics in finite-dimensional "

@@ -7,6 +7,7 @@ become dimensions.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -196,22 +197,28 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
 
     Each pair is also re-derived through the group algebra: the lift of
     AB must have dimension |AB| and its left stabilizer dimension |H_AB|.
+    Every pair computes its own product span; the values that depend on
+    one subset or one span alone (lifts, stabilizers) are computed once
+    per call and reused.
     """
     if exhaustive and not m.is_group():
         raise NotAGroup(f"{m.label} has non-invertible elements")
     alg = m.algebra()
     report = SweepReport()
+    subsets = list(_nonempty_subsets(m.size))
     if exhaustive:
-        pairs = ((a, b) for a in _nonempty_subsets(m.size) for b in _nonempty_subsets(m.size))
+        pairs = ((a, b) for a in subsets for b in subsets)
     else:
-        import random
-
         rng = random.Random(seed)
-        allsubs = list(_nonempty_subsets(m.size))
-        pairs = ((rng.choice(allsubs), rng.choice(allsubs)) for _ in range(count))
+        pairs = ((rng.choice(subsets), rng.choice(subsets)) for _ in range(count))
+    lifts = {}  # subset -> its lift
+    comb_stabs = {}  # AB -> H(AB)
+    stab_dims = {}  # rows of a computed product span -> dim of its left stabilizer
     for a, b in pairs:
         ab = minkowski(m, a, b)
-        h = combinatorial_stabilizer(m, ab, "left")
+        if ab not in comb_stabs:
+            comb_stabs[ab] = combinatorial_stabilizer(m, ab, "left")
+        h = comb_stabs[ab]
         report.pairs_checked += 1
         if len(ab) < len(a) + len(b) - len(h):
             report.violations.append({
@@ -220,8 +227,14 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
                 "|AB|": len(ab), "|A|": len(a), "|B|": len(b), "|H|": len(h),
             })
             continue
-        pspan = sub.product_span(lift_subset(alg, a), lift_subset(alg, b))
-        hdim = sub.stabilizer(pspan, "left").dim
+        for s in (a, b):
+            if s not in lifts:
+                lifts[s] = lift_subset(alg, s)
+        pspan = sub.product_span(lifts[a], lifts[b])
+        # keyed on this pair's own span, so the stabilizer is that span's
+        if pspan.rows not in stab_dims:
+            stab_dims[pspan.rows] = sub.stabilizer(pspan, "left").dim
+        hdim = stab_dims[pspan.rows]
         if pspan.dim != len(ab) or hdim != len(h):
             report.violations.append({
                 "A": sorted(a), "B": sorted(b),

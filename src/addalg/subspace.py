@@ -65,6 +65,11 @@ class Subspace:
         """The canonical RREF over Fraction, pivot entries 1."""
         return linalg.fraction_rows(self.rows, self.pivots)
 
+    @cached_property
+    def row_nonzeros(self) -> tuple[list[tuple[int, int]], ...]:
+        """The nonzero (column, entry) pairs of each row, as linalg.nonzeros gives them."""
+        return tuple(linalg.nonzeros(r) for r in self.rows)
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -186,11 +191,10 @@ def product_span(v: Subspace, w: Subspace) -> Subspace:
     if v.dim == 0 or w.dim == 0:
         return zero_space(v.algebra)
     alg = v.algebra
-    right = [linalg.nonzeros(b) for b in w.rows]
+    right = w.row_nonzeros
     # dict keys dedup the integer products and keep their order
     products = {}
-    for a in v.rows:
-        left = linalg.nonzeros(a)
+    for left in v.row_nonzeros:
         for b in right:
             products[tuple(alg.mul_pairs(left, b))] = None
     return _span(alg, products)
@@ -201,9 +205,9 @@ def translate(x: Element, v: Subspace, side="left") -> Subspace:
     alg = v.algebra
     xs = linalg.nonzeros(linalg.integer_row(x.coords)[0])
     if side == "left":
-        rows = [alg.mul_pairs(xs, linalg.nonzeros(b)) for b in v.rows]
+        rows = [alg.mul_pairs(xs, b) for b in v.row_nonzeros]
     else:
-        rows = [alg.mul_pairs(linalg.nonzeros(b), xs) for b in v.rows]
+        rows = [alg.mul_pairs(b, xs) for b in v.row_nonzeros]
     return _span(alg, rows)
 
 

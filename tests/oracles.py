@@ -192,3 +192,54 @@ def ref_stabilizer(table, v_basis, side="left"):
             rows.append(tuple(sum((nrow[k] * cols[j][k] for k in range(n)), Fraction(0))
                               for j in range(n)))
     return ref_rref(ref_nullspace(rows, n))
+
+
+# -- reference group sweep ------------------------------------------------
+
+
+def ref_group_sweep(m, exhaustive=True, seed=0, count=200):
+    """The report of discrete.group_kneser_sweep, with nothing reused.
+
+    Per pair, AB and its left stabilizer H come by brute force from the
+    table, and the algebra route lifts both subsets afresh and runs
+    product_span and stabilizer on them.  Subsets are drawn in the
+    library's order (bit i of the mask holds element i), so a sampled
+    sweep sees the same pairs from the same seed.
+    """
+    import random
+
+    from addalg import subspace as sub
+
+    n, t = m.size, m.table
+    alg = m.algebra()
+    subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+    if exhaustive:
+        pairs = [(a, b) for a in subsets for b in subsets]
+    else:
+        rng = random.Random(seed)
+        pairs = [(rng.choice(subsets), rng.choice(subsets)) for _ in range(count)]
+
+    def lift(s):
+        return sub.from_vecs(alg, [[int(i == j) for j in range(n)] for i in sorted(s)])
+
+    violations = []
+    for a, b in pairs:
+        ab = {t[x][y] for x in a for y in b}
+        h = [g for g in range(n) if {t[g][x] for x in ab} == ab]
+        if len(ab) < len(a) + len(b) - len(h):
+            violations.append({
+                "A": sorted(a), "B": sorted(b),
+                "issue": "combinatorial bound",
+                "|AB|": len(ab), "|A|": len(a), "|B|": len(b), "|H|": len(h),
+            })
+            continue
+        pspan = sub.product_span(lift(a), lift(b))
+        hdim = sub.stabilizer(pspan, "left").dim
+        if pspan.dim != len(ab) or hdim != len(h):
+            violations.append({
+                "A": sorted(a), "B": sorted(b),
+                "issue": "algebra route disagrees",
+                "dim_span": pspan.dim, "|AB|": len(ab),
+                "dim_stab": hdim, "|H|": len(h),
+            })
+    return {"pairs_checked": len(pairs), "violations": violations, "ok": not violations}

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from addalg.fixtures import (
     table_fixture,
 )
 
-from oracles import zmod_stabilizer, zmod_sumset
+from oracles import ref_group_sweep, zmod_stabilizer, zmod_sumset
 
 
 def test_table_validation():
@@ -139,6 +140,69 @@ def test_group_kneser_sweep_sampled_s3():
                                       seed=1, count=100)
     assert rep.pairs_checked == 100
     assert rep.ok
+
+
+@pytest.mark.parametrize("name", ["Z4", "V4", "Z6", "S3"])
+def test_exhaustive_sweep_matches_memo_free_reference(name):
+    m = table_fixture(name)
+    got = discrete.group_kneser_sweep(m).to_json()
+    assert json.dumps(got) == json.dumps(ref_group_sweep(m))
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z12", "paper-m7", "graded-m"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_sweep_matches_memo_free_reference(name, seed):
+    # on the monoids the violations of both kinds must match in content and order
+    m = table_fixture(name)
+    got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed).to_json()
+    want = ref_group_sweep(m, exhaustive=False, seed=seed)
+    assert json.dumps(got) == json.dumps(want)
+    if not m.is_group():
+        issues = {v["issue"] for v in want["violations"]}
+        assert issues == {"combinatorial bound", "algebra route disagrees"}
+
+
+def test_sweep_cross_checks_every_pair(monkeypatch):
+    # a wrong span of the right dimension for one pair: A = {0, 1}, B = {0}
+    # gives AB = {0, 1} with H = {0}, but the span of {0, 3} has stabilizer
+    # {0, 3}.  Earlier pairs have the same AB, so only a stabilizer taken
+    # from this pair's own span sees the fault.
+    real_product_span = sub.product_span
+
+    def product_span(v, w):
+        lift = discrete.lift_subset
+        if v == lift(v.algebra, frozenset({0, 1})) and w == lift(v.algebra, frozenset({0})):
+            return lift(v.algebra, frozenset({0, 3}))
+        return real_product_span(v, w)
+
+    monkeypatch.setattr(sub, "product_span", product_span)
+    rep = discrete.group_kneser_sweep(cyclic(6))
+    assert rep.pairs_checked == 63 ** 2
+    assert rep.violations == [{
+        "A": [0, 1], "B": [0], "issue": "algebra route disagrees",
+        "dim_span": 2, "|AB|": 2, "dim_stab": 2, "|H|": 1,
+    }]
+
+
+def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
+    calls = {"lift_subset": 0, "product_span": 0, "stabilizer": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(discrete, "lift_subset")
+    counted(sub, "product_span")
+    counted(sub, "stabilizer")
+    rep = discrete.group_kneser_sweep(cyclic(5))
+    assert rep.ok and rep.pairs_checked == 961
+    assert calls["product_span"] == 961  # every pair computes its own span
+    assert calls["lift_subset"] <= 31
+    assert calls["stabilizer"] <= 31
 
 
 def test_group_sweep_requires_group():
