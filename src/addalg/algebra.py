@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from . import linalg
-from .errors import AddalgError, BadUnit, EmptyDescription, NotAssociative
+from .errors import BadUnit, EmptyDescription, NotAssociative
 from .linalg import ONE, ZERO, Vec, vec
 from .polynomials import Poly
 
@@ -163,6 +164,7 @@ class Algebra:
         return rows, dv * self.den
 
     def _mul_matrix(self, v: Vec, side: str):
+        # Fraction views of mul_images, kept for the tests and the benchmark's tracer
         rows, den = self.mul_images(v, side)
         return [tuple(Fraction(a, den) if a else ZERO for a in col) for col in zip(*rows)]
 
@@ -229,14 +231,28 @@ class Element:
         return acc
 
     def invert(self) -> "Element | NonInvertible":
-        """Two-sided inverse, or a kernel witness if none exists."""
+        """Two-sided inverse, or a kernel witness if none exists.
+
+        The matrix L of x -> self*x has the images of mul_images over den as
+        its columns.  One int_rref of those images transposed, augmented with
+        the unit cleared to integers (du * unit), solves den*L z = du*unit;
+        the inverse is z * den / du, free variables at zero.
+        """
         alg = self.algebra
-        lmat = alg.left_mul_matrix(self.coords)
-        y = linalg.solve(lmat, alg.unit)
-        if y is None:
-            ker = linalg.nullspace(lmat, alg.dim)
-            return NonInvertible(witness=Element(alg, ker[0]))
-        inv = Element(alg, y)
+        n = alg.dim
+        images, den = alg.mul_images(self.coords, "left")
+        mat = list(zip(*images))
+        unit, du = linalg.integer_row(alg.unit)
+        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(mat, unit)])
+        if pivots and pivots[-1] == n:  # pivot in the augmented column
+            ker, scale = linalg.int_nullspace(mat, n)
+            return NonInvertible(witness=Element(alg, tuple(
+                Fraction(a, scale) if a else ZERO for a in ker[0])))
+        y = [ZERO] * n
+        for row, pc in zip(red, pivots):
+            if row[n]:
+                y[pc] = Fraction(row[n] * den, row[pc] * du)
+        inv = Element(alg, tuple(y))
         # one-sided inverses are two-sided in a finite-dimensional associative algebra
         if (inv * self).coords != alg.unit:
             raise NotAssociative("right inverse is not a left inverse; "
@@ -254,27 +270,30 @@ class Element:
 
 
 def min_poly(x: Element) -> Poly:
-    """Monic minimal polynomial, from the first dependence among powers."""
+    """Monic minimal polynomial, from the first dependence among powers.
+
+    Each power is an integer row y_k = s_k x^k formed by mul_pairs, with
+    the positive integer scale s_k = du (dx den)^k of the cleared unit, the
+    cleared x and the constants, and a unit tag in column n + k.  It is
+    reduced once against the forward echelon form of the lower powers.  The
+    first one that reduces to zero leaves sum_j c_j y_j = 0 in its tag
+    columns, so the polynomial's coefficients are c_j s_j / (c_k s_k).
+    """
     alg = x.algebra
-    powers = [alg.unit]
-    rows, pivots = (), ()
-    cur = alg.one()
-    while True:
-        v = cur.coords
-        y = linalg.integer_row(v)[0]
-        if not any(linalg.residual(rows, pivots, y)):
-            # solve sum_i c_i powers[i] = v for the dependence
-            k = len(powers) - 1
-            mat = [tuple(powers[i][j] for i in range(k)) for j in range(alg.dim)]
-            sol = linalg.solve(mat, v)
-            if sol is None:
-                raise AddalgError("power lies in the span of lower powers but "
-                                  "no dependence was solved for")
-            coeffs = [-c for c in sol] + [ONE]
-            return Poly(tuple(coeffs))
-        rows, pivots = linalg.int_rref(rows + (y,))
-        cur = cur * x
-        powers.append(cur.coords)
+    n = alg.dim
+    xn, dx = linalg.integer_row(x.coords)
+    xs = linalg.nonzeros(xn)
+    y, s = linalg.integer_row(alg.unit)
+    scales = []
+    out, pivots = [], []
+    for k in count():
+        scales.append(s)
+        row, j = linalg.echelon_add(out, pivots, y + [int(i == k) for i in range(n + 1)])
+        if j >= n:  # the powers' part reduced to zero
+            lead = row[n + k] * s
+            return Poly(tuple(Fraction(c * sj, lead) for c, sj in zip(row[n:], scales)))
+        y = alg.mul_pairs(linalg.nonzeros(y), xs)
+        s *= dx * alg.den
 
 
 def poly_at(p: Poly, x: Element) -> Element:

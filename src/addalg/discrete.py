@@ -187,9 +187,9 @@ class SweepReport:
         }
 
 
-def _nonempty_subsets(n: int):
-    for mask in range(1, 1 << n):
-        yield frozenset(i for i in range(n) if mask >> i & 1)
+def _subset(n: int, mask: int) -> frozenset:
+    """The subset of range(n) whose elements are the set bits of mask."""
+    return frozenset(i for i in range(n) if mask >> i & 1)
 
 
 def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> SweepReport:
@@ -205,12 +205,18 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
         raise NotAGroup(f"{m.label} has non-invertible elements")
     alg = m.algebra()
     report = SweepReport()
-    subsets = list(_nonempty_subsets(m.size))
+    n = m.size
+    masks = range(1, 1 << n)
     if exhaustive:
+        subsets = [_subset(n, mask) for mask in masks]
         pairs = ((a, b) for a in subsets for b in subsets)
     else:
+        # choice draws the same index from masks as from the list of all
+        # subsets; only the drawn subsets are built, each once
         rng = random.Random(seed)
-        pairs = ((rng.choice(subsets), rng.choice(subsets)) for _ in range(count))
+        picks = [rng.choice(masks) for _ in range(2 * count)]
+        drawn = {mask: _subset(n, mask) for mask in set(picks)}
+        pairs = ((drawn[a], drawn[b]) for a, b in zip(picks[::2], picks[1::2]))
     lifts = {}  # subset -> its lift
     comb_stabs = {}  # AB -> H(AB)
     stab_dims = {}  # rows of a computed product span -> dim of its left stabilizer

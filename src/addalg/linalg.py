@@ -4,8 +4,12 @@ Elimination works on integer rows: rational rows are cleared to integers
 at the boundary (integer_row).  int_rref gives the canonical reduced row
 echelon form as primitive integer rows with positive pivots and cleared
 pivot columns, so two spans are equal iff their forms compare equal.
-The Fraction functions (rref, nullspace, solve) are views of the integer
-ones, with pivot entries 1.  Vectors are tuples of Fraction.
+echelon_add carries a forward echelon form one row at a time: rank,
+min_poly's powers and the atoms' block ranks grow their forms with it
+instead of eliminating again.  The Fraction functions (rref, nullspace,
+solve, det) are views of the integer ones, with pivot entries 1; the
+library no longer calls them, and they remain for the tests and the
+benchmark's tracer.  Vectors are tuples of Fraction.
 """
 
 from __future__ import annotations
@@ -146,6 +150,22 @@ def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     return fraction_rows(red, pivots), pivots
 
 
+def echelon_add(out, pivots, row) -> tuple[list[int], int | None]:
+    """Reduce an integer row against a forward echelon form and add it in place.
+
+    out holds the form's rows and pivots their sorted pivot columns; each
+    row is zero before its pivot.  The reduced primitive row goes in at its
+    first nonzero column unless it is zero.  Returns the reduced row and
+    that column (None when the row lies in the span).
+    """
+    row, j = _reduce_row(row, out, pivots)
+    if j is not None:
+        pos = bisect_left(pivots, j)
+        pivots.insert(pos, j)
+        out.insert(pos, row)
+    return row, j
+
+
 def rank(rows) -> int:
     """Rank of integer rows: the number of rows of a forward integer echelon form.
 
@@ -154,11 +174,7 @@ def rank(rows) -> int:
     pivots: list[int] = []
     out: list = []
     for r in rows:
-        row, j = _reduce_row(r, out, pivots)
-        if j is not None:
-            pos = bisect_left(pivots, j)
-            pivots.insert(pos, j)
-            out.insert(pos, row)
+        echelon_add(out, pivots, r)
     return len(out)
 
 

@@ -322,7 +322,8 @@ def atom_exact_split(v: Subspace, lam: Fraction,
     so exhaustive minimization of c over them computes kappa and the atom.
     The basis is orthogonal idempotents, so span(W_pi V) is the direct sum
     of the e_P V, and e_P V is V cut to the columns of P: each c is
-    sum_P rank(V|_P) - lambda*|pi|, and each block's rank is computed once.
+    sum_P rank(V|_P) - lambda*|pi|.  Each block's echelon form is built once,
+    from the form of the block without its last index plus that column.
     Only the atom is built as a Subspace.
     """
     lam = Fraction(lam)
@@ -330,20 +331,24 @@ def atom_exact_split(v: Subspace, lam: Fraction,
     if sub.contains_invertible(v).kind != "YES":
         raise NoInvertibleFound("V must contain an invertible element")
     parts = classify.split_partitions(v.algebra, cap=cap)
+    n = v.algebra.dim
     cols = list(zip(*v.rows))
+    forms = {(): ([], [])}  # block -> forward echelon form (rows, pivots) of its columns
     ranks = {}
+    for mask in range(1, 1 << n):  # a block's prefix has a smaller mask
+        block = tuple(i for i in range(n) if mask >> i & 1)
+        rows, pivots = forms[block[:-1]]
+        rows, pivots = rows[:], pivots[:]
+        linalg.echelon_add(rows, pivots, cols[block[-1]])
+        forms[block] = rows, pivots
+        ranks[block] = len(pivots)
     values = {}  # (dim span(WV), dim W) -> c
     num, den = lam.numerator, lam.denominator
     evaluated = []
     best = None
     tie = False
     for part in parts:
-        dim_wv = 0
-        for block in part:
-            r = ranks.get(block)
-            if r is None:
-                r = ranks[block] = linalg.rank([cols[i] for i in block])
-            dim_wv += r
+        dim_wv = sum(map(ranks.__getitem__, part))
         k = len(part)
         c = values.get((dim_wv, k))
         if c is None:

@@ -2,8 +2,9 @@
 
 Schoolbook polynomial Euclid and products, brute-force Z/m sumsets, a direct
 partition enumerator, rank via Gaussian elimination on stacked
-integer matrices, and the plain Fraction kernel (RREF, nullspace,
-product span, stabilizer).  Used to cross-check library results.
+integer matrices, and the plain Fraction kernel (RREF, nullspace, solve,
+product span, stabilizer, minimal polynomial, inverse).  Used to
+cross-check library results.
 """
 
 from fractions import Fraction
@@ -192,6 +193,49 @@ def ref_stabilizer(table, v_basis, side="left"):
             rows.append(tuple(sum((nrow[k] * cols[j][k] for k in range(n)), Fraction(0))
                               for j in range(n)))
     return ref_rref(ref_nullspace(rows, n))
+
+
+def ref_solve(matrix, rhs):
+    """One solution of M x = rhs with free variables at zero, or None."""
+    ncols = len(matrix[0])
+    basis, pivots = ref_rref([list(r) + [b] for r, b in zip(matrix, rhs)])
+    x = [Fraction(0)] * ncols
+    for brow, pc in zip(basis, pivots):
+        if pc == ncols:
+            return None
+        x[pc] = brow[ncols]
+    return tuple(x)
+
+
+def ref_min_poly(table, unit, x):
+    """Monic minimal polynomial of x, coefficients lowest degree first.
+
+    Powers come one ref_mul at a time; the first power that solves against
+    the lower ones over Fraction gives the dependence.
+    """
+    n = len(table)
+    powers = [tuple(map(Fraction, unit))]
+    while True:
+        cur = ref_mul(table, powers[-1], x)
+        sol = ref_solve([tuple(p[j] for p in powers) for j in range(n)], cur)
+        if sol is not None:
+            return tuple(-c for c in sol) + (Fraction(1),)
+        powers.append(cur)
+
+
+def ref_invert(table, unit, x):
+    """("inverse", y) with x y = 1 = y x, ("witness", w) with w the first
+    canonical kernel vector of y -> x y when x y = 1 has no solution, or
+    ("not-associative", None) when the solution y is a right inverse only."""
+    n = len(table)
+    lmat = ref_mul_matrix(table, x, "left")
+    unit = tuple(map(Fraction, unit))
+    y = ref_solve(lmat, unit)
+    if y is None:
+        return "witness", ref_nullspace(lmat, n)[0]
+    if ref_mul(table, y, x) != unit:
+        return "not-associative", None
+    return "inverse", y
 
 
 # -- reference group sweep ------------------------------------------------

@@ -376,7 +376,7 @@ def test_exit_code_oracle_unavailable(capsys, tmp_path):
     assert code == 3
 
 
-def test_exit_code_violation_on_failed_validation(capsys, tmp_path):
+def test_invalid_structure_constants_exit_2(capsys, tmp_path):
     inst = {
         "algebra": {
             "kind": "structure_constants",

@@ -162,6 +162,22 @@ def test_sampled_sweep_matches_memo_free_reference(name, seed):
         assert issues == {"combinatorial bound", "algebra route disagrees"}
 
 
+@pytest.mark.parametrize("name", ["Z8", "Z12"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
+    # the pairs come from masks drawn like indices into the list of all
+    # 2^n - 1 subsets, and only the drawn ones are built, each once
+    m = table_fixture(name)
+    built = []
+    real_subset = discrete._subset
+    monkeypatch.setattr(discrete, "_subset",
+                        lambda n, mask: built.append(mask) or real_subset(n, mask))
+    got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed, count=40).to_json()
+    assert 0 < len(built) == len(set(built)) <= 80
+    want = ref_group_sweep(m, exhaustive=False, seed=seed, count=40)
+    assert json.dumps(got) == json.dumps(want)
+
+
 def test_sweep_cross_checks_every_pair(monkeypatch):
     # a wrong span of the right dimension for one pair: A = {0, 1}, B = {0}
     # gives AB = {0, 1} with H = {0}, but the span of {0, 3} has stabilizer

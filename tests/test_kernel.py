@@ -5,6 +5,9 @@ mixed denominators, zero rows and dependent rows.  product_span and both
 stabilizers are compared on random subspaces, and both multiplication
 matrices and the rank-based invertibility test on random elements, of
 algebras with 0/1, rational and non-commutative structure constants.
+min_poly and invert are compared with the Fraction reference on random
+elements of every fixture, of polynomial quotients with rational
+constants and of a basis rescaling whose unit has denominators.
 The stored integer form of a Subspace is checked to be canonical, and
 its membership tests agree with a Fraction rank reference.  The seeded
 candidate stream is pinned to its draw order.
@@ -20,12 +23,21 @@ from hypothesis import strategies as st
 
 from addalg import linalg
 from addalg import subspace as sub
-from addalg.algebra import poly_quotient_product
-from addalg.fixtures import algebra_fixture
+from addalg.algebra import (
+    Element,
+    NonInvertible,
+    from_structure_constants,
+    min_poly,
+    poly_quotient_product,
+)
+from addalg.errors import NotAssociative
+from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly
 
 from oracles import (
     frac_rank,
+    ref_invert,
+    ref_min_poly,
     ref_mul_matrix,
     ref_nullspace,
     ref_product_span,
@@ -216,11 +228,11 @@ def test_membership_matches_reference(case):
 
 
 @st.composite
-def elements(draw):
+def elements(draw, algebras=ALGEBRAS):
     """An element of one of the algebras: sparse rational, a multiple of a basis
     vector, or 1 - c b_i (singular of corank 1 for b_i = g in Q[Z6] or e_i in Q^5)."""
-    name = draw(st.sampled_from(sorted(ALGEBRAS)))
-    alg = ALGEBRAS[name]
+    name = draw(st.sampled_from(sorted(algebras)))
+    alg = algebras[name]
     kind = draw(st.sampled_from(["sparse", "basis", "unit-minus"]))
     if kind == "sparse":
         return alg.element(draw(st.lists(SPARSE_RATS, min_size=alg.dim, max_size=alg.dim)))
@@ -248,6 +260,80 @@ def test_is_invertible_one_sided_in_m2():
     m2 = ALGEBRAS["M2x2"]
     assert not m2.element([1, 1, 0, 0]).is_invertible
     assert m2.element([0, 1, 1, 0]).is_invertible
+
+
+def _rescaled(alg, scales):
+    """The same algebra on the basis scales[i] * b_i, built from structure constants."""
+    n = alg.dim
+    table = [[[scales[i] * scales[j] * alg.table[i][j][k] / scales[k] for k in range(n)]
+              for j in range(n)] for i in range(n)]
+    unit = [alg.unit[k] / scales[k] for k in range(n)]
+    return from_structure_constants(table, unit, label=f"{alg.label} rescaled")
+
+
+def _all_algebras():
+    every = {name: algebra_fixture(name) for name in ALGEBRA_NAMES}
+    polyprod = ALGEBRAS["polyprod"]
+    # its unit is (1/2, 0, 2/5, 0, 0), so clearing the unit needs a denominator
+    rescaled = _rescaled(polyprod, [F(2), F(-1, 3), F(5, 2), F(1, 3), F(3)])
+    return {**every, "polyprod": polyprod, "polyprod-rescaled": rescaled}
+
+
+ALL_ALGEBRAS = _all_algebras()
+
+
+def _outcome(x):
+    """invert's result in ref_invert's terms."""
+    try:
+        res = x.invert()
+    except NotAssociative:
+        return "not-associative", None
+    if isinstance(res, NonInvertible):
+        return "witness", res.witness.coords
+    return "inverse", res.coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(ALL_ALGEBRAS))
+def test_min_poly_matches_reference(x):
+    alg = x.algebra
+    assert min_poly(x).coeffs == ref_min_poly(alg.table, alg.unit, x.coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(ALL_ALGEBRAS))
+def test_invert_matches_reference(x):
+    alg = x.algebra
+    assert _outcome(x) == ref_invert(alg.table, alg.unit, x.coords)
+
+
+def test_invert_and_min_poly_cover_singular_elements_and_scaled_units():
+    rescaled = ALL_ALGEBRAS["polyprod-rescaled"]
+    assert any(u.denominator > 1 for u in rescaled.unit)
+    for alg, coords in ((ALL_ALGEBRAS["QT3"], [0, 1, 0]), (ALL_ALGEBRAS["Q5"], [1, 1, 0, 1, 1]),
+                        (ALL_ALGEBRAS["M2x2"], [1, 1, 0, 0]), (rescaled, [0] * 5)):
+        x = alg.element(coords)
+        want = ref_invert(alg.table, alg.unit, x.coords)
+        assert want[0] == "witness" and _outcome(x) == want
+        assert min_poly(x).coeffs == ref_min_poly(alg.table, alg.unit, x.coords)
+    x = rescaled.element([F(1, 2), 0, F(3, 5), 0, 1])
+    inv = x.invert()
+    assert isinstance(inv, Element) and (x * inv).coords == rescaled.unit
+
+
+def test_invert_matches_reference_on_non_associative_constants():
+    # basis 1, x, y with xy = 1 and yx = 0: y is a right inverse of x only
+    z, one = [0, 0, 0], [1, 0, 0]
+    table = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], z, one],
+        [[0, 0, 1], z, z],
+    ]
+    alg = from_structure_constants(table, one, validate=False)
+    for coords in ([0, 1, 0], [0, 0, 1], [2, 1, 0], [1, 0, 0], [0, F(1, 2), 3]):
+        x = alg.element(coords)
+        assert _outcome(x) == ref_invert(alg.table, alg.unit, x.coords)
+    assert _outcome(alg.element([0, 1, 0]))[0] == "not-associative"
 
 
 @settings(max_examples=50, deadline=None)
