@@ -24,7 +24,7 @@ from .errors import (
     RetryBudgetExhausted,
     SchemaError,
 )
-from .serialize import SCHEMA_VERSION, dumps, parse_rat, rat_str
+from .serialize import SCHEMA_VERSION, basis_json, dumps, parse_rat, rat_str
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -78,10 +78,6 @@ def _space(spaces, name):
     return spaces[name]
 
 
-def _basis_json(space):
-    return [[rat_str(c) for c in row] for row in space.basis]
-
-
 # -- subcommand handlers ----------------------------------------------
 
 
@@ -115,7 +111,7 @@ def cmd_info(args):
 def cmd_span(args):
     _, spaces = _source(args.infile)
     v = _space(spaces, args.V)
-    _emit(args, {"name": args.V, "dim": v.dim, "basis": _basis_json(v)})
+    _emit(args, {"name": args.V, "dim": v.dim, "basis": basis_json(v)})
     return EXIT_OK
 
 
@@ -124,7 +120,7 @@ def cmd_product(args):
     a, b = _space(spaces, args.A), _space(spaces, args.B)
     p = sub.product_span(a, b)
     _emit(args, {"dim_A": a.dim, "dim_B": b.dim, "dim_AB": p.dim,
-                 "basis": _basis_json(p)})
+                 "basis": basis_json(p)})
     return EXIT_OK
 
 
@@ -132,7 +128,7 @@ def _cmd_solution_space(args, op):
     _, spaces = _source(args.infile)
     v = _space(spaces, args.V)
     out = op(v, args.side)
-    _emit(args, {"side": args.side, "dim": out.dim, "basis": _basis_json(out),
+    _emit(args, {"side": args.side, "dim": out.dim, "basis": basis_json(out),
                  "is_subalgebra": sub.is_subalgebra(out) if out.dim else False})
     return EXIT_OK
 

@@ -15,7 +15,6 @@ from . import subspace as sub
 from .algebra import Algebra, monoid_algebra
 from .errors import (
     EmptySubset,
-    LambdaOutOfRange,
     NotAGroup,
     NotAssociative,
     NoUnitIntersection,
@@ -258,7 +257,7 @@ class MonoidHamidouneReport:
     b_size: int
     lam: Fraction
     atom_dim: int
-    atom_exact: bool  # exact enumeration vs best candidate (upper bound on kappa)
+    atom_exact: bool  # always False: the atom is the best of two candidates (an upper bound)
     hamidoune_ok: bool
     stab_size: int
     atom_dominates_stab: bool
@@ -285,10 +284,9 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
                            lam: Fraction) -> MonoidHamidouneReport:
     """|BA| >= lam*|A| + |B| - lam*dim(atom) in the monoid algebra.
 
-    When the monoid algebra is split etale the atom is computed exactly;
-    otherwise the minimum runs over two candidate subalgebras (the
-    scalars and the stabilizer of the lift of A), which only upper-bounds
-    the true atom term.
+    The minimum runs over two candidate subalgebras, the scalars and the
+    left stabilizer of the lift of A, so it only upper-bounds the true atom
+    term; lambda is checked by connectivity_value.
     """
     from . import sumsets
 
@@ -297,31 +295,18 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
         raise NoUnitIntersection("A misses the unit group of the monoid")
     if not (b & u):
         raise NoUnitIntersection("B misses the unit group of the monoid")
-    if not (0 < lam <= 1):
-        raise LambdaOutOfRange(f"lambda must be in (0,1], got {lam}")
     alg = m.algebra()
     va = lift_subset(alg, a)
     ba = minkowski(m, b, a)
-    if alg.split_etale:
-        report = sumsets.atom_exact_split(va, lam)
-        atom, exact = report.atom, True
-    else:
-        best = None
-        for c in (sub.unit_span(alg), sub.stabilizer(va, "left")):
-            if not sub.is_subalgebra(c):
-                continue
-            val = sumsets.connectivity_value(c, va, lam)
-            key = (val, c.dim)
-            if best is None or key < best[0]:
-                best = (key, c)
-        atom, exact = best[1], False
+    atom = min((sub.unit_span(alg), sub.stabilizer(va, "left")),
+               key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
     hstab = combinatorial_stabilizer(m, a, "left")
     lhs = Fraction(len(ba))
     rhs = lam * len(a) + len(b) - lam * atom.dim
     kneser_rhs = len(a) + len(b) - len(combinatorial_stabilizer(m, ba, "left"))
     return MonoidHamidouneReport(
         ba_size=len(ba), a_size=len(a), b_size=len(b), lam=lam,
-        atom_dim=atom.dim, atom_exact=exact,
+        atom_dim=atom.dim, atom_exact=False,
         hamidoune_ok=lhs >= rhs,
         stab_size=len(hstab),
         atom_dominates_stab=atom.dim >= len(hstab),

@@ -19,7 +19,7 @@ from .algebra import Algebra
 from .errors import RetryBudgetExhausted, SchemaError
 from .fixtures import cyclic
 from .polynomials import Poly
-from .serialize import SCHEMA_VERSION, algebra_from_desc, rat_str
+from .serialize import SCHEMA_VERSION, algebra_from_desc, basis_json
 from .subspace import Subspace
 
 __all__ = ["Instance", "random_subspace", "random_subset", "gen_instance", "FAMILIES"]
@@ -45,10 +45,7 @@ class Instance:
             "family": self.family,
             "seed": self.seed,
             "algebra": self.desc,
-            "subspaces": {
-                name: [[rat_str(c) for c in row] for row in sp.basis]
-                for name, sp in self.subspaces.items()
-            },
+            "subspaces": {name: basis_json(sp) for name, sp in self.subspaces.items()},
         }
         if self.subsets:
             out["subsets"] = {k: list(v) for k, v in self.subsets.items()}
@@ -114,7 +111,7 @@ def gen_instance(family: str, seed: int, n: int | None = None,
                 raise SchemaError(f"subset size must be in 1..{n}, got {size}")
             picked = random_subset(size, n, rng)
             subsets[name] = picked
-            spaces[name] = sub.from_vecs(alg, [alg.basis_vec(i) for i in picked])
+            spaces[name] = sub.coordinate_span(alg, picked)
         return Instance(family, seed, desc, alg, spaces, subsets)
     if family == "polyprod":
         n = 3 if n is None else n

@@ -70,7 +70,7 @@ def random_combinations(rows, bound: int, rng):
         yield combine([rng.randint(-bound, bound) for _ in rows], rows)
 
 
-def _primitive(row: list[int]) -> list[int]:
+def primitive(row: list[int]) -> list[int]:
     """Integer row divided by its content (the gcd of its entries)."""
     g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
@@ -101,7 +101,7 @@ def _reduce_row(row, out, pivots) -> tuple[list[int], int | None]:
         if c:
             p = prow[pc]
             row = [p * a - c * b for a, b in zip(row, prow)]
-    row = _primitive(row)
+    row = primitive(row)
     return row, next((j for j, a in enumerate(row) if a), None)
 
 
@@ -127,7 +127,7 @@ def int_rref(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         for i, prow in enumerate(out):
             c = prow[j]
             if c:
-                out[i] = _primitive([p * a - c * b for a, b in zip(prow, row)])
+                out[i] = primitive([p * a - c * b for a, b in zip(prow, row)])
         pos = bisect_left(pivots, j)
         pivots.insert(pos, j)
         out.insert(pos, row)

@@ -2,24 +2,19 @@
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple and its degree is None (a sentinel, never -1).
-Includes monic gcd and Yun-style squarefree decomposition, which is all
-the subalgebra classifier needs.
+Poly.__post_init__ is the one normal form: every constructor and
+operation passes its coefficients through it, and it stores them as
+Fractions with no trailing zeros.  Includes monic gcd and Yun-style
+squarefree decomposition, which is all the subalgebra classifier needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import ConstantPolynomial
-
-
-def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -29,14 +24,15 @@ class Poly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # normalize at construction: no trailing zeros, exact coefficients
-        clean = _strip(Fraction(c) for c in self.coeffs)
-        if clean != self.coeffs:
-            object.__setattr__(self, "coeffs", clean)
+        # the one normal form: Fraction coefficients, no trailing zeros
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @staticmethod
     def of(*values) -> "Poly":
-        return Poly(_strip(Fraction(v) for v in values))
+        return Poly(values)
 
     @staticmethod
     def zero() -> "Poly":
@@ -79,7 +75,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(_strip(out))
+        return Poly(out)
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -95,7 +91,7 @@ class Poly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Poly(_strip(out))
+        return Poly(out)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -118,7 +114,7 @@ class Poly:
                 rem[k + j] -= c * b
             while rem and rem[-1] == 0:
                 rem.pop()
-        return Poly(_strip(quo)), Poly(_strip(rem))
+        return Poly(quo), Poly(rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -132,7 +128,7 @@ class Poly:
         return self.scale(1 / self.leading)
 
     def derivative(self) -> "Poly":
-        return Poly(_strip(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def __call__(self, x):
         acc = Fraction(0)
@@ -163,14 +159,8 @@ def _to_int_poly(f: Poly) -> list[int]:
     """Scale to integer coefficients (primitive part sign-normalized)."""
     if f.is_zero:
         return []
-    denom = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * denom) for c in f.coeffs]
-    g = math.gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    ints = linalg.primitive(linalg.integer_row(f.coeffs)[0])
+    return ints if ints[-1] > 0 else [-c for c in ints]
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -202,12 +192,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
                 rem.pop()
         # primitive part
         if rem:
-            cont = math.gcd(*rem)
-            rem = [c // cont for c in rem]
+            rem = linalg.primitive(rem)
             if rem[-1] < 0:
                 rem = [-c for c in rem]
         a, b = b, rem
-    return Poly(_strip(Fraction(c) for c in a)).monic()
+    return Poly(a).monic()
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "parse_rat",
     "rat_str",
+    "basis_json",
     "poly_from_json",
     "table_from_json",
     "algebra_from_desc",
@@ -52,6 +53,11 @@ def parse_rat(s) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def basis_json(space) -> list[list[str]]:
+    """A subspace's canonical basis as rows of rational strings."""
+    return [[rat_str(c) for c in row] for row in space.basis]
 
 
 def poly_from_json(items) -> Poly:

@@ -4,8 +4,10 @@ A subspace is stored as its canonical reduced row echelon form in
 primitive integer rows (linalg.int_rref), so equality and hashing are
 structural; `basis` is the cached Fraction view of the same form.  Spans,
 lattice operations, product spans, stabilizers and annihilators work on
-the integer rows.  The module also implements invertibility certificates
-and generated subalgebras.
+the integer rows.  Stabilizers (x*V <= V) and annihilators (x*V = 0) are
+one solution-space kernel, _solutions, whose target is V or the zero
+space.  The module also implements invertibility certificates and
+generated subalgebras.
 """
 
 from __future__ import annotations
@@ -94,12 +96,6 @@ class Subspace:
 
     def contains_unit(self) -> bool:
         return self.contains_vec(self.algebra.unit)
-
-    def to_json(self):
-        return {
-            "algebra": self.algebra.label,
-            "basis": [[str(c) for c in row] for row in self.basis],
-        }
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.label or 'algebra'})"
@@ -211,40 +207,41 @@ def translate(x: Element, v: Subspace, side="left") -> Subspace:
     return _span(alg, rows)
 
 
-def stabilizer(v: Subspace, side="left") -> Subspace:
-    """Solution space of x*V <= V (left) or V*x <= V (right).
+def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
+    """Solution space of x*V <= T (left) or V*x <= T (right).
 
-    Directly the kernel of x -> (residual of x*b against V) over the rows
-    b of V, in integers.  The residual vanishes on the pivot columns of V,
+    Directly the kernel of x -> (residual of x*b against T) over the rows
+    b of V, in integers.  The residual vanishes on the pivot columns of T,
     so only the non-pivot coordinates give equations.
     """
     alg = v.algebra
     n = alg.dim
-    if v.dim in (0, n):
-        return full_space(alg)
-    free = [k for k in range(n) if k not in v.pivots]
+    free = [k for k in range(n) if k not in t.pivots]
     rows = []
     for b in v.rows:
-        # x -> x*b for the left stabilizer, x -> b*x for the right one; the
+        # x -> x*b for the left side, x -> b*x for the right one; the
         # images of one b, and their residuals, share one integer scale,
         # which leaves the kernel alone
         images = alg.mul_images(b, "right" if side == "left" else "left")[0]
-        residuals = [linalg.residual(v.rows, v.pivots, y) for y in images]
+        residuals = [linalg.residual(t.rows, t.pivots, y) for y in images]
         rows.extend([r[k] for r in residuals] for k in free)
     return _span(alg, linalg.int_nullspace(rows, n)[0])
 
 
+def stabilizer(v: Subspace, side="left") -> Subspace:
+    """Solution space of x*V <= V (left) or V*x <= V (right)."""
+    if v.dim in (0, v.algebra.dim):
+        return full_space(v.algebra)
+    return _solutions(v, v, side)
+
+
 def annihilator(v: Subspace, side="left") -> Subspace:
-    """Solution space of x*V = 0 (left) or V*x = 0 (right)."""
-    alg = v.algebra
-    if v.dim == 0:
-        return full_space(alg)
-    rows = []
-    for b in v.rows:
-        # the equations of x*b = 0 (or b*x = 0) are the columns of the images
-        images = alg.mul_images(b, "right" if side == "left" else "left")[0]
-        rows.extend(zip(*images))
-    return _span(alg, linalg.int_nullspace(rows, alg.dim)[0])
+    """Solution space of x*V = 0 (left) or V*x = 0 (right).
+
+    The target is the zero space: the residual against no rows is the image
+    itself, so every coordinate of x*b gives an equation.
+    """
+    return _solutions(v, zero_space(v.algebra), side)
 
 
 def is_subalgebra(v: Subspace) -> bool:
@@ -274,9 +271,11 @@ def _first_invertible(alg: Algebra, candidates) -> tuple[Element | None, int]:
 
 # Largest grid, in points, that contains_invertible searches exhaustively.
 GRID_CAP = 1000
+# Random combinations contains_invertible samples when the grid is too large.
+SAMPLES = 64
 
 
-def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0) -> InvertibilityCertificate:
+def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
     """Search V for an invertible element.
 
     Deterministic candidates first (basis vectors, unit, points on the
@@ -304,29 +303,30 @@ def contains_invertible(v: Subspace, trials: int = 64, seed: int = 0) -> Inverti
         w, _ = _first_invertible(alg, (linalg.combine(cs, v.basis)
                                        for cs in product(grid, repeat=r)))
         return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)
-    draws = islice(linalg.random_combinations(v.basis, 9, random.Random(seed)), trials)
+    draws = islice(linalg.random_combinations(v.basis, 9, random.Random(seed)), SAMPLES)
     w, sampled = _first_invertible(alg, draws)
     return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 
 
-def invertible_basis(v: Subspace, trials: int = 64, seed: int = 0) -> list[Element]:
+def invertible_basis(v: Subspace, seed: int = 0) -> list[Element]:
     """Basis of V consisting of invertible elements.
 
     Uses the Vandermonde-line construction: with an invertible first
     basis vector, any dim(V) line points with distinct parameters form a
     basis, and at most dim(algebra) parameters can give a singular point.
     """
-    cert = contains_invertible(v, trials=trials, seed=seed)
+    cert = contains_invertible(v, seed=seed)
     if cert.kind != "YES":
         raise NoInvertibleFound(f"no invertible element found in {v!r} ({cert.kind})")
     alg = v.algebra
     a = cert.witness
-    # basis of V starting with the invertible witness; rank reads integer rows
-    rows, ints = [a.coords], [linalg.integer_row(a.coords)[0]]
+    # basis of V starting with the invertible witness, grown with one
+    # echelon form of the integer rows taken so far
+    rows, out, pivots = [a.coords], [], []
+    linalg.echelon_add(out, pivots, linalg.integer_row(a.coords)[0])
     for b, y in zip(v.basis, v.rows):
-        if linalg.rank(ints + [y]) > len(ints):
+        if linalg.echelon_add(out, pivots, y)[1] is not None:
             rows.append(b)
-            ints.append(y)
     if len(rows) != v.dim:
         raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
     line = (Element(alg, linalg.combine([alpha ** i for i in range(v.dim)], rows))

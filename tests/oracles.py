@@ -195,6 +195,21 @@ def ref_stabilizer(table, v_basis, side="left"):
     return ref_rref(ref_nullspace(rows, n))
 
 
+def ref_annihilator(table, v_basis, side="left"):
+    """RREF of {x : xV = 0} (left) or {x : Vx = 0} (right).
+
+    The kernel of the stacked matrices of x -> x b (or b x) over the basis b of V.
+    """
+    n = len(table)
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    rows = []
+    for b in v_basis:
+        cols = [ref_mul(table, e, b) if side == "left" else ref_mul(table, b, e)
+                for e in units]
+        rows.extend(tuple(col[k] for col in cols) for k in range(n))
+    return ref_rref(ref_nullspace(rows, n))
+
+
 def ref_solve(matrix, rhs):
     """One solution of M x = rhs with free variables at zero, or None."""
     ncols = len(matrix[0])

@@ -1,10 +1,11 @@
 """Differential tests: the integer, sparse kernel against the Fraction reference.
 
 rref, rank and nullspace are compared on random rational matrices with
-mixed denominators, zero rows and dependent rows.  product_span and both
-stabilizers are compared on random subspaces, and both multiplication
-matrices and the rank-based invertibility test on random elements, of
-algebras with 0/1, rational and non-commutative structure constants.
+mixed denominators, zero rows and dependent rows.  product_span, both
+stabilizers and both annihilators are compared on random subspaces, and
+both multiplication matrices and the rank-based invertibility test on
+random elements, of algebras with 0/1, rational and non-commutative
+structure constants.
 min_poly and invert are compared with the Fraction reference on random
 elements of every fixture, of polynomial quotients with rational
 constants and of a basis rescaling whose unit has denominators.
@@ -36,6 +37,7 @@ from addalg.polynomials import Poly
 
 from oracles import (
     frac_rank,
+    ref_annihilator,
     ref_invert,
     ref_min_poly,
     ref_mul_matrix,
@@ -126,6 +128,15 @@ def test_stabilizer_matches_reference(case, side):
     for space in (v, sub.product_span(v, w)):
         got = sub.stabilizer(space, side)
         assert (got.basis, got.pivots) == ref_stabilizer(alg.table, space.basis, side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_pairs(), st.sampled_from(["left", "right"]))
+def test_annihilator_matches_reference(case, side):
+    alg, v, w = case
+    for space in (v, sub.product_span(v, w)):
+        got = sub.annihilator(space, side)
+        assert (got.basis, got.pivots) == ref_annihilator(alg.table, space.basis, side)
 
 
 def test_left_and_right_stabilizers_differ_in_m2():

@@ -25,6 +25,16 @@ def test_zero_poly_conventions():
     assert poly_gcd(z, z).is_zero
 
 
+def test_poly_has_one_normal_form():
+    # int coefficients, a trailing zero and a list all normalize to the
+    # tuple of Fractions with no trailing zero
+    want = Poly((F(1), F(2)))
+    for p in (Poly((1, 2)), Poly.of(1, 2, 0), Poly([1, F(2), 0])):
+        assert type(p.coeffs) is tuple and p.coeffs[-1] != 0
+        assert all(type(c) is F for c in p.coeffs)
+        assert p == want and hash(p) == hash(want)
+
+
 def test_gcd_examples():
     assert poly_gcd(T * T - Poly.one(), T - Poly.one()) == T - Poly.one()
     assert poly_gcd(Poly.monomial(3), Poly.monomial(2)) == Poly.monomial(2)
