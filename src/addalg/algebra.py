@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import lcm
 
@@ -47,8 +48,7 @@ class Algebra:
     Elements are tied to the Algebra that created them.
     """
 
-    def __init__(self, table, unit, label="", validate=True, split_etale=False,
-                 source_table=None):
+    def __init__(self, table, unit, label="", validate=True, source_table=None):
         self.table = tuple(tuple(vec(cell) for cell in row) for row in table)
         # sparse[i][j] holds the nonzero (k, den * c) of b_i * b_j, all integers
         self.den = lcm(*[c.denominator for row in self.table for cell in row for c in cell])
@@ -60,9 +60,7 @@ class Algebra:
         self.dim = len(self.table)
         self.unit = vec(unit)
         self.label = label
-        self.split_etale = split_etale
         self.source_table = source_table
-        self._commutative: bool | None = None
         if self.dim == 0:
             raise EmptyDescription("algebra must have positive dimension")
         for row in self.table:
@@ -119,15 +117,16 @@ class Algebra:
         den = dx * dy * self.den
         return tuple(Fraction(a, den) if a else ZERO for a in acc)
 
-    @property
+    @cached_property
     def commutative(self) -> bool:
-        if self._commutative is None:
-            self._commutative = all(
-                self.table[i][j] == self.table[j][i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            )
-        return self._commutative
+        return all(self.table[i][j] == self.table[j][i]
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
+
+    @cached_property
+    def split_etale(self) -> bool:
+        """Whether the basis is orthogonal idempotents: b_i b_j = [i = j] b_i."""
+        return all(cell == (((i, self.den),) if i == j else ())
+                   for i, row in enumerate(self.sparse) for j, cell in enumerate(row))
 
     # -- element factories --------------------------------------------
 
@@ -354,10 +353,9 @@ def poly_quotient_product(polys, label="") -> Algebra:
     unit = [ZERO] * n
     for off in offsets:
         unit[off] = ONE
-    split = all(d == 1 for d in degs)
     if not label:
         label = " x ".join(f"Q[T]/({p})" for p in polys)
-    return Algebra(table, unit, label=label, validate=False, split_etale=split)
+    return Algebra(table, unit, label=label, validate=False)
 
 
 def split_etale_algebra(n: int, label="") -> Algebra:
@@ -394,7 +392,7 @@ def direct_product(a: Algebra, b: Algebra, label="") -> Algebra:
             table[a.dim + i][a.dim + j] = linalg.zero_vec(a.dim) + tuple(b.table[i][j])
     unit = tuple(a.unit) + tuple(b.unit)
     return Algebra(table, unit, label=label or f"({a.label}) x ({b.label})",
-                   validate=False, split_etale=a.split_etale and b.split_etale)
+                   validate=False)
 
 
 def companion_algebra(polys, label="") -> Algebra:

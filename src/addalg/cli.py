@@ -2,10 +2,12 @@
 
 Subcommands map one-to-one onto library operations; output is canonical
 JSON (--json) or aligned human text.  COMMANDS declares each subcommand
-with only the options its handler reads; any other flag is a usage
-error.  Exit codes: 0 all checks pass, 1 a checked inequality failed,
-2 input/schema error (an invalid structure-constant table among them),
-3 budget exhausted or the requested oracle is unavailable.
+with only the options its handler reads, besides group-sweep's --threads
+and certificate's --trials, which are accepted for compatibility; any other
+flag is a usage error.  Exit codes: 0 all checks pass, 1 a checked
+inequality failed, 2 input/schema error (an invalid structure-constant
+table among them), 3 the generator's retry budget exhausted or the
+requested oracle is unavailable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from . import classify, discrete, fixtures, gen, serialize, sumsets
 from . import subspace as sub
 from .errors import (
     AddalgError,
-    BudgetExhausted,
     CapExceeded,
     NotSplitEtale,
     RetryBudgetExhausted,
@@ -152,7 +153,7 @@ def cmd_classify(args):
 def cmd_certificate(args):
     _, spaces = _source(args.infile)
     a, b = _space(spaces, args.A), _space(spaces, args.B)
-    cert = sumsets.diderrich_certificate(a, b, budget=args.trials, seed=args.seed)
+    cert = sumsets.diderrich_certificate(a, b, seed=args.seed)
     violations = cert.violations()
     _emit(args, {
         "a": [rat_str(c) for c in cert.a.coords],
@@ -277,7 +278,9 @@ OPTIONS = {
     "--in": {"dest": "infile"},
     "--fixture": {},
     "--seed": {"type": int, "default": 0},
-    "--trials": {"type": nonnegative_int, "default": 64},
+    "--trials": {"type": nonnegative_int, "default": 64,
+                 "help": "classify: sampled generators; certificate: accepted for "
+                         "compatibility, the output does not depend on it"},
     "--cap": {"type": nonnegative_int, "default": 10},
     "--count": {"type": nonnegative_int, "default": 200},
     "--threads": {"type": int, "default": 1,
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except (BudgetExhausted, RetryBudgetExhausted, NotSplitEtale, CapExceeded) as e:
+    except (RetryBudgetExhausted, NotSplitEtale, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except AddalgError as e:

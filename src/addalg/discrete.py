@@ -145,15 +145,6 @@ class StabCorrespondence:
     def matches(self) -> bool:
         return self.comb_stab_size == self.algebra_stab_dim
 
-    def to_json(self):
-        return {
-            "subset_size": self.subset_size,
-            "combinatorial_stabilizer_size": self.comb_stab_size,
-            "algebra_stabilizer_dim": self.algebra_stab_dim,
-            "is_group": self.is_group,
-            "matches": self.matches,
-        }
-
 
 def stab_correspondence_check(m: MulTable, a: frozenset[int],
                               alg: Algebra | None = None) -> StabCorrespondence:

@@ -65,10 +65,6 @@ class NoInvertibleInB(AddalgError):
     pass
 
 
-class BudgetExhausted(AddalgError):
-    pass
-
-
 class LambdaOutOfRange(AddalgError):
     pass
 

@@ -218,13 +218,8 @@ def int_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def nullspace(rows, ncols: int | None = None) -> tuple[Vec, ...]:
+def nullspace(rows, ncols: int) -> tuple[Vec, ...]:
     """Canonical basis of {x : M x = 0} (right kernel), over Fraction."""
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for empty matrix")
-        ncols = len(rows[0])
     vecs, scale = int_nullspace([integer_row(r)[0] for r in rows], ncols)
     return tuple(tuple(Fraction(a, scale) if a else ZERO for a in x) for x in vecs)
 

@@ -178,13 +178,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         lead = b[-1]
         rem = [c * lead ** (d + 1) for c in a]
         while len(rem) >= len(b) and rem:
-            if rem[-1] % b[-1] == 0:
-                q = rem[-1] // b[-1]
-            else:
-                # scale once more to keep division exact
-                scale = b[-1]
-                rem = [c * scale for c in rem]
-                q = rem[-1] // b[-1]
+            # exact: rem starts as a * lead^(d+1), and each of the at most
+            # d + 1 steps uses up one factor lead of every coefficient
+            q = rem[-1] // lead
             k = len(rem) - len(b)
             for j, bc in enumerate(b):
                 rem[k + j] -= q * bc

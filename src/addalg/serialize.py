@@ -122,7 +122,8 @@ def load_instance(path: str):
     """Read an instance file; returns (raw dict, Algebra, {name: Subspace})."""
     raw = read_instance(path)
     alg = algebra_from_desc(raw["algebra"])
-    named = raw.get("subspaces") or {}
+    named = raw.get("subspaces")
+    named = {} if named is None else named  # only an absent key or null means none
     if not isinstance(named, dict):
         raise SchemaError("'subspaces' must be an object mapping names to matrices")
     spaces = {}

@@ -16,7 +16,7 @@ from addalg.algebra import (
     split_etale_algebra,
 )
 from addalg.errors import BadUnit, NotAssociative
-from addalg.fixtures import algebra_fixture, cyclic
+from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture, cyclic
 from addalg.polynomials import Poly
 
 from oracles import frac_rank
@@ -156,6 +156,18 @@ def test_direct_product_structure():
     x = prod.element([1, 1, 0, 0])
     y = prod.element([0, 0, 1, 2])
     assert (x * y).is_zero  # the two factors annihilate each other
+
+
+def test_split_etale_is_read_off_the_structure_constants():
+    split = {name for name in ALGEBRA_NAMES if algebra_fixture(name).split_etale}
+    assert split == {f"Q{n}" for n in range(1, 7)}
+    q3 = split_etale_algebra(3)
+    assert from_structure_constants(q3.table, q3.unit).split_etale
+    assert direct_product(q3, split_etale_algebra(2)).split_etale
+    assert not direct_product(q3, poly_quotient_product([T * T])).split_etale
+    # Q^2 in the basis 1, e_0: both idempotent, but not orthogonal
+    one_e = [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]
+    assert not from_structure_constants(one_e, [1, 0]).split_etale
 
 
 def test_companion_algebra_matches_quotient():

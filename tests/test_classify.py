@@ -5,6 +5,7 @@ import pytest
 
 from addalg import classify
 from addalg import subspace as sub
+from addalg.algebra import poly_quotient_product
 from addalg.errors import CapExceeded, NotSplitEtale
 from addalg.fixtures import algebra_fixture
 from addalg.polynomials import Poly, squarefree_decompose
@@ -33,6 +34,16 @@ def test_profile_ok_cases():
     # two distinct squared linear factors: two repeated parts
     h = Poly.monomial(2) * Poly.of(-1, 1) * Poly.of(-1, 1)
     assert not classify.profile_ok(profile_of(h))
+
+
+def test_two_repeated_parts_give_bad_profile():
+    # T^2 (T-1)^3: a squared and a cubed linear factor, two repeated parts
+    t1 = Poly.of(-1, 1)
+    f = Poly.monomial(2) * t1 * t1 * t1
+    assert not classify.profile_ok(profile_of(f))
+    verdict = classify.finite_subalgebras_verdict(poly_quotient_product([f]))
+    assert (verdict.kind, verdict.reason) == ("Infinite", "BadProfile")
+    assert [m for m, _ in verdict.profile.parts] == [2, 3]
 
 
 def test_verdict_truth_table():

@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addalg import cli, fixtures, gen
+from addalg.algebra import (
+    companion_algebra,
+    direct_product,
+    matrix_algebra,
+    poly_quotient_product,
+    split_etale_algebra,
+)
 from addalg.errors import SchemaError
+from addalg.polynomials import Poly
 from addalg.serialize import dumps, load_instance, parse_rat
 
 
@@ -152,8 +160,10 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     path = write_instance(tmp_path, Q4_INSTANCE)
     code, _ = run(capsys, "span", "--in", path, "--V", "Z")
     assert code == 2
-    # "subspaces" not an object; a subspace row not a list
-    for name, subspaces in (("list.json", [1]), ("row.json", {"A": [1]})):
+    # "subspaces" not an object, falsy ones too; a subspace row not a list
+    for name, subspaces in (("list.json", [1]), ("row.json", {"A": [1]}),
+                            ("empty.json", []), ("zero.json", 0),
+                            ("false.json", False), ("blank.json", "")):
         path = write_instance(tmp_path, {**Q4_INSTANCE, "subspaces": subspaces}, name)
         code, _ = run(capsys, "info", "--in", path)
         assert code == 2
@@ -161,6 +171,87 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     table = {"algebra": {"kind": "group_table", "table": [[0, 5], [1, 0]]}}
     code, _ = run(capsys, "group-sweep", "--in", write_instance(tmp_path, table, "t.json"))
     assert code == 2
+
+
+def test_absent_or_null_subspaces_mean_none(capsys, tmp_path):
+    for name, inst in (("absent.json", {"algebra": Q4_INSTANCE["algebra"]}),
+                       ("null.json", {**Q4_INSTANCE, "subspaces": None})):
+        code, out = run(capsys, "info", "--in", write_instance(tmp_path, inst, name), "--json")
+        assert code == 0 and json.loads(out)["subspaces"] == {}
+
+
+def test_json_integers_are_rationals_and_booleans_are_not(capsys, tmp_path):
+    ints = {**Q4_INSTANCE, "subspaces": {"A": [[1, 0, 0, 1], [0, 1, 2, 0]]}}
+    want = run(capsys, "span", "--in", write_instance(tmp_path, Q4_INSTANCE), "--V", "A", "--json")
+    got = run(capsys, "span", "--in", write_instance(tmp_path, ints, "ints.json"), "--V", "A",
+              "--json")
+    assert got == want and want[0] == 0
+    bools = {**Q4_INSTANCE, "subspaces": {"A": [[True, 0, 0, 1]]}}
+    code = cli.main(["span", "--in", write_instance(tmp_path, bools, "bools.json"), "--V", "A"])
+    assert (code, capsys.readouterr().err) == (2, "error: not a rational: True\n")
+
+
+def test_companion_and_direct_product_instances(capsys, tmp_path):
+    comp = {"kind": "companion", "polys": [["-1", "1"], ["-2", "1"]]}
+    nilp = {"kind": "poly_quotient_product", "factors": [["0", "0", "1"]]}
+    cases = (
+        (comp, companion_algebra([Poly.of(-1, 1), Poly.of(-2, 1)])),
+        ({"kind": "direct_product", "left": nilp, "right": comp, "label": "P"},
+         direct_product(poly_quotient_product([Poly.monomial(2)]),
+                        companion_algebra([Poly.of(-1, 1), Poly.of(-2, 1)]), label="P")),
+    )
+    for i, (desc, alg) in enumerate(cases):
+        path = write_instance(tmp_path, {"algebra": desc}, f"kind{i}.json")
+        _, loaded, _ = load_instance(path)
+        assert (loaded.table, loaded.unit, loaded.label) == (alg.table, alg.unit, alg.label)
+        code, out = run(capsys, "info", "--in", path, "--json")
+        data = json.loads(out)
+        assert code == 0 and (data["label"], data["dim"]) == (alg.label, alg.dim)
+    # a malformed description nested inside a direct product
+    for i, right in enumerate(({"kind": "companion"}, {"kind": "companion", "polys": [["1"]]},
+                               5, {"kind": "nope"})):
+        desc = {"kind": "direct_product", "left": nilp, "right": right}
+        path = write_instance(tmp_path, {"algebra": desc}, f"bad{i}.json")
+        assert run(capsys, "info", "--in", path)[0] == 2
+
+
+def structure_constants(alg):
+    """alg's constants as a structure_constants description."""
+    return {"kind": "structure_constants", "label": alg.label, "unit": list(map(str, alg.unit)),
+            "table": [[list(map(str, cell)) for cell in row] for row in alg.table]}
+
+
+def test_structure_constants_q_n_gets_the_exact_atom(capsys, tmp_path):
+    # Q^4 read from its constants has the idempotent basis, so the exact
+    # atom runs on it and agrees with the poly_quotient_product description
+    sc = {**Q4_INSTANCE, "algebra": structure_constants(split_etale_algebra(4))}
+    paths = write_instance(tmp_path, Q4_INSTANCE), write_instance(tmp_path, sc, "sc.json")
+    code, out = run(capsys, "info", "--in", paths[1], "--json")
+    assert code == 0 and json.loads(out)["split_etale"]
+    for lam in ("1/2", "1"):
+        outs = [run(capsys, "atom", "--in", p, "--V", "A", "--lambda", lam, "--json")
+                for p in paths]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def test_kneser_noncommutative_exit_follows_the_plain_bound(capsys, tmp_path):
+    m2 = matrix_algebra(2)
+    inst = {"algebra": structure_constants(m2),
+            "subspaces": {"A": [["1", "1", "0", "1"]], "B": [["0", "1", "0", "0"],
+                                                         ["1", "0", "0", "0"]]}}
+    code, out = run(capsys, "kneser", "--in", write_instance(tmp_path, inst), "--A", "A",
+                    "--B", "B", "--json")
+    data = json.loads(out)
+    assert "strong_bound_holds" not in data and "dim_HA" not in data
+    assert code == (0 if data["bound_holds"] else 1) == 0
+
+
+def test_monoid_check_b_missing_the_unit_group_exits_2(capsys):
+    code = cli.main(["monoid-check", "--fixture", "paper-m7", "--A", "1,a", "--B", "a,b",
+                     "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: B misses the unit group of the monoid\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -331,7 +422,8 @@ def test_malformed_flags_exit_2_or_3_with_one_error_line(tmp_path_factory, argv)
 
 # Declared options no handler reads: gen prints its instance as JSON
 # whatever --json says, and --threads is kept for callers that pass it.
-UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}}
+# So is certificate's --trials: the e-transform recursion samples no pivots.
+UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}, "certificate": {"trials"}}
 
 
 class ReadRecorder:

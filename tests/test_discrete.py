@@ -97,6 +97,19 @@ def test_combinatorial_stabilizer():
                     assert m.mul(x, y) in h
 
 
+def test_combinatorial_stabilizer_right_side_s3():
+    s3 = symmetric_3()
+    sides_differ = False
+    for mask in range(1, 1 << s3.size):
+        a = frozenset(i for i in range(s3.size) if mask >> i & 1)
+        # a finite group: Ah = A exactly when every x h lies in A
+        want = frozenset(h for h in range(s3.size) if all(s3.table[x][h] in a for x in a))
+        got = discrete.combinatorial_stabilizer(s3, a, side="right")
+        assert got == want
+        sides_differ |= got != discrete.combinatorial_stabilizer(s3, a)
+    assert sides_differ
+
+
 def test_lift_subset_dims():
     z5 = cyclic(5)
     alg = z5.algebra()

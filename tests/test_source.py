@@ -1,9 +1,11 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "addalg"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "addalg"
 
 
 def test_library_has_no_assert_statements():
@@ -50,3 +52,23 @@ def test_fraction_view_guard_sees_calls():
     src = "def f(m):\n    def g():\n        return linalg.solve(m, v)\n    return alg.left_mul_matrix(v)\n"
     calls = list(_calls_outside_views(ast.parse(src), set()))
     assert sorted(_called_name(c) for c in calls) == ["left_mul_matrix", "solve"]
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these by name; read its list without importing it
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    missing = []
+    for _, modname, attr in traced:
+        owner = importlib.import_module(modname)
+        *cls_name, name = attr.split(".")
+        if cls_name:  # a method: looked up on its class, as the tracer's install() does
+            owner = getattr(owner, cls_name[0], None)
+            found = owner is not None and name in owner.__dict__
+        else:
+            found = hasattr(owner, name)
+        if not found:
+            missing.append(f"{modname}.{attr}")
+    assert len(traced) > 30 and missing == []

@@ -166,6 +166,29 @@ def test_certificate_random_sweep():
         assert cert.recursion_depth < max(inst.subspaces["A"].dim, 1) + 1
 
 
+@st.composite
+def unit_pairs(draw):
+    """(A, B) in a small algebra, each spanned by the unit and random integer rows."""
+    alg = algebra_fixture(draw(st.sampled_from(["Q4", "QZ4", "QZ5", "QT3", "QV4", "M2x2"])))
+    row = st.lists(st.integers(-2, 2), min_size=alg.dim, max_size=alg.dim)
+    a, b = (sub.from_vecs(alg, [alg.unit] + draw(st.lists(row, max_size=3)))
+            for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_pairs())
+def test_some_invertible_basis_pivot_shrinks_a(case):
+    # the lemma behind the recursion: Ae <= B for every e of a basis of B
+    # gives span(AB) <= B, so otherwise some basis pivot shrinks A
+    a, b = case
+    if b.contains_space(sub.product_span(a, b)):
+        assert all(sumsets.e_transform(a, b, e)[0] == a for e in sub.invertible_basis(b))
+    else:
+        assert any(sumsets.e_transform(a, b, e)[0].dim < a.dim
+                   for e in sub.invertible_basis(b))
+
+
 def test_olson_weak_certificate():
     alg = algebra_fixture("QZ5")
     a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1)])
@@ -200,6 +223,18 @@ def test_kneser_examples():
     unit = sub.unit_span(alg)
     rep = sumsets.kneser_check(unit, unit)
     assert rep.bound_holds
+
+
+def test_kneser_noncommutative_checks_the_plain_bound_only():
+    for name in ("M2x2", "QS3"):
+        alg = algebra_fixture(name)
+        rng = random.Random(1)
+        a = sub.lattice_sum(sub.unit_span(alg), rand_space(alg, 1, rng))
+        b = rand_space(alg, 2, rng)
+        rep = sumsets.kneser_check(a, b)
+        assert rep.dim_ha is rep.dim_hb is rep.strong_bound_holds is None
+        assert sorted(rep.to_json()) == ["bound_holds", "dim_A", "dim_AB", "dim_B", "dim_H"]
+        assert rep.bound_holds
 
 
 def test_kneser_random_finite_verdict_instances():
