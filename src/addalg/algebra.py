@@ -5,8 +5,9 @@ coordinates of b_i * b_j in the distinguished basis, plus a unit vector.
 Multiplication reads a sparse integer copy of the tensor: each cell is the
 tuple of its nonzero (k, c) pairs, scaled by the common denominator of
 all structure constants.  A monoid algebra has one pair per cell.  One
-integer core (Algebra.mul_pairs) sums every product; mul_coords and
-mul_images are its views for rational coordinates.
+integer core (Algebra.mul_pairs) sums every product.  An Element is one
+integer row over one denominator, in lowest terms; Element.coords,
+mul_coords and the multiplication matrices are Fraction views.
 Constructors cover explicit tensors, group/monoid multiplication tables,
 products of polynomial quotients, companion-matrix subalgebras, full
 matrix algebras and direct products.
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
-from .errors import BadUnit, EmptyDescription, NotAssociative
+from .errors import AlgebraMismatch, BadUnit, EmptyDescription, NotAssociative
 from .linalg import ONE, ZERO, Vec, vec
 from .polynomials import Poly
 
@@ -68,24 +69,22 @@ class Algebra:
                 raise EmptyDescription("structure-constant tensor is not n x n x n")
         if len(self.unit) != self.dim:
             raise BadUnit("unit vector has wrong length")
+        self._one = self.element(self.unit)
         if validate:
             self._validate()
 
     # -- construction-time checks -------------------------------------
 
     def _validate(self):
-        n = self.dim
-        for i in range(n):
-            bi = self.basis_vec(i)
-            if self.mul_coords(self.unit, bi) != bi or self.mul_coords(bi, self.unit) != bi:
+        basis = [self.basis_element(i) for i in range(self.dim)]
+        for i, b in enumerate(basis):
+            if self._one * b != b or b * self._one != b:
                 raise BadUnit(f"unit law fails on basis vector {i}")
-        for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    left = self.mul_coords(ij, self.basis_vec(k))
-                    right = self.mul_coords(self.basis_vec(i), self.table[j][k])
-                    if left != right:
+        prod = [[b * c for c in basis] for b in basis]
+        for i, b in enumerate(basis):
+            for j in range(self.dim):
+                for k, c in enumerate(basis):
+                    if prod[i][j] * c != b * prod[j][k]:
                         raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
 
     # -- coordinate arithmetic ----------------------------------------
@@ -110,12 +109,8 @@ class Algebra:
         return acc
 
     def mul_coords(self, x: Vec, y: Vec) -> Vec:
-        """Coordinates of x * y."""
-        xn, dx = linalg.integer_row(x)
-        yn, dy = linalg.integer_row(y)
-        acc = self.mul_pairs(linalg.nonzeros(xn), linalg.nonzeros(yn))
-        den = dx * dy * self.den
-        return tuple(Fraction(a, den) if a else ZERO for a in acc)
+        """Coordinates of x * y: a Fraction view, kept for the benchmark's tracer."""
+        return (self.element(x) * self.element(y)).coords
 
     @cached_property
     def commutative(self) -> bool:
@@ -134,38 +129,35 @@ class Algebra:
         coords = vec(coords)
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return Element(self, coords)
+        return Element(self, *linalg.integer_row(coords))
 
     def basis_element(self, i: int) -> "Element":
-        return Element(self, self.basis_vec(i))
+        return Element(self, tuple(int(j == i) for j in range(self.dim)))
 
     def one(self) -> "Element":
-        return Element(self, self.unit)
+        return self._one
 
     def zero(self) -> "Element":
-        return Element(self, linalg.zero_vec(self.dim))
+        return Element(self, (0,) * self.dim)
 
     # -- multiplication operators --------------------------------------
 
-    def mul_images(self, v, side: str) -> tuple[list[list[int]], int]:
+    def mul_images(self, row, side: str) -> list[list[int]]:
         """Images of the basis under x -> v*x (side "left") or x -> x*v ("right").
 
-        v is a rational row (Fraction or int entries).  Returns (rows, den)
-        where rows[i] is den times the coordinates of v*b_i (or of b_i*v),
-        as integers.
+        For v the integer row, image i is den times the coordinates of v*b_i
+        (or of b_i*v), as integers.
         """
-        vn, dv = linalg.integer_row(v)
-        nz = linalg.nonzeros(vn)
+        nz = linalg.nonzeros(row)
         if side == "left":
-            rows = [self.mul_pairs(nz, ((i, 1),)) for i in range(self.dim)]
-        else:
-            rows = [self.mul_pairs(((i, 1),), nz) for i in range(self.dim)]
-        return rows, dv * self.den
+            return [self.mul_pairs(nz, ((i, 1),)) for i in range(self.dim)]
+        return [self.mul_pairs(((i, 1),), nz) for i in range(self.dim)]
 
     def _mul_matrix(self, v: Vec, side: str):
         # Fraction views of mul_images, kept for the tests and the benchmark's tracer
-        rows, den = self.mul_images(v, side)
-        return [tuple(Fraction(a, den) if a else ZERO for a in col) for col in zip(*rows)]
+        x = self.element(v)
+        den = x.den * self.den
+        return [linalg.fraction_row(col, den) for col in zip(*self.mul_images(x.num, side))]
 
     def right_mul_matrix(self, v: Vec):
         """Matrix of x -> x*v (columns indexed by basis of x)."""
@@ -188,36 +180,57 @@ class NonInvertible:
 
 @dataclass(frozen=True)
 class Element:
+    """The element num / den: integers num and den > 0 with gcd(den, *num) == 1.
+
+    __post_init__ is the one normal form, so equality and hashing are exact.
+    """
+
     algebra: Algebra
-    coords: Vec
+    num: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        num, den = tuple(self.num), self.den
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        if g != 1:
+            num, den = tuple(a // g for a in num), den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def coords(self) -> Vec:
+        """The Fraction view num / den."""
+        return linalg.fraction_row(self.num, self.den)
 
     def _check(self, other: "Element"):
         if other.algebra is not self.algebra:
-            from .errors import AlgebraMismatch
-
             raise AlgebraMismatch("elements belong to different algebras")
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
+        alg = self.algebra
+        acc = alg.mul_pairs(linalg.nonzeros(self.num), linalg.nonzeros(other.num))
+        return Element(alg, acc, self.den * other.den * alg.den)
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        return Element(self.algebra, linalg.vec_add(self.coords, other.coords))
+        dx, dy = self.den, other.den
+        return Element(self.algebra, [a * dy + b * dx for a, b in zip(self.num, other.num)],
+                       dx * dy)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, linalg.vec_sub(self.coords, other.coords))
+        return self + -other
 
     def scale(self, c) -> "Element":
-        return Element(self.algebra, linalg.vec_scale(Fraction(c), self.coords))
+        c = Fraction(c)
+        return Element(self.algebra, [c.numerator * a for a in self.num], c.denominator * self.den)
 
     def __neg__(self) -> "Element":
         return self.scale(-1)
 
     @property
     def is_zero(self) -> bool:
-        return linalg.is_zero_vec(self.coords)
+        return not any(self.num)
 
     def __pow__(self, k: int) -> "Element":
         acc = self.algebra.one()
@@ -232,28 +245,28 @@ class Element:
     def invert(self) -> "Element | NonInvertible":
         """Two-sided inverse, or a kernel witness if none exists.
 
-        The matrix L of x -> self*x has the images of mul_images over den as
-        its columns.  One int_rref of those images transposed, augmented with
-        the unit cleared to integers (du * unit), solves den*L z = du*unit;
-        the inverse is z * den / du, free variables at zero.
+        The matrix L of x -> self*x has the images of mul_images over den,
+        self's denominator times the constants', as its columns.  One int_rref
+        of those images transposed, augmented with the unit's row du * unit,
+        solves den*L z = du*unit; the inverse is z * den / du, free variables
+        at zero, and z is an integer row over the lcm of the RREF pivots.
         """
         alg = self.algebra
         n = alg.dim
-        images, den = alg.mul_images(self.coords, "left")
-        mat = list(zip(*images))
-        unit, du = linalg.integer_row(alg.unit)
-        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(mat, unit)])
+        one = alg.one()
+        mat = list(zip(*alg.mul_images(self.num, "left")))
+        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(mat, one.num)])
         if pivots and pivots[-1] == n:  # pivot in the augmented column
             ker, scale = linalg.int_nullspace(mat, n)
-            return NonInvertible(witness=Element(alg, tuple(
-                Fraction(a, scale) if a else ZERO for a in ker[0])))
-        y = [ZERO] * n
+            return NonInvertible(witness=Element(alg, ker[0], scale))
+        den = self.den * alg.den
+        scale = lcm(*[row[pc] for row, pc in zip(red, pivots)])
+        y = [0] * n
         for row, pc in zip(red, pivots):
-            if row[n]:
-                y[pc] = Fraction(row[n] * den, row[pc] * du)
-        inv = Element(alg, tuple(y))
+            y[pc] = row[n] * den * (scale // row[pc])
+        inv = Element(alg, y, scale * one.den)
         # one-sided inverses are two-sided in a finite-dimensional associative algebra
-        if (inv * self).coords != alg.unit:
+        if inv * self != one:
             raise NotAssociative("right inverse is not a left inverse; "
                                  "the structure constants are not associative")
         return inv
@@ -262,7 +275,7 @@ class Element:
     def is_invertible(self) -> bool:
         """The one invertibility test: x -> self*x has full rank."""
         alg = self.algebra
-        return linalg.rank(alg.mul_images(self.coords, "left")[0]) == alg.dim
+        return linalg.rank(alg.mul_images(self.num, "left")) == alg.dim
 
     def __repr__(self):
         return f"Element({[str(c) for c in self.coords]})"
@@ -272,27 +285,26 @@ def min_poly(x: Element) -> Poly:
     """Monic minimal polynomial, from the first dependence among powers.
 
     Each power is an integer row y_k = s_k x^k formed by mul_pairs, with
-    the positive integer scale s_k = du (dx den)^k of the cleared unit, the
-    cleared x and the constants, and a unit tag in column n + k.  It is
+    the positive integer scale s_k = du (dx den)^k of the unit's, x's and
+    the constants' denominators, and a unit tag in column n + k.  It is
     reduced once against the forward echelon form of the lower powers.  The
     first one that reduces to zero leaves sum_j c_j y_j = 0 in its tag
     columns, so the polynomial's coefficients are c_j s_j / (c_k s_k).
     """
     alg = x.algebra
     n = alg.dim
-    xn, dx = linalg.integer_row(x.coords)
-    xs = linalg.nonzeros(xn)
-    y, s = linalg.integer_row(alg.unit)
+    xs = linalg.nonzeros(x.num)
+    y, s = alg.one().num, alg.one().den
     scales = []
     out, pivots = [], []
     for k in count():
         scales.append(s)
-        row, j = linalg.echelon_add(out, pivots, y + [int(i == k) for i in range(n + 1)])
+        row, j = linalg.echelon_add(out, pivots, [*y, *(int(i == k) for i in range(n + 1))])
         if j >= n:  # the powers' part reduced to zero
             lead = row[n + k] * s
             return Poly(tuple(Fraction(c * sj, lead) for c, sj in zip(row[n:], scales)))
         y = alg.mul_pairs(linalg.nonzeros(y), xs)
-        s *= dx * alg.den
+        s *= x.den * alg.den
 
 
 def poly_at(p: Poly, x: Element) -> Element:

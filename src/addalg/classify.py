@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import islice
 
@@ -72,15 +71,14 @@ class Verdict:
 def _generator_candidates(alg: Algebra, trials: int, seed: int):
     """Deterministic candidates first, then growing random integer points."""
     n = alg.dim
-    yield alg.element([Fraction(i) for i in range(n)])
+    yield alg.element(range(n))
     for i in range(n):
         yield alg.basis_element(i)
     for a in range(1, n + 3):
-        yield alg.element([Fraction(a) ** i for i in range(n)])
+        yield alg.element([a ** i for i in range(n)])
     rng = random.Random(seed)
-    units = [alg.basis_vec(i) for i in range(n)]
     for k in range(0, trials, 8):  # the coefficient bound grows by 2 every 8 draws
-        draws = linalg.random_combinations(units, 2 + k // 4, rng)
+        draws = linalg.random_coefficients(n, 2 + k // 4, rng)
         for coords in islice(draws, min(8, trials - k)):
             yield alg.element(coords)
 

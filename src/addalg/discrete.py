@@ -48,6 +48,10 @@ class MulTable:
         t = self.table
         if len(t) != n or any(len(r) != n for r in t):
             raise TableMismatch("table is not n x n")
+        if not 0 <= self.unit_index < n:
+            raise TableMismatch(f"unit index {self.unit_index} is not in 0..{n - 1}")
+        if len(self.labels) != n:
+            raise TableMismatch(f"{len(self.labels)} labels for {n} elements")
         for i in range(n):
             if t[self.unit_index][i] != i or t[i][self.unit_index] != i:
                 raise NotAssociative(f"unit law fails at element {i}")

@@ -56,7 +56,7 @@ def random_subspace(alg: Algebra, dim: int, rng: random.Random) -> Subspace:
     """Random dim-dimensional subspace certified to contain an invertible."""
     if not 1 <= dim <= alg.dim:
         raise SchemaError(f"subspace dim must be in 1..{alg.dim}, got {dim}")
-    draws = linalg.random_combinations([alg.basis_vec(i) for i in range(alg.dim)], 3, rng)
+    draws = linalg.random_coefficients(alg.dim, 3, rng)
     for _ in range(RETRIES):
         got = sub.from_vecs(alg, list(islice(draws, dim)))
         if got.dim != dim:

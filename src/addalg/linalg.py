@@ -1,15 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integer rows.
 
-Elimination works on integer rows: rational rows are cleared to integers
-at the boundary (integer_row).  int_rref gives the canonical reduced row
-echelon form as primitive integer rows with positive pivots and cleared
-pivot columns, so two spans are equal iff their forms compare equal.
-echelon_add carries a forward echelon form one row at a time: rank,
-min_poly's powers and the atoms' block ranks grow their forms with it
-instead of eliminating again.  The Fraction functions (rref, nullspace,
+Rational rows are cleared to integers at the boundary (integer_row) and
+come back through one view (fraction_row).  int_rref gives the canonical
+reduced row echelon form as primitive integer rows with positive pivots
+and cleared pivot columns, so two spans are equal iff their forms compare
+equal.  echelon_add carries a forward echelon form one row at a time:
+rank, min_poly's powers and the atoms' block ranks grow their forms with
+it instead of eliminating again.  The Fraction functions (rref, nullspace,
 solve, det) are views of the integer ones, with pivot entries 1; the
 library no longer calls them, and they remain for the tests and the
-benchmark's tracer.  Vectors are tuples of Fraction.
+benchmark's tracer.  A Vec, a rational row at the boundary, is Fractions.
 """
 
 from __future__ import annotations
@@ -32,25 +32,9 @@ def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
-def combine(coeffs, rows) -> Vec:
+def combine(coeffs, rows) -> tuple:
     """The linear combination sum_i coeffs[i] * rows[i] of non-empty rows."""
-    acc = [ZERO] * len(rows[0])
+    acc = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
             for j, a in enumerate(row):
@@ -59,15 +43,14 @@ def combine(coeffs, rows) -> Vec:
     return tuple(acc)
 
 
-def random_combinations(rows, bound: int, rng):
-    """Endless seeded stream of combinations of rows, coefficients in [-bound, bound].
+def random_coefficients(k: int, bound: int, rng):
+    """Endless seeded stream of lists of k integer coefficients in [-bound, bound].
 
-    Each item draws its len(rows) coefficients from rng, in row order, only
-    when it is asked for, so other draws from the same rng may sit between
-    items.
+    Each list draws its k coefficients from rng, in order, only when it is
+    asked for, so other draws from the same rng may sit between lists.
     """
     while True:
-        yield combine([rng.randint(-bound, bound) for _ in rows], rows)
+        yield [rng.randint(-bound, bound) for _ in range(k)]
 
 
 def primitive(row: list[int]) -> list[int]:
@@ -134,10 +117,14 @@ def int_rref(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return tuple(map(tuple, out)), tuple(pivots)
 
 
+def fraction_row(row, den: int) -> Vec:
+    """The Fraction view of the integer row over den: row / den."""
+    return tuple(Fraction(a, den) if a else ZERO for a in row)
+
+
 def fraction_rows(rows, pivots) -> tuple[Vec, ...]:
     """The Fraction view of int_rref's rows: each row divided by its pivot."""
-    return tuple(tuple(Fraction(a, row[pc]) if a else ZERO for a in row)
-                 for row, pc in zip(rows, pivots))
+    return tuple(fraction_row(row, row[pc]) for row, pc in zip(rows, pivots))
 
 
 def rref(rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
@@ -221,7 +208,7 @@ def int_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
 def nullspace(rows, ncols: int) -> tuple[Vec, ...]:
     """Canonical basis of {x : M x = 0} (right kernel), over Fraction."""
     vecs, scale = int_nullspace([integer_row(r)[0] for r in rows], ncols)
-    return tuple(tuple(Fraction(a, scale) if a else ZERO for a in x) for x in vecs)
+    return tuple(fraction_row(x, scale) for x in vecs)
 
 
 def solve(matrix, rhs: Vec) -> Vec | None:

@@ -4,10 +4,10 @@ A subspace is stored as its canonical reduced row echelon form in
 primitive integer rows (linalg.int_rref), so equality and hashing are
 structural; `basis` is the cached Fraction view of the same form.  Spans,
 lattice operations, product spans, stabilizers and annihilators work on
-the integer rows.  Stabilizers (x*V <= V) and annihilators (x*V = 0) are
-one solution-space kernel, _solutions, whose target is V or the zero
-space.  The module also implements invertibility certificates and
-generated subalgebras.
+these rows and on the integer rows of Elements.  Stabilizers (x*V <= V)
+and annihilators (x*V = 0) are one solution-space kernel, _solutions,
+whose target is V or the zero space.  The module also implements
+invertibility certificates and generated subalgebras.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product
+from math import lcm
 
 from . import linalg
 from .algebra import Algebra, Element
@@ -80,22 +81,19 @@ class Subspace:
         """Whether the integer row y lies in the subspace."""
         return not any(linalg.residual(self.rows, self.pivots, y))
 
-    def contains_vec(self, v: Vec) -> bool:
-        return self._holds(linalg.integer_row(v)[0])
-
     def contains(self, x: Element) -> bool:
         if x.algebra is not self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        return self.contains_vec(x.coords)
+        return self._holds(x.num)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self._holds(y) for y in other.rows)
 
     def elements(self) -> list[Element]:
-        return [Element(self.algebra, v) for v in self.basis]
+        return [Element(self.algebra, row, row[pc]) for row, pc in zip(self.rows, self.pivots)]
 
     def contains_unit(self) -> bool:
-        return self.contains_vec(self.algebra.unit)
+        return self._holds(self.algebra.one().num)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.label or 'algebra'})"
@@ -117,7 +115,7 @@ def span_of(vectors: list[Element]) -> Subspace:
     for v in vectors[1:]:
         if v.algebra is not alg:
             raise AlgebraMismatch("generators from different algebras")
-    return from_vecs(alg, [v.coords for v in vectors])
+    return _span(alg, [v.num for v in vectors])
 
 
 def coordinate_span(algebra: Algebra, indices) -> Subspace:
@@ -151,7 +149,7 @@ def full_space(algebra: Algebra) -> Subspace:
 
 
 def unit_span(algebra: Algebra) -> Subspace:
-    return from_vecs(algebra, [algebra.unit])
+    return _span(algebra, [algebra.one().num])
 
 
 def zero_space(algebra: Algebra) -> Subspace:
@@ -199,7 +197,7 @@ def product_span(v: Subspace, w: Subspace) -> Subspace:
 def translate(x: Element, v: Subspace, side="left") -> Subspace:
     """Span of x*V (left) or V*x (right)."""
     alg = v.algebra
-    xs = linalg.nonzeros(linalg.integer_row(x.coords)[0])
+    xs = linalg.nonzeros(x.num)
     if side == "left":
         rows = [alg.mul_pairs(xs, b) for b in v.row_nonzeros]
     else:
@@ -222,7 +220,7 @@ def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
         # x -> x*b for the left side, x -> b*x for the right one; the
         # images of one b, and their residuals, share one integer scale,
         # which leaves the kernel alone
-        images = alg.mul_images(b, "right" if side == "left" else "left")[0]
+        images = alg.mul_images(b, "right" if side == "left" else "left")
         residuals = [linalg.residual(t.rows, t.pivots, y) for y in images]
         rows.extend([r[k] for r in residuals] for k in free)
     return _span(alg, linalg.int_nullspace(rows, n)[0])
@@ -258,15 +256,22 @@ class InvertibilityCertificate:
     trials_used: int
 
 
-def _first_invertible(alg: Algebra, candidates) -> tuple[Element | None, int]:
+def _first_invertible(candidates) -> tuple[Element | None, int]:
     """The first invertible candidate (or None) and how many were tried."""
     used = 0
-    for coords in candidates:
+    for x in candidates:
         used += 1
-        x = Element(alg, coords)
         if x.is_invertible:
             return x, used
     return None, used
+
+
+def _combinations(elems: list[Element], coefficient_lists):
+    """Each sum_i cs[i] * elems[i], lazily: integer rows over the elements' lcm den."""
+    den = lcm(*[e.den for e in elems])
+    rows = [[a * (den // e.den) for a in e.num] for e in elems]
+    for cs in coefficient_lists:
+        yield Element(elems[0].algebra, linalg.combine(cs, rows), den)
 
 
 # Largest grid, in points, that contains_invertible searches exhaustively.
@@ -292,19 +297,18 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
     if v.contains_unit():
         return InvertibilityCertificate("YES", alg.one(), 0)
     r = v.dim
+    elems = v.elements()
     # Vandermonde line through the basis: x_1 + a x_2 + ... + a^{r-1} x_r
-    line = (linalg.combine([a ** i for i in range(r)], v.basis)
-            for a in range(1, alg.dim + r + 2))
-    w, used = _first_invertible(alg, chain(v.basis, line))
+    line = _combinations(elems, ([a ** i for i in range(r)] for a in range(1, alg.dim + r + 2)))
+    w, used = _first_invertible(chain(elems, line))
     if w is not None:
         return InvertibilityCertificate("YES", w, used)
     grid = range(alg.dim + 1)
     if len(grid) ** r <= GRID_CAP:
-        w, _ = _first_invertible(alg, (linalg.combine(cs, v.basis)
-                                       for cs in product(grid, repeat=r)))
+        w, _ = _first_invertible(_combinations(elems, product(grid, repeat=r)))
         return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)
-    draws = islice(linalg.random_combinations(v.basis, 9, random.Random(seed)), SAMPLES)
-    w, sampled = _first_invertible(alg, draws)
+    draws = islice(linalg.random_coefficients(r, 9, random.Random(seed)), SAMPLES)
+    w, sampled = _first_invertible(_combinations(elems, draws))
     return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 
 
@@ -322,19 +326,19 @@ def invertible_basis(v: Subspace, seed: int = 0) -> list[Element]:
     a = cert.witness
     # basis of V starting with the invertible witness, grown with one
     # echelon form of the integer rows taken so far
-    rows, out, pivots = [a.coords], [], []
-    linalg.echelon_add(out, pivots, linalg.integer_row(a.coords)[0])
-    for b, y in zip(v.basis, v.rows):
+    elems, out, pivots = [a], [], []
+    linalg.echelon_add(out, pivots, a.num)
+    for b, y in zip(v.elements(), v.rows):
         if linalg.echelon_add(out, pivots, y)[1] is not None:
-            rows.append(b)
-    if len(rows) != v.dim:
+            elems.append(b)
+    if len(elems) != v.dim:
         raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
-    line = (Element(alg, linalg.combine([alpha ** i for i in range(v.dim)], rows))
-            for alpha in range(alg.dim + v.dim + 2))
+    line = _combinations(elems, ([alpha ** i for i in range(v.dim)]
+                                 for alpha in range(alg.dim + v.dim + 2)))
     out = list(islice((x for x in line if x.is_invertible), v.dim))
     if len(out) < v.dim:
         raise NoInvertibleFound("Vandermonde-line search exhausted its budget")
-    got = from_vecs(alg, [e.coords for e in out])
+    got = span_of(out)
     if got != v:
         raise NoInvertibleFound("Vandermonde-line points do not span V")
     return out
@@ -345,7 +349,7 @@ def subalgebra_generated(elements: list[Element]) -> Subspace:
     if not elements:
         raise EmptyGeneratingSet("subalgebra of empty generating set")
     alg = elements[0].algebra
-    cur = from_vecs(alg, [alg.unit] + [e.coords for e in elements])
+    cur = _span(alg, [alg.one().num] + [e.num for e in elements])
     for _ in range(alg.dim + 1):
         nxt = lattice_sum(cur, product_span(cur, cur))
         if nxt.dim == cur.dim:

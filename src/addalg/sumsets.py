@@ -47,11 +47,7 @@ __all__ = [
 
 def _pairwise_commuting(v: Subspace) -> bool:
     elems = v.elements()
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if (elems[i] * elems[j]).coords != (elems[j] * elems[i]).coords:
-                return False
-    return True
+    return all(x * y == y * x for i, x in enumerate(elems) for y in elems[i + 1:])
 
 
 def e_transform(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
@@ -82,10 +78,9 @@ class DiderrichCertificate:
         out = []
         h, v = self.subalgebra, self.space
         src_a, src_b = self.source_a, self.source_b
-        alg = h.algebra
         if not sub.is_subalgebra(h):
             out.append("subalgebra closure")
-        if not h.contains_vec(alg.unit):
+        if not h.contains_unit():
             out.append("unit in subalgebra")
         gen = sub.subalgebra_generated(src_a.elements())
         if not gen.contains_space(h):

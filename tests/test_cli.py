@@ -171,6 +171,17 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     table = {"algebra": {"kind": "group_table", "table": [[0, 5], [1, 0]]}}
     code, _ = run(capsys, "group-sweep", "--in", write_instance(tmp_path, table, "t.json"))
     assert code == 2
+    # a unit index outside the table, and more labels than elements
+    for name, desc, argv in (
+            ("unit.json", {"kind": "monoid_table", "table": [[1, 0], [0, 1]], "unit": -1},
+             ["info"]),
+            ("labels.json", {"kind": "group_table", "table": [[0, 1], [1, 0]],
+                             "labels": ["e", "a", "b"]},
+             ["monoid-check", "--A", "e", "--B", "e,b", "--lambda", "1"])):
+        path = write_instance(tmp_path, {"algebra": desc}, name)
+        code = cli.main([argv[0], "--in", path, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_absent_or_null_subspaces_mean_none(capsys, tmp_path):

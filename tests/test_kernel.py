@@ -10,8 +10,10 @@ min_poly and invert are compared with the Fraction reference on random
 elements of every fixture, of polynomial quotients with rational
 constants and of a basis rescaling whose unit has denominators.
 The stored integer form of a Subspace is checked to be canonical, and
-its membership tests agree with a Fraction rank reference.  The seeded
-candidate stream is pinned to its draw order.
+its membership tests agree with a Fraction rank reference.  Element
+arithmetic on integer rows over a denominator is compared with Fraction
+arithmetic on its coordinates, and its stored form is checked to be in
+lowest terms.  The seeded coefficient stream is pinned to its draw order.
 """
 
 import random
@@ -40,6 +42,7 @@ from oracles import (
     ref_annihilator,
     ref_invert,
     ref_min_poly,
+    ref_mul,
     ref_mul_matrix,
     ref_nullspace,
     ref_product_span,
@@ -189,7 +192,7 @@ def test_from_vecs_is_independent_of_the_spanning_set(case, data):
     vecs += [alg.zero().coords] * data.draw(st.integers(0, 2))
     vecs = data.draw(st.permutations(vecs))
     scales = data.draw(st.lists(RATS.filter(bool), min_size=len(vecs), max_size=len(vecs)))
-    got = sub.from_vecs(alg, [linalg.vec_scale(c, x) for c, x in zip(scales, vecs)])
+    got = sub.from_vecs(alg, [tuple(c * a for a in x) for c, x in zip(scales, vecs)])
     assert got == v and hash(got) == hash(v)
 
 
@@ -223,7 +226,7 @@ def membership_cases(draw):
     x = draw(st.sampled_from([
         tuple(draw(vec)),
         inside,
-        linalg.vec_add(inside, alg.basis_vec(draw(st.integers(0, n - 1)))),
+        tuple(a + b for a, b in zip(inside, alg.basis_vec(draw(st.integers(0, n - 1))))),
     ]))
     return alg, gens_v, gens_w, x
 
@@ -234,7 +237,7 @@ def test_membership_matches_reference(case):
     alg, gens_v, gens_w, x = case
     v, w = sub.from_vecs(alg, gens_v), sub.from_vecs(alg, gens_w)
     rank_v = frac_rank(gens_v)
-    assert v.contains_vec(x) == (frac_rank(gens_v + [list(x)]) == rank_v)
+    assert v.contains(alg.element(x)) == (frac_rank(gens_v + [list(x)]) == rank_v)
     assert v.contains_space(w) == (frac_rank(gens_v + gens_w) == rank_v)
 
 
@@ -349,14 +352,46 @@ def test_invert_matches_reference_on_non_associative_constants():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**30), st.integers(0, 9), st.integers(1, 4))
-def test_random_combinations_draw_order(seed, bound, nrows):
-    # each item draws its coefficients in row order, one randint per row
-    rows = [tuple(F(i * 7 + j, j + 1) for j in range(5)) for i in range(nrows)]
-    got = list(islice(linalg.random_combinations(rows, bound, random.Random(seed)), 6))
+def test_random_coefficients_draw_order(seed, bound, k):
+    # each item draws its k coefficients in order, one randint each
+    got = list(islice(linalg.random_coefficients(k, bound, random.Random(seed)), 6))
     rng = random.Random(seed)
-    want = []
-    for _ in range(6):
-        coeffs = [rng.randint(-bound, bound) for _ in rows]
-        want.append(tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
-                          for j in range(5)))
-    assert got == want
+    assert got == [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(6)]
+
+
+def _assert_lowest_terms(x):
+    assert all(type(a) is int for a in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@st.composite
+def element_triples(draw):
+    """Random rational x and y of one algebra, and a rational c."""
+    name = draw(st.sampled_from(sorted(ALL_ALGEBRAS)))
+    alg = ALL_ALGEBRAS[name]
+    vec = st.lists(SPARSE_RATS, min_size=alg.dim, max_size=alg.dim)
+    x = draw(vec)
+    y = draw(st.one_of(vec, st.just(x), st.builds(lambda c: [c * a for a in x], RATS)))
+    return alg, x, y, draw(RATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_triples())
+def test_element_arithmetic_matches_fractions(case):
+    alg, xv, yv, c = case
+    x, y = alg.element(xv), alg.element(yv)
+    assert x.coords == linalg.vec(xv) and y.coords == linalg.vec(yv)
+    assert (x * y).coords == ref_mul(alg.table, x.coords, y.coords)
+    assert (x + y).coords == tuple(a + b for a, b in zip(xv, yv))
+    assert (x - y).coords == tuple(a - b for a, b in zip(xv, yv))
+    assert x.scale(c).coords == tuple(c * a for a in xv)
+    assert (-x).coords == tuple(-a for a in xv)
+    for z in (x, y, x * y, x + y, x - y, x.scale(c), -x, alg.one(), alg.zero()):
+        _assert_lowest_terms(z)
+    same = x.coords == y.coords
+    assert (x == y) == same
+    if same:
+        assert hash(x) == hash(y)
+    # a round trip through other denominators comes back to the same stored form
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)

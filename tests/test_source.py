@@ -17,9 +17,11 @@ def test_library_has_no_assert_statements():
     assert list(SRC.glob("*.py")) and found == []
 
 
-# the Fraction views of the one integer elimination path, kept for the tests
-# and the benchmark's tracer; library code eliminates in int_rref instead
-FRACTION_VIEWS = {"solve", "nullspace", "rref", "det", "left_mul_matrix", "right_mul_matrix"}
+# the Fraction views of the one integer elimination path and of the one
+# product core, kept for the tests and the benchmark's tracer; library code
+# eliminates in int_rref and multiplies in mul_pairs instead
+FRACTION_VIEWS = {"solve", "nullspace", "rref", "det", "left_mul_matrix", "right_mul_matrix",
+                  "mul_coords"}
 
 
 def _called_name(call):
