@@ -52,6 +52,8 @@ class MulTable:
             raise TableMismatch(f"unit index {self.unit_index} is not in 0..{n - 1}")
         if len(self.labels) != n:
             raise TableMismatch(f"{len(self.labels)} labels for {n} elements")
+        if len(set(self.labels)) != n:
+            raise TableMismatch("element labels are not distinct")
         for i in range(n):
             if t[self.unit_index][i] != i or t[i][self.unit_index] != i:
                 raise NotAssociative(f"unit law fails at element {i}")

@@ -4,18 +4,22 @@ Rational rows are cleared to integers at the boundary (integer_row) and
 come back through one view (fraction_row).  int_rref gives the canonical
 reduced row echelon form as primitive integer rows with positive pivots
 and cleared pivot columns, so two spans are equal iff their forms compare
-equal.  echelon_add carries a forward echelon form one row at a time:
-rank, min_poly's powers and the atoms' block ranks grow their forms with
-it instead of eliminating again.  The Fraction functions (rref, nullspace,
-solve, det) are views of the integer ones, with pivot entries 1; the
-library no longer calls them, and they remain for the tests and the
-benchmark's tracer.  A Vec, a rational row at the boundary, is Fractions.
+equal.  Monomial rows, with at most one nonzero entry, as in group and
+monoid algebras, skip elimination: their form is the unit rows at their
+columns, and elimination starts at the first denser row.  echelon_add
+carries a forward echelon form one row at a time: rank, min_poly's powers
+and the atoms' block ranks grow their forms with it instead of
+eliminating again.  The Fraction functions (rref, nullspace, solve, det)
+are views of the integer ones, with pivot entries 1; the library no
+longer calls them, and they remain for the tests and the benchmark's
+tracer.  A Vec, a rational row at the boundary, is Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
@@ -72,6 +76,12 @@ def nonzeros(row) -> list[tuple[int, int]]:
     return [(j, a) for j, a in enumerate(row) if a]
 
 
+@cache
+def unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n unit rows of width n, the canonical rows of the coordinate spans."""
+    return tuple((0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
+
+
 def _reduce_row(row, out, pivots) -> tuple[list[int], int | None]:
     """Integer row reduced against echelon rows, made primitive, and its first nonzero column.
 
@@ -97,10 +107,28 @@ def int_rref(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     equal iff their forms compare equal.  Elimination is fraction-free, in
     the style of Bareiss (1968): each step combines two integer rows, and
     every new row is divided by its content.
+
+    Monomial rows, with at most one nonzero entry, skip elimination: their
+    canonical form is the sorted distinct unit rows at their nonzero
+    columns.  The leading run of monomial rows is read off that way, and
+    elimination starts at the first row with two or more nonzeros.
     """
-    pivots: list[int] = []
-    out: list = []
-    for r in rows:
+    rows = list(rows)
+    n = len(rows[0]) if rows else 0
+    cols: set[int] = set()
+    start = len(rows)
+    for i, r in enumerate(rows):
+        zeros = r.count(0)
+        if zeros < n - 1:
+            start = i
+            break
+        if zeros < n:
+            # the one nonzero entry is the row's sum
+            cols.add(r.index(sum(r)))
+    pivots = sorted(cols)
+    units = unit_rows(n)
+    out: list = [units[j] for j in pivots]
+    for r in rows[start:]:
         row, j = _reduce_row(r, out, pivots)
         if j is None:
             continue
@@ -171,6 +199,8 @@ def residual(rows, pivots, y) -> list[int]:
     L is the lcm of the rows' pivots, so every y reduced against the same
     rows gets the same scale.  Every other pivot column is cleared in each
     row, so y's own entry at a pivot column gives that row's multiple.
+    Its remaining caller is Subspace._holds: subspace._solutions projects
+    the residuals of the basis vectors once per target and sums those.
     """
     scale = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
     res = [scale * a for a in y] if scale > 1 else y

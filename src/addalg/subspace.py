@@ -124,8 +124,8 @@ def coordinate_span(algebra: Algebra, indices) -> Subspace:
     pivots = tuple(sorted(set(indices)))
     if pivots and not 0 <= pivots[0] <= pivots[-1] < n:
         raise ValueError(f"basis indices must lie in 0..{n - 1}")
-    rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in pivots)
-    return Subspace(algebra, rows, pivots)
+    units = linalg.unit_rows(n)
+    return Subspace(algebra, tuple(units[i] for i in pivots), pivots)
 
 
 def block_span(algebra: Algebra, blocks) -> Subspace:
@@ -210,19 +210,34 @@ def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
 
     Directly the kernel of x -> (residual of x*b against T) over the rows
     b of V, in integers.  The residual vanishes on the pivot columns of T,
-    so only the non-pivot coordinates give equations.
+    so only the non-pivot (free) coordinates give equations.  It is linear,
+    so T is projected once: proj[j] holds the free-coordinate entries of
+    linalg.residual of b_j against T, all at the one scale L, the lcm of
+    T's pivots.  The residual of an image y is then the sum of y[j] *
+    proj[j] over y's nonzeros, with the same values a residual call gives.
     """
     alg = v.algebra
     n = alg.dim
     free = [k for k in range(n) if k not in t.pivots]
+    scale = lcm(*[row[pc] for row, pc in zip(t.rows, t.pivots)])
+    proj = [None] * n
+    for f, k in enumerate(free):
+        proj[k] = [(f, scale)]
+    for row, pc in zip(t.rows, t.pivots):
+        m = scale // row[pc]
+        proj[pc] = [(f, -m * row[k]) for f, k in enumerate(free) if row[k]]
     rows = []
     for b in v.rows:
         # x -> x*b for the left side, x -> b*x for the right one; the
         # images of one b, and their residuals, share one integer scale,
         # which leaves the kernel alone
-        images = alg.mul_images(b, "right" if side == "left" else "left")
-        residuals = [linalg.residual(t.rows, t.pivots, y) for y in images]
-        rows.extend([r[k] for r in residuals] for k in free)
+        eqs = [[0] * n for _ in free]
+        for i, y in enumerate(alg.mul_images(b, "right" if side == "left" else "left")):
+            for j, a in enumerate(y):
+                if a:
+                    for f, c in proj[j]:
+                        eqs[f][i] += a * c
+        rows.extend(eqs)
     return _span(alg, linalg.int_nullspace(rows, n)[0])
 
 

@@ -171,13 +171,17 @@ def test_exit_code_schema_errors(capsys, tmp_path):
     table = {"algebra": {"kind": "group_table", "table": [[0, 5], [1, 0]]}}
     code, _ = run(capsys, "group-sweep", "--in", write_instance(tmp_path, table, "t.json"))
     assert code == 2
-    # a unit index outside the table, and more labels than elements
+    # a unit index outside the table, more labels than elements, and a
+    # repeated label, which would leave an element without a name
     for name, desc, argv in (
             ("unit.json", {"kind": "monoid_table", "table": [[1, 0], [0, 1]], "unit": -1},
              ["info"]),
             ("labels.json", {"kind": "group_table", "table": [[0, 1], [1, 0]],
                              "labels": ["e", "a", "b"]},
-             ["monoid-check", "--A", "e", "--B", "e,b", "--lambda", "1"])):
+             ["monoid-check", "--A", "e", "--B", "e,b", "--lambda", "1"]),
+            ("repeated.json", {"kind": "group_table", "table": [[0, 1], [1, 0]],
+                               "labels": ["e", "e"]},
+             ["monoid-check", "--A", "e", "--B", "e", "--lambda", "1"])):
         path = write_instance(tmp_path, {"algebra": desc}, name)
         code = cli.main([argv[0], "--in", path, *argv[1:]])
         err = capsys.readouterr().err

@@ -12,6 +12,7 @@ from addalg.errors import (
     NotAGroup,
     NotAssociative,
     NoUnitIntersection,
+    TableMismatch,
 )
 from addalg.fixtures import (
     cyclic,
@@ -32,6 +33,9 @@ def test_table_validation():
     with pytest.raises(NotAssociative):
         # unit-respecting magma with (xy)y = y but x(yy) = e
         MulTable.build([[0, 1, 2], [1, 2, 0], [2, 0, 2]])
+    with pytest.raises(TableMismatch):
+        # a repeated label would leave element 1 without a name
+        MulTable.build([[0, 1], [1, 0]], labels=["e", "e"])
 
 
 def test_units():

@@ -1,11 +1,13 @@
 """Differential tests: the integer, sparse kernel against the Fraction reference.
 
 rref, rank and nullspace are compared on random rational matrices with
-mixed denominators, zero rows and dependent rows.  product_span, both
-stabilizers and both annihilators are compared on random subspaces, and
-both multiplication matrices and the rank-based invertibility test on
-random elements, of algebras with 0/1, rational and non-commutative
-structure constants.
+mixed denominators, zero rows and dependent rows, and int_rref and
+int_nullspace on monomial rows, alone and with one dense row before,
+among or after them.  product_span, both stabilizers and both
+annihilators are compared on random subspaces, and both multiplication
+matrices and the rank-based invertibility test on random elements, of
+algebras with 0/1, rational and non-commutative structure constants,
+among them a monoid algebra that is not a group algebra.
 min_poly and invert are compared with the Fraction reference on random
 elements of every fixture, of polynomial quotients with rational
 constants and of a basis rescaling whose unit has denominators.
@@ -21,7 +23,7 @@ from fractions import Fraction as F
 from itertools import islice
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addalg import linalg
@@ -87,11 +89,68 @@ def test_nullspace_matches_reference(case):
     assert linalg.nullspace(rows, ncols) == ref_nullspace(rows, ncols)
 
 
+@st.composite
+def monomial_matrices(draw):
+    """Integer rows with at most one nonzero entry each, and maybe one dense row.
+
+    Entries are negative or scaled, rows repeat and some are zero.  The
+    dense row has two or more nonzeros and goes before, among or after the
+    monomial rows, where int_rref leaves its monomial short cut.
+    """
+    ncols = draw(st.integers(1, 8))
+    entries = st.integers(-9, 9)
+    monomial = st.builds(lambda j, a: [a if k == j else 0 for k in range(ncols)],
+                         st.integers(0, ncols - 1), entries)
+    rows = draw(st.lists(monomial, max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = draw(st.permutations(rows))
+    if ncols > 1 and draw(st.booleans()):
+        dense = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        for j in draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=3, unique=True)):
+            dense[j] = draw(entries.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))), dense)
+    return ncols, rows
+
+
+# a dense row first, among and last, and the empty input
+MIXED = [[0, -3, 0], [2, 0, 0], [0, -3, 0], [0, 0, 0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_matrices())
+@example((3, []))
+@example((3, [[1, 2, 0]] + MIXED))
+@example((3, MIXED[:2] + [[1, 2, 0]] + MIXED[2:]))
+@example((3, MIXED + [[1, 2, 0]]))
+def test_int_rref_on_monomial_rows_matches_reference(case):
+    _, rows = case
+    red, pivots = linalg.int_rref(rows)
+    assert (linalg.fraction_rows(red, pivots), pivots) == ref_rref(rows)
+    if all(sum(1 for a in r if a) <= 1 for r in rows):
+        # the short cut's form: the unit rows at the nonzero columns
+        assert red == tuple(tuple(int(k == j) for k in range(len(r))) for r, j in zip(red, pivots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_matrices())
+@example((3, []))
+@example((3, [[1, 2, 0]] + MIXED))
+@example((3, MIXED + [[1, 2, 0]]))
+def test_int_nullspace_on_monomial_rows_matches_reference(case):
+    ncols, rows = case
+    vecs, scale = linalg.int_nullspace(rows, ncols)
+    assert tuple(linalg.fraction_row(x, scale) for x in vecs) == ref_nullspace(rows, ncols)
+
+
 def _algebras():
     # T^2 - T/2 + 1/3 and T^3 + 2 give structure constants with denominators
     polyprod = poly_quotient_product(
         [Poly.of(F(1, 3), F(-1, 2), 1), Poly.of(2, 0, 0, 1)], label="polyprod")
-    named = {name: algebra_fixture(name) for name in ("QZ6", "QS3", "Q5", "M2x2")}
+    # Q[paper-m7] is a monoid algebra that is not a group algebra: its
+    # stabilizers can exceed the combinatorial ones
+    named = {name: algebra_fixture(name)
+             for name in ("QZ6", "QS3", "Q5", "M2x2", "Q[paper-m7]")}
     return {**named, "polyprod": polyprod}
 
 
