@@ -1,16 +1,16 @@
 """Finite-dimensional associative unital algebras over Q.
 
-An Algebra is a structure-constant tensor: table[i][j] holds the
-coordinates of b_i * b_j in the distinguished basis, plus a unit vector.
-Multiplication reads a sparse integer copy of the tensor: each cell is the
-tuple of its nonzero (k, c) pairs, scaled by the common denominator of
-all structure constants.  A monoid algebra has one pair per cell.  One
-integer core (Algebra.mul_pairs) sums every product.  An Element is one
-integer row over one denominator, in lowest terms; Element.coords,
-mul_coords and the multiplication matrices are Fraction views.
-Constructors cover explicit tensors, group/monoid multiplication tables,
-products of polynomial quotients, companion-matrix subalgebras, full
-matrix algebras and direct products.
+An Algebra stores its structure constants once, sparse and integral:
+sparse[i][j] is the tuple of nonzero (k, c) pairs of b_i * b_j, scaled by
+the common denominator den of all constants.  A monoid algebra has one
+pair per cell.  One integer core (Algebra.mul_pairs) sums every product.
+The dense tensor table[i][j] and the unit vector are Fraction views, and
+from_structure_constants is the one dense entry point; the other
+constructors (group/monoid multiplication tables, products of polynomial
+quotients, companion-matrix subalgebras, full matrix algebras and direct
+products) emit the sparse cells directly.  An Element is one integer row
+over one denominator, in lowest terms; Element.coords, mul_coords and the
+multiplication matrices are Fraction views.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import AlgebraMismatch, BadUnit, EmptyDescription, NotAssociative
 from .linalg import ONE, ZERO, Vec, vec
-from .polynomials import Poly
+from .polynomials import Poly, poly_gcd
 
 __all__ = [
     "Algebra",
@@ -45,31 +45,27 @@ __all__ = [
 class Algebra:
     """Unital associative algebra given by structure constants.
 
-    Instances are immutable after construction and compared by identity;
-    Elements are tied to the Algebra that created them.
+    The constants are stored once, as `sparse` over `den`: sparse[i][j] is
+    the tuple of nonzero (k, den * c) pairs of b_i * b_j, in increasing k,
+    all integers, with den the lcm of the constants' denominators.  `table`
+    and `unit` are Fraction views, built when read; from_structure_constants
+    is the dense entry point.  Instances are immutable after construction
+    and compared by identity; Elements are tied to the Algebra that created
+    them.
     """
 
-    def __init__(self, table, unit, label="", validate=True, source_table=None):
-        self.table = tuple(tuple(vec(cell) for cell in row) for row in table)
-        # sparse[i][j] holds the nonzero (k, den * c) of b_i * b_j, all integers
-        self.den = lcm(*[c.denominator for row in self.table for cell in row for c in cell])
+    def __init__(self, cells, unit, label="", validate=True, source_table=None):
+        # cells[i][j] holds the nonzero (k, c) of b_i * b_j, c rational, in increasing k
+        self.den = lcm(*[c.denominator for row in cells for cell in row for _, c in cell])
         self.sparse = tuple(
-            tuple(tuple((k, c.numerator * (self.den // c.denominator))
-                        for k, c in enumerate(cell) if c) for cell in row)
-            for row in self.table
+            tuple(tuple((k, c.numerator * (self.den // c.denominator)) for k, c in cell)
+                  for cell in row)
+            for row in cells
         )
-        self.dim = len(self.table)
-        self.unit = vec(unit)
+        self.dim = len(self.sparse)
         self.label = label
         self.source_table = source_table
-        if self.dim == 0:
-            raise EmptyDescription("algebra must have positive dimension")
-        for row in self.table:
-            if len(row) != self.dim or any(len(c) != self.dim for c in row):
-                raise EmptyDescription("structure-constant tensor is not n x n x n")
-        if len(self.unit) != self.dim:
-            raise BadUnit("unit vector has wrong length")
-        self._one = self.element(self.unit)
+        self._one = self.element(unit)
         if validate:
             self._validate()
 
@@ -88,6 +84,18 @@ class Algebra:
                         raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})")
 
     # -- coordinate arithmetic ----------------------------------------
+
+    @cached_property
+    def table(self) -> tuple[tuple[Vec, ...], ...]:
+        """The Fraction view of the constants: table[i][j] is b_i * b_j."""
+        n = self.dim
+        return tuple(tuple(linalg.fraction_row(self.mul_pairs(((i, 1),), ((j, 1),)), self.den)
+                           for j in range(n)) for i in range(n))
+
+    @property
+    def unit(self) -> Vec:
+        """The Fraction view of the unit element."""
+        return self._one.coords
 
     def basis_vec(self, i: int) -> Vec:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -114,7 +122,8 @@ class Algebra:
 
     @cached_property
     def commutative(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
+        sparse = self.sparse
+        return all(sparse[i][j] == sparse[j][i]
                    for i in range(self.dim) for j in range(i + 1, self.dim))
 
     @cached_property
@@ -318,7 +327,18 @@ def poly_at(p: Poly, x: Element) -> Element:
 
 
 def from_structure_constants(table, unit, label="", validate=True) -> Algebra:
-    return Algebra(table, unit, label=label, validate=validate)
+    """The dense entry point: table[i][j] holds the coordinates of b_i * b_j."""
+    table = [[vec(cell) for cell in row] for row in table]
+    unit = vec(unit)
+    n = len(table)
+    if n == 0:
+        raise EmptyDescription("algebra must have positive dimension")
+    if any(len(row) != n or any(len(c) != n for c in row) for row in table):
+        raise EmptyDescription("structure-constant tensor is not n x n x n")
+    if len(unit) != n:
+        raise BadUnit("unit vector has wrong length")
+    return Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], unit,
+                   label=label, validate=validate)
 
 
 def monoid_algebra(mtable, label="") -> Algebra:
@@ -327,47 +347,40 @@ def monoid_algebra(mtable, label="") -> Algebra:
     The table is validated combinatorially, which implies associativity
     of the algebra, so the O(n^4) rational check is skipped.
     """
-    n = mtable.size
-    table = [
-        [tuple(ONE if k == mtable.table[i][j] else ZERO for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    unit = tuple(ONE if k == mtable.unit_index else ZERO for k in range(n))
-    return Algebra(table, unit, label=label or f"Q[{mtable.label}]", validate=False,
+    cells = [[((k, 1),) for k in row] for row in mtable.table]
+    unit = [int(k == mtable.unit_index) for k in range(mtable.size)]
+    return Algebra(cells, unit, label=label or f"Q[{mtable.label}]", validate=False,
                    source_table=mtable)
 
 
 def poly_quotient_product(polys, label="") -> Algebra:
-    """Product of quotients Q[T]/(P_i), power basis per factor."""
+    """Product of quotients Q[T]/(P_i), power basis per factor.
+
+    In the block of a factor P of degree d, b_i b_j is T^(i+j) mod P, one
+    remainder for each i + j < 2d - 1.
+    """
     polys = [p.monic() for p in polys]
     if not polys:
         raise EmptyDescription("need at least one factor polynomial")
     for p in polys:
         if p.is_constant:
             raise EmptyDescription("factor polynomials must be non-constant")
-    degs = [p.degree for p in polys]
-    offsets = []
-    acc = 0
-    for d in degs:
-        offsets.append(acc)
-        acc += d
-    n = acc
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for f, p in enumerate(polys):
-        off, d = offsets[f], degs[f]
+    n = sum(p.degree for p in polys)
+    cells = [[()] * n for _ in range(n)]
+    unit = [0] * n
+    off = 0
+    for p in polys:
+        d = p.degree
+        rems = [Poly.monomial(m) % p for m in range(2 * d - 1)]
         for i in range(d):
             for j in range(d):
-                rem = Poly.monomial(i + j) % p
-                cell = [ZERO] * n
-                for k, c in enumerate(rem.coeffs):
-                    cell[off + k] = c
-                table[off + i][off + j] = tuple(cell)
-    unit = [ZERO] * n
-    for off in offsets:
-        unit[off] = ONE
+                cells[off + i][off + j] = tuple((off + k, c)
+                                                for k, c in enumerate(rems[i + j].coeffs) if c)
+        unit[off] = 1
+        off += d
     if not label:
         label = " x ".join(f"Q[T]/({p})" for p in polys)
-    return Algebra(table, unit, label=label, validate=False)
+    return Algebra(cells, unit, label=label, validate=False)
 
 
 def split_etale_algebra(n: int, label="") -> Algebra:
@@ -376,54 +389,40 @@ def split_etale_algebra(n: int, label="") -> Algebra:
 
 
 def matrix_algebra(n: int, label="") -> Algebra:
-    """Full matrix algebra M_n(Q), basis E_ij at index i*n + j."""
-    dim = n * n
-    table = [[linalg.zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        cell = [ZERO] * dim
-                        cell[i * n + l] = ONE
-                        table[i * n + j][k * n + l] = tuple(cell)
-    unit = [ZERO] * dim
-    for i in range(n):
-        unit[i * n + i] = ONE
-    return Algebra(table, unit, label=label or f"M_{n}(Q)", validate=False)
+    """Full matrix algebra M_n(Q), basis E_ij at index i*n + j; E_ij E_jl = E_il."""
+    cells = [[((i * n + l, 1),) if j == k else () for k in range(n) for l in range(n)]
+             for i in range(n) for j in range(n)]
+    unit = [int(i == j) for i in range(n) for j in range(n)]
+    return Algebra(cells, unit, label=label or f"M_{n}(Q)", validate=False)
 
 
 def direct_product(a: Algebra, b: Algebra, label="") -> Algebra:
-    n = a.dim + b.dim
-    table = [[linalg.zero_vec(n) for _ in range(n)] for _ in range(n)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            table[i][j] = tuple(a.table[i][j]) + linalg.zero_vec(b.dim)
-    for i in range(b.dim):
-        for j in range(b.dim):
-            table[a.dim + i][a.dim + j] = linalg.zero_vec(a.dim) + tuple(b.table[i][j])
-    unit = tuple(a.unit) + tuple(b.unit)
-    return Algebra(table, unit, label=label or f"({a.label}) x ({b.label})",
+    """a x b, block-diagonal: a's basis first, then b's shifted past it."""
+    def shifted(alg, off):
+        return [[tuple((off + k, Fraction(c, alg.den)) for k, c in cell) for cell in row]
+                for row in alg.sparse]
+
+    cells = ([row + [()] * b.dim for row in shifted(a, 0)]
+             + [[()] * a.dim + row for row in shifted(b, a.dim)])
+    return Algebra(cells, a.unit + b.unit, label=label or f"({a.label}) x ({b.label})",
                    validate=False)
 
 
 def companion_algebra(polys, label="") -> Algebra:
     """Subalgebra Q[M] of a matrix algebra, M block-diagonal companion.
 
-    Q[M] is presented in the power basis of M, i.e. as Q[T]/(mu_M).
+    Q[M] is presented in the power basis of M, i.e. as Q[T]/(mu_M): the
+    minimal polynomial of the companion matrix of p is p, and that of a
+    block-diagonal matrix is the lcm of its blocks'.
     """
     polys = [p.monic() for p in polys]
     if not polys:
         raise EmptyDescription("need at least one companion polynomial")
-    r = sum(p.degree for p in polys)
-    coords = [ZERO] * (r * r)  # M as an element of M_r(Q), E_ij at index i*r + j
-    off = 0
+    if any(p.is_zero for p in polys):
+        raise EmptyDescription("companion polynomials must be nonzero")
+    mu = Poly.one()
     for p in polys:
-        d = p.degree
-        for i in range(d):
-            if i:
-                coords[(off + i) * r + off + i - 1] = ONE
-            coords[(off + i) * r + off + d - 1] = -p.coeffs[i]
-        off += d
-    mu = min_poly(matrix_algebra(r).element(coords))
+        mu = mu * p // poly_gcd(mu, p)
+    if mu.is_constant:
+        raise EmptyDescription("algebra must have positive dimension")
     return poly_quotient_product([mu], label=label or f"Q[M], mu = {mu}")

@@ -32,10 +32,6 @@ def vec(values) -> Vec:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def combine(coeffs, rows) -> tuple:
     """The linear combination sum_i coeffs[i] * rows[i] of non-empty rows."""
     acc = [0] * len(rows[0])

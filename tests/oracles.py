@@ -2,36 +2,40 @@
 
 Schoolbook polynomial Euclid and products, brute-force Z/m sumsets, a direct
 partition enumerator, rank via Gaussian elimination on stacked
-integer matrices, and the plain Fraction kernel (RREF, nullspace, solve,
-product span, stabilizer, minimal polynomial, inverse).  Used to
+integer matrices, the plain Fraction kernel (RREF, nullspace, solve,
+product span, stabilizer, minimal polynomial, inverse) and dense
+structure-constant tensors built from each algebra's definition.  Used to
 cross-check library results.
 """
 
 from fractions import Fraction
 
 
+def _strip(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _rem(a, b):
+    """Remainder of coefficient list a by nonzero b, schoolbook long division."""
+    a = a[:]
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        off = len(a) - len(b)
+        for i in range(len(b)):
+            a[off + i] -= c * b[i]
+        _strip(a)
+        if not a:
+            break
+    return a
+
+
 def euclid_gcd(f, g):
     """Monic gcd of coefficient lists (lowest degree first), schoolbook."""
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def rem(a, b):
-        a = a[:]
-        while len(a) >= len(b):
-            c = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] -= c * b[i]
-            strip(a)
-            if not a:
-                break
-        return a
-
-    f, g = strip([Fraction(c) for c in f]), strip([Fraction(c) for c in g])
+    f, g = _strip([Fraction(c) for c in f]), _strip([Fraction(c) for c in g])
     while g:
-        f, g = g, rem(f, g)
+        f, g = g, _rem(f, g)
     if not f:
         return []
     lead = f[-1]
@@ -251,6 +255,72 @@ def ref_invert(table, unit, x):
     if ref_mul(table, y, x) != unit:
         return "not-associative", None
     return "inverse", y
+
+
+# -- dense structure constants from the definitions -------------------------
+#
+# Each builder returns (table, unit): table[a][b] is the Fraction coordinate
+# tuple of b_a b_b and unit the unit's coordinates.
+
+
+def _unit_vec(n, k):
+    return tuple(Fraction(int(i == k)) for i in range(n))
+
+
+def ref_monoid_tensor(mtable, unit_index):
+    """Q[M] on the basis e_x of a multiplication table: e_x e_y = e_{xy}."""
+    n = len(mtable)
+    return ([[_unit_vec(n, mtable[x][y]) for y in range(n)] for x in range(n)],
+            _unit_vec(n, unit_index))
+
+
+def ref_matrix_tensor(n):
+    """M_n(Q) on E_ij at index i*n + j: E_ij E_kl = [j = k] E_il; unit sum of E_ii."""
+    dim = n * n
+    zero = (Fraction(0),) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for a in range(dim):
+        i, j = divmod(a, n)
+        for b in range(dim):
+            k, l = divmod(b, n)
+            if j == k:
+                table[a][b] = _unit_vec(dim, i * n + l)
+    return table, tuple(Fraction(int(a // n == a % n)) for a in range(dim))
+
+
+def ref_poly_quotient_tensor(polys):
+    """prod Q[T]/(P) on the power bases: b_i b_j = T^(i+j) mod P, in P's block.
+
+    Polynomials are coefficient lists, lowest degree first; each remainder
+    is its own schoolbook long division of T^(i+j) by P.
+    """
+    polys = [_strip([Fraction(c) for c in p]) for p in polys]
+    n = sum(len(p) - 1 for p in polys)
+    zero = (Fraction(0),) * n
+    table = [[zero] * n for _ in range(n)]
+    unit = [Fraction(0)] * n
+    off = 0
+    for p in polys:
+        d = len(p) - 1
+        for i in range(d):
+            for j in range(d):
+                rem = _rem([Fraction(0)] * (i + j) + [Fraction(1)], p)
+                cell = [Fraction(0)] * n
+                cell[off:off + len(rem)] = rem
+                table[off + i][off + j] = tuple(cell)
+        unit[off] = Fraction(1)
+        off += d
+    return table, tuple(unit)
+
+
+def ref_direct_product_tensor(left, right):
+    """Block-diagonal product of two (table, unit) pairs; the blocks annihilate each other."""
+    (ta, ua), (tb, ub) = left, right
+    m, n = len(ta), len(tb)
+    za, zb = (Fraction(0),) * m, (Fraction(0),) * n
+    table = [[tuple(ta[i][j]) + zb for j in range(m)] + [za + zb] * n for i in range(m)]
+    table += [[za + zb] * m + [za + tuple(tb[i][j]) for j in range(n)] for i in range(n)]
+    return table, tuple(ua) + tuple(ub)
 
 
 # -- reference group sweep ------------------------------------------------

@@ -16,10 +16,17 @@ from addalg.algebra import (
     split_etale_algebra,
 )
 from addalg.errors import BadUnit, NotAssociative
-from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture, cyclic
+from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture, cyclic, table_fixture
 from addalg.polynomials import Poly
+from addalg.serialize import algebra_from_desc
 
-from oracles import frac_rank
+from oracles import (
+    frac_rank,
+    ref_direct_product_tensor,
+    ref_matrix_tensor,
+    ref_monoid_tensor,
+    ref_poly_quotient_tensor,
+)
 
 T = Poly.x()
 
@@ -206,3 +213,103 @@ def test_invert_raises_on_non_associative_constants():
     alg = from_structure_constants(table, one, validate=False)
     with pytest.raises(NotAssociative):
         alg.basis_element(1).invert()
+
+
+def companion_by_matrix_min_poly(polys):
+    """Q[M] by the minimal polynomial of the block-diagonal companion matrix in M_r(Q)."""
+    polys = [p.monic() for p in polys]
+    r = sum(p.degree for p in polys)
+    coords = [F(0)] * (r * r)  # E_ij at index i*r + j
+    off = 0
+    for p in polys:
+        d = p.degree
+        for i in range(d):
+            if i:
+                coords[(off + i) * r + off + i - 1] = F(1)
+            coords[(off + i) * r + off + d - 1] = -p.coeffs[i]
+        off += d
+    mu = min_poly(matrix_algebra(r).element(coords))
+    return poly_quotient_product([mu], label=f"Q[M], mu = {mu}")
+
+
+def test_companion_mu_is_the_lcm_of_the_blocks():
+    # blocks drawn from a few small factors, so they often share some
+    rng = random.Random(6)
+    linear = [T, T - Poly.one(), T + Poly.one(), T - Poly.of(2)]
+    blocks = linear + [T * T + Poly.one(), T * T - Poly.of(2)] + [a * b for a in linear
+                                                                  for b in linear]
+    for _ in range(60):
+        polys = [rng.choice(blocks) for _ in range(rng.randint(1, 3))]
+        got, want = companion_algebra(polys), companion_by_matrix_min_poly(polys)
+        assert (got.label, got.table, got.unit) == (want.label, want.table, want.unit)
+
+
+# -- stored constants against the definitions --------------------------------
+
+FIXTURE_POLYS = {
+    **{f"QT{n}": [[0] * n + [1]] for n in range(2, 5)},
+    "QP2": [[1, 0, 2, 0, 1]],
+    "QT2xQT2": [[0, 0, 1]] * 2,
+    **{f"Q{n}": [[0, 1]] * n for n in range(1, 7)},
+}
+
+
+def fixture_reference(name):
+    """(table, unit) of an algebra fixture, built from its definition."""
+    if name == "M2x2":
+        return ref_matrix_tensor(2)
+    if name in FIXTURE_POLYS:
+        return ref_poly_quotient_tensor(FIXTURE_POLYS[name])
+    m = table_fixture(name[1:].strip("[]"))  # QZ5 -> Z5, Q[paper-m7] -> paper-m7
+    return ref_monoid_tensor(m.table, m.unit_index)
+
+
+def rat_strs(rows):
+    return [[list(map(str, cell)) for cell in row] for row in rows]
+
+
+NILP = {"kind": "poly_quotient_product", "factors": [["0", "0", "1"]]}
+COMPANION = {"kind": "companion", "polys": [["-1", "1"], ["-2", "1"], ["-1", "1"]]}
+RATIONAL_QUOTIENT = ref_poly_quotient_tensor([[F(1, 3), F(-1, 2), 1]])
+JSON_KINDS = [
+    ({"kind": "structure_constants", "table": rat_strs(RATIONAL_QUOTIENT[0]),
+      "unit": list(map(str, RATIONAL_QUOTIENT[1]))}, RATIONAL_QUOTIENT),
+    ({"kind": "group_table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+     ref_monoid_tensor([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)),
+    ({"kind": "monoid_table", "table": [[0, 0], [0, 1]], "unit": 1},
+     ref_monoid_tensor([[0, 0], [0, 1]], 1)),
+    ({"kind": "poly_quotient_product", "factors": [["1/2", "-3/7", "2", "1"], ["1", "1"]]},
+     ref_poly_quotient_tensor([[F(1, 2), F(-3, 7), 2, 1], [1, 1]])),
+    # mu = lcm = (T - 1)(T - 2)
+    (COMPANION, ref_poly_quotient_tensor([[2, -3, 1]])),
+    # mu = lcm(T^2 + 1, T^3 + T) = T^3 + T
+    ({"kind": "companion", "polys": [["1", "0", "1"], ["0", "1", "0", "1"]]},
+     ref_poly_quotient_tensor([[0, 1, 0, 1]])),
+    ({"kind": "direct_product", "left": NILP, "right": COMPANION},
+     ref_direct_product_tensor(ref_poly_quotient_tensor([[0, 0, 1]]),
+                               ref_poly_quotient_tensor([[2, -3, 1]]))),
+    ({"kind": "direct_product", "left": COMPANION,
+      "right": {"kind": "structure_constants", "table": rat_strs(RATIONAL_QUOTIENT[0]),
+                "unit": list(map(str, RATIONAL_QUOTIENT[1]))}},
+     ref_direct_product_tensor(ref_poly_quotient_tensor([[2, -3, 1]]), RATIONAL_QUOTIENT)),
+]
+
+
+@pytest.mark.parametrize("case", [("fixture", name) for name in ALGEBRA_NAMES]
+                         + [("json", i) for i in range(len(JSON_KINDS))])
+def test_stored_constants_match_the_definition(case):
+    kind, key = case
+    if kind == "fixture":
+        alg, (table, unit) = algebra_fixture(key), fixture_reference(key)
+    else:
+        desc, (table, unit) = JSON_KINDS[key]
+        alg = algebra_from_desc(desc)
+    n = len(table)
+    assert "table" not in vars(alg)  # the dense view is built only when read
+    assert alg.dim == n and alg.table == tuple(map(tuple, table)) and alg.unit == unit
+    dense = from_structure_constants(table, unit)
+    assert (alg.sparse, alg.den) == (dense.sparse, dense.den)
+    assert alg.commutative == all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
+    # split etale: b_i b_j = [i = j] b_i
+    assert alg.split_etale == all(table[i][j] == tuple(F(int(i == j == k)) for k in range(n))
+                                  for i in range(n) for j in range(n))

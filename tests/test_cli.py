@@ -186,6 +186,16 @@ def test_exit_code_schema_errors(capsys, tmp_path):
         code = cli.main([argv[0], "--in", path, *argv[1:]])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # the dense entry point's shape checks: dimension, tensor shape, unit length
+    square = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]
+    for name, table, unit, message in (
+            ("no-cells.json", [], [], "algebra must have positive dimension"),
+            ("ragged.json", [square[0], [["0", "1"], ["1"]]], ["1", "0"],
+             "structure-constant tensor is not n x n x n"),
+            ("short-unit.json", square, ["1"], "unit vector has wrong length")):
+        desc = {"kind": "structure_constants", "table": table, "unit": unit}
+        code = cli.main(["info", "--in", write_instance(tmp_path, {"algebra": desc}, name)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 def test_absent_or_null_subspaces_mean_none(capsys, tmp_path):
