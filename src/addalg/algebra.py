@@ -3,7 +3,9 @@
 An Algebra stores its structure constants once, sparse and integral:
 sparse[i][j] is the tuple of nonzero (k, c) pairs of b_i * b_j, scaled by
 the common denominator den of all constants.  A monoid algebra has one
-pair per cell.  One integer core (Algebra.mul_pairs) sums every product.
+pair per cell, so it is monomial (Algebra.monomial).  One integer core
+(Algebra.mul_pairs) sums products of elements; subspace.product_span and
+the stabilizer equations read the cells themselves.
 The dense tensor table[i][j] and the unit vector are Fraction views, and
 from_structure_constants is the one dense entry point; the other
 constructors (group/monoid multiplication tables, products of polynomial
@@ -103,8 +105,8 @@ class Algebra:
     def mul_pairs(self, xs, ys) -> list[int]:
         """den * (x*y), from the nonzero (index, integer) pairs of x and of y.
 
-        The one product core: every product and multiplication image is
-        summed here, in integers over `sparse`.
+        The one product core for elements: every element product and
+        multiplication image is summed here, in integers over `sparse`.
         """
         acc = [0] * self.dim
         sparse = self.sparse
@@ -125,6 +127,14 @@ class Algebra:
         sparse = self.sparse
         return all(sparse[i][j] == sparse[j][i]
                    for i in range(self.dim) for j in range(i + 1, self.dim))
+
+    @cached_property
+    def monomial(self) -> bool:
+        """Whether each product b_i b_j is a multiple of one basis vector (or 0).
+
+        Monoid algebras, Q^n and the matrix units of M_n have this form.
+        """
+        return all(len(cell) <= 1 for row in self.sparse for cell in row)
 
     @cached_property
     def split_etale(self) -> bool:

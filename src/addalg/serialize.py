@@ -60,6 +60,13 @@ def basis_json(space) -> list[list[str]]:
     return [[rat_str(c) for c in row] for row in space.basis]
 
 
+def _array(items, what: str) -> list:
+    """items, checked to be a JSON array: a string would be read char by char."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{what} must be a JSON array")
+    return items
+
+
 def poly_from_json(items) -> Poly:
     if not isinstance(items, list):
         raise SchemaError("polynomial must be a JSON array of rationals")
@@ -82,10 +89,11 @@ def algebra_from_desc(d) -> Algebra:
     try:
         if kind == "structure_constants":
             table = [
-                [[parse_rat(c) for c in cell] for cell in row]
-                for row in d["table"]
+                [[parse_rat(c) for c in _array(cell, "structure-constant cell")]
+                 for cell in _array(row, "structure-constant row")]
+                for row in _array(d["table"], "structure-constant table")
             ]
-            unit = [parse_rat(c) for c in d["unit"]]
+            unit = [parse_rat(c) for c in _array(d["unit"], "unit")]
             return from_structure_constants(table, unit, label=d.get("label", ""))
         if kind in ("group_table", "monoid_table"):
             return monoid_algebra(table_from_json(d), label=d.get("label", ""))

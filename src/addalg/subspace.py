@@ -6,8 +6,12 @@ structural; `basis` is the cached Fraction view of the same form.  Spans,
 lattice operations, product spans, stabilizers and annihilators work on
 these rows and on the integer rows of Elements.  Stabilizers (x*V <= V)
 and annihilators (x*V = 0) are one solution-space kernel, _solutions,
-whose target is V or the zero space.  The module also implements
-invertibility certificates and generated subalgebras.
+whose target is V or the zero space; its equations are read off the
+algebra's sparse cells.  In a monomial algebra (Algebra.monomial) the
+product span of two coordinate spaces (Subspace.coordinate), such as the
+lifts of two subsets of a monoid, is the coordinate span of the cells'
+basis indices, with no multiplication and no elimination.  The module
+also implements invertibility certificates and generated subalgebras.
 """
 
 from __future__ import annotations
@@ -73,6 +77,12 @@ class Subspace:
         """The nonzero (column, entry) pairs of each row, as linalg.nonzeros gives them."""
         return tuple(linalg.nonzeros(r) for r in self.rows)
 
+    @cached_property
+    def coordinate(self) -> bool:
+        """Whether V is spanned by basis vectors: a primitive row with a positive
+        pivot and one nonzero is a unit row."""
+        return all(row.count(0) == len(row) - 1 for row in self.rows)
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -125,7 +135,7 @@ def coordinate_span(algebra: Algebra, indices) -> Subspace:
     if pivots and not 0 <= pivots[0] <= pivots[-1] < n:
         raise ValueError(f"basis indices must lie in 0..{n - 1}")
     units = linalg.unit_rows(n)
-    return Subspace(algebra, tuple(units[i] for i in pivots), pivots)
+    return Subspace(algebra, tuple([units[i] for i in pivots]), pivots)
 
 
 def block_span(algebra: Algebra, blocks) -> Subspace:
@@ -180,11 +190,21 @@ def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
 
 
 def product_span(v: Subspace, w: Subspace) -> Subspace:
-    """Span of all pairwise products of basis vectors (the span of VW)."""
+    """Span of all pairwise products of basis vectors (the span of VW).
+
+    When the algebra is monomial and V and W are coordinate spaces, each
+    product b_i b_j of their basis vectors is c b_k with c != 0, read off
+    the cell sparse[i][j], or 0; the span is then the coordinate span of
+    those k.  Other spaces multiply their integer rows through mul_pairs.
+    """
     _check_same(v, w)
     if v.dim == 0 or w.dim == 0:
         return zero_space(v.algebra)
     alg = v.algebra
+    if alg.monomial and v.coordinate and w.coordinate:
+        sparse = alg.sparse
+        return coordinate_span(alg, {sparse[i][j][0][0] for i in v.pivots
+                                     for j in w.pivots if sparse[i][j]})
     right = w.row_nonzeros
     # dict keys dedup the integer products and keep their order
     products = {}
@@ -211,10 +231,14 @@ def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
     Directly the kernel of x -> (residual of x*b against T) over the rows
     b of V, in integers.  The residual vanishes on the pivot columns of T,
     so only the non-pivot (free) coordinates give equations.  It is linear,
-    so T is projected once: proj[j] holds the free-coordinate entries of
-    linalg.residual of b_j against T, all at the one scale L, the lcm of
-    T's pivots.  The residual of an image y is then the sum of y[j] *
-    proj[j] over y's nonzeros, with the same values a residual call gives.
+    so T is projected once: proj[k] holds the free-coordinate entries of
+    linalg.residual of b_k against T, all at the one scale L, the lcm of
+    T's pivots.  The images are read off the cells, with no dense product:
+    x -> x*b (left side) takes b_i to b_i*b, den times which is the sum of
+    b_j * sparse[i][j] over b's nonzero (j, b_j), and x -> b*x (right
+    side) takes it to the sum of b_j * sparse[j][i].  The residual of an
+    image is the sum of each term's entry times proj at the term's column,
+    with the values a residual call gives.
     """
     alg = v.algebra
     n = alg.dim
@@ -226,17 +250,18 @@ def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
     for row, pc in zip(t.rows, t.pivots):
         m = scale // row[pc]
         proj[pc] = [(f, -m * row[k]) for f, k in enumerate(free) if row[k]]
+    # cells[i][j] is the cell of b_i * b_j (left side) or of b_j * b_i (right side)
+    cells = alg.sparse if side == "left" else tuple(zip(*alg.sparse))
     rows = []
-    for b in v.rows:
-        # x -> x*b for the left side, x -> b*x for the right one; the
-        # images of one b, and their residuals, share one integer scale,
-        # which leaves the kernel alone
+    for b in v.row_nonzeros:
+        # the images of one b, and their residuals, share one integer
+        # scale, which leaves the kernel alone
         eqs = [[0] * n for _ in free]
-        for i, y in enumerate(alg.mul_images(b, "right" if side == "left" else "left")):
-            for j, a in enumerate(y):
-                if a:
-                    for f, c in proj[j]:
-                        eqs[f][i] += a * c
+        for i, row in enumerate(cells):
+            for j, a in b:
+                for k, c in row[j]:
+                    for f, p in proj[k]:
+                        eqs[f][i] += a * c * p
         rows.extend(eqs)
     return _span(alg, linalg.int_nullspace(rows, n)[0])
 

@@ -196,6 +196,15 @@ def test_exit_code_schema_errors(capsys, tmp_path):
         desc = {"kind": "structure_constants", "table": table, "unit": unit}
         code = cli.main(["info", "--in", write_instance(tmp_path, {"algebra": desc}, name)])
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    # a table, row, cell or unit given as a string, which iterates by character
+    for name, table, unit, what in (
+            ("cells.json", [["10", "01"], ["01", "10"]], "10", "structure-constant cell"),
+            ("rows.json", ["1001", "0110"], ["1", "0"], "structure-constant row"),
+            ("table.json", "10", ["1", "0"], "structure-constant table"),
+            ("unit.json", square, "10", "unit")):
+        desc = {"kind": "structure_constants", "table": table, "unit": unit}
+        code = cli.main(["info", "--in", write_instance(tmp_path, {"algebra": desc}, name)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {what} must be a JSON array\n")
 
 
 def test_absent_or_null_subspaces_mean_none(capsys, tmp_path):

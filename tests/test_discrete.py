@@ -5,6 +5,7 @@ import pytest
 
 from addalg import discrete
 from addalg import subspace as sub
+from addalg.algebra import Algebra
 from addalg.discrete import MulTable
 from addalg.errors import (
     EmptySubset,
@@ -236,6 +237,31 @@ def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
     assert calls["product_span"] == 961  # every pair computes its own span
     assert calls["lift_subset"] <= 31
     assert calls["stabilizer"] <= 31
+
+
+@pytest.mark.parametrize("name, kwargs", [("Z4", {}),
+                                          ("S3", {"exhaustive": False, "seed": 1, "count": 100})])
+def test_sweep_reads_products_and_stabilizers_off_the_cells(name, kwargs, monkeypatch):
+    # lifts are coordinate spans of a monoid algebra, so product spans and
+    # stabilizer equations come from the structure constants, not from
+    # element products or multiplication images
+    calls = {"mul_pairs": 0, "mul_images": 0}
+
+    def counted(method):
+        real = getattr(Algebra, method)
+
+        def wrapper(*args):
+            calls[method] += 1
+            return real(*args)
+        monkeypatch.setattr(Algebra, method, wrapper)
+
+    m = table_fixture(name)
+    for method in calls:
+        counted(method)
+    got = discrete.group_kneser_sweep(m, **kwargs).to_json()
+    assert calls == {"mul_pairs": 0, "mul_images": 0}
+    monkeypatch.undo()
+    assert json.dumps(got) == json.dumps(ref_group_sweep(m, **kwargs))
 
 
 def test_group_sweep_requires_group():

@@ -7,7 +7,8 @@ among or after them.  product_span, both stabilizers and both
 annihilators are compared on random subspaces, and both multiplication
 matrices and the rank-based invertibility test on random elements, of
 algebras with 0/1, rational and non-commutative structure constants,
-among them a monoid algebra that is not a group algebra.
+among them a monoid algebra that is not a group algebra and a basis
+rescaling of Q^3 whose monomial cells have coefficients other than 1.
 min_poly and invert are compared with the Fraction reference on random
 elements of every fixture, of polynomial quotients with rational
 constants and of a basis rescaling whose unit has denominators.
@@ -151,10 +152,25 @@ def _algebras():
     # stabilizers can exceed the combinatorial ones
     named = {name: algebra_fixture(name)
              for name in ("QZ6", "QS3", "Q5", "M2x2", "Q[paper-m7]")}
-    return {**named, "polyprod": polyprod}
+    # Q^3 in the basis 2e_0, e_1/3, e_2: monomial cells with coefficients
+    # 2 and 1/3, so den = 3 and the unit is (1/2, 3, 1)
+    cells = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, c in enumerate((F(2), F(1, 3), F(1))):
+        cells[i][i][i] = c
+    scaled = from_structure_constants(cells, [F(1, 2), F(3), F(1)], label="Q3-scaled")
+    return {**named, "polyprod": polyprod, "Q3-scaled": scaled}
 
 
 ALGEBRAS = _algebras()
+
+
+def test_monomial_flags_and_scaled_cells():
+    # every algebra here but polyprod reads coordinate product spans off its cells
+    assert [name for name, alg in ALGEBRAS.items() if not alg.monomial] == ["polyprod"]
+    scaled = ALGEBRAS["Q3-scaled"]
+    assert scaled.den == 3
+    assert [scaled.sparse[i][i] for i in range(3)] == [((0, 6),), ((1, 1),), ((2, 3),)]
+    assert scaled.unit == (F(1, 2), F(3), F(1))
 
 
 @st.composite
@@ -175,8 +191,17 @@ def space_pairs(draw):
     return alg, draw(subspaces(alg)), draw(subspaces(alg))
 
 
+def _scaled_case():
+    # in Q^3 scaled, x * (b_0 + b_1) lies in its span iff 2 x_0 = x_1 / 3:
+    # a kernel that drops the cells' coefficients gets x_0 = x_1
+    alg = ALGEBRAS["Q3-scaled"]
+    return (alg, sub.from_vecs(alg, [(1, 1, 0)]),
+            sub.from_vecs(alg, [(0, 1, 0), (1, 0, 1)]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(space_pairs())
+@example(_scaled_case())
 def test_product_span_matches_reference(case):
     alg, v, w = case
     got = sub.product_span(v, w)
@@ -185,6 +210,7 @@ def test_product_span_matches_reference(case):
 
 @settings(max_examples=150, deadline=None)
 @given(space_pairs(), st.sampled_from(["left", "right"]))
+@example(_scaled_case(), "left")
 def test_stabilizer_matches_reference(case, side):
     alg, v, w = case
     for space in (v, sub.product_span(v, w)):

@@ -78,6 +78,17 @@ def test_product_span_examples():
     assert sub.product_span(unit, b) == b
 
 
+def test_coordinate_flag():
+    # a space is coordinate when each canonical row has one nonzero; a
+    # multiple of a basis vector spans the same space as the vector
+    z5 = algebra_fixture("QZ5")
+    assert sub.coordinate_span(z5, [1, 3]).coordinate
+    assert sub.from_vecs(z5, [z5.basis_vec(2), [F(0), F(-3, 2), F(0), F(0), F(0)]]).coordinate
+    assert sub.zero_space(z5).coordinate and sub.full_space(z5).coordinate
+    assert not sub.block_span(z5, [[0], [1, 2]]).coordinate
+    assert not sub.unit_span(algebra_fixture("Q3")).coordinate
+
+
 def test_product_span_basis_independent_and_monotone():
     alg = algebra_fixture("QZ6")
     rng = random.Random(2)
