@@ -266,24 +266,22 @@ class Element:
 
         The matrix L of x -> self*x has the images of mul_images over den,
         self's denominator times the constants', as its columns.  One int_rref
-        of those images transposed, augmented with the unit's row du * unit,
-        solves den*L z = du*unit; the inverse is z * den / du, free variables
-        at zero, and z is an integer row over the lcm of the RREF pivots.
+        of den*L augmented with the unit's row du * unit, and int_kernel of
+        that form, give both answers.  A pivot in the unit's column n means no
+        inverse; the first kernel vector is 0 at n and gives the witness.
+        Else the last, at free column n, is S * (-z, 1) with den*L z = du*unit,
+        free variables at zero, and the inverse is z * den / du.
         """
         alg = self.algebra
         n = alg.dim
         one = alg.one()
-        mat = list(zip(*alg.mul_images(self.num, "left")))
-        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(mat, one.num)])
-        if pivots and pivots[-1] == n:  # pivot in the augmented column
-            ker, scale = linalg.int_nullspace(mat, n)
-            return NonInvertible(witness=Element(alg, ker[0], scale))
+        images = zip(*alg.mul_images(self.num, "left"))
+        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(images, one.num)])
+        ker, scale = linalg.int_kernel(red, pivots, n + 1)
+        if pivots and pivots[-1] == n:  # pivot in the unit's column: no inverse
+            return NonInvertible(witness=Element(alg, ker[0][:n], scale))
         den = self.den * alg.den
-        scale = lcm(*[row[pc] for row, pc in zip(red, pivots)])
-        y = [0] * n
-        for row, pc in zip(red, pivots):
-            y[pc] = row[n] * den * (scale // row[pc])
-        inv = Element(alg, y, scale * one.den)
+        inv = Element(alg, [-a * den for a in ker[-1][:n]], scale * one.den)
         # one-sided inverses are two-sided in a finite-dimensional associative algebra
         if inv * self != one:
             raise NotAssociative("right inverse is not a left inverse; "

@@ -74,8 +74,7 @@ def _generator_candidates(alg: Algebra, trials: int, seed: int):
     yield alg.element(range(n))
     for i in range(n):
         yield alg.basis_element(i)
-    for a in range(1, n + 3):
-        yield alg.element([a ** i for i in range(n)])
+    yield from sub.vandermonde_line(sub.full_space(alg).elements(), range(1, n + 3))
     rng = random.Random(seed)
     for k in range(0, trials, 8):  # the coefficient bound grows by 2 every 8 draws
         draws = linalg.random_coefficients(n, 2 + k // 4, rng)

@@ -71,9 +71,6 @@ class MulTable:
             labels = tuple(str(i) for i in range(n))
         return MulTable(n, rows, unit_index, tuple(labels), label)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def index_of(self, name: str) -> int:
         try:
             return self.labels.index(name)
@@ -100,32 +97,29 @@ class MulTable:
 
 
 def units(m: MulTable) -> frozenset[int]:
-    """Two-sided invertible element indices."""
-    out = set()
-    for x in range(m.size):
-        for y in range(m.size):
-            if m.mul(x, y) == m.unit_index and m.mul(y, x) == m.unit_index:
-                out.add(x)
-                break
-    return frozenset(out)
+    """Two-sided invertible element indices: in a finite monoid xy = 1 gives
+    yx = 1, as z -> xz is onto, so one-to-one, and x(yx) = x1."""
+    return frozenset(x for x, row in enumerate(m.table) if m.unit_index in row)
 
 
 def minkowski(m: MulTable, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     if not a or not b:
         raise EmptySubset("Minkowski product of an empty subset")
-    return frozenset(m.mul(x, y) for x in a for y in b)
+    t = m.table
+    return frozenset([t[x][y] for x in a for y in b])
 
 
 def combinatorial_stabilizer(m: MulTable, a: frozenset[int], side="left") -> frozenset[int]:
     """{h : hA = A} (left) or {h : Ah = A} (right); always a submonoid."""
     if not a:
         raise EmptySubset("stabilizer of the empty subset")
+    t = m.table
     out = set()
     for h in range(m.size):
         if side == "left":
-            image = {m.mul(h, x) for x in a}
+            image = {t[h][x] for x in a}
         else:
-            image = {m.mul(x, h) for x in a}
+            image = {t[x][h] for x in a}
         if image == a:
             out.add(h)
     return frozenset(out)

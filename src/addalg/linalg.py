@@ -6,7 +6,9 @@ reduced row echelon form as primitive integer rows with positive pivots
 and cleared pivot columns, so two spans are equal iff their forms compare
 equal.  Monomial rows, with at most one nonzero entry, as in group and
 monoid algebras, skip elimination: their form is the unit rows at their
-columns, and elimination starts at the first denser row.  echelon_add
+columns, and elimination starts at the first denser row.  int_kernel
+reads the kernel off such a form, so Element.invert reads both its
+inverse and its witness off one elimination.  echelon_add
 carries a forward echelon form one row at a time: rank, min_poly's powers
 and the atoms' block ranks grow their forms with it instead of
 eliminating again.  The Fraction functions (rref, nullspace, solve, det)
@@ -189,39 +191,16 @@ def rank(rows) -> int:
     return len(out)
 
 
-def residual(rows, pivots, y) -> list[int]:
-    """L times the residual of integer y after elimination against int_rref rows.
+def int_kernel(red, pivots, ncols: int) -> tuple[list[list[int]], int]:
+    """Basis of {x : M x = 0}, read off the int_rref form (red, pivots) of M.
 
-    L is the lcm of the rows' pivots, so every y reduced against the same
-    rows gets the same scale.  Every other pivot column is cleared in each
-    row, so y's own entry at a pivot column gives that row's multiple.
-    Its remaining caller is Subspace._holds: subspace._solutions projects
-    the residuals of the basis vectors once per target and sums those.
+    Returns (vectors, L), one vector per free column f < ncols: vectors[i] / L
+    is the canonical kernel vector with 1 at f, the solved entries at the
+    pivot columns and 0 elsewhere.  L is the lcm of the pivots.
     """
-    scale = lcm(*[row[pc] for row, pc in zip(rows, pivots)])
-    res = [scale * a for a in y] if scale > 1 else y
-    for row, pc in zip(rows, pivots):
-        c = y[pc]
-        if c:
-            f = c * (scale // row[pc])
-            res = [a - f * b for a, b in zip(res, row)]
-    return res
-
-
-def int_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
-    """Basis of {x : M x = 0} for integer rows M, over one common denominator.
-
-    Returns (vectors, L), one vector per free column f: vectors[i] / L is
-    the canonical kernel vector with 1 at f, the solved entries at the
-    pivot columns and 0 elsewhere.  L is the lcm of the RREF pivots.
-    """
-    red, pivots = int_rref(rows)
     scale = lcm(*[row[pc] for row, pc in zip(red, pivots)])
-    taken = set(pivots)
     out = []
-    for f in range(ncols):
-        if f in taken:
-            continue
+    for f in sorted(set(range(ncols)).difference(pivots)):
         x = [0] * ncols
         x[f] = scale
         for row, pc in zip(red, pivots):
@@ -233,7 +212,7 @@ def int_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
 
 def nullspace(rows, ncols: int) -> tuple[Vec, ...]:
     """Canonical basis of {x : M x = 0} (right kernel), over Fraction."""
-    vecs, scale = int_nullspace([integer_row(r)[0] for r in rows], ncols)
+    vecs, scale = int_kernel(*int_rref([integer_row(r)[0] for r in rows]), ncols)
     return tuple(fraction_row(x, scale) for x in vecs)
 
 

@@ -73,10 +73,21 @@ def poly_from_json(items) -> Poly:
     return Poly(tuple(parse_rat(c) for c in items))
 
 
+def _index(x, what: str) -> int:
+    """x, checked to be an integer: JSON true and false would index as 1 and 0."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SchemaError(f"{what} must be an integer")
+    return x
+
+
 def table_from_json(d) -> MulTable:
     try:
-        return MulTable.build(d["table"], d.get("unit", 0),
-                              d.get("labels"), d.get("label", ""))
+        rows = [[_index(x, "table entry") for x in _array(row, "table row")]
+                for row in _array(d["table"], "table")]
+        labels = d.get("labels")
+        labels = None if labels is None else _array(labels, "labels")
+        return MulTable.build(rows, _index(d.get("unit", 0), "table unit"),
+                              labels, d.get("label", ""))
     except (KeyError, TypeError, IndexError) as e:
         raise SchemaError(f"bad monoid table: {e}") from None
 

@@ -4,14 +4,16 @@ A subspace is stored as its canonical reduced row echelon form in
 primitive integer rows (linalg.int_rref), so equality and hashing are
 structural; `basis` is the cached Fraction view of the same form.  Spans,
 lattice operations, product spans, stabilizers and annihilators work on
-these rows and on the integer rows of Elements.  Stabilizers (x*V <= V)
-and annihilators (x*V = 0) are one solution-space kernel, _solutions,
-whose target is V or the zero space; its equations are read off the
-algebra's sparse cells.  In a monomial algebra (Algebra.monomial) the
-product span of two coordinate spaces (Subspace.coordinate), such as the
-lifts of two subsets of a monoid, is the coordinate span of the cells'
-basis indices, with no multiplication and no elimination.  The module
-also implements invertibility certificates and generated subalgebras.
+these rows and on the integer rows of Elements.  Membership and the
+solution-space kernel _solutions of stabilizers (x*V <= V, target V) and
+annihilators (x*V = 0, target 0) read one cached residual projection per
+subspace; the kernel's equations are read off the algebra's sparse cells.
+In a monomial algebra (Algebra.monomial) the product span of two
+coordinate spaces (Subspace.coordinate), such as the lifts of two subsets
+of a monoid, is the coordinate span of the cells' basis indices, with no
+multiplication and no elimination.  Invertibility certificates and
+invertible bases take their points from one Vandermonde line; the module
+also builds generated subalgebras.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "translate",
     "contains_invertible",
     "invertible_basis",
+    "vandermonde_line",
     "subalgebra_generated",
     "is_subalgebra",
     "InvertibilityCertificate",
@@ -87,9 +90,34 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _projection(self) -> list[list[tuple[int, int]]]:
+        """proj[k]: the (f, entry) pairs of the residual of b_k at V's free columns.
+
+        The residual of y is L*y less y[pc] * L / row[pc] times each row, L
+        the lcm of the pivots; it is 0 at the pivot columns, linear in y, and
+        0 iff y lies in V.  The free columns are numbered f = 0, 1, ... in order.
+        """
+        n = self.algebra.dim
+        free = [k for k in range(n) if k not in self.pivots]
+        scale = lcm(*[row[pc] for row, pc in zip(self.rows, self.pivots)])
+        proj = [None] * n
+        for f, k in enumerate(free):
+            proj[k] = [(f, scale)]
+        for row, pc in zip(self.rows, self.pivots):
+            m = scale // row[pc]
+            proj[pc] = [(f, -m * row[k]) for f, k in enumerate(free) if row[k]]
+        return proj
+
     def _holds(self, y) -> bool:
-        """Whether the integer row y lies in the subspace."""
-        return not any(linalg.residual(self.rows, self.pivots, y))
+        """Whether the integer row y lies in the subspace: its residual is zero."""
+        res = [0] * (self.algebra.dim - len(self.rows))
+        proj = self._projection
+        for k, a in enumerate(y):
+            if a:
+                for f, p in proj[k]:
+                    res[f] += a * p
+        return not any(res)
 
     def contains(self, x: Element) -> bool:
         if x.algebra is not self.algebra:
@@ -183,7 +211,7 @@ def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
         return zero_space(v.algebra)
     v_cols = list(zip(*v.rows))
     mat = [col_v + tuple(-a for a in col_w) for col_v, col_w in zip(v_cols, zip(*w.rows))]
-    combos = linalg.int_nullspace(mat, v.dim + w.dim)[0]
+    combos = linalg.int_kernel(*linalg.int_rref(mat), v.dim + w.dim)[0]
     # the first dim V entries of a kernel vector combine V's rows into a vector of V n W
     return _span(v.algebra, [[sum(c * a for c, a in zip(cs, col)) for col in v_cols]
                              for cs in combos])
@@ -228,42 +256,30 @@ def translate(x: Element, v: Subspace, side="left") -> Subspace:
 def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
     """Solution space of x*V <= T (left) or V*x <= T (right).
 
-    Directly the kernel of x -> (residual of x*b against T) over the rows
-    b of V, in integers.  The residual vanishes on the pivot columns of T,
-    so only the non-pivot (free) coordinates give equations.  It is linear,
-    so T is projected once: proj[k] holds the free-coordinate entries of
-    linalg.residual of b_k against T, all at the one scale L, the lcm of
-    T's pivots.  The images are read off the cells, with no dense product:
-    x -> x*b (left side) takes b_i to b_i*b, den times which is the sum of
-    b_j * sparse[i][j] over b's nonzero (j, b_j), and x -> b*x (right
-    side) takes it to the sum of b_j * sparse[j][i].  The residual of an
-    image is the sum of each term's entry times proj at the term's column,
-    with the values a residual call gives.
+    The kernel of x -> (residual of x*b against T) over the rows b of V,
+    one equation per free column of T, read through T's projection (the
+    one membership reads).  The images are read off the cells: den * b_i*b
+    (left side) is the sum of b_j * sparse[i][j] over b's nonzero (j, b_j),
+    and den * b*b_i (right side) the sum of b_j * sparse[j][i]; each
+    term's residual is its entry times the projection at its column.
     """
     alg = v.algebra
     n = alg.dim
-    free = [k for k in range(n) if k not in t.pivots]
-    scale = lcm(*[row[pc] for row, pc in zip(t.rows, t.pivots)])
-    proj = [None] * n
-    for f, k in enumerate(free):
-        proj[k] = [(f, scale)]
-    for row, pc in zip(t.rows, t.pivots):
-        m = scale // row[pc]
-        proj[pc] = [(f, -m * row[k]) for f, k in enumerate(free) if row[k]]
+    proj = t._projection
     # cells[i][j] is the cell of b_i * b_j (left side) or of b_j * b_i (right side)
     cells = alg.sparse if side == "left" else tuple(zip(*alg.sparse))
     rows = []
     for b in v.row_nonzeros:
         # the images of one b, and their residuals, share one integer
         # scale, which leaves the kernel alone
-        eqs = [[0] * n for _ in free]
+        eqs = [[0] * n for _ in range(n - t.dim)]
         for i, row in enumerate(cells):
             for j, a in b:
                 for k, c in row[j]:
                     for f, p in proj[k]:
                         eqs[f][i] += a * c * p
         rows.extend(eqs)
-    return _span(alg, linalg.int_nullspace(rows, n)[0])
+    return _span(alg, linalg.int_kernel(*linalg.int_rref(rows), n)[0])
 
 
 def stabilizer(v: Subspace, side="left") -> Subspace:
@@ -314,6 +330,13 @@ def _combinations(elems: list[Element], coefficient_lists):
         yield Element(elems[0].algebra, linalg.combine(cs, rows), den)
 
 
+def vandermonde_line(elems: list[Element], params):
+    """The points sum_i t^i * elems[i], t in params, lazily: any len(elems) of
+    them at distinct parameters are independent (a Vandermonde matrix)."""
+    r = len(elems)
+    return _combinations(elems, ([t ** i for i in range(r)] for t in params))
+
+
 # Largest grid, in points, that contains_invertible searches exhaustively.
 GRID_CAP = 1000
 # Random combinations contains_invertible samples when the grid is too large.
@@ -338,9 +361,7 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
         return InvertibilityCertificate("YES", alg.one(), 0)
     r = v.dim
     elems = v.elements()
-    # Vandermonde line through the basis: x_1 + a x_2 + ... + a^{r-1} x_r
-    line = _combinations(elems, ([a ** i for i in range(r)] for a in range(1, alg.dim + r + 2)))
-    w, used = _first_invertible(chain(elems, line))
+    w, used = _first_invertible(chain(elems, vandermonde_line(elems, range(1, alg.dim + r + 2))))
     if w is not None:
         return InvertibilityCertificate("YES", w, used)
     grid = range(alg.dim + 1)
@@ -352,18 +373,19 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
     return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 
 
-def invertible_basis(v: Subspace, seed: int = 0) -> list[Element]:
+def invertible_basis(v: Subspace) -> list[Element]:
     """Basis of V consisting of invertible elements.
 
-    Uses the Vandermonde-line construction: with an invertible first
-    basis vector, any dim(V) line points with distinct parameters form a
-    basis, and at most dim(algebra) parameters can give a singular point.
+    The Vandermonde line p(t) through a basis of V whose first vector is
+    invertible has r = dim(V) independent points at any r parameters.
+    det(y -> p(t) y) has degree at most n(r - 1) in t, n = dim(algebra), and
+    is nonzero at t = 0, so the n(r - 1) + r parameters 0, 1, ... give r
+    invertible points.
     """
-    cert = contains_invertible(v, seed=seed)
+    cert = contains_invertible(v)
     if cert.kind != "YES":
         raise NoInvertibleFound(f"no invertible element found in {v!r} ({cert.kind})")
-    alg = v.algebra
-    a = cert.witness
+    alg, a, r = v.algebra, cert.witness, v.dim
     # basis of V starting with the invertible witness, grown with one
     # echelon form of the integer rows taken so far
     elems, out, pivots = [a], [], []
@@ -371,15 +393,11 @@ def invertible_basis(v: Subspace, seed: int = 0) -> list[Element]:
     for b, y in zip(v.elements(), v.rows):
         if linalg.echelon_add(out, pivots, y)[1] is not None:
             elems.append(b)
-    if len(elems) != v.dim:
+    if len(elems) != r:
         raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
-    line = _combinations(elems, ([alpha ** i for i in range(v.dim)]
-                                 for alpha in range(alg.dim + v.dim + 2)))
-    out = list(islice((x for x in line if x.is_invertible), v.dim))
-    if len(out) < v.dim:
-        raise NoInvertibleFound("Vandermonde-line search exhausted its budget")
-    got = span_of(out)
-    if got != v:
+    line = vandermonde_line(elems, range(alg.dim * (r - 1) + r))
+    out = list(islice((x for x in line if x.is_invertible), r))
+    if len(out) < r or span_of(out) != v:
         raise NoInvertibleFound("Vandermonde-line points do not span V")
     return out
 

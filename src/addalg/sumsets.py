@@ -114,7 +114,7 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     # span(AB) <= B gives Ae <= B, so A n Be^-1 = A, for every e in B: no pivot can shrink A
     if b.contains_space(sub.product_span(a, b)):
         return sub.subalgebra_generated(a.elements()), b, 0
-    for e in sub.invertible_basis(b):  # B holds the unit, so no seed is read
+    for e in sub.invertible_basis(b):
         a_e, b_e = e_transform(a, b, e)
         if a_e.dim < a.dim:
             h, v, depth = _recurse(a_e, b_e)

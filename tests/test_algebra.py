@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from addalg import linalg
 from addalg.algebra import (
     Element,
     NonInvertible,
@@ -119,6 +120,20 @@ def test_invert_examples():
 
     one = alg.one()
     assert one.invert().coords == one.coords
+
+
+def test_singular_invert_eliminates_once(monkeypatch):
+    # the witness is read off the form that showed there is no inverse
+    calls = []
+    real = linalg.int_rref
+    monkeypatch.setattr(linalg, "int_rref", lambda rows: calls.append(1) or real(rows))
+    m2 = matrix_algebra(2)
+    for x in (poly_quotient_product([Poly.monomial(3)]).basis_element(1),
+              m2.basis_element(0), m2.element([1, 2, 2, 4])):
+        calls.clear()
+        res = x.invert()
+        assert isinstance(res, NonInvertible) and len(calls) == 1
+        assert (x * res.witness).is_zero and not res.witness.is_zero
 
 
 def test_invert_roundtrip_random():

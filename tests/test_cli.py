@@ -114,6 +114,27 @@ def test_certificate_and_kneser(capsys, tmp_path):
     assert code == 0 and json.loads(out)["bound_holds"]
 
 
+# Q^9 with a B whose Vandermonde line through the unit is singular at
+# t = 1, ..., 12: its third invertible point is at t = 14
+Q9_INSTANCE = {
+    "algebra": {"kind": "poly_quotient_product", "factors": [["0", "1"]] * 9},
+    "subspaces": {
+        "A": [["1"] * 9, ["1"] + ["0"] * 8],
+        "B": [["1", "0", "0", "-3/2", "-7/12", "-11/30", "-15/56", "-19/90", "-23/132"],
+              ["0", "1", "0", "1/2", "1/12", "1/30", "1/56", "1/90", "1/132"],
+              ["0", "0", "1", "2", "3/2", "4/3", "5/4", "6/5", "7/6"]],
+    },
+}
+
+
+def test_certificate_with_many_singular_line_points(capsys, tmp_path):
+    path = write_instance(tmp_path, Q9_INSTANCE)
+    code, out = run(capsys, "certificate", "--in", path, "--A", "A", "--B", "B", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["violations"] == [] and data["recursion_depth"] == 1
+
+
 def test_atom_hamidoune_tao(capsys, tmp_path):
     path = write_instance(tmp_path, Q4_INSTANCE)
     code, out = run(capsys, "atom", "--in", path, "--V", "A", "--lambda", "1/2",
@@ -205,6 +226,23 @@ def test_exit_code_schema_errors(capsys, tmp_path):
         desc = {"kind": "structure_constants", "table": table, "unit": unit}
         code = cli.main(["info", "--in", write_instance(tmp_path, {"algebra": desc}, name)])
         assert (code, capsys.readouterr().err) == (2, f"error: {what} must be a JSON array\n")
+    # a monoid table, row or labels given as a string, a boolean unit or entry
+    monoid_check = ["monoid-check", "--A", "e", "--B", "e,a", "--lambda", "1"]
+    for name, desc, argv, message in (
+            ("labels.json", {"kind": "group_table", "table": [[0, 1], [1, 0]], "labels": "ea"},
+             monoid_check, "labels must be a JSON array"),
+            ("bool-unit.json", {"kind": "monoid_table", "table": [[1, 0], [0, 1]], "unit": True,
+                                "labels": ["a", "e"]},
+             monoid_check, "table unit must be an integer"),
+            ("bool-entry.json", {"kind": "group_table", "table": [[0, True], [True, 0]]},
+             ["info"], "table entry must be an integer"),
+            ("table-rows.json", {"kind": "group_table", "table": ["01", "10"]},
+             ["group-sweep"], "table row must be a JSON array"),
+            ("table-string.json", {"kind": "group_table", "table": "0110"},
+             ["group-sweep"], "table must be a JSON array")):
+        path = write_instance(tmp_path, {"algebra": desc}, name)
+        code = cli.main([argv[0], "--in", path, *argv[1:]])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 def test_absent_or_null_subspaces_mean_none(capsys, tmp_path):

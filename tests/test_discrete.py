@@ -99,7 +99,7 @@ def test_combinatorial_stabilizer():
             assert m.unit_index in h
             for x in h:
                 for y in h:
-                    assert m.mul(x, y) in h
+                    assert m.table[x][y] in h
 
 
 def test_combinatorial_stabilizer_right_side_s3():

@@ -74,3 +74,17 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(f"{modname}.{attr}")
     assert len(traced) > 30 and missing == []
+
+
+def test_every_exported_name_resolves():
+    # each name a module lists in __all__ must exist, so a deleted helper
+    # cannot stay exported; importing __main__ would run the CLI
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module("addalg" if path.stem == "__init__"
+                                         else f"addalg.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []

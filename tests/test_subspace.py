@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from addalg import subspace as sub
-from addalg.algebra import Element
+from addalg.algebra import Element, poly_quotient_product
 from addalg.errors import EmptyGeneratingSet, NoInvertibleFound, ZeroSubspace
 from addalg.fixtures import algebra_fixture
+from addalg.polynomials import Poly
 
 from oracles import frac_rank
 
@@ -211,6 +212,28 @@ def test_invertible_basis():
     nilp = sub.from_vecs(qt2, [qt2.basis_vec(1)])
     with pytest.raises(NoInvertibleFound):
         sub.invertible_basis(nilp)
+
+
+def test_invertible_basis_past_dim_singular_line_points():
+    # det(x -> p(t) x) on the Vandermonde line p(t) through the unit and B's
+    # basis has degree up to 9 * 2 in t and vanishes at t = 1, ..., 12, so the
+    # third invertible point is at t = 14; test_cli.py's Q9_INSTANCE is this B
+    q9 = poly_quotient_product([Poly.x()] * 9)
+    b = sub.from_vecs(q9, [
+        [1, 0, 0, F(-3, 2), F(-7, 12), F(-11, 30), F(-15, 56), F(-19, 90), F(-23, 132)],
+        [0, 1, 0, F(1, 2), F(1, 12), F(1, 30), F(1, 56), F(1, 90), F(1, 132)],
+        [0, 0, 1, 2, F(3, 2), F(4, 3), F(5, 4), F(6, 5), F(7, 6)],
+    ])
+    basis = sub.invertible_basis(b)
+    assert len(basis) == 3 and all(x.is_invertible for x in basis)
+    assert sub.span_of(basis) == b
+
+
+def test_vandermonde_line():
+    q3 = algebra_fixture("Q3")
+    elems = [q3.basis_element(0), q3.element([0, F(1, 2), 0]), q3.basis_element(2)]
+    points = list(sub.vandermonde_line(elems, [0, 2, -1]))
+    assert points == [q3.element([1, 0, 0]), q3.element([1, 1, 4]), q3.element([1, F(-1, 2), 1])]
 
 
 def test_invertible_basis_random():
