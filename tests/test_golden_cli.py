@@ -3,8 +3,9 @@
 `golden_cli.json` records the argv, exit code, stdout and stderr of a
 fixed list of commands: the criterion-9 commands, generated instances of
 every family, the certificate, kneser, stabilizer and annihilator
-reports on each of them, and the atom, hamidoune and tao reports on
-split instances, with their error exits.  The generated instances and certificates depend
+reports on each of them, the atom, hamidoune and tao reports on split
+instances, with their error exits, and the nfold reports on the
+generated instances.  The generated instances and certificates depend
 on the order in which the seeded candidate streams draw, so a replay that
 matches byte for byte shows that order is unchanged.
 
@@ -127,6 +128,7 @@ def cases():
         out.append((["certificate", "--in", "@q5-singular", "--A", "B", "--B", "B",
                      "--seed", seed, "--json"], None))
     out += _atom_cases()
+    out += _nfold_cases()
     return out
 
 
@@ -167,6 +169,16 @@ def _atom_cases():
           "--cap", "4", "--json"], None),
         (["atom", "--in", "@nonsplit", "--V", "U", "--lambda", "1", "--json"], None),
     ]
+    return out
+
+
+def _nfold_cases():
+    """nfold of (A, B) and (B, A, B) on each generated instance (all commutative)."""
+    out = []
+    for family, n, dims, seed in GEN_CASES:
+        inst = f"@{family}-n{n}-d{dims.replace(',', '')}-s{seed}"
+        out += [(["nfold", "--in", inst, "--spaces", spaces, "--json"], None)
+                for spaces in ("A,B", "B,A,B")]
     return out
 
 
