@@ -334,7 +334,7 @@ def poly_at(p: Poly, x: Element) -> Element:
 # -- constructors -----------------------------------------------------
 
 
-def from_structure_constants(table, unit, label="", validate=True) -> Algebra:
+def from_structure_constants(table, unit, label="") -> Algebra:
     """The dense entry point: table[i][j] holds the coordinates of b_i * b_j."""
     table = [[vec(cell) for cell in row] for row in table]
     unit = vec(unit)
@@ -346,7 +346,7 @@ def from_structure_constants(table, unit, label="", validate=True) -> Algebra:
     if len(unit) != n:
         raise BadUnit("unit vector has wrong length")
     return Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], unit,
-                   label=label, validate=validate)
+                   label=label)
 
 
 def monoid_algebra(mtable, label="") -> Algebra:

@@ -184,7 +184,7 @@ def cmd_nfold(args):
                           f"got {args.spaces!r}")
     report = sumsets.kneser_nfold_check([_space(spaces, n) for n in names])
     _emit(args, report.to_json())
-    ok = report.bound_holds and report.strong_bound_holds
+    ok = report.bound_holds and report.strong_bound_holds is not False
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

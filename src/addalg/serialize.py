@@ -80,14 +80,22 @@ def _index(x, what: str) -> int:
     return x
 
 
+def _string(x, what: str) -> str:
+    """x, checked to be a string: no element name or label is another JSON type."""
+    if not isinstance(x, str):
+        raise SchemaError(f"{what} must be a string")
+    return x
+
+
 def table_from_json(d) -> MulTable:
     try:
         rows = [[_index(x, "table entry") for x in _array(row, "table row")]
                 for row in _array(d["table"], "table")]
         labels = d.get("labels")
-        labels = None if labels is None else _array(labels, "labels")
+        labels = None if labels is None else [_string(x, "element label")
+                                              for x in _array(labels, "labels")]
         return MulTable.build(rows, _index(d.get("unit", 0), "table unit"),
-                              labels, d.get("label", ""))
+                              labels, _string(d.get("label", ""), "label"))
     except (KeyError, TypeError, IndexError) as e:
         raise SchemaError(f"bad monoid table: {e}") from None
 
@@ -97,6 +105,7 @@ def algebra_from_desc(d) -> Algebra:
     if not isinstance(d, dict) or "kind" not in d:
         raise SchemaError("algebra description must be a dict with a 'kind'")
     kind = d["kind"]
+    label = _string(d.get("label", ""), "label")
     try:
         if kind == "structure_constants":
             table = [
@@ -105,19 +114,18 @@ def algebra_from_desc(d) -> Algebra:
                 for row in _array(d["table"], "structure-constant table")
             ]
             unit = [parse_rat(c) for c in _array(d["unit"], "unit")]
-            return from_structure_constants(table, unit, label=d.get("label", ""))
+            return from_structure_constants(table, unit, label=label)
         if kind in ("group_table", "monoid_table"):
-            return monoid_algebra(table_from_json(d), label=d.get("label", ""))
+            return monoid_algebra(table_from_json(d), label=label)
         if kind == "poly_quotient_product":
             return poly_quotient_product(
-                [poly_from_json(p) for p in d["factors"]], label=d.get("label", ""))
+                [poly_from_json(p) for p in d["factors"]], label=label)
         if kind == "companion":
             return companion_algebra(
-                [poly_from_json(p) for p in d["polys"]], label=d.get("label", ""))
+                [poly_from_json(p) for p in d["polys"]], label=label)
         if kind == "direct_product":
             return direct_product(algebra_from_desc(d["left"]),
-                                  algebra_from_desc(d["right"]),
-                                  label=d.get("label", ""))
+                                  algebra_from_desc(d["right"]), label=label)
     except SchemaError:
         raise
     except (KeyError, TypeError, IndexError) as e:

@@ -245,6 +245,8 @@ def product_span(v: Subspace, w: Subspace) -> Subspace:
 def translate(x: Element, v: Subspace, side="left") -> Subspace:
     """Span of x*V (left) or V*x (right)."""
     alg = v.algebra
+    if x.algebra is not alg:
+        raise AlgebraMismatch("element from a different algebra")
     xs = linalg.nonzeros(x.num)
     if side == "left":
         rows = [alg.mul_pairs(xs, b) for b in v.row_nonzeros]
@@ -409,7 +411,7 @@ def subalgebra_generated(elements: list[Element]) -> Subspace:
     alg = elements[0].algebra
     cur = _span(alg, [alg.one().num] + [e.num for e in elements])
     for _ in range(alg.dim + 1):
-        nxt = lattice_sum(cur, product_span(cur, cur))
+        nxt = product_span(cur, cur)  # holds cur, since cur holds the unit
         if nxt.dim == cur.dim:
             return cur
         cur = nxt

@@ -204,19 +204,14 @@ class KneserReport:
 def kneser_check(a: Subspace, b: Subspace) -> KneserReport:
     """dim(AB) >= dim A + dim B - dim H with H the left stabilizer of span(AB).
 
-    In a commutative algebra the strengthened bound through HA and HB is
-    checked as well.
+    The two-factor case of kneser_nfold_check: in a commutative algebra the
+    strengthened bound through HA and HB is checked as well, and elsewhere
+    dim_ha, dim_hb and strong_bound_holds are None.
     """
-    prod = sub.product_span(a, b)
-    h = sub.stabilizer(prod, "left")
-    bound = prod.dim >= a.dim + b.dim - h.dim
-    if a.algebra.commutative:
-        ha = sub.product_span(h, a)
-        hb = sub.product_span(h, b)
-        strong = prod.dim >= ha.dim + hb.dim - h.dim
-        return KneserReport(a.dim, b.dim, prod.dim, h.dim, bound,
-                            ha.dim, hb.dim, strong)
-    return KneserReport(a.dim, b.dim, prod.dim, h.dim, bound)
+    rep = kneser_nfold_check([a, b])
+    dim_ha, dim_hb = rep.dims_ih or (None, None)
+    return KneserReport(a.dim, b.dim, rep.dim_product, rep.dim_stab, rep.bound_holds,
+                        dim_ha, dim_hb, rep.strong_bound_holds)
 
 
 @dataclass(frozen=True)
@@ -224,23 +219,33 @@ class NfoldReport:
     dims: tuple[int, ...]
     dim_product: int
     dim_stab: int
-    dims_ih: tuple[int, ...]
     bound_holds: bool
-    strong_bound_holds: bool
+    dims_ih: tuple[int, ...] | None = None
+    strong_bound_holds: bool | None = None
 
     def to_json(self):
-        return {
+        out = {
             "dims": list(self.dims),
             "dim_product": self.dim_product,
             "dim_H": self.dim_stab,
-            "dims_AiH": list(self.dims_ih),
             "bound_holds": self.bound_holds,
-            "strong_bound_holds": self.strong_bound_holds,
         }
+        if self.strong_bound_holds is not None:
+            out.update({
+                "dims_AiH": list(self.dims_ih),
+                "strong_bound_holds": self.strong_bound_holds,
+            })
+        return out
 
 
 def kneser_nfold_check(spaces: list[Subspace]) -> NfoldReport:
-    """Both n-fold lower bounds with H the stabilizer of the full product."""
+    """dim(A_1...A_n) >= sum dim A_i - (n - 1) dim H, H the left stabilizer
+    of span(A_1...A_n).
+
+    The strengthened bound through the dims_ih = dim span(H A_i) is a
+    theorem only in a commutative algebra, so it is checked only there
+    (where H A_i = A_i H); elsewhere dims_ih and strong_bound_holds are None.
+    """
     if len(spaces) < 2:
         raise ValueError("need at least two factors")
     prod = spaces[0]
@@ -248,11 +253,13 @@ def kneser_nfold_check(spaces: list[Subspace]) -> NfoldReport:
         prod = sub.product_span(prod, s)
     h = sub.stabilizer(prod, "left")
     n = len(spaces)
-    dims_ih = tuple(sub.product_span(s, h).dim for s in spaces)
+    dims = tuple(s.dim for s in spaces)
+    plain = prod.dim >= sum(dims) - (n - 1) * h.dim
+    if not prod.algebra.commutative:
+        return NfoldReport(dims, prod.dim, h.dim, plain)
+    dims_ih = tuple(sub.product_span(h, s).dim for s in spaces)
     strong = prod.dim >= sum(dims_ih) - (n - 1) * h.dim
-    plain = prod.dim >= sum(s.dim for s in spaces) - (n - 1) * h.dim
-    return NfoldReport(tuple(s.dim for s in spaces), prod.dim, h.dim, dims_ih,
-                       plain, strong)
+    return NfoldReport(dims, prod.dim, h.dim, plain, dims_ih, strong)
 
 
 # -- connectivity -----------------------------------------------------

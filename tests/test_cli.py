@@ -226,9 +226,19 @@ def test_exit_code_schema_errors(capsys, tmp_path):
         desc = {"kind": "structure_constants", "table": table, "unit": unit}
         code = cli.main(["info", "--in", write_instance(tmp_path, {"algebra": desc}, name)])
         assert (code, capsys.readouterr().err) == (2, f"error: {what} must be a JSON array\n")
-    # a monoid table, row or labels given as a string, a boolean unit or entry
+    # a monoid table, row or labels given as a string, a boolean unit or
+    # entry, and a label or element label that is not a string
     monoid_check = ["monoid-check", "--A", "e", "--B", "e,a", "--lambda", "1"]
     for name, desc, argv, message in (
+            ("int-labels.json", {"kind": "group_table", "table": [[0, 1], [1, 0]],
+                                 "labels": [1, 2]},
+             ["info"], "element label must be a string"),
+            ("list-label.json", {"kind": "poly_quotient_product", "factors": [["0", "1"]],
+                                 "label": ["x"]},
+             ["info"], "label must be a string"),
+            ("table-label.json", {"kind": "group_table", "table": [[0, 1], [1, 0]],
+                                  "label": 2},
+             ["group-sweep"], "label must be a string"),
             ("labels.json", {"kind": "group_table", "table": [[0, 1], [1, 0]], "labels": "ea"},
              monoid_check, "labels must be a JSON array"),
             ("bool-unit.json", {"kind": "monoid_table", "table": [[1, 0], [0, 1]], "unit": True,
@@ -316,6 +326,27 @@ def test_kneser_noncommutative_exit_follows_the_plain_bound(capsys, tmp_path):
     data = json.loads(out)
     assert "strong_bound_holds" not in data and "dim_HA" not in data
     assert code == (0 if data["bound_holds"] else 1) == 0
+
+
+# Q[S3] with A = span(e) and B = span((12), (012)): span(AB) = B, its left
+# stabilizer H has dim 2 and span(BH) has dim 4, so the strengthened bound
+# with H on the right reads false; it is a theorem only for commutative algebras
+QS3_INSTANCE = {
+    "algebra": {**fixtures.table_fixture("S3").to_json(), "kind": "group_table",
+                "label": "QS3"},
+    "subspaces": {"A": [[1, 0, 0, 0, 0, 0]], "B": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]},
+}
+
+
+def test_nfold_noncommutative_exit_follows_the_plain_bound(capsys, tmp_path):
+    path = write_instance(tmp_path, QS3_INSTANCE)
+    code, out = run(capsys, "nfold", "--in", path, "--spaces", "A,B", "--json")
+    data = json.loads(out)
+    assert "strong_bound_holds" not in data and "dims_AiH" not in data
+    assert code == 0 and data["bound_holds"]
+    code, out = run(capsys, "kneser", "--in", path, "--A", "A", "--B", "B", "--json")
+    pair = json.loads(out)
+    assert code == 0 and (pair["dim_AB"], pair["dim_H"]) == (data["dim_product"], data["dim_H"])
 
 
 def test_monoid_check_b_missing_the_unit_group_exits_2(capsys):

@@ -5,9 +5,10 @@ fixed list of commands: the criterion-9 commands, generated instances of
 every family, the certificate, kneser, stabilizer and annihilator
 reports on each of them, the atom, hamidoune and tao reports on split
 instances, with their error exits, and the nfold reports on the
-generated instances.  The generated instances and certificates depend
-on the order in which the seeded candidate streams draw, so a replay that
-matches byte for byte shows that order is unchanged.
+generated instances and on one pair in the non-commutative Q[S3].  The
+generated instances and certificates depend on the order in which the
+seeded candidate streams draw, so a replay that matches byte for byte
+shows that order is unchanged.
 
 An argv item "@NAME" stands for a file holding instance NAME: either a
 literal from INSTANCES or the stdout of the command saved as NAME.
@@ -24,6 +25,7 @@ import pathlib
 import pytest
 
 from addalg import cli
+from addalg.fixtures import table_fixture
 from addalg.serialize import dumps
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
@@ -61,6 +63,13 @@ INSTANCES = {
             "U": [["1", "0", "1"], ["0", "1", "0"]],
             "N": [["0", "1", "0"], ["0", "0", "1"]],
         },
+    }),
+    # Q[S3], not commutative: nfold checks the plain bound only
+    "qs3": dumps({
+        "algebra": {**table_fixture("S3").to_json(), "kind": "group_table",
+                    "label": "QS3"},
+        "subspaces": {"A": [["1", "0", "0", "0", "0", "0"]],
+                      "B": [["0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"]]},
     }),
 }
 
@@ -173,12 +182,14 @@ def _atom_cases():
 
 
 def _nfold_cases():
-    """nfold of (A, B) and (B, A, B) on each generated instance (all commutative)."""
+    """nfold of (A, B) and (B, A, B) on each generated instance (all
+    commutative), then of (A, B) in Q[S3]."""
     out = []
     for family, n, dims, seed in GEN_CASES:
         inst = f"@{family}-n{n}-d{dims.replace(',', '')}-s{seed}"
         out += [(["nfold", "--in", inst, "--spaces", spaces, "--json"], None)
                 for spaces in ("A,B", "B,A,B")]
+    out.append((["nfold", "--in", "@qs3", "--spaces", "A,B", "--json"], None))
     return out
 
 

@@ -5,7 +5,12 @@ import pytest
 
 from addalg import subspace as sub
 from addalg.algebra import Element, poly_quotient_product
-from addalg.errors import EmptyGeneratingSet, NoInvertibleFound, ZeroSubspace
+from addalg.errors import (
+    AlgebraMismatch,
+    EmptyGeneratingSet,
+    NoInvertibleFound,
+    ZeroSubspace,
+)
 from addalg.fixtures import algebra_fixture
 from addalg.polynomials import Poly
 
@@ -48,6 +53,16 @@ def test_span_of_elements():
 
     qt3 = algebra_fixture("QT3")
     assert sub.span_of([qt3.basis_element(i) for i in range(3)]) == sub.full_space(qt3)
+
+
+def test_translate_refuses_an_element_of_another_algebra():
+    # QZ3 and Q3 share a dimension, so the rows alone cannot tell them apart
+    x = algebra_fixture("QZ3").basis_element(1)
+    q3 = algebra_fixture("Q3")
+    v = sub.span_of([q3.basis_element(0)])
+    for side in ("left", "right"):
+        with pytest.raises(AlgebraMismatch):
+            sub.translate(x, v, side=side)
 
 
 def test_dim_formula_sum_intersection():

@@ -266,12 +266,26 @@ def test_kneser_nfold():
     rep = sumsets.kneser_nfold_check([full, full, full])
     assert rep.bound_holds and rep.dim_stab == alg.dim
 
-    # n=2 agrees with the pairwise check
-    a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(2)])
-    two = sumsets.kneser_nfold_check([s, a])
-    pair = sumsets.kneser_check(s, a)
-    assert two.dim_product == pair.dim_product
-    assert two.bound_holds == pair.bound_holds
+    # n=2 agrees with the pairwise check on every field; H is the left
+    # stabilizer, and the strengthened bound, through HA and HB, is checked
+    # in the commutative algebras only
+    pairs = [(s, sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(2)]))]
+    rng = random.Random(2)
+    for name in ("QZ7", "Q3", "QS3", "M2x2"):
+        other = algebra_fixture(name)
+        pairs += [(sub.lattice_sum(sub.unit_span(other), rand_space(other, 1, rng)),
+                   rand_space(other, 2, rng)) for _ in range(3)]
+    for a, b in pairs:
+        pair = sumsets.kneser_check(a, b)
+        h = sub.stabilizer(sub.product_span(a, b), "left")
+        ih = None if pair.dim_ha is None else (pair.dim_ha, pair.dim_hb)
+        assert pair.dim_stab == h.dim
+        assert ih == ((sub.product_span(h, a).dim, sub.product_span(h, b).dim)
+                      if a.algebra.commutative else None)
+        assert (ih is None) == (pair.strong_bound_holds is None)
+        assert sumsets.kneser_nfold_check([a, b]) == sumsets.NfoldReport(
+            (a.dim, b.dim), pair.dim_product, pair.dim_stab, pair.bound_holds, ih,
+            pair.strong_bound_holds)
 
 
 # -- connectivity ------------------------------------------------------
