@@ -409,7 +409,7 @@ def subalgebra_generated(elements: list[Element]) -> Subspace:
     if not elements:
         raise EmptyGeneratingSet("subalgebra of empty generating set")
     alg = elements[0].algebra
-    cur = _span(alg, [alg.one().num] + [e.num for e in elements])
+    cur = span_of([alg.one(), *elements])
     for _ in range(alg.dim + 1):
         nxt = product_span(cur, cur)  # holds cur, since cur holds the unit
         if nxt.dim == cur.dim:

@@ -22,13 +22,7 @@ from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture, cyclic, table_fixtur
 from addalg.polynomials import Poly
 from addalg.serialize import algebra_from_desc
 
-from oracles import (
-    frac_rank,
-    ref_direct_product_tensor,
-    ref_matrix_tensor,
-    ref_monoid_tensor,
-    ref_poly_quotient_tensor,
-)
+from oracles import ref, ref_direct_product_tensor, ref_matrix_tensor, ref_tensor
 
 T = Poly.x()
 
@@ -104,7 +98,7 @@ def test_min_poly_annihilates_and_is_minimal():
             for _ in range(mu.degree - 1):
                 cur = cur * x
                 powers.append(cur.coords)
-            assert frac_rank(powers) == mu.degree
+            assert ref.rank(powers) == mu.degree
 
 
 def test_invert_examples():
@@ -271,14 +265,24 @@ FIXTURE_POLYS = {
 }
 
 
+def quotient_tensor(polys):
+    """prod Q[T]/(P) on the power bases, from the reference product."""
+    return ref_tensor(ref.Mult.from_desc({"kind": "poly_quotient_product", "factors": polys}))
+
+
+def monoid_tensor(table, unit_index):
+    """Q[M] on the basis e_x: e_x e_y = e_{xy}, from the reference product."""
+    return ref_tensor(ref.Mult.from_table(table, unit_index))
+
+
 def fixture_reference(name):
     """(table, unit) of an algebra fixture, built from its definition."""
     if name == "M2x2":
         return ref_matrix_tensor(2)
     if name in FIXTURE_POLYS:
-        return ref_poly_quotient_tensor(FIXTURE_POLYS[name])
+        return quotient_tensor(FIXTURE_POLYS[name])
     m = table_fixture(name[1:].strip("[]"))  # QZ5 -> Z5, Q[paper-m7] -> paper-m7
-    return ref_monoid_tensor(m.table, m.unit_index)
+    return monoid_tensor(m.table, m.unit_index)
 
 
 def rat_strs(rows):
@@ -287,28 +291,28 @@ def rat_strs(rows):
 
 NILP = {"kind": "poly_quotient_product", "factors": [["0", "0", "1"]]}
 COMPANION = {"kind": "companion", "polys": [["-1", "1"], ["-2", "1"], ["-1", "1"]]}
-RATIONAL_QUOTIENT = ref_poly_quotient_tensor([[F(1, 3), F(-1, 2), 1]])
+RATIONAL_QUOTIENT = quotient_tensor([[F(1, 3), F(-1, 2), 1]])
 JSON_KINDS = [
     ({"kind": "structure_constants", "table": rat_strs(RATIONAL_QUOTIENT[0]),
       "unit": list(map(str, RATIONAL_QUOTIENT[1]))}, RATIONAL_QUOTIENT),
     ({"kind": "group_table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
-     ref_monoid_tensor([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)),
+     monoid_tensor([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)),
     ({"kind": "monoid_table", "table": [[0, 0], [0, 1]], "unit": 1},
-     ref_monoid_tensor([[0, 0], [0, 1]], 1)),
+     monoid_tensor([[0, 0], [0, 1]], 1)),
     ({"kind": "poly_quotient_product", "factors": [["1/2", "-3/7", "2", "1"], ["1", "1"]]},
-     ref_poly_quotient_tensor([[F(1, 2), F(-3, 7), 2, 1], [1, 1]])),
+     quotient_tensor([[F(1, 2), F(-3, 7), 2, 1], [1, 1]])),
     # mu = lcm = (T - 1)(T - 2)
-    (COMPANION, ref_poly_quotient_tensor([[2, -3, 1]])),
+    (COMPANION, quotient_tensor([[2, -3, 1]])),
     # mu = lcm(T^2 + 1, T^3 + T) = T^3 + T
     ({"kind": "companion", "polys": [["1", "0", "1"], ["0", "1", "0", "1"]]},
-     ref_poly_quotient_tensor([[0, 1, 0, 1]])),
+     quotient_tensor([[0, 1, 0, 1]])),
     ({"kind": "direct_product", "left": NILP, "right": COMPANION},
-     ref_direct_product_tensor(ref_poly_quotient_tensor([[0, 0, 1]]),
-                               ref_poly_quotient_tensor([[2, -3, 1]]))),
+     ref_direct_product_tensor(quotient_tensor([[0, 0, 1]]),
+                               quotient_tensor([[2, -3, 1]]))),
     ({"kind": "direct_product", "left": COMPANION,
       "right": {"kind": "structure_constants", "table": rat_strs(RATIONAL_QUOTIENT[0]),
                 "unit": list(map(str, RATIONAL_QUOTIENT[1]))}},
-     ref_direct_product_tensor(ref_poly_quotient_tensor([[2, -3, 1]]), RATIONAL_QUOTIENT)),
+     ref_direct_product_tensor(quotient_tensor([[2, -3, 1]]), RATIONAL_QUOTIENT)),
 ]
 
 

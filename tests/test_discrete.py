@@ -24,7 +24,50 @@ from addalg.fixtures import (
     table_fixture,
 )
 
-from oracles import ref_group_sweep, zmod_stabilizer, zmod_sumset
+from oracles import ref
+
+
+def memo_free_sweep(m, exhaustive=True, seed=0, count=200):
+    """The report of discrete.group_kneser_sweep, with nothing reused.
+
+    Per pair, AB and its left stabilizer H come by brute force from the
+    table through the reference, and the algebra route lifts both subsets
+    afresh and runs product_span and stabilizer on them.  The reference
+    draws subsets in the library's order (bit i of the mask holds element
+    i), so a sampled sweep sees the same pairs from the same seed.
+    """
+    n, t = m.size, m.table
+    alg = m.algebra()
+    if exhaustive:
+        subsets = ref.nonempty_subsets(n)
+        pairs = [(a, b) for a in subsets for b in subsets]
+    else:
+        pairs = ref.sampled_pairs(n, seed, count)
+
+    def lift(s):
+        return sub.from_vecs(alg, [[int(i == j) for j in range(n)] for i in sorted(s)])
+
+    violations = []
+    for a, b in pairs:
+        ab = ref.set_product(t, a, b)
+        h = ref.set_left_stabilizer(t, ab)
+        if len(ab) < len(a) + len(b) - len(h):
+            violations.append({
+                "A": sorted(a), "B": sorted(b),
+                "issue": "combinatorial bound",
+                "|AB|": len(ab), "|A|": len(a), "|B|": len(b), "|H|": len(h),
+            })
+            continue
+        pspan = sub.product_span(lift(a), lift(b))
+        hdim = sub.stabilizer(pspan, "left").dim
+        if pspan.dim != len(ab) or hdim != len(h):
+            violations.append({
+                "A": sorted(a), "B": sorted(b),
+                "issue": "algebra route disagrees",
+                "dim_span": pspan.dim, "|AB|": len(ab),
+                "dim_stab": hdim, "|H|": len(h),
+            })
+    return {"pairs_checked": len(pairs), "violations": violations, "ok": not violations}
 
 
 def test_table_validation():
@@ -58,7 +101,7 @@ def test_minkowski_examples():
     a = frozenset({0, 1})
     b = frozenset({0, 1, 2})
     got = sorted(discrete.minkowski(z5, a, b))
-    assert got == zmod_sumset(5, a, b) == [0, 1, 2, 3]
+    assert got == sorted(ref.set_product(ref.cyclic_table(5), a, b)) == [0, 1, 2, 3]
 
     m7 = paper_m7()
     aa = m7.subset(["1", "a", "b"])
@@ -83,7 +126,7 @@ def test_combinatorial_stabilizer():
     z6 = cyclic(6)
     a = frozenset({0, 2, 4})
     got = discrete.combinatorial_stabilizer(z6, a)
-    assert sorted(got) == zmod_stabilizer(6, a) == [0, 2, 4]
+    assert sorted(got) == sorted(ref.set_left_stabilizer(ref.cyclic_table(6), a)) == [0, 2, 4]
 
     m7 = paper_m7()
     assert discrete.combinatorial_stabilizer(m7, m7.subset(["1", "a", "b"])) == \
@@ -164,7 +207,7 @@ def test_group_kneser_sweep_sampled_s3():
 def test_exhaustive_sweep_matches_memo_free_reference(name):
     m = table_fixture(name)
     got = discrete.group_kneser_sweep(m).to_json()
-    assert json.dumps(got) == json.dumps(ref_group_sweep(m))
+    assert json.dumps(got) == json.dumps(memo_free_sweep(m))
 
 
 @pytest.mark.parametrize("name", ["Z8", "Z12", "paper-m7", "graded-m"])
@@ -173,7 +216,7 @@ def test_sampled_sweep_matches_memo_free_reference(name, seed):
     # on the monoids the violations of both kinds must match in content and order
     m = table_fixture(name)
     got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed).to_json()
-    want = ref_group_sweep(m, exhaustive=False, seed=seed)
+    want = memo_free_sweep(m, exhaustive=False, seed=seed)
     assert json.dumps(got) == json.dumps(want)
     if not m.is_group():
         issues = {v["issue"] for v in want["violations"]}
@@ -192,7 +235,7 @@ def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
                         lambda n, mask: built.append(mask) or real_subset(n, mask))
     got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed, count=40).to_json()
     assert 0 < len(built) == len(set(built)) <= 80
-    want = ref_group_sweep(m, exhaustive=False, seed=seed, count=40)
+    want = memo_free_sweep(m, exhaustive=False, seed=seed, count=40)
     assert json.dumps(got) == json.dumps(want)
 
 
@@ -261,7 +304,7 @@ def test_sweep_reads_products_and_stabilizers_off_the_cells(name, kwargs, monkey
     got = discrete.group_kneser_sweep(m, **kwargs).to_json()
     assert calls == {"mul_pairs": 0, "mul_images": 0}
     monkeypatch.undo()
-    assert json.dumps(got) == json.dumps(ref_group_sweep(m, **kwargs))
+    assert json.dumps(got) == json.dumps(memo_free_sweep(m, **kwargs))
 
 
 def test_group_sweep_requires_group():

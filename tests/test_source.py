@@ -88,3 +88,19 @@ def test_every_exported_name_resolves():
         missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def test_references_import_no_addalg():
+    # the tests' reference and the benchmark's must stay written apart from the library
+    found = []
+    for path in (ROOT / "tests" / "oracles.py", ROOT / "perfbench" / "ref.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "addalg"]
+    assert found == []

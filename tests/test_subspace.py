@@ -14,7 +14,7 @@ from addalg.errors import (
 from addalg.fixtures import algebra_fixture
 from addalg.polynomials import Poly
 
-from oracles import frac_rank
+from oracles import ref
 
 
 def rand_space(alg, dim, rng):
@@ -75,7 +75,7 @@ def test_dim_formula_sum_intersection():
         i = sub.lattice_intersect(v, w)
         assert s.dim + i.dim == v.dim + w.dim
         # cross-check the sum dimension against a plain rank oracle
-        assert s.dim == frac_rank(list(v.basis) + list(w.basis))
+        assert s.dim == ref.rank(list(v.basis) + list(w.basis))
         assert s.contains_space(v) and s.contains_space(w)
         assert v.contains_space(i) and w.contains_space(i)
 
@@ -275,6 +275,13 @@ def test_subalgebra_generated_examples():
     assert got.dim == 2
     assert got.contains(x) and got.contains_unit()
     assert sub.is_subalgebra(got)
+
+
+def test_subalgebra_generated_refuses_elements_of_two_algebras():
+    # QZ3 and Q3 share a dimension, so the rows alone cannot tell them apart
+    q3, qz3 = algebra_fixture("Q3"), algebra_fixture("QZ3")
+    with pytest.raises(AlgebraMismatch):
+        sub.subalgebra_generated([q3.basis_element(0), qz3.basis_element(1)])
 
 
 def test_closed_invertible_span_is_subalgebra():
