@@ -4,8 +4,10 @@
 fixed list of commands: the criterion-9 commands, generated instances of
 every family, the certificate, kneser, stabilizer and annihilator
 reports on each of them, the atom, hamidoune and tao reports on split
-instances, with their error exits, and the nfold reports on the
-generated instances and on one pair in the non-commutative Q[S3].  The
+instances, with their error exits, the nfold reports on the generated
+instances and on one pair in the non-commutative Q[S3], and stabilizers
+and annihilators on both sides in M_2(Q) and Q[S3], most of them neither
+the scalars nor 0.  The
 generated instances and certificates depend on the order in which the
 seeded candidate streams draw, so a replay that matches byte for byte
 shows that order is unchanged.
@@ -27,6 +29,8 @@ import pytest
 from addalg import cli
 from addalg.fixtures import table_fixture
 from addalg.serialize import dumps
+
+from oracles import ref_matrix_tensor
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
@@ -64,12 +68,26 @@ INSTANCES = {
             "N": [["0", "1", "0"], ["0", "0", "1"]],
         },
     }),
-    # Q[S3], not commutative: nfold checks the plain bound only
+    # Q[S3], not commutative: nfold checks the plain bound only.  H lifts
+    # the subgroup A3 = {e, (012), (021)}, so its stabilizers are H itself;
+    # D = e - (12) is annihilated on each side by a 3-dimensional space.
     "qs3": dumps({
         "algebra": {**table_fixture("S3").to_json(), "kind": "group_table",
                     "label": "QS3"},
         "subspaces": {"A": [["1", "0", "0", "0", "0", "0"]],
-                      "B": [["0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"]]},
+                      "B": [["0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"]],
+                      "H": [["1", "0", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"],
+                            ["0", "0", "0", "0", "1", "0"]],
+                      "D": [["1", "-1", "0", "0", "0", "0"]]},
+    }),
+    # M_2(Q) on E_ij at index 2i + j, V = span(E11, E21), the first column:
+    # left stabilizer all of M_2, right stabilizer dim 3, right annihilator dim 2.
+    "m2x2": dumps({
+        "algebra": {"kind": "structure_constants", "label": "M2x2",
+                    "table": [[[str(c) for c in cell] for cell in row]
+                              for row in ref_matrix_tensor(2)[0]],
+                    "unit": [str(c) for c in ref_matrix_tensor(2)[1]]},
+        "subspaces": {"V": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]},
     }),
 }
 
@@ -138,6 +156,7 @@ def cases():
                      "--seed", seed, "--json"], None))
     out += _atom_cases()
     out += _nfold_cases()
+    out += _solution_space_cases()
     return out
 
 
@@ -191,6 +210,15 @@ def _nfold_cases():
                 for spaces in ("A,B", "B,A,B")]
     out.append((["nfold", "--in", "@qs3", "--spaces", "A,B", "--json"], None))
     return out
+
+
+def _solution_space_cases():
+    """Stabilizers and annihilators on both sides in M_2(Q) and in Q[S3];
+    only the left annihilator in M_2(Q) is 0."""
+    return [([cmd, "--in", inst, "--V", v, "--side", side, "--json"], None)
+            for cmd, inst, v in (("stabilizer", "@m2x2", "V"), ("annihilator", "@m2x2", "V"),
+                                 ("stabilizer", "@qs3", "H"), ("annihilator", "@qs3", "D"))
+            for side in ("left", "right")]
 
 
 def run_cases(tmpdir):

@@ -4,7 +4,8 @@ Each stabilizer, annihilator, kneser, nfold and group-sweep record of
 golden_cli.json is recomputed from its argv and its instance with
 perfbench/ref.py, not with addalg: an "@NAME" instance is the literal of
 test_golden_cli.INSTANCES or the recorded stdout of the command saved as
-NAME, and its products come from ref.Mult.from_desc.  A golden recorded
+NAME, and its products come from ref.Mult.from_desc, or from the dense
+tensor of a structure-constant description.  A golden recorded
 from a wrong library answer fails here even when it replays byte for byte.
 """
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ref, ref_side
+from oracles import ref, ref_mul, ref_side
 from test_golden_cli import GOLDEN, INSTANCES, cases
 
 DERIVED = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep")
@@ -101,13 +102,22 @@ def _group_sweep(flags):
     return out, 0 if not violations else 1
 
 
+def _mult(desc):
+    """The reference product of an algebra description."""
+    if desc["kind"] != "structure_constants":
+        return ref.Mult.from_desc(desc)
+    table = [[[Fraction(c) for c in cell] for cell in row] for row in desc["table"]]
+    return ref.Mult(len(table), lambda x, y: list(ref_mul(table, x, y)),
+                    [Fraction(c) for c in desc["unit"]])
+
+
 def derive(argv, instances):
     """(stdout payload without schema_version, exit code) of argv, from ref."""
     cmd, flags = argv[0], _flags(argv)
     if cmd == "group-sweep":
         return _group_sweep(flags)
     inst = instances[flags["--in"][1:]]
-    mult = ref.Mult.from_desc(inst["algebra"])
+    mult = _mult(inst["algebra"])
     space = {name: [[Fraction(c) for c in row] for row in rows]
              for name, rows in inst["subspaces"].items()}
     if cmd in ("stabilizer", "annihilator"):
@@ -119,9 +129,9 @@ def derive(argv, instances):
 
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
-    assert counts == {"stabilizer": 36, "annihilator": 36, "kneser": 19, "nfold": 37,
+    assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
                       "group-sweep": 3}
-    assert len(INDICES) == 131
+    assert len(INDICES) == 139
 
 
 @pytest.mark.parametrize("index", INDICES)
