@@ -2,7 +2,11 @@
 
 Bridges combinatorial Minkowski products and stabilizers to the monoid
 algebra: subsets lift to indicator-vector subspaces, where cardinalities
-become dimensions.
+become dimensions.  The single-pair checks take subsets as frozensets
+(minkowski, combinatorial_stabilizer, lift_subset); the group sweep holds
+each subset as its integer mask, bit i for element i, and reads AB, H(AB)
+and the span of lift(A) lift(B) as ORs of image masks, off the
+multiplication table and off the algebra's cells.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import subspace as sub
 from .algebra import Algebra, monoid_algebra
@@ -177,19 +183,44 @@ class SweepReport:
         }
 
 
-def _subset(n: int, mask: int) -> frozenset:
-    """The subset of range(n) whose elements are the set bits of mask."""
-    return frozenset(i for i in range(n) if mask >> i & 1)
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _images(rows, mask: int) -> list[int]:
+    """Entry x is the OR of rows[x][y] over the set bits y of mask: with
+    rows[x][y] the bit of x*y, the mask of xS for S the set bits of mask."""
+    ys = _bits(mask)
+    return [reduce(or_, [row[y] for y in ys]) for row in rows]
+
+
+def _cell_span(cell_images, members) -> int:
+    """The basis indices of span(lift(A) lift(B)) as a mask: the OR over x in
+    A (members) of the indices of b_x lift(B), read off the cells."""
+    span = 0
+    for x in members:
+        span |= cell_images[x]
+    return span
 
 
 def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> SweepReport:
     """Check |AB| >= |A| + |B| - |H_AB| over subset pairs of a group.
 
-    Each pair is also re-derived through the group algebra: the lift of
-    AB must have dimension |AB| and its left stabilizer dimension |H_AB|.
-    Every pair computes its own product span; the values that depend on
-    one subset or one span alone (lifts, stabilizers) are computed once
-    per call and reused.
+    A subset is its integer mask, bit i for element i.  Each pair is also
+    re-derived through the group algebra: the span of lift(A) lift(B) must
+    have dimension |AB| and its left stabilizer dimension |H_AB|.  Two bit
+    tables drive the routes, 1 << xy from the multiplication table and
+    1 << k from each cell b_x b_y = c b_k of the algebra, and per distinct
+    B mask the images xB under both are computed once.  AB is the OR of xB
+    over x in A, and the pair's span the OR of the cell images; |H_AB|
+    counts the g with gAB = AB, once per AB, and the stabilizer is that of
+    the pair's own span, once per span.
     """
     if exhaustive and not m.is_group():
         raise NotAGroup(f"{m.label} has non-invertible elements")
@@ -198,45 +229,55 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
     n = m.size
     masks = range(1, 1 << n)
     if exhaustive:
-        subsets = [_subset(n, mask) for mask in masks]
-        pairs = ((a, b) for a in subsets for b in subsets)
+        pairs = ((a, b) for a in masks for b in masks)
     else:
-        # choice draws the same index from masks as from the list of all
-        # subsets; only the drawn subsets are built, each once
+        # choice draws the same index from masks as from the list of all subsets
         rng = random.Random(seed)
         picks = [rng.choice(masks) for _ in range(2 * count)]
-        drawn = {mask: _subset(n, mask) for mask in set(picks)}
-        pairs = ((drawn[a], drawn[b]) for a, b in zip(picks[::2], picks[1::2]))
-    lifts = {}  # subset -> its lift
-    comb_stabs = {}  # AB -> H(AB)
-    stab_dims = {}  # rows of a computed product span -> dim of its left stabilizer
+        pairs = zip(picks[::2], picks[1::2])
+    t = m.table
+    table_bits = [[1 << k for k in row] for row in t]
+    cell_bits = [[1 << cell[0][0] for cell in row] for row in alg.sparse]
+    members = {}  # mask -> its set bits
+    images = {}  # B -> (xB for each x, off the table; the same off the cells)
+    stab_sizes = {}  # AB -> |H(AB)|
+    stab_dims = {}  # span -> dim of its left stabilizer
     for a, b in pairs:
-        ab = minkowski(m, a, b)
-        if ab not in comb_stabs:
-            comb_stabs[ab] = combinatorial_stabilizer(m, ab, "left")
-        h = comb_stabs[ab]
+        if a not in members:
+            members[a] = _bits(a)
+        xs = members[a]
+        if b not in images:
+            images[b] = _images(table_bits, b), _images(cell_bits, b)
+        by_table, by_cells = images[b]
+        ab = 0
+        for x in xs:
+            ab |= by_table[x]
+        if ab not in stab_sizes:
+            # gAB is the OR of (gx)B over x in A
+            stab_sizes[ab] = sum(reduce(or_, [by_table[row[x]] for x in xs]) == ab
+                                 for row in t)
+        h = stab_sizes[ab]
         report.pairs_checked += 1
-        if len(ab) < len(a) + len(b) - len(h):
+        size_ab, size_a, size_b = ab.bit_count(), len(xs), b.bit_count()
+        if size_ab < size_a + size_b - h:
             report.violations.append({
-                "A": sorted(a), "B": sorted(b),
+                "A": list(xs), "B": _bits(b),
                 "issue": "combinatorial bound",
-                "|AB|": len(ab), "|A|": len(a), "|B|": len(b), "|H|": len(h),
+                "|AB|": size_ab, "|A|": size_a, "|B|": size_b, "|H|": h,
             })
             continue
-        for s in (a, b):
-            if s not in lifts:
-                lifts[s] = lift_subset(alg, s)
-        pspan = sub.product_span(lifts[a], lifts[b])
+        span = _cell_span(by_cells, xs)
         # keyed on this pair's own span, so the stabilizer is that span's
-        if pspan.rows not in stab_dims:
-            stab_dims[pspan.rows] = sub.stabilizer(pspan, "left").dim
-        hdim = stab_dims[pspan.rows]
-        if pspan.dim != len(ab) or hdim != len(h):
+        if span not in stab_dims:
+            stab_dims[span] = sub.stabilizer(sub.coordinate_span(alg, _bits(span)),
+                                             "left").dim
+        hdim = stab_dims[span]
+        if span.bit_count() != size_ab or hdim != h:
             report.violations.append({
-                "A": sorted(a), "B": sorted(b),
+                "A": list(xs), "B": _bits(b),
                 "issue": "algebra route disagrees",
-                "dim_span": pspan.dim, "|AB|": len(ab),
-                "dim_stab": hdim, "|H|": len(h),
+                "dim_span": span.bit_count(), "|AB|": size_ab,
+                "dim_stab": hdim, "|H|": h,
             })
     return report
 

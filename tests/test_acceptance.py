@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 from addalg import classify, cli, discrete, gen, sumsets
 from addalg import subspace as sub
-from addalg.fixtures import algebra_fixture, cyclic, paper_m7
+from addalg.fixtures import algebra_fixture, cyclic, klein_four, paper_m7, symmetric_3
 
 from oracles import ref
 
@@ -74,12 +74,12 @@ def test_criterion_3_subalgebra_census():
 def test_criterion_4_group_kneser_recovery():
     t0 = time.time()
     total = 0
-    for n in range(2, 9):
-        rep = discrete.group_kneser_sweep(cyclic(n), exhaustive=True)
-        assert rep.ok, (n, rep.violations[:3])
-        assert rep.pairs_checked == (2 ** n - 1) ** 2
+    for m in [cyclic(n) for n in range(2, 11)] + [symmetric_3(), klein_four()]:
+        rep = discrete.group_kneser_sweep(m, exhaustive=True)
+        assert rep.ok, (m.label, rep.violations[:3])
+        assert rep.pairs_checked == (2 ** m.size - 1) ** 2
         total += rep.pairs_checked
-    assert total > 81000
+    assert total == 1_398_211
     report(4, f"{total} subset pairs, both routes agree", time.time() - t0, 60)
 
 

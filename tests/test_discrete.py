@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -227,14 +228,17 @@ def test_sampled_sweep_matches_memo_free_reference(name, seed):
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
     # the pairs come from masks drawn like indices into the list of all
-    # 2^n - 1 subsets, and only the drawn ones are built, each once
+    # 2^n - 1 subsets, and image masks are computed only for the drawn B
+    # masks, each once per bit table (the group table and the cells)
     m = table_fixture(name)
-    built = []
-    real_subset = discrete._subset
-    monkeypatch.setattr(discrete, "_subset",
-                        lambda n, mask: built.append(mask) or real_subset(n, mask))
+    processed = []
+    real_images = discrete._images
+    monkeypatch.setattr(discrete, "_images",
+                        lambda rows, mask: processed.append(mask) or real_images(rows, mask))
     got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed, count=40).to_json()
-    assert 0 < len(built) == len(set(built)) <= 80
+    drawn = {sum(1 << y for y in b) for _, b in ref.sampled_pairs(m.size, seed, 40)}
+    assert Counter(processed) == {mask: 2 for mask in drawn}
+    assert 0 < len(drawn) <= 80
     want = memo_free_sweep(m, exhaustive=False, seed=seed, count=40)
     assert json.dumps(got) == json.dumps(want)
 
@@ -244,15 +248,15 @@ def test_sweep_cross_checks_every_pair(monkeypatch):
     # gives AB = {0, 1} with H = {0}, but the span of {0, 3} has stabilizer
     # {0, 3}.  Earlier pairs have the same AB, so only a stabilizer taken
     # from this pair's own span sees the fault.
-    real_product_span = sub.product_span
+    real_cell_span = discrete._cell_span
+    b0 = [1 << x for x in range(6)]  # the cell images of B = {0}: b_x b_0 = b_x
 
-    def product_span(v, w):
-        lift = discrete.lift_subset
-        if v == lift(v.algebra, frozenset({0, 1})) and w == lift(v.algebra, frozenset({0})):
-            return lift(v.algebra, frozenset({0, 3}))
-        return real_product_span(v, w)
+    def cell_span(cell_images, members):
+        if members == [0, 1] and list(cell_images) == b0:
+            return 1 << 0 | 1 << 3
+        return real_cell_span(cell_images, members)
 
-    monkeypatch.setattr(sub, "product_span", product_span)
+    monkeypatch.setattr(discrete, "_cell_span", cell_span)
     rep = discrete.group_kneser_sweep(cyclic(6))
     assert rep.pairs_checked == 63 ** 2
     assert rep.violations == [{
@@ -262,7 +266,11 @@ def test_sweep_cross_checks_every_pair(monkeypatch):
 
 
 def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
-    calls = {"lift_subset": 0, "product_span": 0, "stabilizer": 0}
+    # every pair reads its own span mask off the cells; each distinct span
+    # has its stabilizer computed once, and the set and subspace helpers of
+    # the pair-by-pair route are not called at all
+    calls = {"_cell_span": 0, "stabilizer": 0, "minkowski": 0,
+             "combinatorial_stabilizer": 0, "lift_subset": 0, "product_span": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -272,14 +280,36 @@ def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(discrete, "lift_subset")
+    for name in ("_cell_span", "minkowski", "combinatorial_stabilizer", "lift_subset"):
+        counted(discrete, name)
     counted(sub, "product_span")
     counted(sub, "stabilizer")
     rep = discrete.group_kneser_sweep(cyclic(5))
     assert rep.ok and rep.pairs_checked == 961
-    assert calls["product_span"] == 961  # every pair computes its own span
-    assert calls["lift_subset"] <= 31
-    assert calls["stabilizer"] <= 31
+    assert calls.pop("stabilizer") <= 31
+    assert calls == {"_cell_span": 961, "minkowski": 0, "combinatorial_stabilizer": 0,
+                     "lift_subset": 0, "product_span": 0}
+
+
+def test_sweep_algebra_route_reads_the_cells(monkeypatch):
+    # an algebra whose cell b_1 b_0 is mis-copied as b_3 leaves the table
+    # route alone, so only an algebra route read off alg.sparse disagrees;
+    # the memo-free replay sees the same faulty algebra and the same report
+    real_algebra = MulTable.algebra
+
+    def algebra(self):
+        alg = real_algebra(self)
+        cells = [[[(k, F(c, alg.den)) for k, c in cell] for cell in row] for row in alg.sparse]
+        cells[1][0] = [(3, F(1))]
+        return Algebra(cells, alg.unit, label=alg.label, validate=False, source_table=self)
+
+    monkeypatch.setattr(MulTable, "algebra", algebra)
+    m = cyclic(6)
+    got = discrete.group_kneser_sweep(m)
+    assert {v["issue"] for v in got.violations} == {"algebra route disagrees"}
+    assert {"A": [0, 1], "B": [0], "issue": "algebra route disagrees",
+            "dim_span": 2, "|AB|": 2, "dim_stab": 2, "|H|": 1} in got.violations
+    assert json.dumps(got.to_json()) == json.dumps(memo_free_sweep(m))
 
 
 @pytest.mark.parametrize("name, kwargs", [("Z4", {}),
