@@ -6,8 +6,9 @@ with only the options its handler reads, besides group-sweep's --threads
 and certificate's --trials, which are accepted for compatibility; any other
 flag is a usage error.  Exit codes: 0 all checks pass, 1 a checked
 inequality failed, 2 input/schema error (an invalid structure-constant
-table among them), 3 the generator's retry budget exhausted or the
-requested oracle is unavailable.
+table among them), 3 the generator's retry budget exhausted, the
+requested oracle unavailable, or no exact atom to decide a monoid-check
+whose candidate atom's bound fails.
 """
 
 from __future__ import annotations
@@ -229,6 +230,10 @@ def cmd_monoid_check(args):
     a, b = table.subset(args.A.split(",")), table.subset(args.B.split(","))
     report = discrete.monoid_hamidoune_check(table, a, b, parse_rat(args.lam))
     _emit(args, {"fixture": table.label, **report.to_json()})
+    if report.hamidoune_ok is None:
+        print(f"error: no exact atom at lambda {rat_str(report.lam)}, and the "
+              f"candidate atom's bound fails", file=sys.stderr)
+        return EXIT_BUDGET
     ok = report.hamidoune_ok and report.atom_dominates_stab
     return EXIT_OK if ok else EXIT_VIOLATION
 

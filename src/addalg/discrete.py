@@ -289,8 +289,8 @@ class MonoidHamidouneReport:
     b_size: int
     lam: Fraction
     atom_dim: int
-    atom_exact: bool  # always False: the atom is the best of two candidates (an upper bound)
-    hamidoune_ok: bool
+    atom_exact: bool  # True at lambda = 1; else the atom is the best of two candidates
+    hamidoune_ok: bool | None  # None: a candidate atom's bound fails, which decides nothing
     stab_size: int
     atom_dominates_stab: bool
     kneser_rhs: int
@@ -314,14 +314,20 @@ class MonoidHamidouneReport:
 
 def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
                            lam: Fraction) -> MonoidHamidouneReport:
-    """|BA| >= lam*|A| + |B| - lam*dim(atom) in the monoid algebra.
+    """|BA| >= lam*|A| + |B| - lam*dim(atom) in the monoid algebra, V = lift(A).
 
-    The minimum runs over two candidate subalgebras, the scalars and the
-    left stabilizer of the lift of A, so it only upper-bounds the true atom
-    term; lambda is checked by connectivity_value.
+    At lambda = 1 the atom is exact: for u a unit in A and W a subalgebra,
+    span(WV) holds Wu, so c(W) = dim span(WV) - dim W >= 0, with equality
+    iff V u^-1 lies in W; the atom is the subalgebra generated by V u^-1.
+    At other lambda the minimum of c runs over two candidate subalgebras,
+    the scalars and the left stabilizer of V.  A candidate C only gives
+    c(C) >= kappa, so its bound may exceed the theorem's: a failure there
+    decides nothing and is reported as None, not as a violation.
     """
     from . import sumsets
 
+    lam = Fraction(lam)
+    sumsets._check_lambda(lam)
     u = units(m)
     if not (a & u):
         raise NoUnitIntersection("A misses the unit group of the monoid")
@@ -330,16 +336,22 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
     alg = m.algebra()
     va = lift_subset(alg, a)
     ba = minkowski(m, b, a)
-    atom = min((sub.unit_span(alg), sub.stabilizer(va, "left")),
-               key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
+    exact = lam == 1
+    if exact:
+        t = m.table
+        unit = min(a & u)
+        inverse = t[unit].index(m.unit_index)
+        atom = sub.subalgebra_generated([alg.basis_element(t[x][inverse]) for x in sorted(a)])
+    else:
+        atom = min((sub.unit_span(alg), sub.stabilizer(va, "left")),
+                   key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
     hstab = combinatorial_stabilizer(m, a, "left")
-    lhs = Fraction(len(ba))
-    rhs = lam * len(a) + len(b) - lam * atom.dim
+    holds = len(ba) >= lam * len(a) + len(b) - lam * atom.dim
     kneser_rhs = len(a) + len(b) - len(combinatorial_stabilizer(m, ba, "left"))
     return MonoidHamidouneReport(
         ba_size=len(ba), a_size=len(a), b_size=len(b), lam=lam,
-        atom_dim=atom.dim, atom_exact=False,
-        hamidoune_ok=lhs >= rhs,
+        atom_dim=atom.dim, atom_exact=exact,
+        hamidoune_ok=holds if exact or holds else None,
         stab_size=len(hstab),
         atom_dominates_stab=atom.dim >= len(hstab),
         kneser_rhs=kneser_rhs,

@@ -169,6 +169,26 @@ def test_monoid_check_counterexample(capsys):
     assert data["hamidoune_bound_holds"]
 
 
+def test_monoid_check_in_a_group_holds(capsys):
+    # Q[Z3] at lambda = 1: the exact atom is all of Q[Z3], so the rhs is
+    # 2 + 3 - 3 = 2 <= |BA| = 3 (the scalars as a candidate gave rhs 4)
+    code, out = run(capsys, "monoid-check", "--fixture", "Z3", "--A", "0,1",
+                    "--B", "0,1,2", "--lambda", "1", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["hamidoune_bound_holds"], data["atom_dim"], data["atom_exact"]) == (True, 3, True)
+
+
+def test_monoid_check_failed_candidate_exits_3(capsys):
+    code = cli.main(["monoid-check", "--fixture", "Z3", "--A", "0,1",
+                     "--B", "0,1,2", "--lambda", "1/2", "--json"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert code == 3
+    assert (data["hamidoune_bound_holds"], data["atom_exact"]) == (None, False)
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_exit_code_schema_errors(capsys, tmp_path):
     code, _ = run(capsys, "classify", "--fixture", "NOPE")
     assert code == 2

@@ -364,8 +364,29 @@ def test_monoid_hamidoune_counterexample():
     assert rep.ba_size == 4
     assert rep.kneser_rhs == 5 and not rep.kneser_ok  # the classical bound fails
     assert rep.hamidoune_ok  # the algebra bound holds
-    assert rep.atom_dim == 2 and rep.atom_dominates_stab
-    assert not rep.atom_exact  # candidate atom: upper bound on the atom term
+    # the exact atom at lambda = 1: the subalgebra generated by lift(A)
+    assert rep.atom_dim == 5 and rep.atom_dominates_stab
+    assert rep.atom_exact
+
+
+def test_monoid_hamidoune_exact_atom_in_a_group():
+    # lift(A) = span(1, g) in Q[Z3] generates all of Q[Z3]: c = 0 at dim 3,
+    # so the rhs is 2 + 3 - 3 = 2 <= |BA| = 3
+    z3 = cyclic(3)
+    a, b = frozenset({0, 1}), frozenset({0, 1, 2})
+    rep = discrete.monoid_hamidoune_check(z3, a, b, F(1))
+    assert (rep.atom_dim, rep.atom_exact, rep.hamidoune_ok) == (3, True, True)
+    # a unit of A other than 1 gives the same atom
+    rep = discrete.monoid_hamidoune_check(z3, frozenset({1, 2}), b, F(1))
+    assert (rep.atom_dim, rep.atom_exact, rep.hamidoune_ok) == (3, True, True)
+
+
+def test_monoid_hamidoune_candidate_failure_is_undecided():
+    # at lambda = 1/2 the scalars are the best candidate (dim 1), whose
+    # bound 1 + 3 - 1/2 = 7/2 exceeds |BA| = 3: that decides nothing
+    rep = discrete.monoid_hamidoune_check(cyclic(3), frozenset({0, 1}),
+                                          frozenset({0, 1, 2}), F(1, 2))
+    assert (rep.atom_dim, rep.atom_exact, rep.hamidoune_ok) == (1, False, None)
 
 
 def test_monoid_hamidoune_guards():
