@@ -193,11 +193,10 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _images(rows, mask: int) -> list[int]:
-    """Entry x is the OR of rows[x][y] over the set bits y of mask: with
-    rows[x][y] the bit of x*y, the mask of xS for S the set bits of mask."""
-    ys = _bits(mask)
-    return [reduce(or_, [row[y] for y in ys]) for row in rows]
+def _images(rows, members) -> list[int]:
+    """The mask of xS for each x, S the set of members: the OR of rows[x][y]
+    over y in S, where rows[x][y] is the bit of xy."""
+    return [reduce(or_, [row[y] for y in members]) for row in rows]
 
 
 def _cell_span(cell_images, members) -> int:
@@ -247,7 +246,9 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
             members[a] = _bits(a)
         xs = members[a]
         if b not in images:
-            images[b] = _images(table_bits, b), _images(cell_bits, b)
+            if b not in members:
+                members[b] = _bits(b)
+            images[b] = _images(table_bits, members[b]), _images(cell_bits, members[b])
         by_table, by_cells = images[b]
         ab = 0
         for x in xs:
@@ -261,7 +262,7 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
         size_ab, size_a, size_b = ab.bit_count(), len(xs), b.bit_count()
         if size_ab < size_a + size_b - h:
             report.violations.append({
-                "A": list(xs), "B": _bits(b),
+                "A": list(xs), "B": list(members[b]),
                 "issue": "combinatorial bound",
                 "|AB|": size_ab, "|A|": size_a, "|B|": size_b, "|H|": h,
             })
@@ -274,7 +275,7 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
         hdim = stab_dims[span]
         if span.bit_count() != size_ab or hdim != h:
             report.violations.append({
-                "A": list(xs), "B": _bits(b),
+                "A": list(xs), "B": list(members[b]),
                 "issue": "algebra route disagrees",
                 "dim_span": span.bit_count(), "|AB|": size_ab,
                 "dim_stab": hdim, "|H|": h,
@@ -326,13 +327,13 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
     """
     from . import sumsets
 
-    lam = Fraction(lam)
-    sumsets._check_lambda(lam)
     u = units(m)
     if not (a & u):
         raise NoUnitIntersection("A misses the unit group of the monoid")
     if not (b & u):
         raise NoUnitIntersection("B misses the unit group of the monoid")
+    lam = Fraction(lam)
+    sumsets._check_lambda(lam)
     alg = m.algebra()
     va = lift_subset(alg, a)
     ba = minkowski(m, b, a)
@@ -347,11 +348,13 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
                    key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
     hstab = combinatorial_stabilizer(m, a, "left")
     holds = len(ba) >= lam * len(a) + len(b) - lam * atom.dim
+    if not (holds or exact):
+        holds = None  # a candidate's bound may exceed the theorem's
     kneser_rhs = len(a) + len(b) - len(combinatorial_stabilizer(m, ba, "left"))
     return MonoidHamidouneReport(
         ba_size=len(ba), a_size=len(a), b_size=len(b), lam=lam,
         atom_dim=atom.dim, atom_exact=exact,
-        hamidoune_ok=holds if exact or holds else None,
+        hamidoune_ok=holds,
         stab_size=len(hstab),
         atom_dominates_stab=atom.dim >= len(hstab),
         kneser_rhs=kneser_rhs,

@@ -233,8 +233,8 @@ def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
     m = table_fixture(name)
     processed = []
     real_images = discrete._images
-    monkeypatch.setattr(discrete, "_images",
-                        lambda rows, mask: processed.append(mask) or real_images(rows, mask))
+    monkeypatch.setattr(discrete, "_images", lambda rows, members: processed.append(
+        sum(1 << y for y in members)) or real_images(rows, members))
     got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed, count=40).to_json()
     drawn = {sum(1 << y for y in b) for _, b in ref.sampled_pairs(m.size, seed, 40)}
     assert Counter(processed) == {mask: 2 for mask in drawn}
