@@ -7,7 +7,10 @@ lattice operations, product spans, stabilizers and annihilators work on
 these rows and on the integer rows of Elements.  Membership and the
 solution-space kernel _solutions of stabilizers (x*V <= V, target V) and
 annihilators (x*V = 0, target 0) read one cached residual projection per
-subspace; the kernel's equations are read off the algebra's sparse cells.
+subspace, built directly for a coordinate space.  The kernel's equations
+are read off the algebra's sparse cells and summed sparsely; those with one
+variable force it to 0 without elimination, and only the rest, on the
+other columns, are eliminated.
 In a monomial algebra (Algebra.monomial) the product span of two
 coordinate spaces (Subspace.coordinate), such as the lifts of two subsets
 of a monoid, is the coordinate span of the cells' basis indices, with no
@@ -19,6 +22,7 @@ also builds generated subalgebras.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product
@@ -91,14 +95,23 @@ class Subspace:
         return len(self.rows)
 
     @cached_property
-    def _projection(self) -> list[list[tuple[int, int]]]:
+    def _projection(self) -> list[Sequence[tuple[int, int]]]:
         """proj[k]: the (f, entry) pairs of the residual of b_k at V's free columns.
 
         The residual of y is L*y less y[pc] * L / row[pc] times each row, L
         the lcm of the pivots; it is 0 at the pivot columns, linear in y, and
         0 iff y lies in V.  The free columns are numbered f = 0, 1, ... in order.
+        For a coordinate space the scale is 1 and the unit rows have no free
+        entries, so proj[k] is ((f, 1),) at the free columns and empty at the
+        pivots; those are built directly.
         """
         n = self.algebra.dim
+        if self.coordinate:
+            pivots = set(self.pivots)
+            proj = [()] * n
+            for f, k in enumerate([k for k in range(n) if k not in pivots]):
+                proj[k] = ((f, 1),)
+            return proj
         free = [k for k in range(n) if k not in self.pivots]
         scale = lcm(*[row[pc] for row, pc in zip(self.rows, self.pivots)])
         proj = [None] * n
@@ -259,29 +272,64 @@ def _solutions(v: Subspace, t: Subspace, side: str) -> Subspace:
     """Solution space of x*V <= T (left) or V*x <= T (right).
 
     The kernel of x -> (residual of x*b against T) over the rows b of V,
-    one equation per free column of T, read through T's projection (the
-    one membership reads).  The images are read off the cells: den * b_i*b
-    (left side) is the sum of b_j * sparse[i][j] over b's nonzero (j, b_j),
-    and den * b*b_i (right side) the sum of b_j * sparse[j][i]; each
-    term's residual is its entry times the projection at its column.
+    one equation per row b and free column f of T, read through T's
+    projection (the one membership reads).  The images are read off the
+    cells: den * b_i*b (left side) is the sum of b_j * sparse[i][j] over
+    b's nonzero (j, b_j), and den * b*b_i (right side) the sum of
+    b_j * sparse[j][i]; each term's residual is its entry times the
+    projection at its column.  Each equation is summed sparsely, as its
+    (i, coefficient) terms.  An equation with one nonzero coefficient
+    forces x_i = 0 with no elimination, and one whose coefficients cancel
+    is dropped.  The others, restricted to the columns not forced to 0, go
+    through int_rref and int_kernel, and the kernel is embedded back in n
+    columns; when none is left, the answer is the coordinate span of the
+    columns not forced to 0.
     """
     alg = v.algebra
     n = alg.dim
     proj = t._projection
     # cells[i][j] is the cell of b_i * b_j (left side) or of b_j * b_i (right side)
     cells = alg.sparse if side == "left" else tuple(zip(*alg.sparse))
-    rows = []
+    forced = set()
+    rest = []
     for b in v.row_nonzeros:
-        # the images of one b, and their residuals, share one integer
-        # scale, which leaves the kernel alone
-        eqs = [[0] * n for _ in range(n - t.dim)]
+        # eqs[f] holds the terms of the equation at T's free column f; the
+        # images of one b, and their residuals, share one integer scale,
+        # which leaves the kernel alone
+        eqs = {}
         for i, row in enumerate(cells):
             for j, a in b:
                 for k, c in row[j]:
                     for f, p in proj[k]:
-                        eqs[f][i] += a * c * p
-        rows.extend(eqs)
-    return _span(alg, linalg.int_kernel(*linalg.int_rref(rows), n)[0])
+                        if f in eqs:
+                            eqs[f].append((i, a * c * p))
+                        else:
+                            eqs[f] = [(i, a * c * p)]
+        for terms in eqs.values():
+            # a, c and p are nonzero, so only repeated columns can cancel
+            if len(terms) > 1:
+                eq = {}
+                for i, c in terms:
+                    eq[i] = eq.get(i, 0) + c
+                terms = [(i, c) for i, c in eq.items() if c]
+            if len(terms) == 1:
+                forced.add(terms[0][0])
+            elif terms:
+                rest.append(terms)
+    free = [i for i in range(n) if i not in forced]
+    col = {i: pos for pos, i in enumerate(free)}
+    rows = []
+    for terms in rest:
+        row = [0] * len(free)
+        for i, c in terms:
+            if i in col:
+                row[col[i]] = c
+        if any(row):
+            rows.append(row)
+    if not rows:
+        return coordinate_span(alg, free)
+    kernel = linalg.int_kernel(*linalg.int_rref(rows), len(free))[0]
+    return _span(alg, [[x[col[i]] if i in col else 0 for i in range(n)] for x in kernel])
 
 
 def stabilizer(v: Subspace, side="left") -> Subspace:
