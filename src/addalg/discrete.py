@@ -90,7 +90,14 @@ class MulTable:
         return len(units(self)) == self.size
 
     def algebra(self) -> Algebra:
-        return monoid_algebra(self)
+        """The monoid algebra of the table, built on the first call; later
+        calls return the same Algebra."""
+        alg = self.__dict__.get("_algebra")
+        if alg is None:
+            alg = monoid_algebra(self)
+            # the table is frozen, so the memo bypasses its __setattr__
+            object.__setattr__(self, "_algebra", alg)
+        return alg
 
     def to_json(self):
         return {

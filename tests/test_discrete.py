@@ -291,6 +291,27 @@ def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
                      "lift_subset": 0, "product_span": 0}
 
 
+def test_table_algebra_is_built_once(monkeypatch):
+    # a table builds its monoid algebra on the first call and returns that
+    # same object after, so repeated sweeps on one table build it once
+    m = cyclic(5)
+    assert m.algebra() is m.algebra()
+    builds = []
+    real_init = Algebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counted_init)
+    m = cyclic(5)
+    first = discrete.group_kneser_sweep(m).to_json()
+    assert discrete.group_kneser_sweep(m).to_json() == first
+    assert len(builds) == 1 and builds[0] is m.algebra()
+    # the memo is not a field: equality, hashing and repr see the table only
+    assert m == cyclic(5) and hash(m) == hash(cyclic(5)) and repr(m) == repr(cyclic(5))
+
+
 def test_sweep_algebra_route_reads_the_cells(monkeypatch):
     # an algebra whose cell b_1 b_0 is mis-copied as b_3 leaves the table
     # route alone, so only an algebra route read off alg.sparse disagrees;
