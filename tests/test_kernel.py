@@ -9,6 +9,9 @@ matrices and the rank-based invertibility test on random elements, of
 algebras with 0/1, rational and non-commutative structure constants,
 among them a monoid algebra that is not a group algebra and a basis
 rescaling of Q^3 whose monomial cells have coefficients other than 1.
+Both stabilizers and both annihilators of every coordinate span of the
+two monoid algebras that are not group algebras, whose kernel equations
+can have several variables, are compared exhaustively.
 min_poly and invert are compared with the Fraction reference on random
 elements of every fixture, of polynomial quotients with rational
 constants and of a basis rescaling whose unit has denominators.
@@ -25,6 +28,7 @@ from functools import partial
 from itertools import islice
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -233,6 +237,23 @@ def test_left_and_right_stabilizers_differ_in_m2():
     assert left.dim == 3 and right.dim == 4
     for side, got in (("left", left), ("right", right)):
         assert (got.basis, got.pivots) == ref_rref(_mult(m2, side).left_stabilizer(v.basis))
+
+
+@pytest.mark.parametrize("name", ["Q[paper-m7]", "Q[graded-m]"])
+def test_every_coordinate_span_matches_reference(name):
+    # in a monoid algebra that is not a group algebra, b_i b_j = b_k for
+    # several i at one k, so the kernel's equations can have several
+    # variables; each stabilizer and annihilator of every coordinate span,
+    # on both sides, is checked (32 + 64 spans, 384 cases in all)
+    alg = algebra_fixture(name)
+    n = alg.dim
+    for mask in range(1 << n):
+        v = sub.coordinate_span(alg, [i for i in range(n) if mask >> i & 1])
+        for side in ("left", "right"):
+            mult = _mult(alg, side)
+            for got, want in ((sub.stabilizer(v, side), mult.left_stabilizer(v.basis)),
+                              (sub.annihilator(v, side), mult.left_annihilator(v.basis))):
+                assert (got.basis, got.pivots) == ref_rref(want), (sorted(v.pivots), side)
 
 
 def _assert_stored_form(space):
