@@ -17,6 +17,7 @@ library results.
 import importlib.util
 import pathlib
 from fractions import Fraction
+from math import gcd
 
 _REF = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "ref.py"
 _spec = importlib.util.spec_from_file_location("ref", _REF)
@@ -192,3 +193,63 @@ def ref_direct_product_tensor(left, right):
     table = [[tuple(ta[i][j]) + zb for j in range(m)] + [za + zb] * n for i in range(m)]
     table += [[za + zb] * m + [za + tuple(tb[i][j]) for j in range(n)] for i in range(n)]
     return table, tuple(ua) + tuple(ub)
+
+
+# -- a change of basis ------------------------------------------------------
+#
+# The new basis is b'_i = sum_j P[i][j] b_j for a seeded unimodular integer
+# matrix P, so a row x of coordinates in the old basis has the coordinates
+# x P^-1 in the new one.
+
+
+def unimodular(n, rng):
+    """A seeded n x n integer matrix P = L U of determinant +-1, never the identity.
+
+    L is unit lower triangular and U upper triangular with +-1 on its
+    diagonal; their other entries are drawn from [-2, 2].
+    """
+    while True:
+        low = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+               for i in range(n)]
+        up = [[rng.choice((-1, 1)) if i == j else rng.randint(-2, 2) if j > i else 0
+               for j in range(n)] for i in range(n)]
+        p = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if p != [[int(i == j) for j in range(n)] for i in range(n)]:
+            return p
+
+
+def change_of_basis(table, unit, p):
+    """(table', unit', P^-1): the dense tensor and the unit in the basis
+    b'_i = sum_j P[i][j] b_j, from the dense tensor and the unit in the old basis.
+
+    b'_i b'_j is the sum of P[i][a] P[j][b] b_a b_b.  P^-1 comes one
+    ref_solve per unit column and is integral; the sums run in integers
+    over the common denominator d of the constants and the unit.
+    """
+    n = len(p)
+    cols = [ref_solve(p, _unit_vec(n, j)) for j in range(n)]
+    inv = [[int(cols[j][i]) for j in range(n)] for i in range(n)]
+    d = 1
+    for c in [c for row in table for cell in row for c in cell] + list(unit):
+        d = d * c.denominator // gcd(d, c.denominator)
+
+    def moved(y):
+        """Integer old coordinates over d -> Fraction new coordinates."""
+        return tuple(Fraction(sum(y[k] * inv[k][j] for k in range(n) if y[k]), d)
+                     for j in range(n))
+
+    cells = [[[(k, int(c * d)) for k, c in enumerate(cell) if c] for cell in row]
+             for row in table]
+    support = [[(a, x) for a, x in enumerate(row) if x] for row in p]
+    new = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = [0] * n
+            for a, x in support[i]:
+                for b, y in support[j]:
+                    for k, c in cells[a][b]:
+                        acc[k] += x * y * c
+            row.append(moved(acc))
+        new.append(row)
+    return new, moved([int(u * d) for u in unit]), inv
