@@ -9,15 +9,16 @@ Kept here is what ref lacks, written apart from addalg in the same way:
 schoolbook polynomial Euclid and products, the canonical RREF with its
 pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
-solve, minimal polynomial and inverse on top of ref's elimination, and
-dense tensors built from each algebra's definition.  Used to cross-check
+solve, minimal polynomial and inverse on top of ref's elimination,
+dense tensors built from each algebra's definition, and a seeded
+unimodular change of basis of a dense tensor.  Used to cross-check
 library results.
 """
 
 import importlib.util
 import pathlib
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 _REF = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "ref.py"
 _spec = importlib.util.spec_from_file_location("ref", _REF)
@@ -229,9 +230,8 @@ def change_of_basis(table, unit, p):
     n = len(p)
     cols = [ref_solve(p, _unit_vec(n, j)) for j in range(n)]
     inv = [[int(cols[j][i]) for j in range(n)] for i in range(n)]
-    d = 1
-    for c in [c for row in table for cell in row for c in cell] + list(unit):
-        d = d * c.denominator // gcd(d, c.denominator)
+    d = lcm(*[c.denominator for row in table for cell in row for c in cell],
+            *[u.denominator for u in unit])
 
     def moved(y):
         """Integer old coordinates over d -> Fraction new coordinates."""
