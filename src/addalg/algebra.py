@@ -12,7 +12,8 @@ constructors (group/monoid multiplication tables, products of polynomial
 quotients, companion-matrix subalgebras, full matrix algebras and direct
 products) emit the sparse cells directly.  An Element is one integer row
 over one denominator, in lowest terms; Element.coords, mul_coords and the
-multiplication matrices are Fraction views.
+multiplication matrices are Fraction views.  An Algebra holds only integers,
+the unit as unit_num over unit_den, and its label: nothing points back.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Algebra:
     them.
     """
 
-    def __init__(self, cells, unit, label="", validate=True, source_table=None):
+    def __init__(self, cells, unit, label="", validate=True):
         # cells[i][j] holds the nonzero (k, c) of b_i * b_j, c rational, in increasing k
         self.den = lcm(*[c.denominator for row in cells for cell in row for _, c in cell])
         self.sparse = tuple(
@@ -66,8 +67,8 @@ class Algebra:
         )
         self.dim = len(self.sparse)
         self.label = label
-        self.source_table = source_table
-        self._one = self.element(unit)
+        one = self.element(unit)  # kept as integers: an Element points back here
+        self.unit_num, self.unit_den = one.num, one.den
         if validate:
             self._validate()
 
@@ -76,7 +77,7 @@ class Algebra:
     def _validate(self):
         basis = [self.basis_element(i) for i in range(self.dim)]
         for i, b in enumerate(basis):
-            if self._one * b != b or b * self._one != b:
+            if self.one() * b != b or b * self.one() != b:
                 raise BadUnit(f"unit law fails on basis vector {i}")
         prod = [[b * c for c in basis] for b in basis]
         for i, b in enumerate(basis):
@@ -97,7 +98,7 @@ class Algebra:
     @property
     def unit(self) -> Vec:
         """The Fraction view of the unit element."""
-        return self._one.coords
+        return linalg.fraction_row(self.unit_num, self.unit_den)
 
     def basis_vec(self, i: int) -> Vec:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -154,7 +155,7 @@ class Algebra:
         return Element(self, tuple(int(j == i) for j in range(self.dim)))
 
     def one(self) -> "Element":
-        return self._one
+        return Element(self, self.unit_num, self.unit_den)
 
     def zero(self) -> "Element":
         return Element(self, (0,) * self.dim)
@@ -311,7 +312,7 @@ def min_poly(x: Element) -> Poly:
     alg = x.algebra
     n = alg.dim
     xs = linalg.nonzeros(x.num)
-    y, s = alg.one().num, alg.one().den
+    y, s = alg.unit_num, alg.unit_den
     scales = []
     out, pivots = [], []
     for k in count():
@@ -357,8 +358,7 @@ def monoid_algebra(mtable, label="") -> Algebra:
     """
     cells = [[((k, 1),) for k in row] for row in mtable.table]
     unit = [int(k == mtable.unit_index) for k in range(mtable.size)]
-    return Algebra(cells, unit, label=label or f"Q[{mtable.label}]", validate=False,
-                   source_table=mtable)
+    return Algebra(cells, unit, label=label or f"Q[{mtable.label}]", validate=False)
 
 
 def poly_quotient_product(polys, label="") -> Algebra:

@@ -6,7 +6,8 @@ become dimensions.  The single-pair checks take subsets as frozensets
 (minkowski, combinatorial_stabilizer, lift_subset); the group sweep holds
 each subset as its integer mask, bit i for element i, and reads AB, H(AB)
 and the span of lift(A) lift(B) as ORs of image masks, off the
-multiplication table and off the algebra's cells.
+multiplication table and off the algebra's cells.  A table owns its
+algebra, which keeps no pointer back: lift_subset reads the cells alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from . import subspace as sub
@@ -89,15 +90,13 @@ class MulTable:
     def is_group(self) -> bool:
         return len(units(self)) == self.size
 
+    @cached_property
+    def _algebra(self) -> Algebra:
+        return monoid_algebra(self)
+
     def algebra(self) -> Algebra:
-        """The monoid algebra of the table, built on the first call; later
-        calls return the same Algebra."""
-        alg = self.__dict__.get("_algebra")
-        if alg is None:
-            alg = monoid_algebra(self)
-            # the table is frozen, so the memo bypasses its __setattr__
-            object.__setattr__(self, "_algebra", alg)
-        return alg
+        """The monoid algebra, built on the first call and owned by the table."""
+        return self._algebra
 
     def to_json(self):
         return {
@@ -139,9 +138,10 @@ def combinatorial_stabilizer(m: MulTable, a: frozenset[int], side="left") -> fro
 
 
 def lift_subset(alg: Algebra, a: frozenset[int]) -> sub.Subspace:
-    """Indicator span of a subset in the monoid algebra built from its table."""
-    if alg.source_table is None:
-        raise TableMismatch("algebra was not built from a multiplication table")
+    """Indicator span of a subset in a monoid algebra: one (k, c) per cell, so each
+    b_x b_y is a nonzero multiple of one b_k and dim span(lift A lift B) = |AB|."""
+    if any(len(cell) != 1 for row in alg.sparse for cell in row):
+        raise TableMismatch("some b_i b_j is not a nonzero multiple of one basis vector")
     if not a:
         raise EmptySubset("cannot lift the empty subset")
     return sub.coordinate_span(alg, a)
@@ -159,15 +159,12 @@ class StabCorrespondence:
         return self.comb_stab_size == self.algebra_stab_dim
 
 
-def stab_correspondence_check(m: MulTable, a: frozenset[int],
-                              alg: Algebra | None = None) -> StabCorrespondence:
+def stab_correspondence_check(m: MulTable, a: frozenset[int]) -> StabCorrespondence:
     """Compare |{h : hA=A}| with dim of the algebra stabilizer of the lift.
 
     Equal for groups; may differ (algebra side bigger) for monoids.
     """
-    if alg is None:
-        alg = m.algebra()
-    lifted = lift_subset(alg, a)
+    lifted = lift_subset(m.algebra(), a)
     hdim = sub.stabilizer(lifted, "left").dim
     hsize = len(combinatorial_stabilizer(m, a, "left"))
     return StabCorrespondence(len(a), hsize, hdim, m.is_group())

@@ -144,7 +144,7 @@ class Subspace:
         return [Element(self.algebra, row, row[pc]) for row, pc in zip(self.rows, self.pivots)]
 
     def contains_unit(self) -> bool:
-        return self._holds(self.algebra.one().num)
+        return self._holds(self.algebra.unit_num)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.label or 'algebra'})"
@@ -200,7 +200,7 @@ def full_space(algebra: Algebra) -> Subspace:
 
 
 def unit_span(algebra: Algebra) -> Subspace:
-    return _span(algebra, [algebra.one().num])
+    return _span(algebra, [algebra.unit_num])
 
 
 def zero_space(algebra: Algebra) -> Subspace:

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 
@@ -6,7 +8,7 @@ import pytest
 
 from addalg import discrete
 from addalg import subspace as sub
-from addalg.algebra import Algebra
+from addalg.algebra import Algebra, from_structure_constants
 from addalg.discrete import MulTable
 from addalg.errors import (
     EmptySubset,
@@ -17,6 +19,7 @@ from addalg.errors import (
     TableMismatch,
 )
 from addalg.fixtures import (
+    algebra_fixture,
     cyclic,
     graded_m,
     klein_four,
@@ -166,12 +169,49 @@ def test_lift_subset_dims():
         assert discrete.lift_subset(alg, frozenset(aset)).dim == len(aset)
 
 
+@pytest.mark.parametrize("name", ["Q3", "QT3", "M2x2"])
+def test_lift_subset_refuses_an_algebra_with_a_zero_cell(name):
+    # b_0 b_1 = 0 in Q^3, E_00 E_10 = 0 in M_2 and T T^2 = 0 in Q[T]/T^3:
+    # a cell with no pair, which no monoid table has
+    with pytest.raises(TableMismatch):
+        discrete.lift_subset(algebra_fixture(name), frozenset({0}))
+
+
+def test_lift_subset_reads_the_cells_not_the_construction():
+    # the same constants, rebuilt through the dense entry point, lift alike
+    alg = algebra_fixture("QZ5")
+    dense = from_structure_constants(alg.table, alg.unit)
+    for a in ({0}, {1, 3}, {0, 2, 4}):
+        lifted = discrete.lift_subset(dense, frozenset(a))
+        assert lifted.rows == discrete.lift_subset(alg, frozenset(a)).rows
+        assert lifted.dim == len(a)
+
+
+def test_tables_algebras_elements_and_subspaces_are_freed_by_reference_counting():
+    # the table owns its algebra, and elements and subspaces point to the
+    # algebra, but nothing points back: with the cyclic collector off, del
+    # frees them all
+    gc.disable()
+    try:
+        m = cyclic(5)
+        alg = m.algebra()
+        x = alg.one() + alg.basis_element(2)
+        # fill the cached views too: none of them may point back up
+        assert x * x.invert() == alg.one() and x.coords[2] == 1 and alg.unit[0] == 1
+        v = discrete.lift_subset(alg, frozenset({0, 2}))
+        assert v.contains_unit() and sub.stabilizer(v, "left").dim == 1
+        refs = [weakref.ref(obj) for obj in (m, alg, x, v)]
+        del m, alg, x, v
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
 def test_stab_correspondence_group_exhaustive():
     z5 = cyclic(5)
-    alg = z5.algebra()
     for mask in range(1, 32):
         a = frozenset(i for i in range(5) if mask >> i & 1)
-        rep = discrete.stab_correspondence_check(z5, a, alg)
+        rep = discrete.stab_correspondence_check(z5, a)
         assert rep.matches  # groups: dims equal sizes exactly
 
 
@@ -322,7 +362,7 @@ def test_sweep_algebra_route_reads_the_cells(monkeypatch):
         alg = real_algebra(self)
         cells = [[[(k, F(c, alg.den)) for k, c in cell] for cell in row] for row in alg.sparse]
         cells[1][0] = [(3, F(1))]
-        return Algebra(cells, alg.unit, label=alg.label, validate=False, source_table=self)
+        return Algebra(cells, alg.unit, label=alg.label, validate=False)
 
     monkeypatch.setattr(MulTable, "algebra", algebra)
     m = cyclic(6)
