@@ -128,6 +128,8 @@ def algebra_from_desc(d) -> Algebra:
                                   algebra_from_desc(d["right"]), label=label)
     except SchemaError:
         raise
+    except RecursionError:  # nested past the interpreter's limit
+        raise SchemaError("algebra description is nested too deeply") from None
     except (KeyError, TypeError, IndexError) as e:
         raise SchemaError(f"bad {kind} description: {e}") from None
     raise SchemaError(f"unknown algebra kind {kind!r}")
@@ -138,7 +140,7 @@ def read_instance(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise SchemaError(f"cannot read instance file {path}: {e}") from None
     if not isinstance(raw, dict) or "algebra" not in raw:
         raise SchemaError("instance file needs an 'algebra' description")

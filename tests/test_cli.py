@@ -21,7 +21,7 @@ from addalg.algebra import (
 )
 from addalg.errors import SchemaError
 from addalg.polynomials import Poly
-from addalg.serialize import dumps, load_instance, parse_rat
+from addalg.serialize import algebra_from_desc, dumps, load_instance, parse_rat
 
 
 def run(capsys, *argv):
@@ -273,6 +273,24 @@ def test_exit_code_schema_errors(capsys, tmp_path):
         path = write_instance(tmp_path, {"algebra": desc}, name)
         code = cli.main([argv[0], "--in", path, *argv[1:]])
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+def test_instance_nested_past_the_recursion_limit_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"algebra": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = cli.main(["info", "--in", str(deep), "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read instance file") and err.count("\n") == 1
+
+
+def test_description_nested_past_the_recursion_limit_is_a_schema_error():
+    leaf = {"kind": "poly_quotient_product", "factors": [["0", "1"]]}
+    desc = leaf
+    for _ in range(sys.getrecursionlimit()):
+        desc = {"kind": "direct_product", "left": desc, "right": leaf}
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        algebra_from_desc(desc)
 
 
 def test_absent_or_null_subspaces_mean_none(capsys, tmp_path):
