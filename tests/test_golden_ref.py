@@ -1,12 +1,13 @@
 """CLI goldens re-derived from the reference alone.
 
-Each stabilizer, annihilator, kneser, nfold and group-sweep record of
-golden_cli.json is recomputed from its argv and its instance with
-perfbench/ref.py, not with addalg: an "@NAME" instance is the literal of
-test_golden_cli.INSTANCES or the recorded stdout of the command saved as
-NAME, and its products come from ref.Mult.from_desc, or from the dense
-tensor of a structure-constant description.  A golden recorded
-from a wrong library answer fails here even when it replays byte for byte.
+Each stabilizer, annihilator, kneser, nfold, group-sweep and monoid-check
+record of golden_cli.json is recomputed from its argv and its instance
+with perfbench/ref.py, not with addalg: an "@NAME" instance is the literal
+of test_golden_cli.INSTANCES or the recorded stdout of the command saved
+as NAME, and its products come from ref.Mult.from_desc, or from the dense
+tensor of a structure-constant description.  The monoid tables are
+written from their presentations.  A golden recorded from a wrong library
+answer fails here even when it replays byte for byte.
 """
 
 import json
@@ -17,9 +18,32 @@ import pytest
 from oracles import ref, ref_mul, ref_side
 from test_golden_cli import GOLDEN, INSTANCES, cases
 
-DERIVED = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep")
+DERIVED = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
 INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in DERIVED]
 TABLES = {"Z5": ref.cyclic_table(5), "S3": ref.s3_table()}
+
+
+def _paper_m7():
+    """(labels, table) of the monoid <a, b | a^2 = b^2 = ab = ba, a^4 = a>.
+
+    A word of length two or more is a power of a, as each adjacent pair
+    rewrites to aa, and a^4 = a leaves a, a^2 and a^3; so the elements are
+    1, a, b, a^2 and a^3, and a product is its concatenated word rewritten.
+    """
+    rules = (("ab", "aa"), ("ba", "aa"), ("bb", "aa"), ("aaaa", "a"))
+    words = ["", "a", "b", "aa", "aaa"]
+
+    def normal(word):
+        while any(lhs in word for lhs, _ in rules):
+            for lhs, rhs in rules:
+                word = word.replace(lhs, rhs, 1)
+        return word
+
+    return ["1", "a", "b", "a2", "a3"], [[words.index(normal(x + y)) for y in words]
+                                         for x in words]
+
+
+MONOIDS = {"paper-m7": _paper_m7()}
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +126,42 @@ def _group_sweep(flags):
     return out, 0 if not violations else 1
 
 
+def _closure(table, gens):
+    """The submonoid generated by gens: gens and every product of its members."""
+    out = set(gens)
+    while True:
+        more = {table[x][y] for x in out for y in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def _monoid_check(flags):
+    """The lambda = 1 monoid-check report, and its exit code.
+
+    The atom is the lift of the submonoid generated by A u^-1, u a unit in
+    A, so its dimension is that submonoid's size.
+    """
+    assert flags["--lambda"] == "1"
+    labels, table = MONOIDS[flags["--fixture"]]
+    a = frozenset(labels.index(x) for x in flags["--A"].split(","))
+    b = frozenset(labels.index(x) for x in flags["--B"].split(","))
+    one = labels.index("1")
+    u = next(x for x in sorted(a) if one in table[x])
+    u_inv = table[u].index(one)
+    atom = _closure(table, {table[x][u_inv] for x in a})
+    ba = ref.set_product(table, b, a)
+    h_a = ref.set_left_stabilizer(table, a)
+    kneser_rhs = len(a) + len(b) - len(ref.set_left_stabilizer(table, ba))
+    holds = len(ba) >= len(a) + len(b) - len(atom)
+    out = {"fixture": flags["--fixture"], "lambda": "1", "|BA|": len(ba), "|A|": len(a),
+           "|B|": len(b), "atom_dim": len(atom), "atom_exact": True,
+           "hamidoune_bound_holds": holds, "|H_A|": len(h_a),
+           "atom_dim >= |H_A|": len(atom) >= len(h_a), "kneser_rhs": kneser_rhs,
+           "kneser_bound_holds": len(ba) >= kneser_rhs}
+    return out, 0 if holds and len(atom) >= len(h_a) else 1
+
+
 def _mult(desc):
     """The reference product of an algebra description."""
     if desc["kind"] != "structure_constants":
@@ -116,6 +176,8 @@ def derive(argv, instances):
     cmd, flags = argv[0], _flags(argv)
     if cmd == "group-sweep":
         return _group_sweep(flags)
+    if cmd == "monoid-check":
+        return _monoid_check(flags)
     inst = instances[flags["--in"][1:]]
     mult = _mult(inst["algebra"])
     space = {name: [[Fraction(c) for c in row] for row in rows]
@@ -130,8 +192,8 @@ def derive(argv, instances):
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
-                      "group-sweep": 3}
-    assert len(INDICES) == 139
+                      "group-sweep": 3, "monoid-check": 1}
+    assert len(INDICES) == 140
 
 
 @pytest.mark.parametrize("index", INDICES)
