@@ -267,33 +267,45 @@ class Element:
 
         The matrix L of x -> self*x has the images of mul_images over den,
         self's denominator times the constants', as its columns.  One int_rref
-        of den*L augmented with the unit's row du * unit, and int_kernel of
-        that form, give both answers.  A pivot in the unit's column n means no
-        inverse; the first kernel vector is 0 at n and gives the witness.
-        Else the last, at free column n, is S * (-z, 1) with den*L z = du*unit,
-        free variables at zero, and the inverse is z * den / du.
+        of den*L augmented with the unit's integer row du * unit (unit_num over
+        unit_den), and int_kernel of that form, give both answers.  A pivot in
+        the unit's column n means no inverse; the first kernel vector is 0 at
+        n and gives the witness.  Else the last, at free column n, is
+        S * (-z, 1) with den*L z = du*unit, free variables at zero, and the
+        inverse is z * den / du.  inv * self is checked against the unit's
+        integers, with no unit Element built.
         """
         alg = self.algebra
         n = alg.dim
-        one = alg.one()
         images = zip(*alg.mul_images(self.num, "left"))
-        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(images, one.num)])
+        red, pivots = linalg.int_rref([row + (b,) for row, b in zip(images, alg.unit_num)])
         ker, scale = linalg.int_kernel(red, pivots, n + 1)
         if pivots and pivots[-1] == n:  # pivot in the unit's column: no inverse
             return NonInvertible(witness=Element(alg, ker[0][:n], scale))
         den = self.den * alg.den
-        inv = Element(alg, [-a * den for a in ker[-1][:n]], scale * one.den)
+        inv = Element(alg, [-a * den for a in ker[-1][:n]], scale * alg.unit_den)
         # one-sided inverses are two-sided in a finite-dimensional associative algebra
-        if inv * self != one:
+        check = inv * self
+        if check.num != alg.unit_num or check.den != alg.unit_den:
             raise NotAssociative("right inverse is not a left inverse; "
                                  "the structure constants are not associative")
         return inv
 
     @property
     def is_invertible(self) -> bool:
-        """The one invertibility test: x -> self*x has full rank."""
+        """The one invertibility test: x -> self*x has full rank.
+
+        The images self*b_i go into one forward echelon form (echelon_add)
+        one at a time, and the first that reduces to zero shows a rank
+        below dim: no further image is formed or reduced.
+        """
         alg = self.algebra
-        return linalg.rank(alg.mul_images(self.num, "left")) == alg.dim
+        xs = linalg.nonzeros(self.num)
+        out, pivots = [], []
+        for i in range(alg.dim):
+            if linalg.echelon_add(out, pivots, alg.mul_pairs(xs, ((i, 1),)))[1] is None:
+                return False
+        return True
 
     def __repr__(self):
         return f"Element({[str(c) for c in self.coords]})"

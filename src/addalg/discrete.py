@@ -339,7 +339,6 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
     lam = Fraction(lam)
     sumsets._check_lambda(lam)
     alg = m.algebra()
-    va = lift_subset(alg, a)
     ba = minkowski(m, b, a)
     exact = lam == 1
     if exact:
@@ -348,6 +347,7 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
         inverse = t[unit].index(m.unit_index)
         atom = sub.subalgebra_generated([alg.basis_element(t[x][inverse]) for x in sorted(a)])
     else:
+        va = lift_subset(alg, a)
         atom = min((sub.unit_span(alg), sub.stabilizer(va, "left")),
                    key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
     hstab = combinatorial_stabilizer(m, a, "left")

@@ -4,13 +4,12 @@ Rational rows are cleared to integers at the boundary (integer_row) and
 come back through one view (fraction_row).  int_rref gives the canonical
 reduced row echelon form as primitive integer rows with positive pivots
 and cleared pivot columns, so two spans are equal iff their forms compare
-equal.  Monomial rows, with at most one nonzero entry, as in group and
-monoid algebras, skip elimination: their form is the unit rows at their
-columns, and elimination starts at the first denser row.  int_kernel
-reads the kernel off such a form, so Element.invert reads both its
-inverse and its witness off one elimination.  echelon_add
-carries a forward echelon form one row at a time: rank, min_poly's powers
-and the atoms' block ranks grow their forms with it instead of
+equal.  int_kernel reads the kernel off such a form, so
+Element.invert reads both its inverse and its witness off one
+elimination.  unit_rows are the canonical rows of the coordinate spans,
+which are built directly rather than eliminated.  echelon_add carries a
+forward echelon form one row at a time: the invertibility test, min_poly's
+powers and the atoms' block ranks grow their forms with it instead of
 eliminating again.  The Fraction functions (rref, nullspace, solve, det)
 are views of the integer ones, with pivot entries 1; the library no
 longer calls them, and they remain for the tests and the benchmark's
@@ -104,29 +103,12 @@ def int_rref(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     pivot column is cleared in it.  The form is unique, so two spans are
     equal iff their forms compare equal.  Elimination is fraction-free, in
     the style of Bareiss (1968): each step combines two integer rows, and
-    every new row is divided by its content.
-
-    Monomial rows, with at most one nonzero entry, skip elimination: their
-    canonical form is the sorted distinct unit rows at their nonzero
-    columns.  The leading run of monomial rows is read off that way, and
-    elimination starts at the first row with two or more nonzeros.
+    every new row is divided by its content.  Each row is reduced against
+    the form so far and then clears its pivot column in the earlier rows.
     """
-    rows = list(rows)
-    n = len(rows[0]) if rows else 0
-    cols: set[int] = set()
-    start = len(rows)
-    for i, r in enumerate(rows):
-        zeros = r.count(0)
-        if zeros < n - 1:
-            start = i
-            break
-        if zeros < n:
-            # the one nonzero entry is the row's sum
-            cols.add(r.index(sum(r)))
-    pivots = sorted(cols)
-    units = unit_rows(n)
-    out: list = [units[j] for j in pivots]
-    for r in rows[start:]:
+    pivots: list[int] = []
+    out: list = []
+    for r in rows:
         row, j = _reduce_row(r, out, pivots)
         if j is None:
             continue
@@ -179,18 +161,6 @@ def echelon_add(out, pivots, row) -> tuple[list[int], int | None]:
     return row, j
 
 
-def rank(rows) -> int:
-    """Rank of integer rows: the number of rows of a forward integer echelon form.
-
-    Rational rows are cleared to integers by the caller (integer_row).
-    """
-    pivots: list[int] = []
-    out: list = []
-    for r in rows:
-        echelon_add(out, pivots, r)
-    return len(out)
-
-
 def int_kernel(red, pivots, ncols: int) -> tuple[list[list[int]], int]:
     """Basis of {x : M x = 0}, read off the int_rref form (red, pivots) of M.
 
@@ -235,8 +205,8 @@ def solve(matrix, rhs: Vec) -> Vec | None:
 def det(matrix) -> Fraction:
     """Determinant by elimination over Fraction.
 
-    The library tests invertibility by rank (Element.is_invertible); det is
-    kept as a reference for the tests and for the benchmark's tracer.
+    The library tests invertibility by echelon_add (Element.is_invertible);
+    det is kept as a reference for the tests and for the benchmark's tracer.
     """
     n = len(matrix)
     m = [list(r) for r in matrix]

@@ -453,11 +453,18 @@ def invertible_basis(v: Subspace) -> list[Element]:
 
 
 def subalgebra_generated(elements: list[Element]) -> Subspace:
-    """Least unital subalgebra containing the given elements."""
+    """Least unital subalgebra containing the given elements.
+
+    The first span is of the unit's integer row (unit_num) and the
+    elements' rows; products of that span with itself grow it until it
+    stops growing.
+    """
     if not elements:
         raise EmptyGeneratingSet("subalgebra of empty generating set")
     alg = elements[0].algebra
-    cur = span_of([alg.one(), *elements])
+    if any(x.algebra is not alg for x in elements):
+        raise AlgebraMismatch("generators from different algebras")
+    cur = _span(alg, [alg.unit_num, *(x.num for x in elements)])
     for _ in range(alg.dim + 1):
         nxt = product_span(cur, cur)  # holds cur, since cur holds the unit
         if nxt.dim == cur.dim:

@@ -131,6 +131,20 @@ def test_singular_invert_eliminates_once(monkeypatch):
         assert (x * res.witness).is_zero and not res.witness.is_zero
 
 
+def test_is_invertible_stops_at_the_first_dependent_image(monkeypatch):
+    # each image x*b_i is reduced as it is formed; e_0 of Q^3 has e_0*b_1 = 0
+    calls = []
+    real = linalg.echelon_add
+    monkeypatch.setattr(linalg, "echelon_add",
+                        lambda out, pivots, row: calls.append(1) or real(out, pivots, row))
+    q3 = split_etale_algebra(3)
+    assert not q3.basis_element(0).is_invertible
+    assert len(calls) == 2
+    calls.clear()
+    assert q3.element([1, 2, 3]).is_invertible
+    assert len(calls) == 3
+
+
 def test_invert_roundtrip_random():
     rng = random.Random(3)
     for name in ("QZ6", "Q4", "M2x2"):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from addalg import discrete
+from addalg import discrete, linalg
 from addalg import subspace as sub
 from addalg.algebra import Algebra, from_structure_constants
 from addalg.discrete import MulTable
@@ -378,22 +378,23 @@ def test_sweep_algebra_route_reads_the_cells(monkeypatch):
 def test_sweep_reads_products_and_stabilizers_off_the_cells(name, kwargs, monkeypatch):
     # lifts are coordinate spans of a monoid algebra, so product spans and
     # stabilizer equations come from the structure constants, not from
-    # element products or multiplication images
-    calls = {"mul_pairs": 0, "mul_images": 0}
+    # element products, multiplication images or elimination
+    calls = {"mul_pairs": 0, "mul_images": 0, "int_rref": 0}
 
-    def counted(method):
-        real = getattr(Algebra, method)
+    def counted(owner, method):
+        real = getattr(owner, method)
 
         def wrapper(*args):
             calls[method] += 1
             return real(*args)
-        monkeypatch.setattr(Algebra, method, wrapper)
+        monkeypatch.setattr(owner, method, wrapper)
 
     m = table_fixture(name)
-    for method in calls:
-        counted(method)
+    counted(Algebra, "mul_pairs")
+    counted(Algebra, "mul_images")
+    counted(linalg, "int_rref")
     got = discrete.group_kneser_sweep(m, **kwargs).to_json()
-    assert calls == {"mul_pairs": 0, "mul_images": 0}
+    assert calls == {"mul_pairs": 0, "mul_images": 0, "int_rref": 0}
     monkeypatch.undo()
     assert json.dumps(got) == json.dumps(memo_free_sweep(m, **kwargs))
 

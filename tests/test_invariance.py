@@ -7,8 +7,7 @@ from_structure_constants).  Subspaces move to the new basis by P^-1.
 
 The spaces are coordinate spans of the fixture's own basis, where the
 fast paths run (the monomial product span, the coordinate projection,
-stabilizer equations with one variable, the unit-row run of int_rref),
-and seeded random spans.  In the new basis the same spaces are dense,
+stabilizer equations with one variable), and seeded random spans.  In the new basis the same spaces are dense,
 so the generic paths answer.  Both must give:
 - the product span, as a subspace;
 - both stabilizers and both annihilators, as subspaces (so their

@@ -1,14 +1,15 @@
 """Differential tests: the integer, sparse kernel against the Fraction reference.
 
-rref, rank and nullspace are compared on random rational matrices with
-mixed denominators, zero rows and dependent rows, and int_rref and
-int_kernel on monomial rows, alone and with one dense row before,
-among or after them.  product_span, both stabilizers and both
-annihilators are compared on random subspaces, and both multiplication
-matrices and the rank-based invertibility test on random elements, of
-algebras with 0/1, rational and non-commutative structure constants,
-among them a monoid algebra that is not a group algebra and a basis
-rescaling of Q^3 whose monomial cells have coefficients other than 1.
+rref, the rank of an echelon_add form and nullspace are compared on
+random rational matrices with mixed denominators, zero rows and
+dependent rows, and int_rref and int_kernel on monomial rows, alone and
+with one dense row before, among or after them.  product_span, both
+stabilizers and both annihilators are compared on random subspaces, and
+both multiplication matrices and the rank-based invertibility test on
+random elements, of algebras with 0/1, rational and non-commutative
+structure constants, among them a monoid algebra that is not a group
+algebra and a basis rescaling of Q^3 whose monomial cells have
+coefficients other than 1.
 Both stabilizers and both annihilators of every coordinate span of the
 two monoid algebras that are not group algebras, whose kernel equations
 can have several variables, are compared exhaustively.
@@ -74,8 +75,12 @@ def matrices(draw):
 def test_rref_matches_reference(case):
     _, rows = case
     assert linalg.rref(rows) == ref_rref(rows)
-    # rank takes integer rows; clearing a row leaves its span alone
-    assert linalg.rank([linalg.integer_row(r)[0] for r in rows]) == len(ref_rref(rows)[0])
+    # a forward form grown by echelon_add has one row per unit of rank;
+    # clearing a row to integers leaves its span alone
+    out, pivots = [], []
+    for r in rows:
+        linalg.echelon_add(out, pivots, linalg.integer_row(r)[0])
+    assert len(out) == len(ref_rref(rows)[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,7 +96,7 @@ def monomial_matrices(draw):
 
     Entries are negative or scaled, rows repeat and some are zero.  The
     dense row has two or more nonzeros and goes before, among or after the
-    monomial rows, where int_rref leaves its monomial short cut.
+    monomial rows, so it is reduced by them and clears them in turn.
     """
     ncols = draw(st.integers(1, 8))
     entries = st.integers(-9, 9)
@@ -124,7 +129,7 @@ def test_int_rref_on_monomial_rows_matches_reference(case):
     red, pivots = linalg.int_rref(rows)
     assert (linalg.fraction_rows(red, pivots), pivots) == ref_rref(rows)
     if all(sum(1 for a in r if a) <= 1 for r in rows):
-        # the short cut's form: the unit rows at the nonzero columns
+        # the canonical form of monomial rows: the unit rows at their nonzero columns
         assert red == tuple(tuple(int(k == j) for k in range(len(r))) for r, j in zip(red, pivots))
 
 

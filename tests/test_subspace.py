@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from addalg import subspace as sub
-from addalg.algebra import Element, poly_quotient_product
+from addalg.algebra import Algebra, Element, poly_quotient_product
 from addalg.errors import (
     AlgebraMismatch,
     EmptyGeneratingSet,
@@ -282,6 +282,24 @@ def test_subalgebra_generated_refuses_elements_of_two_algebras():
     q3, qz3 = algebra_fixture("Q3"), algebra_fixture("QZ3")
     with pytest.raises(AlgebraMismatch):
         sub.subalgebra_generated([q3.basis_element(0), qz3.basis_element(1)])
+
+
+def test_invert_and_subalgebra_generated_read_the_unit_as_integers(monkeypatch):
+    # no unit Element is built: the unit's integer row is read directly
+    calls = []
+    real = Algebra.one
+    monkeypatch.setattr(Algebra, "one", lambda self: calls.append(1) or real(self))
+    alg = algebra_fixture("QZ3")
+    x = alg.element([2, F(1, 3), 0])
+    inv = x.invert()
+    assert isinstance(inv, Element) and len(calls) == 0
+    got = sub.subalgebra_generated([x])
+    assert len(calls) == 0
+    monkeypatch.undo()
+    assert (x * inv).coords == (inv * x).coords == alg.unit
+    assert got == sub.span_of([alg.one(), x, x * x])
+    with pytest.raises(AlgebraMismatch):
+        sub.subalgebra_generated([x, algebra_fixture("Q3").basis_element(0)])
 
 
 def test_closed_invertible_span_is_subalgebra():
