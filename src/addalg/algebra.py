@@ -253,6 +253,8 @@ class Element:
         return not any(self.num)
 
     def __pow__(self, k: int) -> "Element":
+        if k < 0:
+            raise ValueError(f"negative exponent {k}: use invert() for an inverse")
         acc = self.algebra.one()
         base = self
         while k:

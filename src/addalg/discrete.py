@@ -4,10 +4,10 @@ Bridges combinatorial Minkowski products and stabilizers to the monoid
 algebra: subsets lift to indicator-vector subspaces, where cardinalities
 become dimensions.  The single-pair checks take subsets as frozensets
 (minkowski, combinatorial_stabilizer, lift_subset); the group sweep holds
-each subset as its integer mask, bit i for element i, and reads AB, H(AB)
-and the span of lift(A) lift(B) as ORs of image masks, off the
-multiplication table and off the algebra's cells.  A table owns its
-algebra, which keeps no pointer back: lift_subset reads the cells alone.
+each subset as its integer mask, bit i for element i, and reads AB and
+H(AB) as ORs of image masks off the multiplication table, once the
+algebra's cells are found to copy that table.  A table owns its algebra,
+which keeps no pointer back: lift_subset reads the cells alone.
 """
 
 from __future__ import annotations
@@ -137,11 +137,22 @@ def combinatorial_stabilizer(m: MulTable, a: frozenset[int], side="left") -> fro
     return frozenset(out)
 
 
-def lift_subset(alg: Algebra, a: frozenset[int]) -> sub.Subspace:
-    """Indicator span of a subset in a monoid algebra: one (k, c) per cell, so each
-    b_x b_y is a nonzero multiple of one b_k and dim span(lift A lift B) = |AB|."""
+def _cell_table(alg: Algebra) -> tuple[tuple[int, ...], ...]:
+    """The k of each cell b_x b_y = c b_k, as a table like MulTable.table.
+
+    Raises TableMismatch unless every cell holds exactly one (k, c) pair, so
+    each b_x b_y is a nonzero multiple of one b_k and span(lift A lift B) is
+    the lift of those k over x in A, y in B.
+    """
     if any(len(cell) != 1 for row in alg.sparse for cell in row):
         raise TableMismatch("some b_i b_j is not a nonzero multiple of one basis vector")
+    return tuple(tuple(cell[0][0] for cell in row) for row in alg.sparse)
+
+
+def lift_subset(alg: Algebra, a: frozenset[int]) -> sub.Subspace:
+    """Indicator span of a subset in a monoid algebra, read off the cells
+    alone; an algebra _cell_table refuses is refused here too."""
+    _cell_table(alg)
     if not a:
         raise EmptySubset("cannot lift the empty subset")
     return sub.coordinate_span(alg, a)
@@ -203,31 +214,25 @@ def _images(rows, members) -> list[int]:
     return [reduce(or_, [row[y] for y in members]) for row in rows]
 
 
-def _cell_span(cell_images, members) -> int:
-    """The basis indices of span(lift(A) lift(B)) as a mask: the OR over x in
-    A (members) of the indices of b_x lift(B), read off the cells."""
-    span = 0
-    for x in members:
-        span |= cell_images[x]
-    return span
-
-
 def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> SweepReport:
     """Check |AB| >= |A| + |B| - |H_AB| over subset pairs of a group.
 
     A subset is its integer mask, bit i for element i.  Each pair is also
     re-derived through the group algebra: the span of lift(A) lift(B) must
-    have dimension |AB| and its left stabilizer dimension |H_AB|.  Two bit
-    tables drive the routes, 1 << xy from the multiplication table and
-    1 << k from each cell b_x b_y = c b_k of the algebra, and per distinct
-    B mask the images xB under both are computed once.  AB is the OR of xB
-    over x in A, and the pair's span the OR of the cell images; |H_AB|
-    counts the g with gAB = AB, once per AB, and the stabilizer is that of
-    the pair's own span, once per span.
+    have dimension |AB| and its left stabilizer dimension |H_AB|.  That span
+    is the lift of the k of the cells b_x b_y = c b_k over x in A, y in B,
+    so it is the lift of AB for every pair once the cells' k table equals
+    the multiplication table: one comparison of all n^2 cells checks that,
+    or raises TableMismatch.  Per distinct B the images xB are computed
+    once, and AB is their OR over x in A; per distinct AB, |H_AB| (the g
+    with gAB = AB) and the stabilizer dimension of AB's lift are computed once.
     """
     if exhaustive and not m.is_group():
         raise NotAGroup(f"{m.label} has non-invertible elements")
     alg = m.algebra()
+    t = m.table
+    if _cell_table(alg) != t:
+        raise TableMismatch(f"the algebra's cells do not copy the table of {m.label}")
     report = SweepReport()
     n = m.size
     masks = range(1, 1 << n)
@@ -236,15 +241,11 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
     else:
         # choice draws the same index from masks as from the list of all subsets
         rng = random.Random(seed)
-        picks = [rng.choice(masks) for _ in range(2 * count)]
-        pairs = zip(picks[::2], picks[1::2])
-    t = m.table
+        pairs = ((rng.choice(masks), rng.choice(masks)) for _ in range(count))
     table_bits = [[1 << k for k in row] for row in t]
-    cell_bits = [[1 << cell[0][0] for cell in row] for row in alg.sparse]
     members = {}  # mask -> its set bits
-    images = {}  # B -> (xB for each x, off the table; the same off the cells)
-    stab_sizes = {}  # AB -> |H(AB)|
-    stab_dims = {}  # span -> dim of its left stabilizer
+    images = {}  # B -> xB for each x
+    stabs = {}  # AB -> (|H(AB)|, dim of the left stabilizer of AB's lift)
     for a, b in pairs:
         if a not in members:
             members[a] = _bits(a)
@@ -252,16 +253,16 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
         if b not in images:
             if b not in members:
                 members[b] = _bits(b)
-            images[b] = _images(table_bits, members[b]), _images(cell_bits, members[b])
-        by_table, by_cells = images[b]
+            images[b] = _images(table_bits, members[b])
+        by_table = images[b]
         ab = 0
         for x in xs:
             ab |= by_table[x]
-        if ab not in stab_sizes:
+        if ab not in stabs:
             # gAB is the OR of (gx)B over x in A
-            stab_sizes[ab] = sum(reduce(or_, [by_table[row[x]] for x in xs]) == ab
-                                 for row in t)
-        h = stab_sizes[ab]
+            h = sum(reduce(or_, [by_table[row[x]] for x in xs]) == ab for row in t)
+            stabs[ab] = h, sub.stabilizer(sub.coordinate_span(alg, _bits(ab)), "left").dim
+        h, hdim = stabs[ab]
         report.pairs_checked += 1
         size_ab, size_a, size_b = ab.bit_count(), len(xs), b.bit_count()
         if size_ab < size_a + size_b - h:
@@ -270,18 +271,11 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
                 "issue": "combinatorial bound",
                 "|AB|": size_ab, "|A|": size_a, "|B|": size_b, "|H|": h,
             })
-            continue
-        span = _cell_span(by_cells, xs)
-        # keyed on this pair's own span, so the stabilizer is that span's
-        if span not in stab_dims:
-            stab_dims[span] = sub.stabilizer(sub.coordinate_span(alg, _bits(span)),
-                                             "left").dim
-        hdim = stab_dims[span]
-        if span.bit_count() != size_ab or hdim != h:
+        elif hdim != h:
             report.violations.append({
                 "A": list(xs), "B": list(members[b]),
                 "issue": "algebra route disagrees",
-                "dim_span": span.bit_count(), "|AB|": size_ab,
+                "dim_span": size_ab, "|AB|": size_ab,
                 "dim_stab": hdim, "|H|": h,
             })
     return report

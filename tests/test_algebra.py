@@ -223,6 +223,16 @@ def test_pow_and_scale():
     assert g.scale(F(3, 2)).coords[1] == F(3, 2)
 
 
+def test_pow_refuses_a_negative_exponent():
+    # the squaring loop shifts k right, and -1 >> 1 is -1: it never ended
+    alg = algebra_fixture("QZ3")
+    x = alg.basis_element(1) + alg.one()
+    with pytest.raises(ValueError, match="invert"):
+        x ** -1
+    assert (x ** 0).coords == alg.unit
+    assert (x ** 5).coords == (x * x * x * x * x).coords
+
+
 def test_invert_raises_on_non_associative_constants():
     # basis 1, x, y with xy = 1 and yx = 0: y is a right inverse of x only,
     # which associativity forbids; (xy)x = x but x(yx) = 0

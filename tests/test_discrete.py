@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction as F
@@ -269,7 +270,7 @@ def test_sampled_sweep_matches_memo_free_reference(name, seed):
 def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
     # the pairs come from masks drawn like indices into the list of all
     # 2^n - 1 subsets, and image masks are computed only for the drawn B
-    # masks, each once per bit table (the group table and the cells)
+    # masks, each once
     m = table_fixture(name)
     processed = []
     real_images = discrete._images
@@ -277,39 +278,55 @@ def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
         sum(1 << y for y in members)) or real_images(rows, members))
     got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed, count=40).to_json()
     drawn = {sum(1 << y for y in b) for _, b in ref.sampled_pairs(m.size, seed, 40)}
-    assert Counter(processed) == {mask: 2 for mask in drawn}
+    assert Counter(processed) == {mask: 1 for mask in drawn}
     assert 0 < len(drawn) <= 80
     want = memo_free_sweep(m, exhaustive=False, seed=seed, count=40)
     assert json.dumps(got) == json.dumps(want)
 
 
-def test_sweep_cross_checks_every_pair(monkeypatch):
-    # a wrong span of the right dimension for one pair: A = {0, 1}, B = {0}
-    # gives AB = {0, 1} with H = {0}, but the span of {0, 3} has stabilizer
-    # {0, 3}.  Earlier pairs have the same AB, so only a stabilizer taken
-    # from this pair's own span sees the fault.
-    real_cell_span = discrete._cell_span
-    b0 = [1 << x for x in range(6)]  # the cell images of B = {0}: b_x b_0 = b_x
+def test_sampled_sweep_draws_its_pairs_lazily():
+    # the pairs are drawn one at a time as they are checked: six times the
+    # pairs on Z8, whose 255 masks are all drawn well within the first
+    # count, leave the peak of traced memory where it was
+    m = cyclic(8)
+    m.algebra()
+    peaks = []
+    for count in (10_000, 60_000):
+        tracemalloc.start()
+        try:
+            rep = discrete.group_kneser_sweep(m, exhaustive=False, seed=0, count=count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_checked == count
+    assert peaks[1] - peaks[0] < 0.25 * 2 ** 20
 
-    def cell_span(cell_images, members):
-        if members == [0, 1] and list(cell_images) == b0:
-            return 1 << 0 | 1 << 3
-        return real_cell_span(cell_images, members)
 
-    monkeypatch.setattr(discrete, "_cell_span", cell_span)
-    rep = discrete.group_kneser_sweep(cyclic(6))
-    assert rep.pairs_checked == 63 ** 2
-    assert rep.violations == [{
-        "A": [0, 1], "B": [0], "issue": "algebra route disagrees",
-        "dim_span": 2, "|AB|": 2, "dim_stab": 2, "|H|": 1,
-    }]
+def test_sweep_reports_every_pair_whose_stabilizer_disagrees(monkeypatch):
+    # a stabilizer that is the whole of Q[Z6] for the span {0, 1}, whose H is
+    # {0}: every pair with AB = {0, 1} must be reported, not only the first
+    # pair that computes it, and the memo-free replay must agree
+    m = cyclic(6)
+    alg = m.algebra()
+    span01 = sub.coordinate_span(alg, [0, 1]).rows
+    real_stabilizer = sub.stabilizer
+    monkeypatch.setattr(sub, "stabilizer", lambda v, side="left": (
+        sub.full_space(v.algebra) if v.rows == span01 else real_stabilizer(v, side)))
+    rep = discrete.group_kneser_sweep(m)
+    subsets = ref.nonempty_subsets(6)
+    want = [(sorted(a), sorted(b)) for a in subsets for b in subsets
+            if ref.set_product(m.table, a, b) == {0, 1}]
+    assert len(want) > 1
+    assert rep.violations == [{"A": a, "B": b, "issue": "algebra route disagrees",
+                               "dim_span": 2, "|AB|": 2, "dim_stab": 6, "|H|": 1}
+                              for a, b in want]
+    assert json.dumps(rep.to_json()) == json.dumps(memo_free_sweep(m))
 
 
 def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
-    # every pair reads its own span mask off the cells; each distinct span
-    # has its stabilizer computed once, and the set and subspace helpers of
-    # the pair-by-pair route are not called at all
-    calls = {"_cell_span": 0, "stabilizer": 0, "minkowski": 0,
+    # each distinct AB has its stabilizer computed once, and the set and
+    # subspace helpers of the pair-by-pair route are not called at all
+    calls = {"stabilizer": 0, "minkowski": 0,
              "combinatorial_stabilizer": 0, "lift_subset": 0, "product_span": 0}
 
     def counted(module, name):
@@ -320,14 +337,14 @@ def test_sweep_computes_each_lift_and_stabilizer_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_cell_span", "minkowski", "combinatorial_stabilizer", "lift_subset"):
+    for name in ("minkowski", "combinatorial_stabilizer", "lift_subset"):
         counted(discrete, name)
     counted(sub, "product_span")
     counted(sub, "stabilizer")
     rep = discrete.group_kneser_sweep(cyclic(5))
     assert rep.ok and rep.pairs_checked == 961
     assert calls.pop("stabilizer") <= 31
-    assert calls == {"_cell_span": 961, "minkowski": 0, "combinatorial_stabilizer": 0,
+    assert calls == {"minkowski": 0, "combinatorial_stabilizer": 0,
                      "lift_subset": 0, "product_span": 0}
 
 
@@ -353,24 +370,22 @@ def test_table_algebra_is_built_once(monkeypatch):
 
 
 def test_sweep_algebra_route_reads_the_cells(monkeypatch):
-    # an algebra whose cell b_1 b_0 is mis-copied as b_3 leaves the table
-    # route alone, so only an algebra route read off alg.sparse disagrees;
-    # the memo-free replay sees the same faulty algebra and the same report
+    # an algebra whose cell b_1 b_0 is mis-copied as b_3, or is not one
+    # multiple of one basis vector, no longer copies the table: the sweep
+    # compares the cells with the table before any pair and refuses it
     real_algebra = MulTable.algebra
+    for bad in ([(3, F(1))], [(1, F(1)), (3, F(1))], []):
+        def algebra(self, bad=bad):
+            alg = real_algebra(self)
+            cells = [[[(k, F(c, alg.den)) for k, c in cell] for cell in row]
+                     for row in alg.sparse]
+            cells[1][0] = bad
+            return Algebra(cells, alg.unit, label=alg.label, validate=False)
 
-    def algebra(self):
-        alg = real_algebra(self)
-        cells = [[[(k, F(c, alg.den)) for k, c in cell] for cell in row] for row in alg.sparse]
-        cells[1][0] = [(3, F(1))]
-        return Algebra(cells, alg.unit, label=alg.label, validate=False)
-
-    monkeypatch.setattr(MulTable, "algebra", algebra)
-    m = cyclic(6)
-    got = discrete.group_kneser_sweep(m)
-    assert {v["issue"] for v in got.violations} == {"algebra route disagrees"}
-    assert {"A": [0, 1], "B": [0], "issue": "algebra route disagrees",
-            "dim_span": 2, "|AB|": 2, "dim_stab": 2, "|H|": 1} in got.violations
-    assert json.dumps(got.to_json()) == json.dumps(memo_free_sweep(m))
+        monkeypatch.setattr(MulTable, "algebra", algebra)
+        for kwargs in ({}, {"exhaustive": False, "seed": 0, "count": 5}):
+            with pytest.raises(TableMismatch):
+                discrete.group_kneser_sweep(cyclic(6), **kwargs)
 
 
 @pytest.mark.parametrize("name, kwargs", [("Z4", {}),
