@@ -418,16 +418,28 @@ def matrix_algebra(n: int, label="") -> Algebra:
     return Algebra(cells, unit, label=label or f"M_{n}(Q)", validate=False)
 
 
-def direct_product(a: Algebra, b: Algebra, label="") -> Algebra:
-    """a x b, block-diagonal: a's basis first, then b's shifted past it."""
-    def shifted(alg, off):
-        return [[tuple((off + k, Fraction(c, alg.den)) for k, c in cell) for cell in row]
-                for row in alg.sparse]
+def direct_product(*factors: Algebra, label="") -> Algebra:
+    """The block-diagonal product of the factors, each basis shifted past the ones before.
 
-    cells = ([row + [()] * b.dim for row in shifted(a, 0)]
-             + [[()] * a.dim + row for row in shifted(b, a.dim)])
-    return Algebra(cells, a.unit + b.unit, label=label or f"({a.label}) x ({b.label})",
-                   validate=False)
+    The cells are built once, whatever the number of factors, and the
+    product equals the pairwise fold from the left, down to the default
+    label "(L) x (R)" of each step.
+    """
+    n = sum(f.dim for f in factors)
+    cells, unit, off = [], [], 0
+    for f in factors:
+        for row in f.sparse:
+            cells.append([()] * off
+                         + [tuple((off + k, Fraction(c, f.den)) for k, c in cell)
+                            for cell in row]
+                         + [()] * (n - off - f.dim))
+        unit += f.unit
+        off += f.dim
+    if not label:
+        label = factors[0].label
+        for f in factors[1:]:
+            label = f"({label}) x ({f.label})"
+    return Algebra(cells, unit, label=label, validate=False)
 
 
 def companion_algebra(polys, label="") -> Algebra:

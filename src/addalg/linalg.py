@@ -4,16 +4,19 @@ Rational rows are cleared to integers at the boundary (integer_row) and
 come back through one view (fraction_row).  int_rref gives the canonical
 reduced row echelon form as primitive integer rows with positive pivots
 and cleared pivot columns, so two spans are equal iff their forms compare
-equal.  int_kernel reads the kernel off such a form, so
-Element.invert reads both its inverse and its witness off one
-elimination.  unit_rows are the canonical rows of the coordinate spans,
-which are built directly rather than eliminated.  echelon_add carries a
-forward echelon form one row at a time: the invertibility test, min_poly's
-powers and the atoms' block ranks grow their forms with it instead of
-eliminating again.  The Fraction functions (rref, nullspace, solve, det)
-are views of the integer ones, with pivot entries 1; the library no
-longer calls them, and they remain for the tests and the benchmark's
-tracer.  A Vec, a rational row at the boundary, is Fractions.
+equal.  int_kernel reads the kernel off such a form, and every kernel the
+library takes is int_rref followed by int_kernel: the solution spaces and
+intersections of subspaces, each subspace's residual projection (the
+kernel of its own form, transposed), and Element.invert's inverse and
+witness, both off one elimination.  unit_rows are the canonical rows of
+the coordinate spans, which are built directly rather than eliminated.
+echelon_add carries a forward echelon form one row at a time: the
+invertibility test, min_poly's powers and the atoms' block ranks grow
+their forms with it instead of eliminating again.  The Fraction functions
+(rref, nullspace, solve, det) are views of the integer ones, with pivot
+entries 1; the library no longer calls them, and they remain for the
+tests and the benchmark's tracer.  A Vec, a rational row at the
+boundary, is Fractions.
 """
 
 from __future__ import annotations

@@ -100,6 +100,24 @@ def table_from_json(d) -> MulTable:
         raise SchemaError(f"bad monoid table: {e}") from None
 
 
+def _product_leaves(d, leaves: list) -> str:
+    """The label of a direct_product description; its leaf algebras go on leaves.
+
+    Nested products are walked, not built, so the leaves, left to right,
+    make one product.  Each level's label is its own, or "(L) x (R)" of
+    its two factors' labels, as direct_product gives it.
+    """
+    label = _string(d.get("label", ""), "label")
+    names = []
+    for factor in (d["left"], d["right"]):
+        if isinstance(factor, dict) and factor.get("kind") == "direct_product":
+            names.append(_product_leaves(factor, leaves))
+        else:
+            leaves.append(algebra_from_desc(factor))
+            names.append(leaves[-1].label)
+    return label or f"({names[0]}) x ({names[1]})"
+
+
 def algebra_from_desc(d) -> Algebra:
     """Build an algebra from its JSON description (validated)."""
     if not isinstance(d, dict) or "kind" not in d:
@@ -124,8 +142,9 @@ def algebra_from_desc(d) -> Algebra:
             return companion_algebra(
                 [poly_from_json(p) for p in d["polys"]], label=label)
         if kind == "direct_product":
-            return direct_product(algebra_from_desc(d["left"]),
-                                  algebra_from_desc(d["right"]), label=label)
+            leaves = []
+            label = _product_leaves(d, leaves)
+            return direct_product(*leaves, label=label)
     except SchemaError:
         raise
     except RecursionError:  # nested past the interpreter's limit

@@ -5,12 +5,12 @@ primitive integer rows (linalg.int_rref), so equality and hashing are
 structural; `basis` is the cached Fraction view of the same form.  Spans,
 lattice operations, product spans, stabilizers and annihilators work on
 these rows and on the integer rows of Elements.  Membership and the
-solution-space kernel _solutions of stabilizers (x*V <= V, target V) and
-annihilators (x*V = 0, target 0) read one cached residual projection per
-subspace, built directly for a coordinate space.  The kernel's equations
-are read off the algebra's sparse cells and summed sparsely; those with one
-variable force it to 0 without elimination, and only the rest, on the
-other columns, are eliminated.
+solution-space kernel _solutions of stabilizers (x*V <= V), annihilators
+(x*V = 0) and preimages (x*y in T, for x^-1 T with no inverse) read one
+cached residual projection per subspace: its int_kernel transposed, built
+directly for a coordinate space.  The kernel's equations are read off the
+algebra's sparse cells and summed sparsely; those with one variable force
+it to 0 without elimination, and only the rest are eliminated.
 In a monomial algebra (Algebra.monomial) the product span of two
 coordinate spaces (Subspace.coordinate), such as the lifts of two subsets
 of a monoid, is the coordinate span of the cells' basis indices, with no
@@ -53,6 +53,7 @@ __all__ = [
     "stabilizer",
     "annihilator",
     "translate",
+    "preimage",
     "contains_invertible",
     "invertible_basis",
     "vandermonde_line",
@@ -96,14 +97,11 @@ class Subspace:
 
     @cached_property
     def _projection(self) -> list[Sequence[tuple[int, int]]]:
-        """proj[k]: the (f, entry) pairs of the residual of b_k at V's free columns.
+        """proj[k]: the nonzero (f, x_f[k]), x_f the kernel vectors of V's form.
 
-        The residual of y is L*y less y[pc] * L / row[pc] times each row, L
-        the lcm of the pivots; it is 0 at the pivot columns, linear in y, and
-        0 iff y lies in V.  The free columns are numbered f = 0, 1, ... in order.
-        For a coordinate space the scale is 1 and the unit rows have no free
-        entries, so proj[k] is ((f, 1),) at the free columns and empty at the
-        pivots; those are built directly.
+        int_kernel gives one x_f per free column f = 0, 1, ... of V, orthogonal
+        to V's rows, so y lies in V iff its residuals <x_f, y> are all zero.  A
+        coordinate space's x_f are the unit rows at its free columns, built directly.
         """
         n = self.algebra.dim
         if self.coordinate:
@@ -112,14 +110,11 @@ class Subspace:
             for f, k in enumerate([k for k in range(n) if k not in pivots]):
                 proj[k] = ((f, 1),)
             return proj
-        free = [k for k in range(n) if k not in self.pivots]
-        scale = lcm(*[row[pc] for row, pc in zip(self.rows, self.pivots)])
-        proj = [None] * n
-        for f, k in enumerate(free):
-            proj[k] = [(f, scale)]
-        for row, pc in zip(self.rows, self.pivots):
-            m = scale // row[pc]
-            proj[pc] = [(f, -m * row[k]) for f, k in enumerate(free) if row[k]]
+        proj = [[] for _ in range(n)]
+        for f, x in enumerate(linalg.int_kernel(self.rows, self.pivots, n)[0]):
+            for k, a in enumerate(x):
+                if a:
+                    proj[k].append((f, a))
         return proj
 
     def _holds(self, y) -> bool:
@@ -346,6 +341,14 @@ def annihilator(v: Subspace, side="left") -> Subspace:
     itself, so every coordinate of x*b gives an equation.
     """
     return _solutions(v, zero_space(v.algebra), side)
+
+
+def preimage(x: Element, t: Subspace, side="left") -> Subspace:
+    """{y : x*y in T} (left) or {y : y*x in T} (right), with no inverse formed:
+    x^-1 T or T x^-1 when x is invertible."""
+    if x.algebra is not t.algebra:
+        raise AlgebraMismatch("element from a different algebra")
+    return _solutions(span_of([x]), t, "right" if side == "left" else "left")
 
 
 def is_subalgebra(v: Subspace) -> bool:

@@ -51,15 +51,16 @@ def _pairwise_commuting(v: Subspace) -> bool:
 
 
 def e_transform(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
-    """(A, B) -> (A n Be^-1, B + Ae); preserves the dimension sum."""
+    """(A, B) -> (A n Be^-1, B + Ae); preserves the dimension sum.
+
+    Be^-1 is the preimage {y : y*e in B}, so no inverse is formed.
+    """
     if not b.contains(e):
         raise NotInB("transform pivot e must lie in B")
-    inv = e.invert()
-    if not isinstance(inv, Element):
+    if not e.is_invertible:
         raise NotInvertible("transform pivot e must be invertible")
-    a_new = sub.lattice_intersect(a, sub.translate(inv, b, side="right"))
-    b_new = sub.lattice_sum(b, sub.translate(e, a, side="right"))
-    return a_new, b_new
+    return (sub.lattice_intersect(a, sub.preimage(e, b, side="right")),
+            sub.lattice_sum(b, sub.translate(e, a, side="right")))
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,11 @@ class DiderrichCertificate:
             out.append("subalgebra closure")
         if not h.contains_unit():
             out.append("unit in subalgebra")
-        gen = sub.subalgebra_generated(src_a.elements())
-        if not gen.contains_space(h):
+        if not sub.subalgebra_generated(src_a.elements()).contains_space(h):
             out.append("subalgebra inside generated algebra of A")
-        prod = sub.product_span(src_a, src_b)
-        if not prod.contains_space(v):
+        if not sub.product_span(src_a, src_b).contains_space(v):
             out.append("space inside span of AB")
-        ab = sub.translate(self.a, src_b, side="left")
-        if not v.contains_space(ab):
+        if not v.contains_space(sub.translate(self.a, src_b, side="left")):
             out.append("span of aB inside space")
         if sub.product_span(h, v) != v:
             out.append("module property H*V = V")
@@ -108,9 +106,8 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     every e of a basis of B gives span(AB) <= B by linearity.  So once
     span(AB) is not inside B, some element of B's invertible basis shrinks A.
     """
-    alg = a.algebra
     if a.dim == 1:
-        return sub.unit_span(alg), b, 0
+        return sub.unit_span(a.algebra), b, 0
     # span(AB) <= B gives Ae <= B, so A n Be^-1 = A, for every e in B: no pivot can shrink A
     if b.contains_space(sub.product_span(a, b)):
         return sub.subalgebra_generated(a.elements()), b, 0
@@ -128,11 +125,12 @@ def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichC
     """Constructive certificate for dim V + dim H >= dim A + dim B.
 
     Follows the e-transform recursion: normalize both sides by chosen
-    invertibles so the unit lies in A and B, shrink A while span(AB) is not
-    contained in span(B), and fall back to the generated subalgebra once it
-    is.  An element of B's invertible basis always shrinks A, since Ae <= B
-    for every e of a basis of B gives span(AB) <= B.  The seed drives only
-    the invertibility searches on A and B.
+    invertibles so the unit lies in a^-1 A and B b^-1, shrink A while
+    span(AB) is not contained in span(B), and fall back to the generated
+    subalgebra once it is.  Every division is a preimage (subspace.preimage),
+    so no inverse is formed.  An element of B's invertible basis always
+    shrinks A, since Ae <= B for every e of a basis of B gives span(AB) <= B.
+    The seed drives only the invertibility searches on A and B.
     """
     if not _pairwise_commuting(a):
         raise NotCommutative("A must consist of pairwise commuting elements")
@@ -143,13 +141,10 @@ def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichC
     if cert_b.kind != "YES":
         raise NoInvertibleInB(f"certificate {cert_b.kind} for B")
     xa, xb = cert_a.witness, cert_b.witness
-    inv_a = xa.invert()
-    inv_b = xb.invert()
-    a_norm = sub.translate(inv_a, a, side="left")  # a^-1 A
-    b_norm = sub.translate(inv_b, b, side="right")  # B b^-1
+    a_norm = sub.preimage(xa, a, side="left")  # a^-1 A = {y : a*y in A}
+    b_norm = sub.preimage(xb, b, side="right")  # B b^-1 = {y : y*b in B}
     h, v, depth = _recurse(a_norm, b_norm)
-    v = sub.translate(xb, v, side="right")
-    v = sub.translate(xa, v, side="left")
+    v = sub.translate(xa, sub.translate(xb, v, side="right"), side="left")
     return DiderrichCertificate(a=xa, subalgebra=h, space=v, recursion_depth=depth,
                                 source_a=a, source_b=b)
 

@@ -358,3 +358,69 @@ def test_stored_constants_match_the_definition(case):
     # split etale: b_i b_j = [i = j] b_i
     assert alg.split_etale == all(table[i][j] == tuple(F(int(i == j == k)) for k in range(n))
                                   for i in range(n) for j in range(n))
+
+
+# leaves of the nested products below: their constants have different
+# denominators, so each product rescales them to a new common one
+PRODUCT_LEAVES = [
+    NILP,
+    {"kind": "poly_quotient_product", "factors": [["1/2", "-3/7", "2", "1"]], "label": "R"},
+    {"kind": "group_table", "table": [[0, 1], [1, 0]]},
+    COMPANION,
+]
+
+
+def nested_product(depth):
+    """A direct_product description nested depth deep, mostly on its left.
+
+    Every third level nests on its right instead, and every fifth has its
+    own label, so both the tree walk and the default labels are exercised.
+    """
+    desc = PRODUCT_LEAVES[0]
+    for i in range(1, depth + 1):
+        leaf = PRODUCT_LEAVES[i % len(PRODUCT_LEAVES)]
+        left, right = (leaf, desc) if i % 3 == 0 else (desc, leaf)
+        desc = {"kind": "direct_product", "left": left, "right": right}
+        if i % 5 == 0:
+            desc["label"] = f"P{i}"
+    return desc
+
+
+def pairwise_fold(desc):
+    """The algebra of a description, each direct_product level built as a pair."""
+    if desc["kind"] != "direct_product":
+        return algebra_from_desc(desc)
+    return direct_product(pairwise_fold(desc["left"]), pairwise_fold(desc["right"]),
+                          label=desc.get("label", ""))
+
+
+@pytest.mark.parametrize("depth", range(1, 21))
+def test_nested_product_equals_the_pairwise_fold(depth):
+    desc = nested_product(depth)
+    got, want = algebra_from_desc(desc), pairwise_fold(desc)
+    assert (got.label, got.dim, got.sparse, got.den, got.unit_num) \
+        == (want.label, want.dim, want.sparse, want.den, want.unit_num)
+
+
+def test_nested_product_builds_its_cells_once(monkeypatch):
+    # one Algebra per leaf and one for the whole product, not one per level
+    calls = []
+    real = Algebra.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counting)
+    algebra_from_desc(nested_product(200))
+    assert len(calls) == 201 + 1
+
+
+def test_direct_product_of_several_factors_is_the_fold_from_the_left():
+    a, b, c = (split_etale_algebra(1), poly_quotient_product([T * T]),
+               companion_algebra([Poly.of(-1, 1), Poly.of(-2, 1)]))
+    got, want = direct_product(a, b, c), direct_product(direct_product(a, b), c)
+    assert (got.label, got.sparse, got.den, got.unit_num) \
+        == (want.label, want.sparse, want.den, want.unit_num)
+    assert got.label == f"(({a.label}) x ({b.label})) x ({c.label})"
+    assert direct_product(a, b, c, label="P").label == "P"

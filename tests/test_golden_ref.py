@@ -2,11 +2,13 @@
 
 Each stabilizer, annihilator, kneser, nfold, group-sweep and monoid-check
 record of golden_cli.json is recomputed from its argv and its instance
-with perfbench/ref.py, not with addalg: an "@NAME" instance is the literal
-of test_golden_cli.INSTANCES or the recorded stdout of the command saved
-as NAME, and its products come from ref.Mult.from_desc, or from the dense
-tensor of a structure-constant description.  The monoid tables are
-written from their presentations.  A golden recorded from a wrong library
+with perfbench/ref.py, not with addalg.  Every certificate record is
+checked against the e-transform certificate's invariants instead, since
+its space and subalgebra are not the only ones that satisfy them.  An
+"@NAME" instance is the literal of test_golden_cli.INSTANCES or the
+recorded stdout of the command saved as NAME, and its products come from
+ref.Mult.from_desc, or from the dense tensor of a structure-constant
+description.  The monoid tables are written from their presentations.  A golden recorded from a wrong library
 answer fails here even when it replays byte for byte.
 """
 
@@ -18,8 +20,10 @@ import pytest
 from oracles import ref, ref_mul, ref_side
 from test_golden_cli import GOLDEN, INSTANCES, cases
 
-DERIVED = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
-INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in DERIVED]
+REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
+DERIVED = REBUILT + ("certificate",)
+INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in REBUILT]
+CERTIFICATES = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "certificate"]
 TABLES = {"Z5": ref.cyclic_table(5), "S3": ref.s3_table()}
 
 
@@ -171,17 +175,65 @@ def _mult(desc):
                     [Fraction(c) for c in desc["unit"]])
 
 
-def derive(argv, instances):
-    """(stdout payload without schema_version, exit code) of argv, from ref."""
-    cmd, flags = argv[0], _flags(argv)
-    if cmd == "group-sweep":
-        return _group_sweep(flags)
-    if cmd == "monoid-check":
-        return _monoid_check(flags)
+def _invertible(mult, x):
+    """Whether y -> x y has full rank."""
+    units = [[Fraction(int(i == j)) for j in range(mult.dim)] for i in range(mult.dim)]
+    return ref.rank([mult.mul(x, e) for e in units]) == mult.dim
+
+
+def _inputs(argv, instances):
+    """(flags, reference product, {name: rows}) of a command on an instance."""
+    flags = _flags(argv)
     inst = instances[flags["--in"][1:]]
-    mult = _mult(inst["algebra"])
     space = {name: [[Fraction(c) for c in row] for row in rows]
              for name, rows in inst["subspaces"].items()}
+    return flags, _mult(inst["algebra"]), space
+
+
+def check_certificate(rec, instances):
+    """The certificate record's claims, each checked from ref.
+
+    a lies in A and is invertible; it is the unit when A holds it, else
+    the first invertible row of A's canonical basis when one is.  The
+    space V and the subalgebra H satisfy dim B <= dim V <= dim span(AB),
+    dim V + dim H >= dim A + dim B and dim H >= 1, and the recursion
+    shrank A at most dim A - 1 times.  A refusal for A is checked by a
+    nonzero z with x z = 0 for every row x of A, so no element of A is
+    invertible.
+    """
+    flags, mult, space = _inputs(rec["argv"], instances)
+    a_rows, b_rows = space[flags["--A"]], space[flags["--B"]]
+    if rec["code"] == 2:
+        assert (rec["stdout"], rec["stderr"]) == ("", "error: certificate PROBABLY_NO for A\n")
+        assert ref_side(mult, "right").left_annihilator(a_rows)
+        return
+    out = json.loads(rec["stdout"])
+    assert rec["code"] == 0 and rec["stderr"] == "" and out.pop("schema_version") == 1
+    assert set(out) == {"a", "dim_A", "dim_B", "dim_space", "dim_subalgebra",
+                        "recursion_depth", "violations"}
+    dim_a, dim_b = ref.rank(a_rows), ref.rank(b_rows)
+    assert (out["dim_A"], out["dim_B"], out["violations"]) == (dim_a, dim_b, [])
+    a = [Fraction(c) for c in out["a"]]
+    assert ref.contains(a_rows, [a]) and _invertible(mult, a)
+    if ref.contains(a_rows, [mult.unit]):
+        assert a == mult.unit
+    else:
+        rows = [row for row in ref.basis(a_rows) if _invertible(mult, row)]
+        assert not rows or a == rows[0]
+    dim_v, dim_h = out["dim_space"], out["dim_subalgebra"]
+    assert dim_b <= dim_v <= ref.rank(mult.products(a_rows, b_rows))
+    assert dim_v + dim_h >= dim_a + dim_b and dim_h >= 1
+    assert 0 <= out["recursion_depth"] < dim_a
+
+
+def derive(argv, instances):
+    """(stdout payload without schema_version, exit code) of argv, from ref."""
+    cmd = argv[0]
+    if cmd == "group-sweep":
+        return _group_sweep(_flags(argv))
+    if cmd == "monoid-check":
+        return _monoid_check(_flags(argv))
+    flags, mult, space = _inputs(argv, instances)
     if cmd in ("stabilizer", "annihilator"):
         return _solution_space(cmd, mult, space[flags["--V"]], flags.get("--side", "left"))
     if cmd == "kneser":
@@ -192,8 +244,8 @@ def derive(argv, instances):
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
-                      "group-sweep": 3, "monoid-check": 1}
-    assert len(INDICES) == 140
+                      "group-sweep": 3, "monoid-check": 1, "certificate": 40}
+    assert (len(INDICES), len(CERTIFICATES)) == (140, 40)
 
 
 @pytest.mark.parametrize("index", INDICES)
@@ -202,3 +254,8 @@ def test_golden_matches_reference(golden, instances, index):
     payload, code = derive(rec["argv"], instances)
     assert rec["stderr"] == "" and rec["code"] == code
     assert json.loads(rec["stdout"]) == {"schema_version": 1, **payload}
+
+
+@pytest.mark.parametrize("index", CERTIFICATES)
+def test_certificate_golden_holds_from_reference(golden, instances, index):
+    check_certificate(golden[index], instances)

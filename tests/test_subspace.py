@@ -14,7 +14,7 @@ from addalg.errors import (
 from addalg.fixtures import algebra_fixture
 from addalg.polynomials import Poly
 
-from oracles import ref
+from oracles import ref, ref_invert, ref_mul
 
 
 def rand_space(alg, dim, rng):
@@ -63,6 +63,36 @@ def test_translate_refuses_an_element_of_another_algebra():
     for side in ("left", "right"):
         with pytest.raises(AlgebraMismatch):
             sub.translate(x, v, side=side)
+
+
+def test_preimage_matches_the_reference():
+    # {y : x y in T} (left) and {y : y x in T} (right) is the kernel of the
+    # functionals vanishing on T, read at x y (or y x); for an invertible x
+    # it is x^-1 T (or T x^-1)
+    rng = random.Random(4)
+    for name in ("Q4", "QZ5", "QT3", "M2x2", "QS3"):
+        alg = algebra_fixture(name)
+        n = alg.dim
+        units = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(6):
+            t = rand_space(alg, rng.randint(1, n - 1), rng)
+            x = alg.element([F(rng.randint(-2, 2)) for _ in range(n)])
+            normals = ref.kernel(list(t.basis), n)
+            for side in ("left", "right"):
+                images = [ref_mul(alg.table, x.coords, e) if side == "left"
+                          else ref_mul(alg.table, e, x.coords) for e in units]
+                rows = [[sum(a * b for a, b in zip(z, img)) for img in images]
+                        for z in normals]
+                got = sub.preimage(x, t, side)
+                assert ref.same_span(got.basis, ref.kernel(rows, n)), (name, side)
+                kind, inv = ref_invert(alg.table, alg.unit, x.coords)
+                if kind == "inverse":
+                    moved = [ref_mul(alg.table, inv, y) if side == "left"
+                             else ref_mul(alg.table, y, inv) for y in t.basis]
+                    assert got == sub.from_vecs(alg, moved), (name, side)
+    with pytest.raises(AlgebraMismatch):
+        sub.preimage(algebra_fixture("QZ3").basis_element(1),
+                     sub.full_space(algebra_fixture("Q3")))
 
 
 def test_dim_formula_sum_intersection():

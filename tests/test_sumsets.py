@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from addalg import classify, gen, sumsets
 from addalg import subspace as sub
+from addalg.algebra import Element
 from addalg.errors import (
     EpsilonOutOfRange,
     LambdaOutOfRange,
@@ -19,6 +20,8 @@ from addalg.errors import (
     ZeroSubspace,
 )
 from addalg.fixtures import algebra_fixture
+
+from oracles import ref_invert, ref_mul
 
 
 def rand_space(alg, dim, rng):
@@ -164,6 +167,42 @@ def test_certificate_random_sweep():
         cert = sumsets.diderrich_certificate(inst.subspaces["A"], inst.subspaces["B"])
         assert not cert.violations(), (fam, seed)
         assert cert.recursion_depth < max(inst.subspaces["A"].dim, 1) + 1
+
+
+def test_certificate_path_forms_no_inverse(monkeypatch):
+    # a^-1 A, B b^-1 and each A n Be^-1 are preimages; no inverse is formed
+    def refuse(self):
+        raise AssertionError("the certificate path formed an inverse")
+
+    monkeypatch.setattr(Element, "invert", refuse)
+    rng = random.Random(11)
+    spaces = []
+    for seed in range(12):
+        fam = ("split", "group", "polyprod")[seed % 3]
+        inst = gen.gen_instance(fam, seed, dims=(rng.randint(1, 3), rng.randint(1, 3)))
+        a, b = inst.subspaces["A"], inst.subspaces["B"]
+        assert not sumsets.diderrich_certificate(a, b).violations(), (fam, seed)
+        spaces.append((a, b))
+    for name in ("M2x2", "QS3", "QT3"):
+        alg = algebra_fixture(name)
+        for _ in range(4):
+            b = sub.lattice_sum(sub.unit_span(alg), rand_space(alg, 2, rng))
+            spaces.append((rand_space(alg, rng.randint(1, 3), rng), b))
+    pivots = 0  # random invertible pivots in B
+    for a, b in spaces:
+        alg, rows = a.algebra, b.elements()
+        for _ in range(3):
+            e = sum((x.scale(rng.randint(-3, 3)) for x in rows), alg.zero())
+            if not e.is_invertible:
+                continue
+            pivots += 1
+            kind, inv = ref_invert(alg.table, alg.unit, e.coords)
+            assert kind == "inverse"
+            b_inv = sub.from_vecs(alg, [ref_mul(alg.table, y, inv) for y in b.basis])
+            a_e, b_e = sumsets.e_transform(a, b, e)
+            assert a_e == sub.lattice_intersect(a, b_inv)
+            assert b_e == sub.lattice_sum(b, sub.translate(e, a, side="right"))
+    assert pivots >= 40  # the e-transforms must actually have been exercised
 
 
 @st.composite
