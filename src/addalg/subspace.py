@@ -8,9 +8,13 @@ these rows and on the integer rows of Elements.  Membership and the
 solution-space kernel _solutions of stabilizers (x*V <= V), annihilators
 (x*V = 0) and preimages (x*y in T, for x^-1 T with no inverse) read one
 cached residual projection per subspace: its int_kernel transposed, built
-directly for a coordinate space.  The kernel's equations are read off the
-algebra's sparse cells and summed sparsely; those with one variable force
-it to 0 without elimination, and only the rest are eliminated.
+directly for a coordinate space.  Subspace._residual is the one sum of a
+row's residual through it, for membership and the e-transform.
+coordinate_span seeds the cached coordinate flag, row pairs and
+projection of its span, which it knows by construction.  The kernel's
+equations are read off the algebra's sparse cells and summed sparsely;
+those with one variable force it to 0 without elimination, and only the
+rest are eliminated.
 In a monomial algebra (Algebra.monomial) the product span of two
 coordinate spaces (Subspace.coordinate), such as the lifts of two subsets
 of a monoid, is the coordinate span of the cells' basis indices, with no
@@ -105,11 +109,7 @@ class Subspace:
         """
         n = self.algebra.dim
         if self.coordinate:
-            pivots = set(self.pivots)
-            proj = [()] * n
-            for f, k in enumerate([k for k in range(n) if k not in pivots]):
-                proj[k] = ((f, 1),)
-            return proj
+            return _coordinate_projection(n, self.pivots)
         proj = [[] for _ in range(n)]
         for f, x in enumerate(linalg.int_kernel(self.rows, self.pivots, n)[0]):
             for k, a in enumerate(x):
@@ -117,15 +117,20 @@ class Subspace:
                     proj[k].append((f, a))
         return proj
 
-    def _holds(self, y) -> bool:
-        """Whether the integer row y lies in the subspace: its residual is zero."""
+    def _residual(self, y) -> list[int]:
+        """The residuals <x_f, y> of the integer row y, one per free column f:
+        all zero iff y lies in the subspace."""
         res = [0] * (self.algebra.dim - len(self.rows))
         proj = self._projection
         for k, a in enumerate(y):
             if a:
                 for f, p in proj[k]:
                     res[f] += a * p
-        return not any(res)
+        return res
+
+    def _holds(self, y) -> bool:
+        """Whether the integer row y lies in the subspace: its residual is zero."""
+        return not any(self._residual(y))
 
     def contains(self, x: Element) -> bool:
         if x.algebra is not self.algebra:
@@ -143,6 +148,16 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.label or 'algebra'})"
+
+
+def _coordinate_projection(n: int, pivots) -> list[Sequence[tuple[int, int]]]:
+    """The projection of the coordinate span at pivots: its x_f are the unit
+    rows at its free columns, numbered in order."""
+    pivots = set(pivots)
+    proj = [()] * n
+    for f, k in enumerate([k for k in range(n) if k not in pivots]):
+        proj[k] = ((f, 1),)
+    return proj
 
 
 def _span(algebra: Algebra, rows) -> Subspace:
@@ -165,13 +180,22 @@ def span_of(vectors: list[Element]) -> Subspace:
 
 
 def coordinate_span(algebra: Algebra, indices) -> Subspace:
-    """Span of the basis vectors b_i, i in indices; their unit rows are already canonical."""
+    """Span of the basis vectors b_i, i in indices; their unit rows are already canonical.
+
+    The span's cached coordinate, row_nonzeros and _projection are known by
+    construction, so they are seeded here rather than read off the rows.
+    """
     n = algebra.dim
     pivots = tuple(sorted(set(indices)))
     if pivots and not 0 <= pivots[0] <= pivots[-1] < n:
         raise ValueError(f"basis indices must lie in 0..{n - 1}")
     units = linalg.unit_rows(n)
-    return Subspace(algebra, tuple([units[i] for i in pivots]), pivots)
+    v = Subspace(algebra, tuple([units[i] for i in pivots]), pivots)
+    # a frozen dataclass refuses setattr; cached_property reads the instance
+    # __dict__ first, so these stand for the computed values
+    v.__dict__.update(coordinate=True, row_nonzeros=tuple([[(i, 1)] for i in pivots]),
+                      _projection=_coordinate_projection(n, pivots))
+    return v
 
 
 def block_span(algebra: Algebra, blocks) -> Subspace:

@@ -3,6 +3,11 @@
 Covers the e-transform recursion and its certificates, Kneser-Diderrich
 dimension bounds, connectivity/atoms in split etale algebras, and the
 small-doubling analysis.  Everything is exact rational arithmetic.
+
+The e-transform works in A's own coordinates: it forms the images a_i*e
+once, reads their residuals against B's projection, and takes A n Be^-1
+from one kernel over dim A columns and B + Ae from the same images.  The
+recursion tests span(AB) <= B product by product against B's projection.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from . import subspace as sub
 from .algebra import Element
 from .errors import (
     AddalgError,
+    AlgebraMismatch,
     EpsilonOutOfRange,
     LambdaOutOfRange,
     NoInvertibleFound,
@@ -53,14 +59,31 @@ def _pairwise_commuting(v: Subspace) -> bool:
 def e_transform(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
     """(A, B) -> (A n Be^-1, B + Ae); preserves the dimension sum.
 
-    Be^-1 is the preimage {y : y*e in B}, so no inverse is formed.
+    Both halves come from the images a_i*e of A's rows, formed once.  Be^-1
+    is {y : y*e in B}, so A n Be^-1 is read in A's own coordinates: the
+    combinations sum c_i a_i whose image sum c_i (a_i*e) has zero residual
+    against B, one kernel over dim A columns with no inverse formed.  The
+    residuals go through B's projection, which b.contains(e) has built.
+    When every image lies in B the pair is (A, B) itself; otherwise
+    B + Ae is the span of B's rows and the images.
     """
     if not b.contains(e):
         raise NotInB("transform pivot e must lie in B")
     if not e.is_invertible:
         raise NotInvertible("transform pivot e must be invertible")
-    return (sub.lattice_intersect(a, sub.preimage(e, b, side="right")),
-            sub.lattice_sum(b, sub.translate(e, a, side="right")))
+    if a.algebra is not b.algebra:
+        raise AlgebraMismatch("subspaces of different algebras")
+    alg = b.algebra
+    es = linalg.nonzeros(e.num)
+    # den * a_i*e; a common positive scale changes neither span nor kernel
+    images = [alg.mul_pairs(x, es) for x in a.row_nonzeros]
+    residuals = [b._residual(y) for y in images]
+    if not any(map(any, residuals)):
+        return a, b
+    # column i of the system holds the residual of a_i*e
+    combos = linalg.int_kernel(*linalg.int_rref(zip(*residuals)), a.dim)[0]
+    return (sub._span(alg, [linalg.combine(c, a.rows) for c in combos]),
+            sub._span(alg, [*b.rows, *images]))
 
 
 @dataclass(frozen=True)
@@ -105,11 +128,15 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     holds B.  A pivot e leaves A alone exactly when Ae <= B, and Ae <= B for
     every e of a basis of B gives span(AB) <= B by linearity.  So once
     span(AB) is not inside B, some element of B's invertible basis shrinks A.
+    span(AB) <= B iff every product a_i*b_j of their rows lies in B, so the
+    test reads each product through B's projection, stopping at the first
+    outside B, and builds no span of AB.
     """
     if a.dim == 1:
         return sub.unit_span(a.algebra), b, 0
     # span(AB) <= B gives Ae <= B, so A n Be^-1 = A, for every e in B: no pivot can shrink A
-    if b.contains_space(sub.product_span(a, b)):
+    mul, right = a.algebra.mul_pairs, b.row_nonzeros
+    if all(b._holds(mul(x, y)) for x in a.row_nonzeros for y in right):
         return sub.subalgebra_generated(a.elements()), b, 0
     for e in sub.invertible_basis(b):
         a_e, b_e = e_transform(a, b, e)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from addalg import linalg
 from addalg import subspace as sub
 from addalg.algebra import Algebra, Element, poly_quotient_product
 from addalg.errors import (
@@ -133,6 +134,27 @@ def test_coordinate_flag():
     assert sub.zero_space(z5).coordinate and sub.full_space(z5).coordinate
     assert not sub.block_span(z5, [[0], [1, 2]]).coordinate
     assert not sub.unit_span(algebra_fixture("Q3")).coordinate
+
+
+@pytest.mark.parametrize("name", ["Q4", "QZ5", "M2x2"])
+def test_coordinate_span_seeds_match_the_cached_properties(name):
+    # coordinate_span seeds coordinate, row_nonzeros and _projection in the
+    # instance __dict__; each must be what the property computes from the
+    # rows of an unseeded copy, and the projection what int_kernel gives
+    alg = algebra_fixture(name)
+    n = alg.dim
+    for mask in range(1 << n):
+        v = sub.coordinate_span(alg, [i for i in range(n) if mask >> i & 1])
+        fresh = sub.Subspace(alg, v.rows, v.pivots)
+        for prop in ("coordinate", "row_nonzeros", "_projection"):
+            assert prop in v.__dict__, prop
+            assert v.__dict__[prop] == getattr(sub.Subspace, prop).func(fresh), (mask, prop)
+        kernel = [[] for _ in range(n)]
+        for f, x in enumerate(linalg.int_kernel(v.rows, v.pivots, n)[0]):
+            for k, a in enumerate(x):
+                if a:
+                    kernel[k].append((f, a))
+        assert [list(p) for p in v._projection] == kernel, mask
 
 
 def test_product_span_basis_independent_and_monotone():

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addalg import classify, gen, sumsets
 from addalg import subspace as sub
-from addalg.algebra import Element
+from addalg.algebra import Element, split_etale_algebra
 from addalg.errors import (
+    AlgebraMismatch,
     EpsilonOutOfRange,
     LambdaOutOfRange,
     NoInvertibleFound,
@@ -88,6 +89,67 @@ def test_e_transform_guards():
     nilp = sub.from_vecs(alg, [alg.basis_vec(1)])
     with pytest.raises(NotInB):
         sumsets.e_transform(full, nilp, outside)
+
+
+def test_e_transform_refuses_spaces_of_two_algebras():
+    q4, other = split_etale_algebra(4), split_etale_algebra(4)
+    b = sub.full_space(other)
+    for a in (sub.full_space(q4), sub.zero_space(q4), sub.unit_span(q4)):
+        with pytest.raises(AlgebraMismatch):
+            sumsets.e_transform(a, b, other.one())
+
+
+TRANSFORM_ALGEBRAS = {name: algebra_fixture(name) for name in ("Q4", "QZ5", "QT3", "QS3", "M2x2")}
+TRANSFORM_ALGEBRAS["polyprod"] = gen.gen_instance("polyprod", 0).algebra
+
+
+@st.composite
+def transform_cases(draw):
+    """(A, B, e): B holds the unit, e is an invertible point of B, and A is
+    0, random rows with or without the unit, or inside Be^-1 (so Ae <= B)."""
+    alg = TRANSFORM_ALGEBRAS[draw(st.sampled_from(sorted(TRANSFORM_ALGEBRAS)))]
+    row = st.lists(st.integers(-2, 2), min_size=alg.dim, max_size=alg.dim)
+    b = sub.from_vecs(alg, [alg.unit] + draw(st.lists(row, max_size=3)))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=b.dim, max_size=b.dim))
+    e = sum((x.scale(c) for x, c in zip(b.elements(), coeffs)), alg.zero())
+    assume(e.is_invertible)
+    kind = draw(st.sampled_from(["zero", "unit", "rows", "inside"]))
+    if kind == "zero":
+        a = sub.zero_space(alg)
+    elif kind == "inside":
+        inside = sub.preimage(e, b, side="right").elements()
+        a = sub.span_of(draw(st.lists(st.sampled_from(inside), min_size=1)))
+    else:
+        rows = draw(st.lists(row, min_size=1, max_size=3))
+        a = sub.from_vecs(alg, ([alg.unit] if kind == "unit" else []) + rows)
+    return a, b, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(transform_cases())
+def test_e_transform_matches_the_lattice_formula(case):
+    a, b, e = case
+    assert sumsets.e_transform(a, b, e) == (
+        sub.lattice_intersect(a, sub.preimage(e, b, side="right")),
+        sub.lattice_sum(b, sub.translate(e, a, side="right")))
+
+
+def test_recursion_calls_no_elimination_helper(monkeypatch):
+    # e_transform reads A n Be^-1 and B + Ae off the images a_i*e, and the
+    # recursion tests span(AB) <= B product by product
+    calls = []
+    for name in ("preimage", "lattice_intersect", "translate", "product_span"):
+        def counting(*args, _name=name, _real=getattr(sub, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(sub, name, counting)
+    alg = algebra_fixture("QZ5")
+    a, b = sub.coordinate_span(alg, [0, 1]), sub.coordinate_span(alg, [0, 1, 2])
+    h, v, depth = sumsets._recurse(a, b)  # {0, 1} + {0, 1, 2} leaves B
+    assert h == sub.unit_span(alg) and depth >= 1
+    for e in sub.invertible_basis(b):
+        sumsets.e_transform(a, b, e)
+    assert calls == []
 
 
 # -- certificates ------------------------------------------------------
