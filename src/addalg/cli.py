@@ -6,9 +6,10 @@ with only the options its handler reads, besides group-sweep's --threads
 and certificate's --trials, which are accepted for compatibility; any other
 flag is a usage error.  Exit codes: 0 all checks pass, 1 a checked
 inequality failed, 2 input/schema error (an invalid structure-constant
-table among them), 3 the generator's retry budget exhausted, the
-requested oracle unavailable, or no exact atom to decide a monoid-check
-whose candidate atom's bound fails.
+table among them), 3 the generator's retry budget exhausted, no exact
+atom (outside a split etale algebra or above --cap, save hamidoune at
+lambda = 1), or no exact atom to decide a monoid-check whose candidate
+atom's bound fails.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def cmd_hamidoune(args):
     _, spaces = _source(args.infile)
     w, v = _space(spaces, args.W), _space(spaces, args.V)
     lam = parse_rat(args.lam)
-    atom = sumsets.atom_exact_split(v, lam, cap=args.cap).atom
-    report = sumsets.hamidoune_check(w, v, lam, atom)
+    report = sumsets.hamidoune_check(w, v, lam, sumsets.atom(v, lam, args.cap))
     _emit(args, report.to_json())
     return EXIT_OK if report.holds else EXIT_VIOLATION
 
@@ -363,14 +363,10 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except (RetryBudgetExhausted, NotSplitEtale, CapExceeded) as e:
+    except (AddalgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except AddalgError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, (RetryBudgetExhausted, NotSplitEtale, CapExceeded)):
+            return EXIT_BUDGET
         return EXIT_SCHEMA
 
 

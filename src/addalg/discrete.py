@@ -288,7 +288,7 @@ class MonoidHamidouneReport:
     b_size: int
     lam: Fraction
     atom_dim: int
-    atom_exact: bool  # True at lambda = 1; else the atom is the best of two candidates
+    atom_exact: bool  # True at lambda = 1; else the atom is the left stabilizer of V, a candidate
     hamidoune_ok: bool | None  # None: a candidate atom's bound fails, which decides nothing
     stab_size: int
     atom_dominates_stab: bool
@@ -315,13 +315,12 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
                            lam: Fraction) -> MonoidHamidouneReport:
     """|BA| >= lam*|A| + |B| - lam*dim(atom) in the monoid algebra, V = lift(A).
 
-    At lambda = 1 the atom is exact: for u a unit in A and W a subalgebra,
-    span(WV) holds Wu, so c(W) = dim span(WV) - dim W >= 0, with equality
-    iff V u^-1 lies in W; the atom is the subalgebra generated by V u^-1.
-    At other lambda the minimum of c runs over two candidate subalgebras,
-    the scalars and the left stabilizer of V.  A candidate C only gives
-    c(C) >= kappa, so its bound may exceed the theorem's: a failure there
-    decides nothing and is reported as None, not as a violation.
+    At lambda = 1 the atom is exact, sumsets.atom(V, 1): the subalgebra
+    generated by V u^-1 for u a unit in A.  At other lambda the candidate
+    is the left stabilizer H of V: span(HV) = V, so c(H) = dim V - lambda
+    dim H <= dim V - lambda, which is c of the scalars.  A candidate C only
+    gives c(C) >= kappa, so its bound may exceed the theorem's: a failure
+    there decides nothing and is reported as None, not as a violation.
     """
     from . import sumsets
 
@@ -332,18 +331,10 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
         raise NoUnitIntersection("B misses the unit group of the monoid")
     lam = Fraction(lam)
     sumsets._check_lambda(lam)
-    alg = m.algebra()
     ba = minkowski(m, b, a)
     exact = lam == 1
-    if exact:
-        t = m.table
-        unit = min(a & u)
-        inverse = t[unit].index(m.unit_index)
-        atom = sub.subalgebra_generated([alg.basis_element(t[x][inverse]) for x in sorted(a)])
-    else:
-        va = lift_subset(alg, a)
-        atom = min((sub.unit_span(alg), sub.stabilizer(va, "left")),
-                   key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
+    va = lift_subset(m.algebra(), a)
+    atom = sumsets.atom(va, 1) if exact else sub.stabilizer(va, "left")
     hstab = combinatorial_stabilizer(m, a, "left")
     holds = len(ba) >= lam * len(a) + len(b) - lam * atom.dim
     if not (holds or exact):

@@ -1,8 +1,10 @@
 """Additive-combinatorics engine for subspaces of an algebra.
 
 Covers the e-transform recursion and its certificates, Kneser-Diderrich
-dimension bounds, connectivity/atoms in split etale algebras, and the
-small-doubling analysis.  Everything is exact rational arithmetic.
+dimension bounds, connectivity and atoms, and the small-doubling
+analysis.  Everything is exact rational arithmetic.  atom() is the one
+entry point for an atom: at lambda = 1 it works in any algebra, at other
+lambda it enumerates the subalgebras of a split etale algebra.
 
 The e-transform works in A's own coordinates: it forms the images a_i*e
 once, reads their residuals against B's projection, and takes A n Be^-1
@@ -44,6 +46,7 @@ __all__ = [
     "connectivity_value",
     "ConnectivityReport",
     "atom_exact_split",
+    "atom",
     "HamidouneReport",
     "hamidoune_check",
     "TaoReport",
@@ -376,6 +379,23 @@ def atom_exact_split(v: Subspace, lam: Fraction,
                               tie_anomaly=tie)
 
 
+def atom(v: Subspace, lam: Fraction, cap: int = classify.DEFAULT_PARTITION_CAP) -> Subspace:
+    """The atom of V: the least subalgebra W minimising c(W).
+
+    At lambda = 1, in any algebra: for u an invertible of V, span(WV) holds
+    Wu, so c(W) >= 0, with equality iff V u^-1 <= W; the atom is the
+    subalgebra generated by V u^-1, taken as a preimage with no inverse
+    formed.  At any other lambda it is atom_exact_split's, which needs a
+    split etale algebra of dimension at most cap.
+    """
+    if lam != 1:
+        return atom_exact_split(v, lam, cap).atom
+    cert = sub.contains_invertible(v)
+    if cert.kind != "YES":
+        raise NoInvertibleFound("V must contain an invertible element")
+    return sub.subalgebra_generated(sub.preimage(cert.witness, v, "right").elements())
+
+
 @dataclass(frozen=True)
 class HamidouneReport:
     lam: Fraction
@@ -467,14 +487,13 @@ def tao_check(v: Subspace, w: Subspace, epsilon: Fraction,
     if not hyp:
         return TaoReport(epsilon=eps, hypotheses_met=False, dim_v=v.dim,
                          dim_w=w.dim, dim_wv=wv.dim)
-    lam = 1 - eps / 2
-    atom = atom_exact_split(v, lam, cap=cap).atom
-    hv = sub.product_span(atom, v)
+    h = atom(v, 1 - eps / 2, cap)
+    hv = sub.product_span(h, v)
     budget = (Fraction(2) / eps - 1)
     return TaoReport(
         epsilon=eps, hypotheses_met=True, dim_v=v.dim, dim_w=w.dim,
-        dim_wv=wv.dim, dim_h=atom.dim, dim_hv=hv.dim,
-        h_small=Fraction(atom.dim) <= budget * v.dim,
+        dim_wv=wv.dim, dim_h=h.dim, dim_hv=hv.dim,
+        h_small=Fraction(h.dim) <= budget * v.dim,
         v_in_hv=hv.contains_space(v),
-        hv_small=Fraction(hv.dim) <= budget * atom.dim,
+        hv_small=Fraction(hv.dim) <= budget * h.dim,
     )

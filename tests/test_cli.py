@@ -609,6 +609,31 @@ def test_exit_code_oracle_unavailable(capsys, tmp_path):
     assert code == 3
 
 
+def test_hamidoune_at_lambda_one_answers_where_the_atom_command_refuses(capsys, tmp_path):
+    # the same non-split algebra and cap as above: the lambda = 1 atom needs
+    # only an invertible in V, while other lambda still exit 3
+    inst = {
+        "algebra": {"kind": "poly_quotient_product", "factors": [["0", "0", "1"]],
+                    "label": "QT2x"},
+        "subspaces": {"V": [["1", "0"], ["0", "1"]]},
+    }
+    path = write_instance(tmp_path, inst)
+    code, out = run(capsys, "hamidoune", "--in", path, "--W", "V", "--V", "V",
+                    "--lambda", "1", "--json")
+    data = json.loads(out)
+    assert code == 0 and (data["atom_dim"], data["slack"]) == (2, "0")
+    code, _ = run(capsys, "hamidoune", "--in", path, "--W", "V", "--V", "V",
+                  "--lambda", "1/2")
+    assert code == 3
+    path2 = write_instance(tmp_path, Q4_INSTANCE, "q4.json")
+    code, out = run(capsys, "hamidoune", "--in", path2, "--W", "B", "--V", "A",
+                    "--lambda", "1", "--cap", "2", "--json")
+    assert code == 0 and json.loads(out)["holds"]
+    code, _ = run(capsys, "hamidoune", "--in", path2, "--W", "B", "--V", "A",
+                  "--lambda", "1/2", "--cap", "2")
+    assert code == 3
+
+
 def test_invalid_structure_constants_exit_2(capsys, tmp_path):
     inst = {
         "algebra": {

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from addalg import discrete, linalg
+from addalg import discrete, linalg, sumsets
 from addalg import subspace as sub
 from addalg.algebra import Algebra, from_structure_constants
 from addalg.discrete import MulTable
@@ -473,6 +473,66 @@ def test_monoid_hamidoune_guards():
         discrete.monoid_hamidoune_check(m7, m7.subset(["a"]), a, F(1))
     with pytest.raises(LambdaOutOfRange):
         discrete.monoid_hamidoune_check(m7, a, a, F(2))
+
+
+MONOID_FIXTURES = ("paper-m7", "graded-m", "S3", "V4", "Z4", "Z5", "Z6")
+CANDIDATE_LAMBDAS = (F(1, 4), F(1, 3), F(1, 2), F(3, 4))
+
+
+def table_route_atom(m, a):
+    """The lambda = 1 atom read off the table: the subalgebra generated by
+    the basis elements of A u^-1, u the least unit in A."""
+    t = m.table
+    inverse = t[min(a & discrete.units(m))].index(m.unit_index)
+    return sub.subalgebra_generated([m.algebra().basis_element(t[x][inverse])
+                                     for x in sorted(a)])
+
+
+def two_candidate_atom(va, lam):
+    """The better of the scalars and the left stabilizer of V by (c, dim)."""
+    return min((sub.unit_span(va.algebra), sub.stabilizer(va, "left")),
+               key=lambda c: (sumsets.connectivity_value(c, va, lam), c.dim))
+
+
+def test_monoid_atoms_match_the_table_route_and_the_two_candidates():
+    """Every subset A that meets the units of each fixture: atom(lift A, 1)
+    is the table route's, and at other lambda the two-candidate minimum is
+    the left stabilizer, the candidate monoid_hamidoune_check reports."""
+    checked = 0
+    for name in MONOID_FIXTURES:
+        m = table_fixture(name)
+        alg, u = m.algebra(), discrete.units(m)
+        for mask in range(1, 1 << m.size):
+            a = frozenset(i for i in range(m.size) if mask >> i & 1)
+            if not a & u:
+                continue
+            checked += 1
+            va = discrete.lift_subset(alg, a)
+            atom = sumsets.atom(va, F(1))
+            assert atom == table_route_atom(m, a)
+            assert discrete.monoid_hamidoune_check(m, a, a, F(1)).atom_dim == atom.dim
+            stab = sub.stabilizer(va, "left")
+            for lam in CANDIDATE_LAMBDAS:
+                assert two_candidate_atom(va, lam) == stab
+                assert discrete.monoid_hamidoune_check(m, a, a, lam).atom_dim == stab.dim
+    assert checked == 235
+
+
+def test_monoid_check_calls_no_connectivity_value_and_no_unit_span(monkeypatch):
+    calls = Counter()
+
+    def counted(name, real):
+        return lambda *args: calls.update([name]) or real(*args)
+
+    monkeypatch.setattr(sumsets, "connectivity_value",
+                        counted("connectivity_value", sumsets.connectivity_value))
+    monkeypatch.setattr(sub, "unit_span", counted("unit_span", sub.unit_span))
+    z3, m7 = cyclic(3), paper_m7()
+    for lam in (F(1, 2), F(1, 3), F(1)):
+        discrete.monoid_hamidoune_check(z3, frozenset({0, 1}), frozenset({0, 1, 2}), lam)
+        a = m7.subset(["1", "a", "b"])
+        discrete.monoid_hamidoune_check(m7, a, a, lam)
+    assert not calls
 
 
 def test_table_json_roundtrip():

@@ -5,7 +5,7 @@ record of golden_cli.json is recomputed from its argv and its instance
 with perfbench/ref.py, not with addalg.  Every certificate record is
 checked against the e-transform certificate's invariants instead, since
 its space and subalgebra are not the only ones that satisfy them.  An
-"@NAME" instance is the literal of test_golden_cli.INSTANCES or the
+"@NAME" instance is the literal of golden_cases.INSTANCES or the
 recorded stdout of the command saved as NAME, and its products come from
 ref.Mult.from_desc, or from the dense tensor of a structure-constant
 description.  The monoid tables are written from their presentations.  A golden recorded from a wrong library
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import ref, ref_mul, ref_side
-from test_golden_cli import GOLDEN, INSTANCES, cases
+from golden_cases import GOLDEN, INSTANCES, cases
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
 DERIVED = REBUILT + ("certificate",)

@@ -10,6 +10,7 @@ from addalg import subspace as sub
 from addalg.algebra import Element, split_etale_algebra
 from addalg.errors import (
     AlgebraMismatch,
+    CapExceeded,
     EpsilonOutOfRange,
     LambdaOutOfRange,
     NoInvertibleFound,
@@ -509,6 +510,47 @@ def test_atom_values_match_product_spans(case):
     assert rep.kappa == min(c for _, c in rep.evaluated)
     assert rep.atom == dict(spaces)[rep.atom_partition]
     assert sumsets.connectivity_value(rep.atom, v, lam) == rep.kappa
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_atom_at_lambda_one_is_the_enumerated_atom(case):
+    """In Q^1..Q^6 the subalgebra generated by V u^-1 is the atom that the
+    partition enumeration finds, and V without an invertible is refused alike."""
+    v, _ = case
+    try:
+        want = sumsets.atom_exact_split(v, F(1)).atom
+    except (NoInvertibleFound, ZeroSubspace) as e:
+        with pytest.raises(type(e)) as got:
+            sumsets.atom(v, F(1))
+        assert str(got.value) == str(e)
+        return
+    assert sumsets.atom(v, F(1)) == want
+
+
+def test_atom_at_lambda_one_needs_no_split_algebra_and_no_cap():
+    qt2 = algebra_fixture("QT2")
+    full = sub.full_space(qt2)
+    assert sumsets.atom(full, F(1)) == full
+    with pytest.raises(NotSplitEtale):
+        sumsets.atom(full, F(1, 2))
+    q5 = algebra_fixture("Q5")
+    v = sub.from_vecs(q5, [(F(1), F(1), F(0), F(0), F(0)), (F(0), F(0), F(1), F(1), F(1))])
+    assert sumsets.atom(v, F(1), cap=4) == v
+    with pytest.raises(CapExceeded):
+        sumsets.atom(v, F(1, 2), cap=4)
+    assert sumsets.atom(v, F(1, 2)) == sumsets.atom_exact_split(v, F(1, 2)).atom
+    with pytest.raises(NoInvertibleFound, match="V must contain an invertible element"):
+        sumsets.atom(sub.coordinate_span(q5, [0, 1]), F(1))
+
+
+def test_tao_reads_its_atom_through_the_entry_point(monkeypatch):
+    calls = []
+    real = sumsets.atom
+    monkeypatch.setattr(sumsets, "atom", lambda *a: calls.append(a) or real(*a))
+    v = idempotent_line(algebra_fixture("Q3"))
+    rep = sumsets.tao_check(v, v, F(1), cap=5)
+    assert rep.hypotheses_met and calls == [(v, F(1, 2), 5)]
 
 
 @settings(max_examples=100, deadline=None)
