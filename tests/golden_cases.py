@@ -160,6 +160,7 @@ def cases():
     out += _atom_cases()
     out += _nfold_cases()
     out += _solution_space_cases()
+    out += _lambda_one_cases()
     return out
 
 
@@ -222,6 +223,20 @@ def _solution_space_cases():
             for cmd, inst, v in (("stabilizer", "@m2x2", "V"), ("annihilator", "@m2x2", "V"),
                                  ("stabilizer", "@qs3", "H"), ("annihilator", "@qs3", "D"))
             for side in ("left", "right")]
+
+
+def _lambda_one_cases():
+    """hamidoune at lambda = 1 where the atom needs neither a split etale
+    algebra nor the partition cap: (W, V) = (U, U) in Q[T]/(T^2) x Q,
+    (B, H) and (B, A) in Q[S3], (V, V) in Q^5 at --cap 4, and (B, A) in
+    the group algebra of Z7 and in a product of polynomial quotients."""
+    return [(["hamidoune", "--in", inst, "--W", w, "--V", v, "--lambda", "1", *cap,
+              "--json"], None)
+            for inst, w, v, cap in (("@nonsplit", "U", "U", ()), ("@qs3", "B", "H", ()),
+                                    ("@qs3", "B", "A", ()),
+                                    ("@q5-translate", "V", "V", ("--cap", "4")),
+                                    ("@group-n7-d22-s0", "B", "A", ()),
+                                    ("@polyprod-n3-d22-s0", "B", "A", ()))]
 
 
 def run_cases(tmpdir):

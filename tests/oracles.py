@@ -9,7 +9,8 @@ Kept here is what ref lacks, written apart from addalg in the same way:
 schoolbook polynomial Euclid and products, the canonical RREF with its
 pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
-solve, minimal polynomial and inverse on top of ref's elimination,
+solve, minimal polynomial and inverse on top of ref's elimination, the
+subalgebra generated by V u^-1 on top of that inverse,
 dense tensors built from each algebra's definition, and a seeded
 unimodular change of basis of a dense tensor.  Used to cross-check
 library results.
@@ -18,6 +19,7 @@ library results.
 import importlib.util
 import pathlib
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 _REF = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "ref.py"
@@ -153,6 +155,34 @@ def ref_invert(table, unit, x):
     if ref_mul(table, y, x) != unit:
         return "not-associative", None
     return "inverse", y
+
+
+def generated_subalgebra(table, unit, rows):
+    """Canonical basis of the subalgebra generated by V u^-1, u invertible
+    in V, the span of rows; None when V holds no invertible.
+
+    u is the first invertible point sum c_i v_i, c in {1..n+1}^r, over V's
+    canonical basis v_1..v_r: the determinant of y -> u y has degree at
+    most n in each c_i, so it vanishes on that whole grid only when it
+    vanishes on all of V.  V u^-1 is V's basis times ref_invert's inverse,
+    and the span of the unit and V u^-1 takes in the products of its basis
+    vectors until its rank stops growing.
+    """
+    n = len(table)
+    basis = ref.basis(rows)
+    for cs in product(range(1, n + 2), repeat=len(basis)):
+        u = [sum(c * v[k] for c, v in zip(cs, basis)) for k in range(n)]
+        kind, inverse = ref_invert(table, unit, u)
+        if kind == "inverse":
+            break
+    else:
+        return None
+    span = ref.basis([unit, *(ref_mul(table, v, inverse) for v in basis)])
+    while True:
+        grown = ref.basis([*span, *(ref_mul(table, x, y) for x in span for y in span)])
+        if len(grown) == len(span):
+            return span
+        span = grown
 
 
 # -- dense structure constants from the definitions -------------------------

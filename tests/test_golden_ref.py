@@ -1,8 +1,9 @@
 """CLI goldens re-derived from the reference alone.
 
 Each stabilizer, annihilator, kneser, nfold, group-sweep and monoid-check
-record of golden_cli.json is recomputed from its argv and its instance
-with perfbench/ref.py, not with addalg.  Every certificate record is
+record of golden_cli.json, and each hamidoune record at lambda = 1, is
+recomputed from its argv and its instance with perfbench/ref.py and
+tests/oracles.py, not with addalg.  Every certificate record is
 checked against the e-transform certificate's invariants instead, since
 its space and subalgebra are not the only ones that satisfy them.  An
 "@NAME" instance is the literal of golden_cases.INSTANCES or the
@@ -17,13 +18,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ref, ref_mul, ref_side
+from oracles import generated_subalgebra, ref, ref_mul, ref_side, ref_tensor
 from golden_cases import GOLDEN, INSTANCES, cases
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
 DERIVED = REBUILT + ("certificate",)
 INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in REBUILT]
 CERTIFICATES = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "certificate"]
+LAMBDA_ONE = [i for i, (argv, _) in enumerate(cases())
+              if argv[0] == "hamidoune" and argv[argv.index("--lambda") + 1] == "1"]
 TABLES = {"Z5": ref.cyclic_table(5), "S3": ref.s3_table()}
 
 
@@ -226,6 +229,25 @@ def check_certificate(rec, instances):
     assert 0 <= out["recursion_depth"] < dim_a
 
 
+def check_lambda_one_hamidoune(rec, instances):
+    """The lambda = 1 hamidoune record, from the oracle's atom: the
+    subalgebra generated by V u^-1, or exit 2 when V holds no invertible."""
+    flags, mult, space = _inputs(rec["argv"], instances)
+    v, w = space[flags["--V"]], space[flags["--W"]]
+    atom = generated_subalgebra(*ref_tensor(mult), v)
+    if atom is None:
+        assert (rec["code"], rec["stdout"]) == (2, "")
+        assert rec["stderr"] == "error: V must contain an invertible element\n"
+        return
+    dim_wv, dim_w, dim_v = ref.rank(mult.products(w, v)), ref.rank(w), ref.rank(v)
+    rhs = dim_w + dim_v - len(atom)
+    out = {"schema_version": 1, "lambda": "1", "dim_WV": dim_wv, "dim_W": dim_w,
+           "dim_V": dim_v, "atom_dim": len(atom), "rhs": str(rhs),
+           "holds": dim_wv >= rhs, "slack": str(dim_wv - rhs)}
+    assert rec["stderr"] == "" and rec["code"] == (0 if dim_wv >= rhs else 1)
+    assert json.loads(rec["stdout"]) == out
+
+
 def derive(argv, instances):
     """(stdout payload without schema_version, exit code) of argv, from ref."""
     cmd = argv[0]
@@ -246,6 +268,8 @@ def test_derived_goldens_cover_every_record_of_their_commands():
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
                       "group-sweep": 3, "monoid-check": 1, "certificate": 40}
     assert (len(INDICES), len(CERTIFICATES)) == (140, 40)
+    # 8 among the split-instance records, 6 where the atom needs no split algebra
+    assert len(LAMBDA_ONE) == 14
 
 
 @pytest.mark.parametrize("index", INDICES)
@@ -259,3 +283,8 @@ def test_golden_matches_reference(golden, instances, index):
 @pytest.mark.parametrize("index", CERTIFICATES)
 def test_certificate_golden_holds_from_reference(golden, instances, index):
     check_certificate(golden[index], instances)
+
+
+@pytest.mark.parametrize("index", LAMBDA_ONE)
+def test_lambda_one_hamidoune_golden_matches_the_oracle(golden, instances, index):
+    check_lambda_one_hamidoune(golden[index], instances)

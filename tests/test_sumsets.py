@@ -23,7 +23,8 @@ from addalg.errors import (
 )
 from addalg.fixtures import algebra_fixture
 
-from oracles import ref_invert, ref_mul
+from oracles import generated_subalgebra, ref, ref_invert, ref_mul
+from test_algebra import fixture_reference
 
 
 def rand_space(alg, dim, rng):
@@ -542,6 +543,24 @@ def test_atom_at_lambda_one_needs_no_split_algebra_and_no_cap():
     assert sumsets.atom(v, F(1, 2)) == sumsets.atom_exact_split(v, F(1, 2)).atom
     with pytest.raises(NoInvertibleFound, match="V must contain an invertible element"):
         sumsets.atom(sub.coordinate_span(q5, [0, 1]), F(1))
+
+
+@pytest.mark.parametrize("name", ["QZ5", "QS3", "M2x2", "QT3", "QT2xQT2", "Q[paper-m7]"])
+def test_atom_at_lambda_one_matches_the_oracle(name):
+    """Outside split algebras the atom is the oracle's subalgebra generated
+    by V u^-1, and V is refused exactly when the oracle finds no invertible."""
+    alg = algebra_fixture(name)
+    table, unit = fixture_reference(name)
+    rng = random.Random(11)
+    for _ in range(12):
+        v = rand_space(alg, rng.randint(1, 3), rng)
+        want = generated_subalgebra(table, unit, v.basis)
+        if want is None:
+            with pytest.raises(NoInvertibleFound):
+                sumsets.atom(v, F(1))
+            continue
+        got = sumsets.atom(v, F(1))
+        assert got.dim == len(want) and ref.same_span(got.basis, want)
 
 
 def test_tao_reads_its_atom_through_the_entry_point(monkeypatch):
