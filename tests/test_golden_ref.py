@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import generated_subalgebra, ref, ref_mul, ref_side, ref_tensor
 from golden_cases import GOLDEN, INSTANCES, cases
+from oracles import generated_subalgebra, ref, ref_mul, ref_side, ref_tensor
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
 DERIVED = REBUILT + ("certificate",)

@@ -559,8 +559,7 @@ def test_atom_at_lambda_one_matches_the_oracle(name):
             with pytest.raises(NoInvertibleFound):
                 sumsets.atom(v, F(1))
             continue
-        got = sumsets.atom(v, F(1))
-        assert got.dim == len(want) and ref.same_span(got.basis, want)
+        assert ref.same_span(sumsets.atom(v, F(1)).basis, want)
 
 
 def test_tao_reads_its_atom_through_the_entry_point(monkeypatch):
