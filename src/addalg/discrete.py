@@ -313,14 +313,17 @@ class MonoidHamidouneReport:
 
 def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
                            lam: Fraction) -> MonoidHamidouneReport:
-    """|BA| >= lam*|A| + |B| - lam*dim(atom) in the monoid algebra, V = lift(A).
+    """|BA| >= lam*|B| + |A| - lam*dim(atom): sumsets.hamidoune_check in
+    the monoid algebra, with W = lift(B) and V = lift(A).
 
-    At lambda = 1 the atom is exact, sumsets.atom(V, 1): the subalgebra
-    generated by V u^-1 for u a unit in A.  At other lambda the candidate
-    is the left stabilizer H of V: span(HV) = V, so c(H) = dim V - lambda
-    dim H <= dim V - lambda, which is c of the scalars.  A candidate C only
-    gives c(C) >= kappa, so its bound may exceed the theorem's: a failure
-    there decides nothing and is reported as None, not as a violation.
+    W = lift(B) because b_y b_x = b_yx, so span(WV) = lift(BA), whose
+    dimension is |BA|.  At lambda = 1 the atom is exact, sumsets.atom(V, 1):
+    the subalgebra generated by V u^-1 for u a unit in A.  At other lambda
+    the candidate is the left stabilizer H of V.  HV = V, so c(H) = |A| -
+    lambda dim H, and the bound through H is lambda|B| + c(H) >= lambda|B|
+    + kappa.  A pass therefore proves the kappa form |BA| >= lambda|B| +
+    kappa and, as kappa >= dim V - lambda dim(atom), the dim-atom form too.
+    A failure decides nothing and is reported as None, not as a violation.
     """
     from . import sumsets
 
@@ -329,21 +332,17 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
         raise NoUnitIntersection("A misses the unit group of the monoid")
     if not (b & u):
         raise NoUnitIntersection("B misses the unit group of the monoid")
-    lam = Fraction(lam)
-    sumsets._check_lambda(lam)
-    ba = minkowski(m, b, a)
     exact = lam == 1
     va = lift_subset(m.algebra(), a)
     atom = sumsets.atom(va, 1) if exact else sub.stabilizer(va, "left")
+    bound = sumsets.hamidoune_check(lift_subset(m.algebra(), b), va, lam, atom)
+    ba = minkowski(m, b, a)
     hstab = combinatorial_stabilizer(m, a, "left")
-    holds = len(ba) >= lam * len(a) + len(b) - lam * atom.dim
-    if not (holds or exact):
-        holds = None  # a candidate's bound may exceed the theorem's
     kneser_rhs = len(a) + len(b) - len(combinatorial_stabilizer(m, ba, "left"))
     return MonoidHamidouneReport(
-        ba_size=len(ba), a_size=len(a), b_size=len(b), lam=lam,
+        ba_size=len(ba), a_size=len(a), b_size=len(b), lam=bound.lam,
         atom_dim=atom.dim, atom_exact=exact,
-        hamidoune_ok=holds,
+        hamidoune_ok=bound.holds if bound.holds or exact else None,
         stab_size=len(hstab),
         atom_dominates_stab=atom.dim >= len(hstab),
         kneser_rhs=kneser_rhs,

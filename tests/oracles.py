@@ -10,7 +10,8 @@ schoolbook polynomial Euclid and products, the canonical RREF with its
 pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
 solve, minimal polynomial and inverse on top of ref's elimination, the
-subalgebra generated by V u^-1 on top of that inverse,
+subalgebra generated by V u^-1 on top of that inverse, monoid-check's
+atom and Hamidoune verdict from a multiplication table,
 dense tensors built from each algebra's definition, and a seeded
 unimodular change of basis of a dense tensor.  Used to cross-check
 library results.
@@ -183,6 +184,40 @@ def generated_subalgebra(table, unit, rows):
         if len(grown) == len(span):
             return span
         span = grown
+
+
+# -- monoid-check from a multiplication table -------------------------------
+
+
+def _submonoid(table, gens):
+    """The submonoid generated by gens: gens and every product of its members."""
+    out = set(gens)
+    while True:
+        more = {table[x][y] for x in out for y in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def monoid_atom_dim(table, unit, a, lam):
+    """The dimension of monoid-check's atom of lift(A), unit the table's
+    identity index.  At lambda = 1 the atom is the lift of the submonoid
+    generated by A u^-1, u a unit in A, so its dimension is that
+    submonoid's size; at other lambda it is ref's left stabilizer of lift(A).
+    """
+    if lam == 1:
+        u = next(x for x in sorted(a) if unit in table[x])
+        u_inv = table[u].index(unit)
+        return len(_submonoid(table, {table[x][u_inv] for x in a}))
+    lift = [_unit_vec(len(table), x) for x in sorted(a)]
+    return len(ref.Mult.from_table(table, unit).left_stabilizer(lift))
+
+
+def monoid_hamidoune_holds(table, a, b, lam, atom_dim):
+    """|BA| >= lam |B| + |A| - lam atom_dim, or None where that fails at
+    lambda != 1, whose atom is only a candidate."""
+    holds = len(ref.set_product(table, b, a)) >= lam * len(b) + len(a) - lam * atom_dim
+    return holds if holds or lam == 1 else None
 
 
 # -- dense structure constants from the definitions -------------------------

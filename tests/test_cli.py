@@ -179,9 +179,18 @@ def test_monoid_check_in_a_group_holds(capsys):
     assert (data["hamidoune_bound_holds"], data["atom_dim"], data["atom_exact"]) == (True, 3, True)
 
 
-def test_monoid_check_failed_candidate_exits_3(capsys):
+def test_monoid_check_passed_candidate_exits_0(capsys):
     code = cli.main(["monoid-check", "--fixture", "Z3", "--A", "0,1",
                      "--B", "0,1,2", "--lambda", "1/2", "--json"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert code == 0 and captured.err == ""
+    assert (data["hamidoune_bound_holds"], data["atom_exact"]) == (True, False)
+
+
+def test_monoid_check_failed_candidate_exits_3(capsys):
+    code = cli.main(["monoid-check", "--fixture", "Z4", "--A", "0,1,2",
+                     "--B", "0,1,2,3", "--lambda", "1/2", "--json"])
     captured = capsys.readouterr()
     data = json.loads(captured.out)
     assert code == 3

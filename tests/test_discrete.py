@@ -29,7 +29,7 @@ from addalg.fixtures import (
     table_fixture,
 )
 
-from oracles import ref
+from oracles import monoid_atom_dim, monoid_hamidoune_holds, ref
 
 
 def memo_free_sweep(m, exhaustive=True, seed=0, count=200):
@@ -458,11 +458,18 @@ def test_monoid_hamidoune_exact_atom_in_a_group():
     assert (rep.atom_dim, rep.atom_exact, rep.hamidoune_ok) == (3, True, True)
 
 
-def test_monoid_hamidoune_candidate_failure_is_undecided():
-    # at lambda = 1/2 the scalars are the best candidate (dim 1), whose
-    # bound 1 + 3 - 1/2 = 7/2 exceeds |BA| = 3: that decides nothing
+def test_monoid_hamidoune_candidate_bound_with_w_the_lift_of_b():
+    # W = lift(B): at lambda = 1/2 the scalars (the left stabilizer of
+    # lift A) give the bound 3/2 + 2 - 1/2 = 3 <= |BA| = 3, which holds
     rep = discrete.monoid_hamidoune_check(cyclic(3), frozenset({0, 1}),
                                           frozenset({0, 1, 2}), F(1, 2))
+    assert (rep.atom_dim, rep.atom_exact, rep.hamidoune_ok) == (1, False, True)
+
+
+def test_monoid_hamidoune_candidate_failure_is_undecided():
+    # the scalars' bound 2 + 3 - 1/2 = 9/2 exceeds |BA| = 4: that decides nothing
+    rep = discrete.monoid_hamidoune_check(cyclic(4), frozenset({0, 1, 2}),
+                                          frozenset({0, 1, 2, 3}), F(1, 2))
     assert (rep.atom_dim, rep.atom_exact, rep.hamidoune_ok) == (1, False, None)
 
 
@@ -516,6 +523,24 @@ def test_monoid_atoms_match_the_table_route_and_the_two_candidates():
                 assert two_candidate_atom(va, lam) == stab
                 assert discrete.monoid_hamidoune_check(m, a, a, lam).atom_dim == stab.dim
     assert checked == 235
+
+
+@pytest.mark.parametrize("name", ("Z3", "Z4", "S3", "paper-m7"))
+def test_monoid_hamidoune_verdicts_match_the_table_rule(name):
+    """Over every pair of subsets that meet the units, |BA|, the atom's
+    dimension and the verdict of |BA| >= lam|B| + |A| - lam dim(atom) are
+    the ones worked out from the table and ref."""
+    m = table_fixture(name)
+    t, one = [list(row) for row in m.table], m.unit_index
+    subsets = [a for a in ref.nonempty_subsets(m.size) if any(one in t[x] for x in a)]
+    for lam in (F(1, 3), F(1, 2), F(1)):
+        for a in subsets:
+            atom_dim = monoid_atom_dim(t, one, a, lam)
+            for b in subsets:
+                rep = discrete.monoid_hamidoune_check(m, a, b, lam)
+                want = (len(ref.set_product(t, b, a)), atom_dim,
+                        monoid_hamidoune_holds(t, a, b, lam, atom_dim))
+                assert (rep.ba_size, rep.atom_dim, rep.hamidoune_ok) == want, (a, b, lam)
 
 
 def test_monoid_check_calls_no_connectivity_value_and_no_unit_span(monkeypatch):
