@@ -7,7 +7,7 @@ reports on each of them, the atom, hamidoune and tao reports on split
 instances, with their error exits, the nfold reports on the generated
 instances and on one pair in the non-commutative Q[S3], and stabilizers
 and annihilators on both sides in M_2(Q) and Q[S3], most of them neither
-the scalars nor 0.  The
+the scalars nor 0, and monoid-check at lambda = 1 and 1/2.  The
 generated instances and certificates depend on the order in which the
 seeded candidate streams draw, so a replay that matches byte for byte
 shows that order is unchanged.
@@ -161,6 +161,7 @@ def cases():
     out += _nfold_cases()
     out += _solution_space_cases()
     out += _lambda_one_cases()
+    out += _monoid_candidate_cases()
     return out
 
 
@@ -237,6 +238,16 @@ def _lambda_one_cases():
                                     ("@q5-translate", "V", "V", ("--cap", "4")),
                                     ("@group-n7-d22-s0", "B", "A", ()),
                                     ("@polyprod-n3-d22-s0", "B", "A", ()))]
+
+
+def _monoid_candidate_cases():
+    """monoid-check at lambda = 1/2, where the atom is the candidate left
+    stabilizer of lift(A): Z3 passes, and Z6 and Z4 fail, which decides
+    nothing (exit 3)."""
+    return [(["monoid-check", "--fixture", name, "--A", a, "--B", b, "--lambda", "1/2",
+              "--json"], None)
+            for name, a, b in (("Z3", "0,1", "0,1,2"), ("Z6", "0,1,2,3,4", "0,1,2,3"),
+                               ("Z4", "0,1,2", "0,1,2,3"))]
 
 
 def run_cases(tmpdir):

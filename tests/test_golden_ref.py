@@ -9,8 +9,9 @@ its space and subalgebra are not the only ones that satisfy them.  An
 "@NAME" instance is the literal of golden_cases.INSTANCES or the
 recorded stdout of the command saved as NAME, and its products come from
 ref.Mult.from_desc, or from the dense tensor of a structure-constant
-description.  The monoid tables are written from their presentations.  A golden recorded from a wrong library
-answer fails here even when it replays byte for byte.
+description.  The paper-m7 table is written from its presentation, and
+the cyclic ones are ref's.  A golden recorded from a wrong library answer
+fails here even when it replays byte for byte.
 """
 
 import json
@@ -19,7 +20,15 @@ from fractions import Fraction
 import pytest
 
 from golden_cases import GOLDEN, INSTANCES, cases
-from oracles import generated_subalgebra, ref, ref_mul, ref_side, ref_tensor
+from oracles import (
+    generated_subalgebra,
+    monoid_atom_dim,
+    monoid_hamidoune_holds,
+    ref,
+    ref_mul,
+    ref_side,
+    ref_tensor,
+)
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
 DERIVED = REBUILT + ("certificate",)
@@ -28,6 +37,7 @@ CERTIFICATES = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "certific
 LAMBDA_ONE = [i for i, (argv, _) in enumerate(cases())
               if argv[0] == "hamidoune" and argv[argv.index("--lambda") + 1] == "1"]
 TABLES = {"Z5": ref.cyclic_table(5), "S3": ref.s3_table()}
+UNDECIDED = "error: no exact atom at lambda {}, and the candidate atom's bound fails\n"
 
 
 def _paper_m7():
@@ -50,7 +60,9 @@ def _paper_m7():
                                          for x in words]
 
 
-MONOIDS = {"paper-m7": _paper_m7()}
+MONOIDS = {"paper-m7": _paper_m7(),
+           **{f"Z{n}": ([str(i) for i in range(n)], ref.cyclic_table(n)) for n in (3, 4, 6)}}
+ONE = {"paper-m7": "1", "Z3": "0", "Z4": "0", "Z6": "0"}
 
 
 @pytest.fixture(scope="module")
@@ -133,40 +145,26 @@ def _group_sweep(flags):
     return out, 0 if not violations else 1
 
 
-def _closure(table, gens):
-    """The submonoid generated by gens: gens and every product of its members."""
-    out = set(gens)
-    while True:
-        more = {table[x][y] for x in out for y in out} - out
-        if not more:
-            return out
-        out |= more
-
-
 def _monoid_check(flags):
-    """The lambda = 1 monoid-check report, and its exit code.
-
-    The atom is the lift of the submonoid generated by A u^-1, u a unit in
-    A, so its dimension is that submonoid's size.
-    """
-    assert flags["--lambda"] == "1"
+    """The monoid-check report, and its exit code: 3 when a candidate
+    atom's bound fails at lambda != 1."""
     labels, table = MONOIDS[flags["--fixture"]]
     a = frozenset(labels.index(x) for x in flags["--A"].split(","))
     b = frozenset(labels.index(x) for x in flags["--B"].split(","))
-    one = labels.index("1")
-    u = next(x for x in sorted(a) if one in table[x])
-    u_inv = table[u].index(one)
-    atom = _closure(table, {table[x][u_inv] for x in a})
+    lam = Fraction(flags["--lambda"])
+    atom_dim = monoid_atom_dim(table, labels.index(ONE[flags["--fixture"]]), a, lam)
+    holds = monoid_hamidoune_holds(table, a, b, lam, atom_dim)
     ba = ref.set_product(table, b, a)
     h_a = ref.set_left_stabilizer(table, a)
     kneser_rhs = len(a) + len(b) - len(ref.set_left_stabilizer(table, ba))
-    holds = len(ba) >= len(a) + len(b) - len(atom)
-    out = {"fixture": flags["--fixture"], "lambda": "1", "|BA|": len(ba), "|A|": len(a),
-           "|B|": len(b), "atom_dim": len(atom), "atom_exact": True,
+    out = {"fixture": flags["--fixture"], "lambda": str(lam), "|BA|": len(ba),
+           "|A|": len(a), "|B|": len(b), "atom_dim": atom_dim, "atom_exact": lam == 1,
            "hamidoune_bound_holds": holds, "|H_A|": len(h_a),
-           "atom_dim >= |H_A|": len(atom) >= len(h_a), "kneser_rhs": kneser_rhs,
+           "atom_dim >= |H_A|": atom_dim >= len(h_a), "kneser_rhs": kneser_rhs,
            "kneser_bound_holds": len(ba) >= kneser_rhs}
-    return out, 0 if holds and len(atom) >= len(h_a) else 1
+    if holds is None:
+        return out, 3
+    return out, 0 if holds and atom_dim >= len(h_a) else 1
 
 
 def _mult(desc):
@@ -266,8 +264,8 @@ def derive(argv, instances):
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
-                      "group-sweep": 3, "monoid-check": 1, "certificate": 40}
-    assert (len(INDICES), len(CERTIFICATES)) == (140, 40)
+                      "group-sweep": 3, "monoid-check": 4, "certificate": 40}
+    assert (len(INDICES), len(CERTIFICATES)) == (143, 40)
     # 8 among the split-instance records, 6 where the atom needs no split algebra
     assert len(LAMBDA_ONE) == 14
 
@@ -276,7 +274,8 @@ def test_derived_goldens_cover_every_record_of_their_commands():
 def test_golden_matches_reference(golden, instances, index):
     rec = golden[index]
     payload, code = derive(rec["argv"], instances)
-    assert rec["stderr"] == "" and rec["code"] == code
+    assert rec["code"] == code
+    assert rec["stderr"] == ("" if code != 3 else UNDECIDED.format(payload["lambda"]))
     assert json.loads(rec["stdout"]) == {"schema_version": 1, **payload}
 
 
