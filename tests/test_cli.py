@@ -570,6 +570,75 @@ def test_malformed_flags_exit_2_or_3_with_one_error_line(tmp_path_factory, argv)
     assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
+# Generated instance files to mutate, and the arguments each subcommand
+# that reads --in takes besides it.
+FUZZ_SEEDS = [gen.gen_instance(family, 0, n=n).to_json()
+              for family, n in (("split", 4), ("group", 7), ("polyprod", 3))]
+FUZZ_CALLS = {"validate": [], "info": [], "span": ["--V", "A"],
+              "product": ["--A", "A", "--B", "B"], "stabilizer": ["--V", "A"],
+              "annihilator": ["--V", "A", "--side", "right"], "classify": ["--trials", "4"],
+              "certificate": ["--A", "A", "--B", "B"], "kneser": ["--A", "A", "--B", "B"],
+              "nfold": ["--spaces", "A,B"], "atom": ["--V", "A", "--lambda", "1/2"],
+              "hamidoune": ["--W", "B", "--V", "A", "--lambda", "1"],
+              "tao": ["--V", "A", "--W", "B", "--epsilon", "1/2"],
+              "group-sweep": ["--count", "5"],
+              "monoid-check": ["--A", "0,1", "--B", "0", "--lambda", "1/2"]}
+SWAPS = (None, True, 0, 2, -1, 1.5, "x", "1/0", [], {})
+
+
+def _paths(node, path=()):
+    """The path of every node below the root, as keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw):
+    """A generated instance file with one to three type swaps, deletions or
+    duplications, each at a node drawn from the whole tree."""
+    inst = json.loads(json.dumps(draw(st.sampled_from(FUZZ_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(inst))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = inst
+        for step in parent_path:
+            parent = parent[step]
+        op = draw(st.sampled_from(("swap", "delete", "duplicate")))
+        if op == "swap":
+            parent[key] = draw(st.sampled_from(SWAPS))
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        else:
+            other = draw(st.sampled_from(sorted(parent)))
+            parent[key] = json.loads(json.dumps(parent[other]))
+    return inst
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_instances(), st.sampled_from(sorted(FUZZ_CALLS)))
+def test_mutated_instance_files_keep_the_exit_contract(tmp_path_factory, inst, cmd):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(inst))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([cmd, "--in", str(path), *FUZZ_CALLS[cmd], "--json"])
+    assert code in (0, 1, 2, 3), (cmd, inst)
+    if code in (2, 3):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (cmd, inst, lines)
+
+
 # Declared options no handler reads: gen prints its instance as JSON
 # whatever --json says, and --threads is kept for callers that pass it.
 # So is certificate's --trials: the e-transform recursion samples no pivots.
