@@ -199,12 +199,13 @@ def _submonoid(table, gens):
         out |= more
 
 
-def monoid_atom_dim(table, unit, a, lam):
-    """The dimension of monoid-check's atom of lift(A), unit the table's
-    identity index.  At lambda = 1 the atom is the lift of the submonoid
-    generated by A u^-1, u a unit in A, so its dimension is that
-    submonoid's size; at other lambda it is ref's left stabilizer of lift(A).
+def monoid_atom_dim(table, a, lam):
+    """The dimension of monoid-check's atom of lift(A).  At lambda = 1 the
+    atom is the lift of the submonoid generated by A u^-1, u a unit in A,
+    so its dimension is that submonoid's size; at other lambda it is ref's
+    left stabilizer of lift(A).
     """
+    unit = next(e for e, row in enumerate(table) if list(row) == list(range(len(table))))
     if lam == 1:
         u = next(x for x in sorted(a) if unit in table[x])
         u_inv = table[u].index(unit)

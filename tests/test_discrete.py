@@ -535,7 +535,7 @@ def test_monoid_hamidoune_verdicts_match_the_table_rule(name):
     subsets = [a for a in ref.nonempty_subsets(m.size) if any(one in t[x] for x in a)]
     for lam in (F(1, 3), F(1, 2), F(1)):
         for a in subsets:
-            atom_dim = monoid_atom_dim(t, one, a, lam)
+            atom_dim = monoid_atom_dim(t, a, lam)
             for b in subsets:
                 rep = discrete.monoid_hamidoune_check(m, a, b, lam)
                 want = (len(ref.set_product(t, b, a)), atom_dim,

@@ -62,7 +62,6 @@ def _paper_m7():
 
 MONOIDS = {"paper-m7": _paper_m7(),
            **{f"Z{n}": ([str(i) for i in range(n)], ref.cyclic_table(n)) for n in (3, 4, 6)}}
-ONE = {"paper-m7": "1", "Z3": "0", "Z4": "0", "Z6": "0"}
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +151,7 @@ def _monoid_check(flags):
     a = frozenset(labels.index(x) for x in flags["--A"].split(","))
     b = frozenset(labels.index(x) for x in flags["--B"].split(","))
     lam = Fraction(flags["--lambda"])
-    atom_dim = monoid_atom_dim(table, labels.index(ONE[flags["--fixture"]]), a, lam)
+    atom_dim = monoid_atom_dim(table, a, lam)
     holds = monoid_hamidoune_holds(table, a, b, lam, atom_dim)
     ba = ref.set_product(table, b, a)
     h_a = ref.set_left_stabilizer(table, a)
