@@ -57,7 +57,7 @@ class Algebra:
     them.
     """
 
-    def __init__(self, cells, unit, label="", validate=True):
+    def __init__(self, cells, unit, label=""):
         # cells[i][j] holds the nonzero (k, c) of b_i * b_j, c rational, in increasing k
         self.den = lcm(*[c.denominator for row in cells for cell in row for _, c in cell])
         self.sparse = tuple(
@@ -69,8 +69,6 @@ class Algebra:
         self.label = label
         one = self.element(unit)  # kept as integers: an Element points back here
         self.unit_num, self.unit_den = one.num, one.den
-        if validate:
-            self._validate()
 
     # -- construction-time checks -------------------------------------
 
@@ -350,7 +348,11 @@ def poly_at(p: Poly, x: Element) -> Element:
 
 
 def from_structure_constants(table, unit, label="") -> Algebra:
-    """The dense entry point: table[i][j] holds the coordinates of b_i * b_j."""
+    """The dense entry point: table[i][j] holds the coordinates of b_i * b_j.
+
+    The one constructor that checks the unit law and associativity; the
+    others satisfy both by construction.
+    """
     table = [[vec(cell) for cell in row] for row in table]
     unit = vec(unit)
     n = len(table)
@@ -360,8 +362,9 @@ def from_structure_constants(table, unit, label="") -> Algebra:
         raise EmptyDescription("structure-constant tensor is not n x n x n")
     if len(unit) != n:
         raise BadUnit("unit vector has wrong length")
-    return Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], unit,
-                   label=label)
+    alg = Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], unit, label=label)
+    alg._validate()
+    return alg
 
 
 def monoid_algebra(mtable, label="") -> Algebra:
@@ -372,7 +375,7 @@ def monoid_algebra(mtable, label="") -> Algebra:
     """
     cells = [[((k, 1),) for k in row] for row in mtable.table]
     unit = [int(k == mtable.unit_index) for k in range(mtable.size)]
-    return Algebra(cells, unit, label=label or f"Q[{mtable.label}]", validate=False)
+    return Algebra(cells, unit, label=label or f"Q[{mtable.label}]")
 
 
 def poly_quotient_product(polys, label="") -> Algebra:
@@ -402,7 +405,7 @@ def poly_quotient_product(polys, label="") -> Algebra:
         off += d
     if not label:
         label = " x ".join(f"Q[T]/({p})" for p in polys)
-    return Algebra(cells, unit, label=label, validate=False)
+    return Algebra(cells, unit, label=label)
 
 
 def split_etale_algebra(n: int, label="") -> Algebra:
@@ -415,7 +418,7 @@ def matrix_algebra(n: int, label="") -> Algebra:
     cells = [[((i * n + l, 1),) if j == k else () for k in range(n) for l in range(n)]
              for i in range(n) for j in range(n)]
     unit = [int(i == j) for i in range(n) for j in range(n)]
-    return Algebra(cells, unit, label=label or f"M_{n}(Q)", validate=False)
+    return Algebra(cells, unit, label=label or f"M_{n}(Q)")
 
 
 def direct_product(*factors: Algebra, label="") -> Algebra:
@@ -439,7 +442,7 @@ def direct_product(*factors: Algebra, label="") -> Algebra:
         label = factors[0].label
         for f in factors[1:]:
             label = f"({label}) x ({f.label})"
-    return Algebra(cells, unit, label=label, validate=False)
+    return Algebra(cells, unit, label=label)
 
 
 def companion_algebra(polys, label="") -> Algebra:

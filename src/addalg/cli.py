@@ -286,7 +286,7 @@ OPTIONS = {
     "--trials": {"type": nonnegative_int, "default": 64,
                  "help": "classify: sampled generators; certificate: accepted for "
                          "compatibility, the output does not depend on it"},
-    "--cap": {"type": nonnegative_int, "default": 10},
+    "--cap": {"type": nonnegative_int, "default": classify.DEFAULT_PARTITION_CAP},
     "--count": {"type": nonnegative_int, "default": 200},
     "--threads": {"type": int, "default": 1,
                   "help": "accepted for compatibility; every run is single-threaded "

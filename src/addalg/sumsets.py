@@ -62,13 +62,7 @@ def _pairwise_commuting(v: Subspace) -> bool:
 def e_transform(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
     """(A, B) -> (A n Be^-1, B + Ae); preserves the dimension sum.
 
-    Both halves come from the images a_i*e of A's rows, formed once.  Be^-1
-    is {y : y*e in B}, so A n Be^-1 is read in A's own coordinates: the
-    combinations sum c_i a_i whose image sum c_i (a_i*e) has zero residual
-    against B, one kernel over dim A columns with no inverse formed.  The
-    residuals go through B's projection, which b.contains(e) has built.
-    When every image lies in B the pair is (A, B) itself; otherwise
-    B + Ae is the span of B's rows and the images.
+    Guards the pivot e (in B, invertible) and the algebras, then takes _e_step.
     """
     if not b.contains(e):
         raise NotInB("transform pivot e must lie in B")
@@ -76,6 +70,19 @@ def e_transform(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspac
         raise NotInvertible("transform pivot e must be invertible")
     if a.algebra is not b.algebra:
         raise AlgebraMismatch("subspaces of different algebras")
+    return _e_step(a, b, e)
+
+
+def _e_step(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
+    """The e-transform of a pivot e already known to be an invertible of B.
+
+    Both halves come from the images a_i*e of A's rows, formed once.  Be^-1
+    is {y : y*e in B}, so A n Be^-1 is read in A's own coordinates: the
+    combinations sum c_i a_i whose image sum c_i (a_i*e) has zero residual
+    against B, one kernel over dim A columns with no inverse formed.  The
+    residuals go through B's projection.  When every image lies in B the pair
+    is (A, B) itself; otherwise B + Ae is the span of B's rows and the images.
+    """
     alg = b.algebra
     es = linalg.nonzeros(e.num)
     # den * a_i*e; a common positive scale changes neither span nor kernel
@@ -141,8 +148,8 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     mul, right = a.algebra.mul_pairs, b.row_nonzeros
     if all(b._holds(mul(x, y)) for x in a.row_nonzeros for y in right):
         return sub.subalgebra_generated(a.elements()), b, 0
-    for e in sub.invertible_basis(b):
-        a_e, b_e = e_transform(a, b, e)
+    for e in sub.invertible_basis(b):  # each already tested invertible
+        a_e, b_e = _e_step(a, b, e)
         if a_e.dim < a.dim:
             h, v, depth = _recurse(a_e, b_e)
             return h, v, depth + 1
@@ -304,7 +311,6 @@ def connectivity_value(w: Subspace, v: Subspace, lam: Fraction) -> Fraction:
 @dataclass(frozen=True)
 class ConnectivityReport:
     lam: Fraction
-    v: Subspace
     kappa: Fraction
     atom: Subspace
     atom_partition: tuple
@@ -336,7 +342,9 @@ def atom_exact_split(v: Subspace, lam: Fraction,
     of the e_P V, and e_P V is V cut to the columns of P: each c is
     sum_P rank(V|_P) - lambda*|pi|.  Each block's echelon form is built once,
     from the form of the block without its last index plus that column.
-    Only the atom is built as a Subspace.
+    Each partition gets the integer key (den*c, |pi|): the atom is the first
+    least key (least c, then fewest blocks), and tie_anomaly says that key
+    occurs twice.  Only the atom is built as a Subspace.
     """
     lam = Fraction(lam)
     _check_lambda(lam)
@@ -354,29 +362,17 @@ def atom_exact_split(v: Subspace, lam: Fraction,
         linalg.echelon_add(rows, pivots, cols[block[-1]])
         forms[block] = rows, pivots
         ranks[block] = len(pivots)
-    values = {}  # (dim span(WV), dim W) -> c
     num, den = lam.numerator, lam.denominator
-    evaluated = []
-    best = None
-    tie = False
-    for part in parts:
-        dim_wv = sum(map(ranks.__getitem__, part))
-        k = len(part)
-        c = values.get((dim_wv, k))
-        if c is None:
-            c = values[dim_wv, k] = dim_wv - lam * k
-        evaluated.append((part, c))
-        key = (dim_wv * den - k * num, k)  # (den * c, dim W)
-        if best is None or key < best[0]:
-            best = (key, part, c)
-            tie = False
-        elif key == best[0]:
-            tie = True  # the unique-atom result says this should not happen
-    _, part, kappa = best
-    return ConnectivityReport(lam=lam, v=v, kappa=kappa,
-                              atom=sub.block_span(v.algebra, part),
-                              atom_partition=part, evaluated=tuple(evaluated),
-                              tie_anomaly=tie)
+    # (den * c, dim W) per partition, lambda = num/den
+    keys = [(sum(map(ranks.__getitem__, part)) * den - len(part) * num, len(part))
+            for part in parts]
+    best = min(keys)
+    part = parts[keys.index(best)]
+    c_of = {k: Fraction(k, den) for k, _ in set(keys)}
+    return ConnectivityReport(lam=lam, kappa=c_of[best[0]],
+                              atom=sub.block_span(v.algebra, part), atom_partition=part,
+                              evaluated=tuple((p, c_of[k]) for p, (k, _) in zip(parts, keys)),
+                              tie_anomaly=keys.count(best) > 1)
 
 
 def atom(v: Subspace, lam: Fraction, cap: int = classify.DEFAULT_PARTITION_CAP) -> Subspace:

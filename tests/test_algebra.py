@@ -244,8 +244,7 @@ def test_invert_raises_on_non_associative_constants():
     ]
     with pytest.raises(NotAssociative):
         from_structure_constants(table, one)
-    alg = Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], one,
-                  validate=False)
+    alg = Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], one)
     with pytest.raises(NotAssociative):
         alg.basis_element(1).invert()
 

@@ -380,7 +380,7 @@ def test_sweep_algebra_route_reads_the_cells(monkeypatch):
             cells = [[[(k, F(c, alg.den)) for k, c in cell] for cell in row]
                      for row in alg.sparse]
             cells[1][0] = bad
-            return Algebra(cells, alg.unit, label=alg.label, validate=False)
+            return Algebra(cells, alg.unit, label=alg.label)
 
         monkeypatch.setattr(MulTable, "algebra", algebra)
         for kwargs in ({}, {"exhaustive": False, "seed": 0, "count": 5}):

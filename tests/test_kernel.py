@@ -451,8 +451,7 @@ def test_invert_matches_reference_on_non_associative_constants():
         [[0, 1, 0], z, one],
         [[0, 0, 1], z, z],
     ]
-    alg = Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], one,
-                  validate=False)
+    alg = Algebra([[linalg.nonzeros(cell) for cell in row] for row in table], one)
     for coords in ([0, 1, 0], [0, 0, 1], [2, 1, 0], [1, 0, 0], [0, F(1, 2), 3]):
         x = alg.element(coords)
         assert _outcome(x) == ref_invert(alg.table, alg.unit, x.coords)

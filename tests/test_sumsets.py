@@ -154,6 +154,33 @@ def test_recursion_calls_no_elimination_helper(monkeypatch):
     assert calls == []
 
 
+def test_recursion_tests_no_pivot_beyond_invertible_basis(monkeypatch):
+    # invertible_basis keeps only points that pass is_invertible, so the
+    # recursion's e-transforms take them untested
+    outside, inside = [], [False]
+    real_test, real_basis = Element.is_invertible.fget, sub.invertible_basis
+
+    def test(x):
+        if not inside[0]:
+            outside.append(x)
+        return real_test(x)
+
+    def basis(v):
+        inside[0] = True
+        try:
+            return real_basis(v)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Element, "is_invertible", property(test))
+    monkeypatch.setattr(sub, "invertible_basis", basis)
+    for name, a_idx, b_idx in (("QZ5", [0, 1], [0, 1, 2]), ("QS3", [0, 1, 2], [0, 3])):
+        alg = algebra_fixture(name)
+        a, b = sub.coordinate_span(alg, a_idx), sub.coordinate_span(alg, b_idx)
+        _, _, depth = sumsets._recurse(a, b)
+        assert depth >= 1 and outside == []
+
+
 # -- certificates ------------------------------------------------------
 
 
@@ -192,13 +219,13 @@ def test_certificate_group_algebra_ap():
 def test_certificate_stabilized_pair_tries_no_pivot(monkeypatch):
     # span(AB) = B when B is the whole algebra, so no e-transform can shrink A
     calls = []
-    real = sumsets.e_transform
+    real = sumsets._e_step
 
     def counting(a, b, e):
         calls.append(e)
         return real(a, b, e)
 
-    monkeypatch.setattr(sumsets, "e_transform", counting)
+    monkeypatch.setattr(sumsets, "_e_step", counting)
     alg = algebra_fixture("QZ5")
     a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1), alg.basis_vec(3)])
     full = sub.full_space(alg)
@@ -494,7 +521,8 @@ def split_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(split_cases())
 def test_atom_values_match_product_spans(case):
-    """Every c from the per-block ranks equals the generic product-span route."""
+    """Every c from the per-block ranks equals the generic product-span route,
+    and the atom follows the tie rule."""
     v, lam = case
     alg = v.algebra
     has_unit_point = v.dim > 0 and all(any(row[j] for row in v.rows)
@@ -509,6 +537,12 @@ def test_atom_values_match_product_spans(case):
     for (_, c), (_, space) in zip(rep.evaluated, spaces):
         assert type(c) is F and c == sumsets.connectivity_value(space, v, lam)
     assert rep.kappa == min(c for _, c in rep.evaluated)
+    # the tie rule: the first partition minimising (c, blocks), and a flag
+    # for that pair occurring twice
+    pairs = [(c, len(p)) for p, c in rep.evaluated]
+    first = next(p for p, c in rep.evaluated if all((c, len(p)) <= q for q in pairs))
+    assert rep.atom_partition == first
+    assert rep.tie_anomaly == (pairs.count((rep.kappa, len(first))) > 1)
     assert rep.atom == dict(spaces)[rep.atom_partition]
     assert sumsets.connectivity_value(rep.atom, v, lam) == rep.kappa
 
