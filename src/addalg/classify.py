@@ -141,6 +141,12 @@ def _lex_partitions(n: int) -> tuple:
     return tuple(tuple(map(tuple, part)) for part in set_partitions(n))
 
 
+@cache
+def _partition_masks(n: int) -> tuple:
+    """_lex_partitions(n) with each block as the bit mask of its indices."""
+    return tuple(tuple(sum(1 << i for i in b) for b in part) for part in _lex_partitions(n))
+
+
 def split_partitions(alg: Algebra, cap: int = DEFAULT_PARTITION_CAP) -> tuple:
     """The set partitions of alg's basis indices in lex order, as tuples of tuples.
 

@@ -31,6 +31,7 @@ from .errors import (
     NotCommutative,
     NotInB,
     NotInvertible,
+    ZeroSubspace,
 )
 from .subspace import Subspace
 
@@ -338,39 +339,51 @@ def atom_exact_split(v: Subspace, lam: Fraction,
     The atom containing the unit is a subalgebra, and in Q^n the
     subalgebras are exactly the partition spans W_pi = span{e_P : P in pi},
     so exhaustive minimization of c over them computes kappa and the atom.
+    V must hold an invertible: in Q^n, x is invertible iff no coordinate of
+    x is 0, and V, not being a union of n proper subspaces, holds such an x
+    iff no column of V is zero; other algebras keep the invertibility search.
     The basis is orthogonal idempotents, so span(W_pi V) is the direct sum
     of the e_P V, and e_P V is V cut to the columns of P: each c is
-    sum_P rank(V|_P) - lambda*|pi|.  Each block's echelon form is built once,
-    from the form of the block without its last index plus that column.
-    Each partition gets the integer key (den*c, |pi|): the atom is the first
-    least key (least c, then fewest blocks), and tie_anomaly says that key
-    occurs twice.  Only the atom is built as a Subspace.
+    sum_P rank(V|_P) - lambda*|pi|.  The ranks sit in a table by block bit
+    mask; each block's echelon form is its prefix's (the mask without its
+    top bit) plus that column, and a block whose prefix has rank dim V has
+    that rank too.  Each partition gets the integer key (den*c, |pi|): the
+    atom is the first least key (least c, then fewest blocks), and
+    tie_anomaly says that key occurs twice.  Only the atom is built as a
+    Subspace.
     """
     lam = Fraction(lam)
     _check_lambda(lam)
-    if sub.contains_invertible(v).kind != "YES":
-        raise NoInvertibleFound("V must contain an invertible element")
-    parts = classify.split_partitions(v.algebra, cap=cap)
-    n = v.algebra.dim
+    alg, n, d = v.algebra, v.algebra.dim, v.dim
+    if d == 0:  # the invertibility search's refusal, word for word
+        raise ZeroSubspace("cannot search the zero subspace for invertibles")
     cols = list(zip(*v.rows))
-    forms = {(): ([], [])}  # block -> forward echelon form (rows, pivots) of its columns
-    ranks = {}
+    if not (all(map(any, cols)) if alg.split_etale
+            else sub.contains_invertible(v).kind == "YES"):
+        raise NoInvertibleFound("V must contain an invertible element")
+    parts = classify.split_partitions(alg, cap=cap)
+    forms = [([], [])] * (1 << n)  # mask -> forward echelon form (rows, pivots) of its columns
+    ranks = [0] * (1 << n)
     for mask in range(1, 1 << n):  # a block's prefix has a smaller mask
-        block = tuple(i for i in range(n) if mask >> i & 1)
-        rows, pivots = forms[block[:-1]]
+        k = mask.bit_length() - 1
+        prefix = mask ^ (1 << k)
+        if ranks[prefix] == d:  # saturated: every superset has rank dim V
+            ranks[mask] = d
+            continue
+        rows, pivots = forms[prefix]
         rows, pivots = rows[:], pivots[:]
-        linalg.echelon_add(rows, pivots, cols[block[-1]])
-        forms[block] = rows, pivots
-        ranks[block] = len(pivots)
+        linalg.echelon_add(rows, pivots, cols[k])
+        forms[mask] = rows, pivots
+        ranks[mask] = len(pivots)
     num, den = lam.numerator, lam.denominator
     # (den * c, dim W) per partition, lambda = num/den
-    keys = [(sum(map(ranks.__getitem__, part)) * den - len(part) * num, len(part))
-            for part in parts]
+    keys = [(sum(map(ranks.__getitem__, masks)) * den - len(masks) * num, len(masks))
+            for masks in classify._partition_masks(n)]
     best = min(keys)
     part = parts[keys.index(best)]
     c_of = {k: Fraction(k, den) for k, _ in set(keys)}
     return ConnectivityReport(lam=lam, kappa=c_of[best[0]],
-                              atom=sub.block_span(v.algebra, part), atom_partition=part,
+                              atom=sub.block_span(alg, part), atom_partition=part,
                               evaluated=tuple((p, c_of[k]) for p, (k, _) in zip(parts, keys)),
                               tie_anomaly=keys.count(best) > 1)
 

@@ -547,6 +547,80 @@ def test_atom_values_match_product_spans(case):
     assert sumsets.connectivity_value(rep.atom, v, lam) == rep.kappa
 
 
+class Searched(Exception):
+    pass
+
+
+def test_atom_guard_in_split_algebras_reads_columns(monkeypatch):
+    """In Q^n the invertibility guard reads V's columns and runs no search;
+    elsewhere the search still runs, before the split and cap refusals."""
+    def search(*_):
+        raise Searched
+    monkeypatch.setattr(sub, "contains_invertible", search)
+    rng = random.Random(29)
+    for n, alg in SPLIT.items():
+        unit_point = [F(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(n)]
+        rows = [unit_point] + [[F(rng.randint(-3, 3)) for _ in range(n)]
+                               for _ in range(rng.randint(0, n))]
+        v = sub.from_vecs(alg, rows)
+        lam = F(rng.randint(1, 4), 4)
+        rep = sumsets.atom_exact_split(v, lam)
+        assert rep.atom.contains_unit()
+        assert sumsets.connectivity_value(rep.atom, v, lam) == rep.kappa
+        if n > 1:
+            zero_col = sub.from_vecs(alg, [[F(0) if j == n - 1 else a
+                                            for j, a in enumerate(r)] for r in rows])
+            with pytest.raises(NoInvertibleFound, match="V must contain an invertible"):
+                sumsets.atom_exact_split(zero_col, lam)
+        with pytest.raises(ZeroSubspace, match="cannot search the zero subspace"):
+            sumsets.atom_exact_split(sub.zero_space(alg), lam)
+    # the guard comes before CapExceeded and, searching, before NotSplitEtale
+    with pytest.raises(NoInvertibleFound):
+        sumsets.atom_exact_split(sub.coordinate_span(SPLIT[5], [0, 1]), F(1, 2), cap=4)
+    with pytest.raises(Searched):
+        sumsets.atom_exact_split(sub.full_space(algebra_fixture("QT2")), F(1))
+
+
+def _restricted_growth(part):
+    """The block index of each point; lex order on these is set_partitions order."""
+    where = {i: k for k, block in enumerate(part) for i in block}
+    return tuple(where[i] for i in range(len(where)))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_atom_in_q7_matches_reference_block_ranks(dim):
+    """Q^7 (877 partitions), where most blocks saturate at rank dim V: every
+    c, kappa and the atom partition from the reference rank of V cut to
+    each block."""
+    n = 7
+    alg = split_etale_algebra(n)
+    rng = random.Random(700 + dim)
+    while True:
+        rows = [[F(rng.choice((-2, -1, 1, 2))) for _ in range(n)]]
+        rows += [[F(rng.choice((0, 0, -1, 1, 3))) for _ in range(n)] for _ in range(dim - 1)]
+        if ref.rank(rows) == dim:
+            break
+    v = sub.from_vecs(alg, rows)
+    block_rank = {}
+    for lam in (F(1, 3), F(5, 7), F(1)):
+        want = {}
+        for part in ref.partitions(range(n)):
+            for b in part:
+                if b not in block_rank:
+                    block_rank[b] = ref.rank([[r[i] for i in b] for r in rows])
+            want[part] = sum(block_rank[b] for b in part) - lam * len(part)
+        order = sorted(want, key=_restricted_growth)
+        rep = sumsets.atom_exact_split(v, lam)
+        assert len(rep.evaluated) == 877
+        assert [p for p, _ in rep.evaluated] == order
+        assert dict(rep.evaluated) == want
+        assert rep.kappa == min(want.values())
+        atom = min(order, key=lambda p: (want[p], len(p)))
+        assert rep.atom_partition == atom
+        pairs = [(c, len(p)) for p, c in want.items()]
+        assert rep.tie_anomaly == (pairs.count((rep.kappa, len(atom))) > 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(split_cases())
 def test_atom_at_lambda_one_is_the_enumerated_atom(case):
