@@ -6,12 +6,15 @@ Poly.__post_init__ is the one normal form: every constructor and
 operation passes its coefficients through it, and it stores them as
 Fractions with no trailing zeros.  Includes monic gcd and Yun-style
 squarefree decomposition, which is all the subalgebra classifier needs.
+Both run on primitive integer coefficient lists through one
+pseudo-remainder core, _int_gcd; only their results become Polys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import linalg
 from .errors import ConstantPolynomial
@@ -155,21 +158,26 @@ class Poly:
         return " + ".join(parts)
 
 
+def _primitive_part(p: list[int]) -> list[int]:
+    """A nonzero integer polynomial divided by its content, leading coefficient positive."""
+    p = linalg.primitive(p)
+    return p if p[-1] > 0 else [-c for c in p]
+
+
 def _to_int_poly(f: Poly) -> list[int]:
     """Scale to integer coefficients (primitive part sign-normalized)."""
     if f.is_zero:
         return []
-    ints = linalg.primitive(linalg.integer_row(f.coeffs)[0])
-    return ints if ints[-1] > 0 else [-c for c in ints]
+    return _primitive_part(linalg.integer_row(f.coeffs)[0])
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd via the primitive pseudo-remainder sequence.
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, leading coefficient positive, of integer polynomials
+    (lowest degree first) by the primitive pseudo-remainder sequence.
 
-    Working on primitive integer polynomials keeps the intermediate
-    coefficients from exploding; only the final result is made monic.
+    Taking the primitive part of every remainder keeps the intermediate
+    coefficients from exploding.  The gcd of zero and zero is zero, [].
     """
-    a, b = _to_int_poly(f), _to_int_poly(g)
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -186,13 +194,44 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
                 rem[k + j] -= q * bc
             while rem and rem[-1] == 0:
                 rem.pop()
-        # primitive part
-        if rem:
-            rem = linalg.primitive(rem)
-            if rem[-1] < 0:
-                rem = [-c for c in rem]
-        a, b = b, rem
-    return Poly(a).monic()
+        a, b = b, rem and _primitive_part(rem)
+    return a and _primitive_part(a)
+
+
+def _int_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a in Z[x].
+
+    Long division then meets only exact integer quotients: each step reads
+    one coefficient of the integer quotient.
+    """
+    a, db, lead = a[:], len(b) - 1, b[-1]
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        q = quo[k] = a[k + db] // lead
+        if q:
+            for j, bc in enumerate(b):
+                a[k + j] -= q * bc
+    return quo
+
+
+def _int_derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd via the primitive pseudo-remainder sequence (_int_gcd).
+
+    Working on primitive integer polynomials keeps the intermediate
+    coefficients from exploding; only the final result is made monic.
+    """
+    return Poly(_int_gcd(_to_int_poly(f), _to_int_poly(g))).monic()
 
 
 @dataclass(frozen=True)
@@ -215,26 +254,27 @@ class SqfProfile:
 
 
 def squarefree_decompose(f: Poly) -> SqfProfile:
-    """Yun's algorithm; factors of equal multiplicity are merged."""
+    """Yun's algorithm on the primitive integer form of f.
+
+    With p = _to_int_poly(f) and g the primitive gcd of p and p', every
+    divisor in the loop (g, then each gcd a) is primitive, so by Gauss's
+    lemma each quotient p/g, p'/g, c/a and d/a is an integer polynomial and
+    the loop never leaves Z[x].  The i-th gcd is the product of the
+    irreducible factors of multiplicity i; only those are made monic Polys.
+    """
     if f.is_constant:
         raise ConstantPolynomial(f"cannot decompose constant polynomial {f}")
-    content = f.leading
-    f = f.monic()
-    by_mult: dict[int, Poly] = {}
-    g = poly_gcd(f, f.derivative())
-    if g.is_constant:
-        by_mult[1] = f
-    else:
-        c = f // g
-        d = (f.derivative() // g) - c.derivative()
-        i = 1
-        while not c.is_constant:
-            a = poly_gcd(c, d)
-            if not a.is_constant:
-                prev = by_mult.get(i, Poly.one())
-                by_mult[i] = (prev * a).monic()
-            c = c // a
-            d = (d // a) - c.derivative()
-            i += 1
-    parts = tuple(sorted(((m, p) for m, p in by_mult.items()), key=lambda t: t[0]))
-    return SqfProfile(parts=parts, content=content)
+    p = _to_int_poly(f)
+    dp = _int_derivative(p)
+    g = _int_gcd(p, dp)
+    c = _int_quotient(p, g)
+    d = _int_sub(_int_quotient(dp, g), _int_derivative(c))
+    parts, i = [], 1
+    while len(c) > 1:
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            parts.append((i, Poly(a).monic()))
+        c = _int_quotient(c, a)
+        d = _int_sub(_int_quotient(d, a), _int_derivative(c))
+        i += 1
+    return SqfProfile(parts=tuple(parts), content=f.leading)

@@ -10,6 +10,8 @@ solution-space kernel _solutions of stabilizers (x*V <= V), annihilators
 cached residual projection per subspace: its int_kernel transposed, built
 directly for a coordinate space.  Subspace._residual is the one sum of a
 row's residual through it, for membership and the e-transform.
+Subspace._column_ranks caches, once per subspace, the rank of V's
+columns in every bit mask, which the exact atoms in Q^n read at any lambda.
 coordinate_span seeds the cached coordinate flag, row pairs and
 projection of its span, which it knows by construction.  The kernel's
 equations are read off the algebra's sparse cells and summed sparsely;
@@ -116,6 +118,31 @@ class Subspace:
                 if a:
                     proj[k].append((f, a))
         return proj
+
+    @cached_property
+    def _column_ranks(self) -> list[int]:
+        """ranks[mask]: the rank of V's columns in the bit mask, for every mask < 2^n.
+
+        Each mask's forward echelon form is its prefix's (the mask without its
+        top bit) plus that column, and a mask whose prefix has rank dim V has
+        that rank too: every superset of a saturated mask is saturated.
+        """
+        n, d = self.algebra.dim, self.dim
+        cols = list(zip(*self.rows))
+        forms = [([], [])] * (1 << n)  # mask -> echelon form (rows, pivots) of its columns
+        ranks = [0] * (1 << n)
+        for mask in range(1, 1 << n):  # a mask's prefix is smaller
+            k = mask.bit_length() - 1
+            prefix = mask ^ (1 << k)
+            if ranks[prefix] == d:
+                ranks[mask] = d
+                continue
+            rows, pivots = forms[prefix]
+            rows, pivots = rows[:], pivots[:]
+            linalg.echelon_add(rows, pivots, cols[k])
+            forms[mask] = rows, pivots
+            ranks[mask] = len(pivots)
+        return ranks
 
     def _residual(self, y) -> list[int]:
         """The residuals <x_f, y> of the integer row y, one per free column f:

@@ -332,6 +332,33 @@ class ConnectivityReport:
         }
 
 
+def _split_keys(v: Subspace, lam: Fraction, cap: int) -> tuple[tuple, list]:
+    """The set partitions of a split etale algebra and each one's integer key
+    (den*c, |pi|) for V at lambda = num/den, in lex partition order.
+
+    The refusals come in a fixed order, all before V's block ranks are read:
+    lambda, the zero subspace, V without an invertible, then NotSplitEtale
+    and CapExceeded.  In Q^n, x is invertible iff no coordinate of x is 0,
+    and V, not being a union of n proper subspaces, holds such an x iff no
+    column of V is zero; other algebras keep the invertibility search.  The
+    basis is orthogonal idempotents, so span(W_pi V) is the direct sum of the
+    e_P V, and e_P V is V cut to the columns of P: each c is
+    sum_P rank(V|_P) - lambda*|pi|, read off V's cached block-rank table.
+    """
+    _check_lambda(lam)
+    alg = v.algebra
+    if v.dim == 0:  # the invertibility search's refusal, word for word
+        raise ZeroSubspace("cannot search the zero subspace for invertibles")
+    if not (all(map(any, zip(*v.rows))) if alg.split_etale
+            else sub.contains_invertible(v).kind == "YES"):
+        raise NoInvertibleFound("V must contain an invertible element")
+    parts = classify.split_partitions(alg, cap=cap)
+    ranks, num, den = v._column_ranks, lam.numerator, lam.denominator
+    keys = [(sum(map(ranks.__getitem__, masks)) * den - len(masks) * num, len(masks))
+            for masks in classify._partition_masks(alg.dim)]
+    return parts, keys
+
+
 def atom_exact_split(v: Subspace, lam: Fraction,
                      cap: int = classify.DEFAULT_PARTITION_CAP) -> ConnectivityReport:
     """Exact atom of V in a split etale algebra.
@@ -339,51 +366,18 @@ def atom_exact_split(v: Subspace, lam: Fraction,
     The atom containing the unit is a subalgebra, and in Q^n the
     subalgebras are exactly the partition spans W_pi = span{e_P : P in pi},
     so exhaustive minimization of c over them computes kappa and the atom.
-    V must hold an invertible: in Q^n, x is invertible iff no coordinate of
-    x is 0, and V, not being a union of n proper subspaces, holds such an x
-    iff no column of V is zero; other algebras keep the invertibility search.
-    The basis is orthogonal idempotents, so span(W_pi V) is the direct sum
-    of the e_P V, and e_P V is V cut to the columns of P: each c is
-    sum_P rank(V|_P) - lambda*|pi|.  The ranks sit in a table by block bit
-    mask; each block's echelon form is its prefix's (the mask without its
-    top bit) plus that column, and a block whose prefix has rank dim V has
-    that rank too.  Each partition gets the integer key (den*c, |pi|): the
-    atom is the first least key (least c, then fewest blocks), and
-    tie_anomaly says that key occurs twice.  Only the atom is built as a
-    Subspace.
+    Each partition's c comes as an integer key from _split_keys: the atom is
+    the first least key (least c, then fewest blocks), and tie_anomaly says
+    that key occurs twice.  Only the atom is built as a Subspace.
     """
     lam = Fraction(lam)
-    _check_lambda(lam)
-    alg, n, d = v.algebra, v.algebra.dim, v.dim
-    if d == 0:  # the invertibility search's refusal, word for word
-        raise ZeroSubspace("cannot search the zero subspace for invertibles")
-    cols = list(zip(*v.rows))
-    if not (all(map(any, cols)) if alg.split_etale
-            else sub.contains_invertible(v).kind == "YES"):
-        raise NoInvertibleFound("V must contain an invertible element")
-    parts = classify.split_partitions(alg, cap=cap)
-    forms = [([], [])] * (1 << n)  # mask -> forward echelon form (rows, pivots) of its columns
-    ranks = [0] * (1 << n)
-    for mask in range(1, 1 << n):  # a block's prefix has a smaller mask
-        k = mask.bit_length() - 1
-        prefix = mask ^ (1 << k)
-        if ranks[prefix] == d:  # saturated: every superset has rank dim V
-            ranks[mask] = d
-            continue
-        rows, pivots = forms[prefix]
-        rows, pivots = rows[:], pivots[:]
-        linalg.echelon_add(rows, pivots, cols[k])
-        forms[mask] = rows, pivots
-        ranks[mask] = len(pivots)
-    num, den = lam.numerator, lam.denominator
-    # (den * c, dim W) per partition, lambda = num/den
-    keys = [(sum(map(ranks.__getitem__, masks)) * den - len(masks) * num, len(masks))
-            for masks in classify._partition_masks(n)]
+    parts, keys = _split_keys(v, lam, cap)
     best = min(keys)
     part = parts[keys.index(best)]
+    den = lam.denominator
     c_of = {k: Fraction(k, den) for k, _ in set(keys)}
     return ConnectivityReport(lam=lam, kappa=c_of[best[0]],
-                              atom=sub.block_span(alg, part), atom_partition=part,
+                              atom=sub.block_span(v.algebra, part), atom_partition=part,
                               evaluated=tuple((p, c_of[k]) for p, (k, _) in zip(parts, keys)),
                               tie_anomaly=keys.count(best) > 1)
 
@@ -394,11 +388,13 @@ def atom(v: Subspace, lam: Fraction, cap: int = classify.DEFAULT_PARTITION_CAP) 
     At lambda = 1, in any algebra: for u an invertible of V, span(WV) holds
     Wu, so c(W) >= 0, with equality iff V u^-1 <= W; the atom is the
     subalgebra generated by V u^-1, taken as a preimage with no inverse
-    formed.  At any other lambda it is atom_exact_split's, which needs a
-    split etale algebra of dimension at most cap.
+    formed.  At any other lambda it is atom_exact_split's atom, the span of
+    the partition with the first least key, which needs a split etale
+    algebra of dimension at most cap; no report is built.
     """
     if lam != 1:
-        return atom_exact_split(v, lam, cap).atom
+        parts, keys = _split_keys(v, Fraction(lam), cap)
+        return sub.block_span(v.algebra, parts[keys.index(min(keys))])
     cert = sub.contains_invertible(v)
     if cert.kind != "YES":
         raise NoInvertibleFound("V must contain an invertible element")

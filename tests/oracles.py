@@ -6,8 +6,8 @@ addalg; the tests take from it rank, canonical bases, kernels, product
 spans, stabilizers, annihilators, set partitions and group set arithmetic.
 
 Kept here is what ref lacks, written apart from addalg in the same way:
-schoolbook polynomial Euclid and products, the canonical RREF with its
-pivots, products and multiplication matrices read off a dense
+schoolbook polynomial Euclid, Yun's squarefree decomposition on top of
+it and products, the canonical RREF with its pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
 solve, minimal polynomial and inverse on top of ref's elimination, the
 subalgebra generated by V u^-1 on top of that inverse, monoid-check's
@@ -35,18 +35,26 @@ def _strip(p):
     return p
 
 
-def _rem(a, b):
-    """Remainder of coefficient list a by nonzero b, schoolbook long division."""
+def _divmod(a, b):
+    """Quotient and remainder of coefficient list a by nonzero b, schoolbook
+    long division."""
     a = a[:]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         c = a[-1] / b[-1]
         off = len(a) - len(b)
+        quo[off] = c
         for i in range(len(b)):
             a[off + i] -= c * b[i]
         _strip(a)
         if not a:
             break
-    return a
+    return quo, a
+
+
+def _rem(a, b):
+    """Remainder of coefficient list a by nonzero b."""
+    return _divmod(a, b)[1]
 
 
 def euclid_gcd(f, g):
@@ -58,6 +66,39 @@ def euclid_gcd(f, g):
         return []
     lead = f[-1]
     return [c / lead for c in f]
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _minus(a, b):
+    n = max(len(a), len(b))
+    return _strip([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                   for i in range(n)])
+
+
+def yun(f):
+    """(content, parts) of a nonconstant coefficient list (lowest degree
+    first): Yun's algorithm over Fraction on f made monic, with euclid_gcd
+    and schoolbook division; parts are the (multiplicity, monic factor)
+    pairs whose factor is not constant, multiplicity ascending."""
+    f = _strip([Fraction(c) for c in f])
+    content = f[-1]
+    f = [c / content for c in f]
+    df = _derivative(f)
+    g = euclid_gcd(f, df)
+    c = _divmod(f, g)[0]
+    d = _minus(_divmod(df, g)[0], _derivative(c))
+    parts, i = [], 1
+    while len(c) > 1:
+        a = euclid_gcd(c, d)
+        if len(a) > 1:
+            parts.append((i, a))
+        c = _divmod(c, a)[0]
+        d = _minus(_divmod(d, a)[0], _derivative(c))
+        i += 1
+    return content, parts
 
 
 def sqf_rebuild(content, parts):

@@ -1,13 +1,17 @@
 import random
+from itertools import islice
 from fractions import Fraction as F
 
 import pytest
 
+from addalg import classify
+from addalg.algebra import min_poly
 from addalg.errors import ConstantPolynomial
+from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly, poly_gcd, squarefree_decompose
 from addalg.serialize import poly_from_json
 
-from oracles import euclid_gcd, sqf_rebuild
+from oracles import euclid_gcd, sqf_rebuild, yun
 
 T = Poly.x()
 
@@ -122,6 +126,42 @@ def test_squarefree_structured_products():
         assert sorted(got) == mults
         for r, m in zip(roots, mults):
             assert got[m](F(r)) == 0
+
+
+def _yun_inputs():
+    """The min polys of the first 8 generator candidates of every commutative
+    fixture, the T^n - 1 of Q[Z_n] for n = 2..12, and seeded products of
+    factors with coefficients up to 10^6 at multiplicities 1..5."""
+    out = []
+    for name in ALGEBRA_NAMES:
+        alg = algebra_fixture(name)
+        if alg.commutative:
+            out += [min_poly(g) for g in islice(classify._generator_candidates(alg, 64, 0), 8)]
+    out += [Poly.monomial(n) - Poly.one() for n in range(2, 13)]
+    rng = random.Random(30)
+    for _ in range(40):
+        f = Poly.of(F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)))
+        for mult in rng.sample(range(1, 6), rng.randint(1, 3)):
+            factor = Poly(tuple(F(rng.randint(-10 ** 6, 10 ** 6))
+                                for _ in range(rng.randint(1, 2))) + (F(rng.randint(1, 10 ** 6)),))
+            for _ in range(mult):
+                f = f * factor
+        out.append(f)
+    return out
+
+
+def test_squarefree_and_gcd_match_fraction_yun():
+    """Yun over Z[x] equals Yun over Q part by part, with the same content,
+    and the gcd of every input with its derivative is Euclid's, made monic."""
+    inputs = [f for f in _yun_inputs() if not f.is_constant]
+    assert len(inputs) > 100
+    for f in inputs:
+        content, parts = yun(list(f.coeffs))
+        got = squarefree_decompose(f)
+        assert got.content == content
+        assert [(m, list(p.coeffs)) for m, p in got.parts] == parts
+        df = f.derivative()
+        assert list(poly_gcd(f, df).coeffs) == euclid_gcd(list(f.coeffs), list(df.coeffs))
 
 
 def test_json_roundtrip():

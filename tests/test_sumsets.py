@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from addalg import classify, gen, sumsets
+from addalg import classify, gen, linalg, sumsets
 from addalg import subspace as sub
 from addalg.algebra import Element, split_etale_algebra
 from addalg.errors import (
@@ -677,6 +678,89 @@ def test_tao_reads_its_atom_through_the_entry_point(monkeypatch):
     v = idempotent_line(algebra_fixture("Q3"))
     rep = sumsets.tao_check(v, v, F(1), cap=5)
     assert rep.hypotheses_met and calls == [(v, F(1, 2), 5)]
+
+
+def _translate_of_partition_span(n, rng):
+    """x*S for a partition subalgebra S of Q^n and x with no zero coordinate:
+    span(VV) = x^2 S has dim V, so Tao's hypotheses hold at every epsilon."""
+    part = rng.choice(list(classify.set_partitions(n)))
+    x = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(n)]
+    return sub.from_vecs(SPLIT[n], [[F(x[i]) if i in b else F(0) for i in range(n)]
+                                    for b in part])
+
+
+def test_each_subspace_builds_one_block_rank_table(monkeypatch):
+    """The block ranks do not depend on lambda: after one exact atom of V,
+    tao_check and atom at other lambdas on the same V eliminate nothing."""
+    calls = []
+    real = linalg.echelon_add
+    monkeypatch.setattr(linalg, "echelon_add", lambda *a: calls.append(1) or real(*a))
+    rng = random.Random(30)
+    for n in (3, 4, 5, 6):
+        v = _translate_of_partition_span(n, rng)
+        rep = sumsets.atom_exact_split(v, F(1, 2))
+        assert calls  # the table is built once, here
+        calls.clear()
+        tao = sumsets.tao_check(v, v, F(1))
+        assert tao.hypotheses_met and tao.conclusions_hold
+        assert sumsets.atom(v, F(3, 4)) == sumsets.atom_exact_split(v, F(3, 4)).atom
+        assert sumsets.atom_exact_split(v, F(1, 2)) == rep
+        assert calls == []
+
+
+def test_equal_subspaces_give_identical_reports():
+    """A distinct Subspace equal to V, with no table built yet, gives V's report."""
+    rng = random.Random(31)
+    for n in (2, 4, 6):
+        v = _translate_of_partition_span(n, rng)
+        twin = sub.Subspace(v.algebra, v.rows, v.pivots)
+        assert twin is not v and twin == v
+        for lam in (F(1, 4), F(2, 3), F(1)):
+            rep = sumsets.atom_exact_split(v, lam)
+            other = sumsets.atom_exact_split(twin, lam)
+            assert other.evaluated == rep.evaluated and other.kappa == rep.kappa
+            assert other.atom_partition == rep.atom_partition and other.atom == rep.atom
+            assert other.tie_anomaly == rep.tie_anomaly
+
+
+def test_argmin_atom_is_the_reported_atom():
+    """atom() at lambda != 1 builds no report, yet names the report's atom,
+    and refuses V exactly as atom_exact_split does; each call gets a fresh V."""
+    rng = random.Random(32)
+    for n, alg in SPLIT.items():
+        for _ in range(8):
+            rows = [[F(rng.choice((0, 0, -2, -1, 1, 3))) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            for lam in (F(1, 4), F(1, 2), F(3, 4)):
+                try:
+                    want = sumsets.atom_exact_split(sub.from_vecs(alg, rows), lam).atom
+                except (NoInvertibleFound, ZeroSubspace) as e:
+                    with pytest.raises(type(e), match=re.escape(str(e))):
+                        sumsets.atom(sub.from_vecs(alg, rows), lam)
+                    continue
+                assert sumsets.atom(sub.from_vecs(alg, rows), lam) == want
+
+
+def test_refusals_come_before_the_block_rank_table():
+    """No table is built for V without an invertible, above the cap or
+    outside split algebras; the guard still precedes CapExceeded and
+    NotSplitEtale at lambda != 1."""
+    q5 = SPLIT[5]
+    singular = sub.coordinate_span(q5, [0, 1, 2, 3])
+    wide = sub.from_vecs(q5, [[F(1), F(0), F(0), F(0), F(1)], [F(0), F(1), F(1), F(1), F(0)]])
+    nonsplit = algebra_fixture("QT2")
+    nilpotent = sub.coordinate_span(nonsplit, [1])
+    for call in (sumsets.atom_exact_split, sumsets.atom):
+        with pytest.raises(NoInvertibleFound):
+            call(singular, F(1, 2), 4)
+        with pytest.raises(CapExceeded):
+            call(wide, F(1, 2), 4)
+        with pytest.raises(NoInvertibleFound):
+            call(nilpotent, F(1, 2))
+        with pytest.raises(NotSplitEtale):
+            call(sub.full_space(nonsplit), F(1, 2))
+    for v in (singular, wide, nilpotent):
+        assert "_column_ranks" not in v.__dict__
 
 
 @settings(max_examples=100, deadline=None)
