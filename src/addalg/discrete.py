@@ -313,8 +313,8 @@ class MonoidHamidouneReport:
 
 def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
                            lam: Fraction) -> MonoidHamidouneReport:
-    """|BA| >= lam*|B| + |A| - lam*dim(atom): sumsets.hamidoune_check in
-    the monoid algebra, with W = lift(B) and V = lift(A).
+    """|BA| >= lam*|B| + |A| - lam*dim(atom): sumsets.hamidoune_check's bound
+    in the monoid algebra, with W = lift(B) and V = lift(A).
 
     W = lift(B) because b_y b_x = b_yx, so span(WV) = lift(BA), whose
     dimension is |BA|.  At lambda = 1 the atom is exact, sumsets.atom(V, 1):
@@ -324,6 +324,7 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
     + kappa.  A pass therefore proves the kappa form |BA| >= lambda|B| +
     kappa and, as kappa >= dim V - lambda dim(atom), the dim-atom form too.
     A failure decides nothing and is reported as None, not as a violation.
+    The bound reads |BA| off the set BA, so only A is lifted.
     """
     from . import sumsets
 
@@ -332,17 +333,19 @@ def monoid_hamidoune_check(m: MulTable, a: frozenset[int], b: frozenset[int],
         raise NoUnitIntersection("A misses the unit group of the monoid")
     if not (b & u):
         raise NoUnitIntersection("B misses the unit group of the monoid")
+    lam = Fraction(lam)
+    sumsets._check_lambda(lam)
     exact = lam == 1
     va = lift_subset(m.algebra(), a)
     atom = sumsets.atom(va, 1) if exact else sub.stabilizer(va, "left")
-    bound = sumsets.hamidoune_check(lift_subset(m.algebra(), b), va, lam, atom)
     ba = minkowski(m, b, a)
+    holds = len(ba) >= lam * len(b) + len(a) - lam * atom.dim
     hstab = combinatorial_stabilizer(m, a, "left")
     kneser_rhs = len(a) + len(b) - len(combinatorial_stabilizer(m, ba, "left"))
     return MonoidHamidouneReport(
-        ba_size=len(ba), a_size=len(a), b_size=len(b), lam=bound.lam,
+        ba_size=len(ba), a_size=len(a), b_size=len(b), lam=lam,
         atom_dim=atom.dim, atom_exact=exact,
-        hamidoune_ok=bound.holds if bound.holds or exact else None,
+        hamidoune_ok=holds if holds or exact else None,
         stab_size=len(hstab),
         atom_dominates_stab=atom.dim >= len(hstab),
         kneser_rhs=kneser_rhs,

@@ -92,6 +92,8 @@ def gen_instance(family: str, seed: int, n: int | None = None,
     rng = random.Random(zlib.crc32(family.encode()) * 1_000_003 + seed)
     if family == "split":
         n = 4 if n is None else n
+        if n < 1:
+            raise SchemaError(f"split dimension must be at least 1, got {n}")
         desc = {"kind": "poly_quotient_product", "factors": [["0", "1"]] * n,
                 "label": f"Q{n}"}
         alg = algebra_from_desc(desc)
@@ -101,6 +103,8 @@ def gen_instance(family: str, seed: int, n: int | None = None,
         return Instance(family, seed, desc, alg, spaces, {})
     if family == "group":
         n = 5 if n is None else n
+        if n < 1:
+            raise SchemaError(f"group order must be at least 1, got {n}")
         table = cyclic(n)
         desc = table.to_json() | {"kind": "group_table", "label": f"QZ{n}"}
         alg = table.algebra()

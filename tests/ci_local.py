@@ -3,20 +3,29 @@
 Usage (from anywhere; the paths are read off this file):
     python3 tests/ci_local.py PYTHON [PYTHON ...]
 
+The checkout it sits in decides what it tests.  With a src/ directory
+(the usual case) src goes first on PYTHONPATH, so each interpreter runs
+the sources.  Without one nothing is added to the path, so each
+interpreter runs its own installed addalg; the CI package job runs it
+that way, after installing the checkout into a fresh venv and deleting
+src/.
+
 Runs, in this order:
-  - the golden replay (tests/golden_cases.py) with src on PYTHONPATH,
-    under each interpreter;
+  - under each interpreter, the import check: it prints the resolved
+    addalg.__file__ and fails unless that file lies under src/, or, with
+    no src/, under the interpreter's sys.prefix;
+  - the golden replay (tests/golden_cases.py) under each interpreter;
   - the deep-nesting check under each interpreter: `python -m addalg info`
     on a file of 100,000 nested arrays exits 2 with one `error:` line on
     stderr, nothing on stdout and no traceback;
-  - the bench-smoke loop under the first interpreter: every benchmark
-    workload for one second at --trace 1 and at --trace 0, each run's last
-    stdout line a JSON report with correct true and failed 0.
+  - with src/ only, the bench-smoke loop under the first interpreter:
+    every benchmark workload for one second at --trace 1 and at --trace 0,
+    each run's last stdout line a JSON report with correct true and
+    failed 0 (perfbench/run.py refuses to run without src/).
 Prints one line per step and exits 1 unless every step passed.
 
-The CI package job (pip install of the checkout into a fresh venv) is not
-run here: building the package needs setuptools >= 68 and wheel, which an
-offline host may lack.
+Installing the package stays in CI: building it needs setuptools >= 68
+and wheel, which an offline host may lack.
 """
 
 import json
@@ -27,18 +36,28 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 WORKLOADS = ("sweep", "certify", "lattice", "cli")
 DEPTH = 100_000
 
 
 def _env():
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if SRC.is_dir():
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
 
 
 def _run(argv, **kwargs):
     return subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True, text=True, **kwargs)
+
+
+def imported_from(python):
+    proc = _run([python, "-c", "import addalg, sys; print(addalg.__file__); print(sys.prefix)"])
+    if proc.returncode != 0:
+        return False, proc.stderr.strip()[-200:]
+    where, prefix = (Path(line).resolve() for line in proc.stdout.splitlines())
+    return where.is_relative_to(SRC if SRC.is_dir() else prefix), str(where)
 
 
 def golden(python):
@@ -75,12 +94,14 @@ def main(pythons) -> int:
     steps = []
     with tempfile.TemporaryDirectory() as tmp:
         for python in pythons:
+            steps.append((f"import {python}", lambda p=python: imported_from(p)))
             steps.append((f"golden {python}", lambda p=python: golden(p)))
             steps.append((f"deep-nesting {python}", lambda p=python: deep_nesting(p, tmp)))
-        for trace in (1, 0):
-            for w in WORKLOADS:
-                steps.append((f"bench-smoke {w} --trace {trace}",
-                              lambda w=w, t=trace: bench_smoke(pythons[0], w, t)))
+        if SRC.is_dir():
+            for trace in (1, 0):
+                for w in WORKLOADS:
+                    steps.append((f"bench-smoke {w} --trace {trace}",
+                                  lambda w=w, t=trace: bench_smoke(pythons[0], w, t)))
         failed = 0
         for name, step in steps:
             ok, detail = step()

@@ -415,6 +415,8 @@ def test_monoid_check_b_missing_the_unit_group_exits_2(capsys):
     ["atom", "--V", "A", "--lambda", "1", "--cap", "-1"],
     ["classify", "--fixture", "QT2", "--trials", "x"],
     ["gen", "--family", "polyprod", "--n", "12"],
+    ["gen", "--family", "split", "--n", "0"],
+    ["gen", "--family", "group", "--n", "0"],
     ["classify", "--fixture", "QT2", "--seed=--"],
     ["classify", "--fixture", "QT2", "--trials=--"],
     ["group-sweep", "--fixture", "Z5", "--seed=--"],
@@ -432,6 +434,16 @@ def test_exit_code_malformed_nfold_and_gen(capsys, tmp_path, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("family, n, message", [
+    ("split", "0", "split dimension must be at least 1, got 0"),
+    ("group", "-1", "group order must be at least 1, got -1"),
+])
+def test_gen_n_below_one_names_the_family(capsys, family, n, message):
+    code = cli.main(["gen", "--family", family, "--n", n])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 # A valid call of every subcommand: (source flags, other flags).  "@INST"

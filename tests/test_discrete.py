@@ -543,6 +543,35 @@ def test_monoid_hamidoune_verdicts_match_the_table_rule(name):
                 assert (rep.ba_size, rep.atom_dim, rep.hamidoune_ok) == want, (a, b, lam)
 
 
+@pytest.mark.parametrize("name", ("paper-m7", "Z3", "Z4", "Z5"))
+def test_product_span_of_lifts_is_the_lift_of_the_set_product(name):
+    """dim span(lift B lift A) = |BA| over every pair of subsets that meet
+    the units: the identity that lets monoid_hamidoune_check read |BA| off
+    the set BA."""
+    m = table_fixture(name)
+    alg, u = m.algebra(), discrete.units(m)
+    lifts = {a: discrete.lift_subset(alg, a)
+             for a in map(frozenset, ref.nonempty_subsets(m.size)) if a & u}
+    for a, va in lifts.items():
+        for b, wb in lifts.items():
+            assert sub.product_span(wb, va).dim == len(ref.set_product(m.table, b, a)), (a, b)
+
+
+def test_monoid_check_lifts_a_alone_and_spans_no_product_of_lifts(monkeypatch):
+    # |BA| comes off the set: B is never lifted, and the only product spans
+    # are the squarings inside the lambda = 1 atom's subalgebra closure
+    lifted, spans = [], []
+    real_lift, real_span = discrete.lift_subset, sub.product_span
+    monkeypatch.setattr(discrete, "lift_subset",
+                        lambda alg, s: lifted.append(s) or real_lift(alg, s))
+    monkeypatch.setattr(sub, "product_span", lambda v, w: spans.append(v is w) or real_span(v, w))
+    m7 = paper_m7()
+    a, b = m7.subset(["1", "a", "b"]), m7.subset(["1", "a"])
+    for lam in (F(1, 2), F(1)):
+        discrete.monoid_hamidoune_check(m7, a, b, lam)
+    assert lifted == [a, a] and spans and all(spans)
+
+
 def test_monoid_check_calls_no_connectivity_value_and_no_unit_span(monkeypatch):
     calls = Counter()
 

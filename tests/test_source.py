@@ -1,8 +1,9 @@
-"""Checks on the library source itself."""
+"""Checks on the library source itself and on the CI workflow."""
 
 import ast
 import importlib
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "addalg"
@@ -104,3 +105,15 @@ def test_references_import_no_addalg():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "addalg"]
     assert found == []
+
+
+def test_workflow_runs_the_offline_checks_through_ci_local():
+    # tests/ci_local.py is the one copy of the golden replay, the deep-nesting
+    # check and the bench-smoke loop; the workflow calls it and keeps none
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    jobs = re.split(r"^  ([\w-]+):\n", text.split("\njobs:\n", 1)[1], flags=re.M)[1:]
+    steps = dict(zip(jobs[::2], jobs[1::2]))
+    assert set(steps) == {"tier1", "package"}
+    assert all("tests/ci_local.py" in body for body in steps.values())
+    assert "perfbench/run.py" not in text
+    assert "deep.json" not in text and '"[" *' not in text
