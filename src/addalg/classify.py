@@ -3,6 +3,11 @@
 A finite-dimensional commutative algebra has finitely many subalgebras
 iff it is monogenic with generator minimal polynomial of the shape
 (squarefree part) * (linear factor)^m for m in {2, 3} at most once.
+A generator's minimal polynomial decides the shape exactly.  Whether a
+generator exists is decided exactly too, with no sampling: with J the
+radical of the trace form and M = J/J^2, the algebra is monogenic iff
+dim End_A(M) = dim M, one commutant kernel (_monogenic).  Seeded draws
+look for a generator only once one is proven to exist.
 For Q^n the subalgebra lattice is exactly the partition lattice.
 """
 
@@ -12,6 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
+from math import lcm
 
 from . import linalg
 from . import subspace as sub
@@ -51,8 +57,10 @@ def profile_ok(p: SqfProfile) -> bool:
 
 @dataclass(frozen=True)
 class Verdict:
+    # "ProbablyInfinite" only when a generator is proven to exist and the
+    # candidates ran out before one was found
     kind: str  # "Finite" | "Infinite" | "ProbablyInfinite"
-    reason: str | None = None  # for Infinite: "NonCommutative" | "BadProfile"
+    reason: str | None = None  # for Infinite: "NonCommutative" | "BadProfile" | "NotMonogenic"
     generator: Element | None = None
     profile: SqfProfile | None = None
     trials_used: int = 0
@@ -68,13 +76,19 @@ class Verdict:
         return out
 
 
-def _generator_candidates(alg: Algebra, trials: int, seed: int):
-    """Deterministic candidates first, then growing random integer points."""
+def _fixed_candidates(alg: Algebra):
+    """The 2n + 3 deterministic candidates: (0, 1, ..., n - 1), the basis,
+    and n + 2 points of the Vandermonde line through the basis."""
     n = alg.dim
     yield alg.element(range(n))
     for i in range(n):
         yield alg.basis_element(i)
     yield from sub.vandermonde_line(sub.full_space(alg).elements(), range(1, n + 3))
+
+
+def _sampled_candidates(alg: Algebra, trials: int, seed: int):
+    """trials seeded random integer points, their coefficient bound growing."""
+    n = alg.dim
     rng = random.Random(seed)
     for k in range(0, trials, 8):  # the coefficient bound grows by 2 every 8 draws
         draws = linalg.random_coefficients(n, 2 + k // 4, rng)
@@ -82,28 +96,89 @@ def _generator_candidates(alg: Algebra, trials: int, seed: int):
             yield alg.element(coords)
 
 
+def _first_generator(alg: Algebra, candidates):
+    """(g, min_poly(g), tried) for the first candidate g of degree dim alg,
+    or (None, None, tried) when none is."""
+    used = 0
+    for g in candidates:
+        used += 1
+        mu = min_poly(g)
+        if mu.degree == alg.dim:
+            return g, mu, used
+    return None, None, used
+
+
+def _monogenic(alg: Algebra) -> bool:
+    """Whether the commutative algebra alg is generated by one element.
+
+    With J the radical and M = J/J^2, a module over the etale algebra
+    A/J = prod L_i, M is sum L_i^{k_i}.  alg is monogenic iff every local
+    factor has a principal maximal ideal, iff every k_i <= 1, iff
+    dim_Q End_A(M) = sum k_i^2 [L_i:Q] equals dim_Q M = sum k_i [L_i:Q].
+    M is spanned by the rows C of J that grow J^2's echelon form.  One
+    int_rref of the columns C, J^2 and the images b_i c (c in C) reads each
+    image's coordinates on C, so the action matrices R_i, scaled to
+    integers; End_A(M) is the kernel of X -> (R_i X - X R_i)_i, and its
+    dimension is m^2 less the rank of those equations.
+    """
+    j = sub.radical(alg)
+    j2 = sub.product_span(j, j)
+    m = j.dim - j2.dim
+    if m <= 1:  # End_A(M) holds the scalars and lies in m x m matrices
+        return True
+    out, pivots = list(j2.rows), list(j2.pivots)
+    comp = [c for c in j.rows if linalg.echelon_add(out, pivots, c)[1] is not None]
+    images = [alg.mul_pairs(((i, 1),), linalg.nonzeros(c))
+              for i in range(alg.dim) for c in comp]
+    red, _ = linalg.int_rref(list(zip(*comp, *j2.rows, *images)))
+    # row p < m of the form has its pivot at column p, so an image's
+    # coordinate on comp[p] is its entry over that pivot
+    scale = lcm(*[red[p][p] for p in range(m)])
+    first = j.dim  # the images' first column
+    eqs = []
+    for i in range(alg.dim):
+        r = [[red[p][first + i * m + q] * (scale // red[p][p]) for q in range(m)]
+             for p in range(m)]
+        for p in range(m):
+            for q in range(m):
+                # (R X - X R)[p][q], X[a][b] at a * m + b
+                eq = [0] * (m * m)
+                for s in range(m):
+                    eq[s * m + q] += r[p][s]
+                    eq[p * m + s] -= r[s][q]
+                if any(eq):
+                    eqs.append(eq)
+    rank = len(linalg.int_rref(eqs)[1])
+    return m * m - rank == m
+
+
 def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) -> Verdict:
     """Decide whether alg has finitely many subalgebras.
 
     Non-commutative algebras are Infinite outright (finite forces
     monogenic, hence commutative).  Otherwise any generator of the whole
-    algebra decides the question exactly through its minimal polynomial;
-    only the failure to find a generator is sampling-dependent.
+    algebra decides the question exactly through its minimal polynomial.
+    When none of the 2n + 3 deterministic candidates generates, the
+    commutant test (_monogenic) decides whether a generator exists: if
+    none does the verdict is Infinite, NotMonogenic; if one does, trials
+    seeded random candidates look for it, and only their failure is
+    sampling-dependent (ProbablyInfinite).
     """
     if not alg.commutative:
         return Verdict(kind="Infinite", reason="NonCommutative")
-    used = 0
-    for g in _generator_candidates(alg, trials, seed):
-        used += 1
-        mu = min_poly(g)
-        if mu.degree == alg.dim:
-            profile = squarefree_decompose(mu)
-            if profile_ok(profile):
-                return Verdict(kind="Finite", generator=g, profile=profile,
-                               trials_used=used)
-            return Verdict(kind="Infinite", reason="BadProfile", generator=g,
-                           profile=profile, trials_used=used)
-    return Verdict(kind="ProbablyInfinite", trials_used=used)
+    g, mu, used = _first_generator(alg, _fixed_candidates(alg))
+    if g is None:
+        if not _monogenic(alg):
+            return Verdict(kind="Infinite", reason="NotMonogenic", trials_used=used)
+        g, mu, sampled = _first_generator(alg, _sampled_candidates(alg, trials, seed))
+        used += sampled
+        if g is None:
+            return Verdict(kind="ProbablyInfinite", trials_used=used)
+    profile = squarefree_decompose(mu)
+    if profile_ok(profile):
+        return Verdict(kind="Finite", generator=g, profile=profile, trials_used=used)
+    return Verdict(kind="Infinite", reason="BadProfile", generator=g, profile=profile,
+                   trials_used=used)
 
 
 def set_partitions(n: int):

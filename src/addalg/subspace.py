@@ -22,7 +22,8 @@ coordinate spaces (Subspace.coordinate), such as the lifts of two subsets
 of a monoid, is the coordinate span of the cells' basis indices, with no
 multiplication and no elimination.  Invertibility certificates and
 invertible bases take their points from one Vandermonde line; the module
-also builds generated subalgebras.
+also builds generated subalgebras, and the radical as the kernel of the
+trace form's integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
     "vandermonde_line",
     "subalgebra_generated",
     "is_subalgebra",
+    "radical",
     "InvertibilityCertificate",
 ]
 
@@ -404,6 +406,21 @@ def preimage(x: Element, t: Subspace, side="left") -> Subspace:
 
 def is_subalgebra(v: Subspace) -> bool:
     return v.contains_unit() and v.contains_space(product_span(v, v))
+
+
+def radical(alg: Algebra) -> Subspace:
+    """The radical of the trace form (x, y) -> tr L_{xy}, as a subspace.
+
+    Over Q it is the Jacobson radical (Dickson's criterion), and in a
+    commutative algebra the nilradical.  den^2 times the form's Gram
+    matrix on the basis is integral: den * tr L_{b_k} is the sum of the
+    entries of sparse[k][m] at k = m, and b_i b_j sums each (k, c) of its
+    cell as c / den times b_k.  The radical is that matrix's kernel.
+    """
+    sparse = alg.sparse
+    traces = [sum(c for m, cell in enumerate(row) for k, c in cell if k == m) for row in sparse]
+    gram = [[sum(c * traces[k] for k, c in cell) for cell in row] for row in sparse]
+    return _span(alg, linalg.int_kernel(*linalg.int_rref(gram), alg.dim)[0])
 
 
 # -- invertibility ----------------------------------------------------

@@ -10,7 +10,8 @@ schoolbook polynomial Euclid, Yun's squarefree decomposition on top of
 it and products, the canonical RREF with its pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
 solve, minimal polynomial and inverse on top of ref's elimination, the
-subalgebra generated by V u^-1 on top of that inverse, monoid-check's
+subalgebra generated by V u^-1 on top of that inverse, the trace form's
+radical and the commutant dimension dim End_A(J/J^2), monoid-check's
 atom and Hamidoune verdict from a multiplication table,
 dense tensors built from each algebra's definition, and a seeded
 unimodular change of basis of a dense tensor.  Used to cross-check
@@ -226,6 +227,53 @@ def generated_subalgebra(table, unit, rows):
             return span
         span = grown
 
+
+
+def ref_radical(table):
+    """Basis of the radical of the trace form (x, y) -> tr L_{xy}: ref's
+    kernel of the Gram matrix, with tr L_{b_k} summed off the diagonal of
+    ref_mul_matrix and tr L_{b_i b_j} linear in b_i b_j's coordinates."""
+    n = len(table)
+    traces = [sum(row[k] for k, row in enumerate(ref_mul_matrix(table, _unit_vec(n, i))))
+              for i in range(n)]
+    gram = [[sum(c * t for c, t in zip(table[i][j], traces)) for j in range(n)]
+            for i in range(n)]
+    return ref.kernel(gram, n)
+
+
+def _matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def ref_commutant_dim(table):
+    """(dim_Q End_A(M), dim_Q M) for M = J/J^2, J = ref_radical(table), over Fraction.
+
+    A complement C of J^2 in J takes J's basis vectors that raise the rank
+    of J^2 and C so far.  The matrix R_i of x -> b_i x on M holds, in
+    column q, the coordinates on C of b_i c_q solved by ref_solve against
+    the columns C and J^2.  End_A(M) is ref's kernel of X -> (R_i X - X R_i)_i,
+    whose matrix has one column per unit matrix E_ab.
+    """
+    n = len(table)
+    j = ref_radical(table)
+    j2 = ref.basis([ref_mul(table, x, y) for x in j for y in j])
+    comp = []
+    for v in j:
+        if ref.rank([*j2, *comp, v]) > len(j2) + len(comp):
+            comp.append(v)
+    m = len(comp)
+    if not m:
+        return 0, 0
+    frame = [[col[k] for col in [*comp, *j2]] for k in range(n)]
+    mats = []
+    for i in range(n):
+        cols = [ref_solve(frame, ref_mul(table, _unit_vec(n, i), c))[:m] for c in comp]
+        mats.append([[col[p] for col in cols] for p in range(m)])
+    units = [[[Fraction(int((p, q) == (a, b))) for q in range(m)] for p in range(m)]
+             for a in range(m) for b in range(m)]
+    columns = [[x - y for r in mats for row_x, row_y in zip(_matmul(r, e), _matmul(e, r))
+                for x, y in zip(row_x, row_y)] for e in units]
+    return len(ref.kernel([list(row) for row in zip(*columns)], m * m)), m
 
 # -- monoid-check from a multiplication table -------------------------------
 

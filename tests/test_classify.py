@@ -1,16 +1,24 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from addalg import classify
+from addalg import classify, cli
 from addalg import subspace as sub
-from addalg.algebra import poly_quotient_product
+from addalg.algebra import (
+    direct_product,
+    from_structure_constants,
+    poly_quotient_product,
+    split_etale_algebra,
+)
 from addalg.errors import CapExceeded, NotSplitEtale
-from addalg.fixtures import algebra_fixture
+from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly, squarefree_decompose
 
-from oracles import ref
+from oracles import ref, ref_commutant_dim
 
 T = Poly.x()
 
@@ -125,3 +133,137 @@ def test_random_generated_subalgebra_is_enumerated():
         x = alg.element([F(rng.randint(-2, 2)) for _ in range(4)])
         got = sub.subalgebra_generated([x])
         assert got.basis in enumerated
+
+
+# -- the exact monogenicity test ------------------------------------------
+
+
+def square_zero(k):
+    """Q[x_1..x_k]/(x_1..x_k)^2 on the basis 1, x_1, ..., x_k."""
+    n = k + 1
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        table[0][i][i] = table[i][0][i] = 1
+    return from_structure_constants(table, [1] + [0] * k, label=f"square-zero {k}")
+
+
+SQRT2 = Poly.of(-2, 0, 1)
+
+
+def exact_case(alg, monogenic, kind, reason):
+    """The commutant test, the reference commutant dimension and the verdict
+    of alg; a NotMonogenic verdict has tried the 2n + 3 fixed candidates."""
+    assert classify._monogenic(alg) is monogenic
+    end, m = ref_commutant_dim(alg.table)
+    assert (end == m) is monogenic
+    v = classify.finite_subalgebras_verdict(alg)
+    assert (v.kind, v.reason) == (kind, reason)
+    assert (v.generator is not None) is monogenic
+    if reason == "NotMonogenic":
+        assert v.trials_used == 2 * alg.dim + 3 and v.profile is None
+    return m
+
+
+def test_shortcut_counterexamples():
+    # Q[t]/((t^2 - 2)^2) = Q(sqrt 2)[e]/(e^2) is monogenic with dim J/J^2 = 2,
+    # so dim J/J^2 <= 1 is not the criterion
+    m = exact_case(poly_quotient_product([SQRT2 * SQRT2]), True, "Infinite", "BadProfile")
+    assert m == 2
+    # Q^2 x Q[x,y]/(x,y)^2 is not, although dim J/J^2 = 2 <= dim A/J = 3
+    alg = direct_product(split_etale_algebra(2), square_zero(2))
+    m = exact_case(alg, False, "Infinite", "NotMonogenic")
+    assert m == 2 < alg.dim - sub.radical(alg).dim
+
+
+def test_exact_test_on_products_and_square_zero_algebras():
+    assert exact_case(square_zero(2), False, "Infinite", "NotMonogenic") == 2
+    assert exact_case(square_zero(3), False, "Infinite", "NotMonogenic") == 3
+    qr2 = poly_quotient_product([SQRT2])
+    exact_case(direct_product(qr2, square_zero(2)), False, "Infinite", "NotMonogenic")
+    t = Poly.x()
+    exact_case(poly_quotient_product([t * t * t, t * t]), True, "Infinite", "BadProfile")
+
+
+
+def tensor(a, b):
+    """a (x) b from the dense tables, on the basis a_i (x) b_j at i * dim b + j."""
+    ta, tb, m = a.table, b.table, b.dim
+    table = [[[ta[i][k][r] * tb[j][l][s] for r in range(a.dim) for s in range(m)]
+              for k in range(a.dim) for l in range(m)]
+             for i in range(a.dim) for j in range(m)]
+    unit = [x * y for x in a.unit for y in b.unit]
+    return from_structure_constants(table, unit, label=f"({a.label}) (x) ({b.label})")
+
+
+def test_commutant_test_matches_the_reference_over_other_residue_fields():
+    t = Poly.x()
+    qi = poly_quotient_product([Poly.of(1, 0, 1)])
+    cube_root = poly_quotient_product([Poly.of(-2, 0, 0, 1)])
+    cases = [  # (algebra, monogenic, dim_Q M, dim_Q End_A(M))
+        (tensor(qi, square_zero(2)), False, 4, 8),
+        (tensor(cube_root, square_zero(2)), False, 6, 12),
+        (tensor(qi, poly_quotient_product([t * t])), True, 2, 2),
+        (poly_quotient_product([Poly.of(1, 0, 1) * Poly.of(1, 0, 1), Poly.of(1, 0, 1)]),
+         True, 2, 2),
+        (direct_product(tensor(qi, poly_quotient_product([t * t])), square_zero(1)),
+         True, 3, 3),
+        (direct_product(poly_quotient_product([t * t]), tensor(qi, square_zero(2))),
+         False, 5, 9),
+    ]
+    for alg, monogenic, m, end in cases:
+        assert classify._monogenic(alg) is monogenic, alg.label
+        assert ref_commutant_dim(alg.table) == (end, m), alg.label
+
+COMMUTATIVE_VERDICTS = {
+    **{name: ("Finite", None) for name in ("QT2", "QT3", "QV4", "Q[paper-m7]")},
+    **{f"Q{n}": ("Finite", None) for n in range(1, 7)},
+    **{f"QZ{n}": ("Finite", None) for n in range(2, 13)},
+    **{name: ("Infinite", "BadProfile") for name in ("QT4", "QP2", "QT2xQT2")},
+    # its deterministic candidates all fail, so it is the one fixture the
+    # commutant test decides; sampling used to give ProbablyInfinite
+    "Q[graded-m]": ("Infinite", "NotMonogenic"),
+}
+
+
+def test_every_commutative_fixture_keeps_its_verdict():
+    commutative = [n for n in ALGEBRA_NAMES if algebra_fixture(n).commutative]
+    assert sorted(commutative) == sorted(COMMUTATIVE_VERDICTS)
+    for name, want in COMMUTATIVE_VERDICTS.items():
+        alg = algebra_fixture(name)
+        v = classify.finite_subalgebras_verdict(alg)
+        assert (v.kind, v.reason) == want, name
+        assert classify._monogenic(alg) is (v.generator is not None), name
+
+
+def test_zero_trials_still_run_the_exact_test():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["classify", "--fixture", "Q[graded-m]", "--trials", "0", "--json"])
+    got = json.loads(out.getvalue())
+    assert code == 0
+    assert (got["verdict"], got["reason"], got["trials_used"]) == ("Infinite", "NotMonogenic", 15)
+
+
+def test_a_proven_monogenic_algebra_keeps_sampling(monkeypatch):
+    # with the unit as its only fixed candidate, QT2 goes to the commutant
+    # test, which proves a generator exists, so the seeded draws look for it
+    monkeypatch.setattr(classify, "_fixed_candidates", lambda alg: iter([alg.one()]))
+    alg = algebra_fixture("QT2")
+    v = classify.finite_subalgebras_verdict(alg, trials=0)
+    assert (v.kind, v.reason, v.trials_used) == ("ProbablyInfinite", None, 1)
+    v = classify.finite_subalgebras_verdict(alg, trials=16)
+    assert (v.kind, v.reason) == ("Finite", None) and 1 < v.trials_used <= 17
+
+
+@pytest.mark.parametrize(("alg", "fixed"), [(square_zero(2), 9),
+                                           (algebra_fixture("Q[graded-m]"), 15)],
+                         ids=["Q[x,y]/(x,y)^2", "Q[graded-m]"])
+def test_a_non_monogenic_verdict_stops_after_the_fixed_candidates(alg, fixed, monkeypatch):
+    calls = []
+    real = classify.min_poly
+    monkeypatch.setattr(classify, "min_poly", lambda x: calls.append(x) or real(x))
+    for trials in (0, 16, 64):
+        calls.clear()
+        v = classify.finite_subalgebras_verdict(alg, trials=trials)
+        assert (v.kind, v.reason) == ("Infinite", "NotMonogenic")
+        assert v.trials_used == len(calls) == fixed == 2 * alg.dim + 3

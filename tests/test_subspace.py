@@ -12,10 +12,10 @@ from addalg.errors import (
     NoInvertibleFound,
     ZeroSubspace,
 )
-from addalg.fixtures import algebra_fixture
+from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly
 
-from oracles import ref, ref_invert, ref_mul
+from oracles import ref, ref_invert, ref_mul, ref_radical
 
 
 def rand_space(alg, dim, rng):
@@ -376,3 +376,32 @@ def test_closed_invertible_span_is_subalgebra():
         inv = cert.witness.invert()
         assert isinstance(inv, Element) and v.contains(inv)
     assert seen >= 3  # the property must actually have been exercised
+
+
+# -- the trace form's radical ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_radical_is_a_nilpotent_ideal_and_matches_the_reference(name):
+    alg = algebra_fixture(name)
+    j = sub.radical(alg)
+    full = sub.full_space(alg)
+    assert j.contains_space(sub.product_span(full, j))
+    assert j.contains_space(sub.product_span(j, full))
+    power = j
+    for _ in range(alg.dim):
+        power = sub.product_span(power, j)
+    assert power.dim == 0
+    want = ref_radical(alg.table)
+    assert j.dim == len(want) and ref.contains(want, j.basis)
+
+
+def test_radical_dimensions():
+    for n, d in ((2, 1), (3, 2), (4, 3)):
+        j = sub.radical(algebra_fixture(f"QT{n}"))
+        assert j.dim == d
+        # the nilradical of Q[T]/(T^n) is (T)
+        assert j == sub.coordinate_span(j.algebra, range(1, n))
+    semisimple = [f"QZ{n}" for n in range(2, 13)] + [f"Q{n}" for n in range(1, 7)]
+    for name in semisimple:
+        assert sub.radical(algebra_fixture(name)).dim == 0, name
