@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from math import lcm
 
 from . import linalg
 from . import subspace as sub
@@ -115,11 +114,12 @@ def _monogenic(alg: Algebra) -> bool:
     A/J = prod L_i, M is sum L_i^{k_i}.  alg is monogenic iff every local
     factor has a principal maximal ideal, iff every k_i <= 1, iff
     dim_Q End_A(M) = sum k_i^2 [L_i:Q] equals dim_Q M = sum k_i [L_i:Q].
-    M is spanned by the rows C of J that grow J^2's echelon form.  One
-    int_rref of the columns C, J^2 and the images b_i c (c in C) reads each
-    image's coordinates on C, so the action matrices R_i, scaled to
-    integers; End_A(M) is the kernel of X -> (R_i X - X R_i)_i, and its
-    dimension is m^2 less the rank of those equations.
+    M is spanned by the m rows C of J that grow J^2's echelon form.  The
+    matrix with columns C, J^2 and the images b_i c (c in C) has every
+    image column free, and int_kernel's vector at an image column is
+    -L times its coordinates on C and J^2: the action matrices R_i, scaled
+    by -L.  End_A(M) is the kernel of X -> (R_i X - X R_i)_i, of dimension
+    m^2 less the rank of those equations.
     """
     j = sub.radical(alg)
     j2 = sub.product_span(j, j)
@@ -130,15 +130,11 @@ def _monogenic(alg: Algebra) -> bool:
     comp = [c for c in j.rows if linalg.echelon_add(out, pivots, c)[1] is not None]
     images = [alg.mul_pairs(((i, 1),), linalg.nonzeros(c))
               for i in range(alg.dim) for c in comp]
-    red, _ = linalg.int_rref(list(zip(*comp, *j2.rows, *images)))
-    # row p < m of the form has its pivot at column p, so an image's
-    # coordinate on comp[p] is its entry over that pivot
-    scale = lcm(*[red[p][p] for p in range(m)])
-    first = j.dim  # the images' first column
+    cols = list(zip(*comp, *j2.rows, *images))
+    coords = linalg.int_kernel(*linalg.int_rref(cols), j.dim + len(images))[0]
     eqs = []
     for i in range(alg.dim):
-        r = [[red[p][first + i * m + q] * (scale // red[p][p]) for q in range(m)]
-             for p in range(m)]
+        r = [[coords[i * m + q][p] for q in range(m)] for p in range(m)]
         for p in range(m):
             for q in range(m):
                 # (R X - X R)[p][q], X[a][b] at a * m + b
@@ -146,10 +142,8 @@ def _monogenic(alg: Algebra) -> bool:
                 for s in range(m):
                     eq[s * m + q] += r[p][s]
                     eq[p * m + s] -= r[s][q]
-                if any(eq):
-                    eqs.append(eq)
-    rank = len(linalg.int_rref(eqs)[1])
-    return m * m - rank == m
+                eqs.append(eq)
+    return m * m - len(linalg.int_rref(eqs)[1]) == m
 
 
 def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) -> Verdict:

@@ -413,12 +413,13 @@ def radical(alg: Algebra) -> Subspace:
 
     Over Q it is the Jacobson radical (Dickson's criterion), and in a
     commutative algebra the nilradical.  den^2 times the form's Gram
-    matrix on the basis is integral: den * tr L_{b_k} is the sum of the
-    entries of sparse[k][m] at k = m, and b_i b_j sums each (k, c) of its
-    cell as c / den times b_k.  The radical is that matrix's kernel.
+    matrix on the basis is integral: den * tr L_{b_k} sums, over m, the
+    entry of the cell sparse[k][m] at index m, and b_i b_j is the sum of
+    c / den times b_k over the (k, c) of its cell.  The radical is that
+    matrix's kernel.
     """
     sparse = alg.sparse
-    traces = [sum(c for m, cell in enumerate(row) for k, c in cell if k == m) for row in sparse]
+    traces = [sum(c for m, cell in enumerate(row) for i, c in cell if i == m) for row in sparse]
     gram = [[sum(c * traces[k] for k, c in cell) for cell in row] for row in sparse]
     return _span(alg, linalg.int_kernel(*linalg.int_rref(gram), alg.dim)[0])
 

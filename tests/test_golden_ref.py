@@ -5,12 +5,16 @@ record of golden_cli.json, and each hamidoune record at lambda = 1, is
 recomputed from its argv and its instance with perfbench/ref.py and
 tests/oracles.py, not with addalg.  Every certificate record is
 checked against the e-transform certificate's invariants instead, since
-its space and subalgebra are not the only ones that satisfy them.  An
+its space and subalgebra are not the only ones that satisfy them, and
+every classify record against the fixture's definition: a generator's
+reference minimal polynomial has degree dim, its Yun decomposition is
+the profile and decides the verdict, and a NotMonogenic verdict has a
+commutant dimension other than dim J/J^2.  An
 "@NAME" instance is the literal of golden_cases.INSTANCES or the
 recorded stdout of the command saved as NAME, and its products come from
 ref.Mult.from_desc, or from the dense tensor of a structure-constant
 description.  The paper-m7 table is written from its presentation, and
-the cyclic ones are ref's.  A golden recorded from a wrong library answer
+the cyclic ones are ref's, and so is graded-m's.  A golden recorded from a wrong library answer
 fails here even when it replays byte for byte.
 """
 
@@ -25,39 +29,58 @@ from oracles import (
     monoid_atom_dim,
     monoid_hamidoune_holds,
     ref,
+    ref_commutant_dim,
+    ref_matrix_tensor,
+    ref_min_poly,
     ref_mul,
     ref_side,
     ref_tensor,
+    yun,
 )
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
-DERIVED = REBUILT + ("certificate",)
+DERIVED = REBUILT + ("certificate", "classify")
 INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in REBUILT]
 CERTIFICATES = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "certificate"]
+CLASSIFIED = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "classify"]
 LAMBDA_ONE = [i for i, (argv, _) in enumerate(cases())
               if argv[0] == "hamidoune" and argv[argv.index("--lambda") + 1] == "1"]
 TABLES = {"Z5": ref.cyclic_table(5), "S3": ref.s3_table()}
 UNDECIDED = "error: no exact atom at lambda {}, and the candidate atom's bound fails\n"
 
 
-def _paper_m7():
-    """(labels, table) of the monoid <a, b | a^2 = b^2 = ab = ba, a^4 = a>.
-
-    A word of length two or more is a power of a, as each adjacent pair
-    rewrites to aa, and a^4 = a leaves a, a^2 and a^3; so the elements are
-    1, a, b, a^2 and a^3, and a product is its concatenated word rewritten.
-    """
-    rules = (("ab", "aa"), ("ba", "aa"), ("bb", "aa"), ("aaaa", "a"))
-    words = ["", "a", "b", "aa", "aaa"]
-
+def _presented(words, rules):
+    """The table of a monoid on its normal words: a product is the
+    concatenated word, rewritten by the first rule that applies until none
+    does."""
     def normal(word):
         while any(lhs in word for lhs, _ in rules):
             for lhs, rhs in rules:
                 word = word.replace(lhs, rhs, 1)
         return word
 
-    return ["1", "a", "b", "a2", "a3"], [[words.index(normal(x + y)) for y in words]
-                                         for x in words]
+    return [[words.index(normal(x + y)) for y in words] for x in words]
+
+
+# a^2 = b^2 = ab = ba: a word of length two or more is a power of a
+SQUARES = (("ab", "aa"), ("ba", "aa"), ("bb", "aa"))
+
+
+def _paper_m7():
+    """(labels, table) of the monoid <a, b | a^2 = b^2 = ab = ba, a^4 = a>.
+
+    A word of length two or more is a power of a, and a^4 = a leaves a,
+    a^2 and a^3; so the elements are 1, a, b, a^2 and a^3.
+    """
+    return ["1", "a", "b", "a2", "a3"], _presented(["", "a", "b", "aa", "aaa"],
+                                                  SQUARES + (("aaaa", "a"),))
+
+
+def _graded_m():
+    """The table of <a, b, z | a^2 = b^2 = ab = ba, a^4 = z, z zero>: the
+    words 1, a, b, a^2 and a^3, and every longer word collapsed to z."""
+    zero = tuple((w, "z") for w in ("za", "az", "zb", "bz", "zz"))
+    return _presented(["", "a", "b", "aa", "aaa", "z"], SQUARES + (("aaaa", "z"),) + zero)
 
 
 MONOIDS = {"paper-m7": _paper_m7(),
@@ -245,6 +268,70 @@ def check_lambda_one_hamidoune(rec, instances):
     assert json.loads(rec["stdout"]) == out
 
 
+QUOTIENTS = {**{f"QT{n}": [[0] * n + [1]] for n in (2, 3, 4)}, "QP2": [[1, 0, 2, 0, 1]],
+             "QT2xQT2": [[0, 0, 1]] * 2, **{f"Q{n}": [[0, 1]] * n for n in (1, 3, 5)}}
+GROUP_LABELS = {"QZ4": "Q[Z4]", "QZ6": "Q[Z6]", "QV4": "Q[V4]", "QS3": "Q[S3]"}
+
+
+def _fixture_mult(name):
+    """The reference product of a classify fixture, from its definition."""
+    if name in QUOTIENTS:
+        return ref.Mult.from_desc({"kind": "poly_quotient_product", "factors": QUOTIENTS[name]})
+    if name == "M2x2":
+        table, unit = ref_matrix_tensor(2)
+        return ref.Mult(4, lambda x, y: list(ref_mul(table, x, y)), list(unit))
+    tables = {"QZ4": ref.cyclic_table(4), "QZ6": ref.cyclic_table(6), "QV4": ref.klein_table(),
+              "QS3": ref.s3_table(), "Q[paper-m7]": _paper_m7()[1],
+              "Q[graded-m]": _graded_m()}
+    return ref.Mult.from_table(tables[name], 0)
+
+
+def _finite_profile(parts):
+    """The profile rule: no repeated factor, or one, linear, of multiplicity 2 or 3."""
+    repeated = [(m, f) for m, f in parts if m > 1]
+    return not repeated or (len(repeated) == 1 and repeated[0][0] in (2, 3)
+                            and len(repeated[0][1]) == 2)
+
+
+def check_classify(rec):
+    """The classify record, from the fixture's definition alone.
+
+    A non-commutative table is Infinite, NonCommutative, with no candidate
+    tried.  A record without a generator is NotMonogenic: the commutant
+    dimension differs from dim J/J^2, after the 2n + 3 fixed candidates.
+    Otherwise the generator's reference minimal polynomial has degree n,
+    its Yun decomposition is the profile, and the profile rule gives the
+    verdict; the commutant dimension then equals dim J/J^2.
+    """
+    flags = _flags(rec["argv"])
+    name = flags["--fixture"]
+    mult = _fixture_mult(name)
+    table, unit = ref_tensor(mult)
+    n = mult.dim
+    out = json.loads(rec["stdout"])
+    assert (rec["code"], rec["stderr"], out.pop("schema_version")) == (0, "", 1)
+    assert out.pop("label") == GROUP_LABELS.get(name, name)
+    if not _commutative(mult):
+        assert out == {"verdict": "Infinite", "reason": "NonCommutative", "trials_used": 0}
+        return
+    end, m = ref_commutant_dim(table)
+    if "generator" not in out:
+        assert end != m
+        assert out == {"verdict": "Infinite", "reason": "NotMonogenic", "trials_used": 2 * n + 3}
+        return
+    assert end == m
+    mu = ref_min_poly(table, unit, [Fraction(c) for c in out.pop("generator")])
+    assert len(mu) == n + 1
+    content, parts = yun(mu)
+    assert out.pop("profile") == {"content": str(content),
+                                  "parts": [[k, [str(c) for c in f]] for k, f in parts]}
+    finite = _finite_profile(parts)
+    assert out.pop("verdict") == ("Finite" if finite else "Infinite")
+    assert out.pop("reason", None) == (None if finite else "BadProfile")
+    assert 1 <= out.pop("trials_used") <= 2 * n + 3 + int(flags.get("--trials", 64))
+    assert out == {}
+
+
 def derive(argv, instances):
     """(stdout payload without schema_version, exit code) of argv, from ref."""
     cmd = argv[0]
@@ -263,7 +350,7 @@ def derive(argv, instances):
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
-                      "group-sweep": 3, "monoid-check": 4, "certificate": 40}
+                      "group-sweep": 3, "monoid-check": 4, "certificate": 40, "classify": 32}
     assert (len(INDICES), len(CERTIFICATES)) == (143, 40)
     # 8 among the split-instance records, 6 where the atom needs no split algebra
     assert len(LAMBDA_ONE) == 14
@@ -286,3 +373,8 @@ def test_certificate_golden_holds_from_reference(golden, instances, index):
 @pytest.mark.parametrize("index", LAMBDA_ONE)
 def test_lambda_one_hamidoune_golden_matches_the_oracle(golden, instances, index):
     check_lambda_one_hamidoune(golden[index], instances)
+
+
+@pytest.mark.parametrize("index", CLASSIFIED)
+def test_classify_golden_holds_from_reference(golden, index):
+    check_classify(golden[index])

@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import chain, islice
 from fractions import Fraction as F
 
 import pytest
@@ -136,7 +136,9 @@ def _yun_inputs():
     for name in ALGEBRA_NAMES:
         alg = algebra_fixture(name)
         if alg.commutative:
-            out += [min_poly(g) for g in islice(classify._generator_candidates(alg, 64, 0), 8)]
+            candidates = chain(classify._fixed_candidates(alg),
+                               classify._sampled_candidates(alg, 64, 0))
+            out += [min_poly(g) for g in islice(candidates, 8)]
     out += [Poly.monomial(n) - Poly.one() for n in range(2, 13)]
     rng = random.Random(30)
     for _ in range(40):
