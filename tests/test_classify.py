@@ -180,9 +180,7 @@ def test_exact_test_on_products_and_square_zero_algebras():
     assert exact_case(square_zero(3), False, "Infinite", "NotMonogenic") == 3
     qr2 = poly_quotient_product([SQRT2])
     exact_case(direct_product(qr2, square_zero(2)), False, "Infinite", "NotMonogenic")
-    t = Poly.x()
-    exact_case(poly_quotient_product([t * t * t, t * t]), True, "Infinite", "BadProfile")
-
+    exact_case(poly_quotient_product([T * T * T, T * T]), True, "Infinite", "BadProfile")
 
 
 def tensor(a, b):
@@ -196,23 +194,23 @@ def tensor(a, b):
 
 
 def test_commutant_test_matches_the_reference_over_other_residue_fields():
-    t = Poly.x()
     qi = poly_quotient_product([Poly.of(1, 0, 1)])
     cube_root = poly_quotient_product([Poly.of(-2, 0, 0, 1)])
     cases = [  # (algebra, monogenic, dim_Q M, dim_Q End_A(M))
         (tensor(qi, square_zero(2)), False, 4, 8),
         (tensor(cube_root, square_zero(2)), False, 6, 12),
-        (tensor(qi, poly_quotient_product([t * t])), True, 2, 2),
+        (tensor(qi, poly_quotient_product([T * T])), True, 2, 2),
         (poly_quotient_product([Poly.of(1, 0, 1) * Poly.of(1, 0, 1), Poly.of(1, 0, 1)]),
          True, 2, 2),
-        (direct_product(tensor(qi, poly_quotient_product([t * t])), square_zero(1)),
+        (direct_product(tensor(qi, poly_quotient_product([T * T])), square_zero(1)),
          True, 3, 3),
-        (direct_product(poly_quotient_product([t * t]), tensor(qi, square_zero(2))),
+        (direct_product(poly_quotient_product([T * T]), tensor(qi, square_zero(2))),
          False, 5, 9),
     ]
     for alg, monogenic, m, end in cases:
         assert classify._monogenic(alg) is monogenic, alg.label
         assert ref_commutant_dim(alg.table) == (end, m), alg.label
+
 
 COMMUTATIVE_VERDICTS = {
     **{name: ("Finite", None) for name in ("QT2", "QT3", "QV4", "Q[paper-m7]")},
