@@ -95,16 +95,10 @@ def _sampled_candidates(alg: Algebra, trials: int, seed: int):
             yield alg.element(coords)
 
 
-def _first_generator(alg: Algebra, candidates):
-    """(g, min_poly(g), tried) for the first candidate g of degree dim alg,
-    or (None, None, tried) when none is."""
-    used = 0
-    for g in candidates:
-        used += 1
-        mu = min_poly(g)
-        if mu.degree == alg.dim:
-            return g, mu, used
-    return None, None, used
+def _generator_poly(g: Element):
+    """min_poly(g) when g generates its algebra (has degree dim alg), else None."""
+    mu = min_poly(g)
+    return mu if mu.degree == g.algebra.dim else None
 
 
 def _monogenic(alg: Algebra) -> bool:
@@ -160,11 +154,11 @@ def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) ->
     """
     if not alg.commutative:
         return Verdict(kind="Infinite", reason="NonCommutative")
-    g, mu, used = _first_generator(alg, _fixed_candidates(alg))
+    g, mu, used = sub._first(_fixed_candidates(alg), _generator_poly)
     if g is None:
         if not _monogenic(alg):
             return Verdict(kind="Infinite", reason="NotMonogenic", trials_used=used)
-        g, mu, sampled = _first_generator(alg, _sampled_candidates(alg, trials, seed))
+        g, mu, sampled = sub._first(_sampled_candidates(alg, trials, seed), _generator_poly)
         used += sampled
         if g is None:
             return Verdict(kind="ProbablyInfinite", trials_used=used)

@@ -1,21 +1,24 @@
 """Command-line frontend.
 
-Subcommands map one-to-one onto library operations; output is canonical
-JSON (--json) or aligned human text.  COMMANDS declares each subcommand
-with only the options its handler reads, besides group-sweep's --threads
-and certificate's --trials, which are accepted for compatibility; any other
-flag is a usage error.  Exit codes: 0 all checks pass, 1 a checked
-inequality failed, 2 input/schema error (an invalid structure-constant
-table among them), 3 the generator's retry budget exhausted, no exact
-atom (outside a split etale algebra or above --cap, save hamidoune at
-lambda = 1), or no exact atom to decide a monoid-check whose candidate
-atom's bound fails.
+Subcommands map one-to-one onto library operations.  Every handler but
+gen's writes its report through _finish: canonical JSON with --json, else
+one `key: value` line per key in sorted order, with lists and objects
+written as compact JSON, so no nesting is lost.  COMMANDS declares each
+subcommand with only the options its handler reads, besides group-sweep's
+--threads and certificate's --trials, which are accepted for
+compatibility; any other flag is a usage error.  Exit codes: 0 all checks
+pass, 1 a checked inequality failed, 2 input/schema error (an invalid
+structure-constant table among them), 3 the generator's retry budget
+exhausted, no exact atom (outside a split etale algebra or above --cap,
+save hamidoune at lambda = 1), or no exact atom to decide a monoid-check
+whose candidate atom's bound fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from . import classify, discrete, fixtures, gen, serialize, sumsets
@@ -35,28 +38,18 @@ EXIT_SCHEMA = 2
 EXIT_BUDGET = 3
 
 
-def _emit(args, payload) -> None:
+def _finish(args, payload, ok=True) -> int:
+    """Write the report and return its exit code: 0 when ok, else 1."""
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     if args.json:
         sys.stdout.write(dumps(payload))
-        return
-    def walk(obj, indent=0):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                v = obj[k]
-                if isinstance(v, (dict, list)):
-                    print(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    print(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)):
-                    walk(v, indent + 1)
-                else:
-                    print(f"{pad}{v}")
-    walk(payload)
+    else:
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            print(f"{key}: {value}")
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _source(infile, fixture=None, table=False):
@@ -74,33 +67,35 @@ def _source(infile, fixture=None, table=False):
     raise SchemaError("need --fixture NAME or --in FILE")
 
 
-def _space(spaces, name):
-    if name not in spaces:
-        raise SchemaError(f"no subspace {name!r} in the instance file "
-                          f"(have: {', '.join(sorted(spaces)) or 'none'})")
-    return spaces[name]
+def _named(args, *names):
+    """The subspaces of the --in file under names, the file read once and the
+    names looked up in the order given, so the first missing one is reported."""
+    _, spaces = _source(args.infile)
+    for name in names:
+        if name not in spaces:
+            raise SchemaError(f"no subspace {name!r} in the instance file "
+                              f"(have: {', '.join(sorted(spaces)) or 'none'})")
+    return [spaces[name] for name in names]
 
 
 # -- subcommand handlers ----------------------------------------------
 
 
 def cmd_fixtures(args):
-    _emit(args, {"tables": list(fixtures.TABLE_NAMES),
-                 "algebras": list(fixtures.ALGEBRA_NAMES)})
-    return EXIT_OK
+    return _finish(args, {"tables": list(fixtures.TABLE_NAMES),
+                          "algebras": list(fixtures.ALGEBRA_NAMES)})
 
 
 def cmd_validate(args):
     # loading validates: structure constants are checked as they are built
     # (an invalid table exits 2), and every other kind is valid by construction
     alg, _ = _source(args.infile, args.fixture)
-    _emit(args, {"label": alg.label, "dim": alg.dim, "valid": True})
-    return EXIT_OK
+    return _finish(args, {"label": alg.label, "dim": alg.dim, "valid": True})
 
 
 def cmd_info(args):
     alg, spaces = _source(args.infile, args.fixture)
-    _emit(args, {
+    return _finish(args, {
         "label": alg.label,
         "dim": alg.dim,
         "commutative": alg.commutative,
@@ -108,56 +103,38 @@ def cmd_info(args):
         "unit": [rat_str(c) for c in alg.unit],
         "subspaces": {n: s.dim for n, s in spaces.items()},
     })
-    return EXIT_OK
 
 
 def cmd_span(args):
-    _, spaces = _source(args.infile)
-    v = _space(spaces, args.V)
-    _emit(args, {"name": args.V, "dim": v.dim, "basis": basis_json(v)})
-    return EXIT_OK
+    (v,) = _named(args, args.V)
+    return _finish(args, {"name": args.V, "dim": v.dim, "basis": basis_json(v)})
 
 
 def cmd_product(args):
-    _, spaces = _source(args.infile)
-    a, b = _space(spaces, args.A), _space(spaces, args.B)
+    a, b = _named(args, args.A, args.B)
     p = sub.product_span(a, b)
-    _emit(args, {"dim_A": a.dim, "dim_B": b.dim, "dim_AB": p.dim,
-                 "basis": basis_json(p)})
-    return EXIT_OK
+    return _finish(args, {"dim_A": a.dim, "dim_B": b.dim, "dim_AB": p.dim,
+                          "basis": basis_json(p)})
 
 
 def _cmd_solution_space(args, op):
-    _, spaces = _source(args.infile)
-    v = _space(spaces, args.V)
-    out = op(v, args.side)
-    _emit(args, {"side": args.side, "dim": out.dim, "basis": basis_json(out),
-                 "is_subalgebra": sub.is_subalgebra(out) if out.dim else False})
-    return EXIT_OK
-
-
-def cmd_stabilizer(args):
-    return _cmd_solution_space(args, sub.stabilizer)
-
-
-def cmd_annihilator(args):
-    return _cmd_solution_space(args, sub.annihilator)
+    out = op(*_named(args, args.V), args.side)
+    return _finish(args, {"side": args.side, "dim": out.dim, "basis": basis_json(out),
+                          "is_subalgebra": sub.is_subalgebra(out) if out.dim else False})
 
 
 def cmd_classify(args):
     alg, _ = _source(args.infile, args.fixture)
     verdict = classify.finite_subalgebras_verdict(alg, trials=args.trials,
                                                   seed=args.seed)
-    _emit(args, {"label": alg.label, **verdict.to_json()})
-    return EXIT_OK
+    return _finish(args, {"label": alg.label, **verdict.to_json()})
 
 
 def cmd_certificate(args):
-    _, spaces = _source(args.infile)
-    a, b = _space(spaces, args.A), _space(spaces, args.B)
+    a, b = _named(args, args.A, args.B)
     cert = sumsets.diderrich_certificate(a, b, seed=args.seed)
     violations = cert.violations()
-    _emit(args, {
+    return _finish(args, {
         "a": [rat_str(c) for c in cert.a.coords],
         "dim_subalgebra": cert.subalgebra.dim,
         "dim_space": cert.space.dim,
@@ -165,77 +142,63 @@ def cmd_certificate(args):
         "dim_A": a.dim,
         "dim_B": b.dim,
         "violations": violations,
-    })
-    return EXIT_OK if not violations else EXIT_VIOLATION
+    }, not violations)
 
 
 def cmd_kneser(args):
-    _, spaces = _source(args.infile)
-    a, b = _space(spaces, args.A), _space(spaces, args.B)
-    report = sumsets.kneser_check(a, b)
-    _emit(args, report.to_json())
-    ok = report.bound_holds and report.strong_bound_holds is not False
-    return EXIT_OK if ok else EXIT_VIOLATION
+    report = sumsets.kneser_check(*_named(args, args.A, args.B))
+    return _finish(args, report.to_json(),
+                   report.bound_holds and report.strong_bound_holds is not False)
 
 
 def cmd_nfold(args):
-    _, spaces = _source(args.infile)
     names = args.spaces.split(",")
     if len(names) < 2:
         raise SchemaError(f"--spaces needs at least two comma-separated names, "
                           f"got {args.spaces!r}")
-    report = sumsets.kneser_nfold_check([_space(spaces, n) for n in names])
-    _emit(args, report.to_json())
-    ok = report.bound_holds and report.strong_bound_holds is not False
-    return EXIT_OK if ok else EXIT_VIOLATION
+    report = sumsets.kneser_nfold_check(_named(args, *names))
+    return _finish(args, report.to_json(),
+                   report.bound_holds and report.strong_bound_holds is not False)
 
 
 def cmd_atom(args):
-    _, spaces = _source(args.infile)
-    v = _space(spaces, args.V)
+    (v,) = _named(args, args.V)
     report = sumsets.atom_exact_split(v, parse_rat(args.lam), cap=args.cap)
-    _emit(args, report.to_json())
-    return EXIT_OK if not report.tie_anomaly else EXIT_VIOLATION
+    return _finish(args, report.to_json(), not report.tie_anomaly)
 
 
 def cmd_hamidoune(args):
-    _, spaces = _source(args.infile)
-    w, v = _space(spaces, args.W), _space(spaces, args.V)
+    w, v = _named(args, args.W, args.V)
     lam = parse_rat(args.lam)
     report = sumsets.hamidoune_check(w, v, lam, sumsets.atom(v, lam, args.cap))
-    _emit(args, report.to_json())
-    return EXIT_OK if report.holds else EXIT_VIOLATION
+    return _finish(args, report.to_json(), report.holds)
 
 
 def cmd_tao(args):
-    _, spaces = _source(args.infile)
-    v, w = _space(spaces, args.V), _space(spaces, args.W)
+    v, w = _named(args, args.V, args.W)
     report = sumsets.tao_check(v, w, parse_rat(args.epsilon), cap=args.cap)
-    _emit(args, report.to_json())
-    if report.hypotheses_met and not report.conclusions_hold:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _finish(args, report.to_json(),
+                   not report.hypotheses_met or report.conclusions_hold)
 
 
 def cmd_group_sweep(args):
     table = _source(args.infile, args.fixture, table=True)
     report = discrete.group_kneser_sweep(
         table, exhaustive=args.exhaustive, seed=args.seed, count=args.count)
-    _emit(args, {"fixture": table.label, **report.to_json()})
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return _finish(args, {"fixture": table.label, **report.to_json()}, report.ok)
 
 
 def cmd_monoid_check(args):
     table = _source(args.infile, args.fixture, table=True)
     a, b = table.subset(args.A.split(",")), table.subset(args.B.split(","))
     report = discrete.monoid_hamidoune_check(table, a, b, parse_rat(args.lam))
-    _emit(args, {"fixture": table.label, **report.to_json()})
+    code = _finish(args, {"fixture": table.label, **report.to_json()},
+                   report.hamidoune_ok and report.atom_dominates_stab)
     if report.hamidoune_ok is None:
         print(f"error: no exact atom at lambda {rat_str(report.lam)}, and the "
               f"candidate atom's bound fails", file=sys.stderr)
         return EXIT_BUDGET
-    ok = report.hamidoune_ok and report.atom_dominates_stab
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return code
 
 
 def cmd_gen(args):
@@ -311,10 +274,10 @@ COMMANDS = {
     "info": (cmd_info, "algebra summary", ("--in", "--fixture")),
     "span": (cmd_span, "canonical basis of a named subspace", ("--in", "--V")),
     "product": (cmd_product, "span of the Minkowski product", ("--in", "--A", "--B")),
-    "stabilizer": (cmd_stabilizer, "stabilizer of a named subspace",
-                   ("--in", "--V", "--side")),
-    "annihilator": (cmd_annihilator, "annihilator of a named subspace",
-                    ("--in", "--V", "--side")),
+    "stabilizer": (functools.partial(_cmd_solution_space, op=sub.stabilizer),
+                   "stabilizer of a named subspace", ("--in", "--V", "--side")),
+    "annihilator": (functools.partial(_cmd_solution_space, op=sub.annihilator),
+                    "annihilator of a named subspace", ("--in", "--V", "--side")),
     "classify": (cmd_classify, "finitely-many-subalgebras verdict",
                  ("--in", "--fixture", "--seed", "--trials")),
     "certificate": (cmd_certificate, "e-transform certificate",

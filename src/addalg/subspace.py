@@ -9,7 +9,9 @@ solution-space kernel _solutions of stabilizers (x*V <= V), annihilators
 (x*V = 0) and preimages (x*y in T, for x^-1 T with no inverse) read one
 cached residual projection per subspace: its int_kernel transposed, built
 directly for a coordinate space.  Subspace._residual is the one sum of a
-row's residual through it, for membership and the e-transform.
+row's residual through it, for membership and for _inverse_image, the
+combinations of given rows whose images lie in T, which lattice
+intersections and the e-transform's A n Be^-1 read.
 Subspace._column_ranks caches, once per subspace, the rank of V's
 columns in every bit mask, which the exact atoms in Q^n read at any lambda.
 coordinate_span seeds the cached coordinate flag, row pairs and
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product
 from math import lcm
+from operator import attrgetter
 
 from . import linalg
 from .algebra import Algebra, Element
@@ -266,16 +269,19 @@ def lattice_sum(v: Subspace, w: Subspace) -> Subspace:
 
 
 def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
-    """Exact intersection via the joint-coefficient kernel."""
+    """V n W: the combinations of V's rows that lie in W (_inverse_image)."""
     _check_same(v, w)
-    if v.dim == 0 or w.dim == 0:
-        return zero_space(v.algebra)
-    v_cols = list(zip(*v.rows))
-    mat = [col_v + tuple(-a for a in col_w) for col_v, col_w in zip(v_cols, zip(*w.rows))]
-    combos = linalg.int_kernel(*linalg.int_rref(mat), v.dim + w.dim)[0]
-    # the first dim V entries of a kernel vector combine V's rows into a vector of V n W
-    return _span(v.algebra, [[sum(c * a for c, a in zip(cs, col)) for col in v_cols]
-                             for cs in combos])
+    return _inverse_image(v.algebra, v.rows, v.rows, w)
+
+
+def _inverse_image(alg: Algebra, rows, images, t: Subspace) -> Subspace:
+    """The span of the combinations sum c_i rows[i] whose image sum c_i images[i]
+    lies in T: one kernel over len(rows) columns of the images' residuals
+    against T, read through T's projection."""
+    # column i of the system holds the residual of images[i]
+    residuals = zip(*[t._residual(y) for y in images])
+    combos = linalg.int_kernel(*linalg.int_rref(residuals), len(rows))[0]
+    return _span(alg, [linalg.combine(c, rows) for c in combos])
 
 
 def product_span(v: Subspace, w: Subspace) -> Subspace:
@@ -434,14 +440,18 @@ class InvertibilityCertificate:
     trials_used: int
 
 
-def _first_invertible(candidates) -> tuple[Element | None, int]:
-    """The first invertible candidate (or None) and how many were tried."""
-    used = 0
+def _first(candidates, test):
+    """(x, test(x), tried) for the first candidate x whose test(x) is true,
+    or (None, None, tried) when none is; tried counts the candidates tested."""
+    tried = 0
     for x in candidates:
-        used += 1
-        if x.is_invertible:
-            return x, used
-    return None, used
+        tried += 1
+        if result := test(x):
+            return x, result, tried
+    return None, None, tried
+
+
+_invertible = attrgetter("is_invertible")
 
 
 def _combinations(elems: list[Element], coefficient_lists):
@@ -483,15 +493,16 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
         return InvertibilityCertificate("YES", alg.one(), 0)
     r = v.dim
     elems = v.elements()
-    w, used = _first_invertible(chain(elems, vandermonde_line(elems, range(1, alg.dim + r + 2))))
+    w, _, used = _first(chain(elems, vandermonde_line(elems, range(1, alg.dim + r + 2))),
+                        _invertible)
     if w is not None:
         return InvertibilityCertificate("YES", w, used)
     grid = range(alg.dim + 1)
     if len(grid) ** r <= GRID_CAP:
-        w, _ = _first_invertible(_combinations(elems, product(grid, repeat=r)))
+        w, _, _ = _first(_combinations(elems, product(grid, repeat=r)), _invertible)
         return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)
     draws = islice(linalg.random_coefficients(r, 9, random.Random(seed)), SAMPLES)
-    w, sampled = _first_invertible(_combinations(elems, draws))
+    w, _, sampled = _first(_combinations(elems, draws), _invertible)
     return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 
 

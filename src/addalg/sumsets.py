@@ -78,23 +78,18 @@ def _e_step(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
     """The e-transform of a pivot e already known to be an invertible of B.
 
     Both halves come from the images a_i*e of A's rows, formed once.  Be^-1
-    is {y : y*e in B}, so A n Be^-1 is read in A's own coordinates: the
-    combinations sum c_i a_i whose image sum c_i (a_i*e) has zero residual
-    against B, one kernel over dim A columns with no inverse formed.  The
-    residuals go through B's projection.  When every image lies in B the pair
-    is (A, B) itself; otherwise B + Ae is the span of B's rows and the images.
+    is {y : y*e in B}, so A n Be^-1 is the combinations of A's rows whose
+    image lies in B (subspace._inverse_image), with no inverse formed.  When
+    every image lies in B the pair is (A, B) itself; otherwise B + Ae is the
+    span of B's rows and the images.
     """
     alg = b.algebra
     es = linalg.nonzeros(e.num)
     # den * a_i*e; a common positive scale changes neither span nor kernel
     images = [alg.mul_pairs(x, es) for x in a.row_nonzeros]
-    residuals = [b._residual(y) for y in images]
-    if not any(map(any, residuals)):
+    if all(map(b._holds, images)):
         return a, b
-    # column i of the system holds the residual of a_i*e
-    combos = linalg.int_kernel(*linalg.int_rref(zip(*residuals)), a.dim)[0]
-    return (sub._span(alg, [linalg.combine(c, a.rows) for c in combos]),
-            sub._span(alg, [*b.rows, *images]))
+    return sub._inverse_image(alg, a.rows, images, b), sub._span(alg, [*b.rows, *images])
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,31 @@ def test_certificate_and_kneser(capsys, tmp_path):
     assert code == 0 and json.loads(out)["bound_holds"]
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["hamidoune", "--W", "X", "--V", "Y", "--lambda", "1"], "X"),
+    (["tao", "--V", "X", "--W", "Y", "--epsilon", "1"], "X"),
+    (["nfold", "--spaces", "A,X,Y"], "X"),
+])
+def test_first_missing_subspace_name_is_reported(capsys, tmp_path, argv, missing):
+    # names are looked up in the order the command declares its flags
+    path = write_instance(tmp_path, Q4_INSTANCE)
+    code = cli.main([argv[0], "--in", path, *argv[1:]])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: no subspace {missing!r} in the instance file (have: A, B, C)\n")
+
+
+def test_certificate_refuses_a_b_without_invertibles(tmp_path):
+    # Q[T]/(T^2): B = span(T) is nilpotent, so the search proves it holds no unit
+    inst = {"algebra": {"kind": "poly_quotient_product", "factors": [["0", "0", "1"]]},
+            "subspaces": {"A": [["1", "0"], ["0", "1"]], "B": [["0", "1"]]}}
+    path = write_instance(tmp_path, inst)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["certificate", "--in", path, "--A", "A", "--B", "B", "--json"])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", "error: certificate NO_PROVEN for B\n")
+
+
 # Q^9 with a B whose Vandermonde line through the unit is singular at
 # t = 1, ..., 12: its third invertible point is at t = 14
 Q9_INSTANCE = {
@@ -680,6 +705,27 @@ def test_every_declared_option_is_read(capsys, tmp_path, cmd):
     assert args.func(recorder) == 0
     capsys.readouterr()
     assert recorder.read == declared - UNREAD_OPTIONS.get(cmd, set())
+
+
+@pytest.mark.parametrize("cmd", sorted(set(VALID_CALLS) - {"gen"}))
+def test_text_mode_carries_the_json_payload(capsys, tmp_path, cmd):
+    # one `key: value` line per JSON key, in sorted order: a list or an
+    # object as its JSON, any other value as its str
+    inst = write_instance(tmp_path, Q4_INSTANCE)
+    source, rest = VALID_CALLS[cmd]
+    argv = [cmd, *(inst if a == "@INST" else a for a in source), *rest]
+    code, out = run(capsys, *argv)
+    json_code, json_out = run(capsys, *argv, "--json")
+    payload = json.loads(json_out)
+    lines = [line.partition(": ") for line in out.splitlines()]
+    assert code == json_code and all(sep for _, sep, _ in lines), out
+    assert [key for key, _, _ in lines] == sorted(payload)
+    for key, _, text in lines:
+        want = payload[key]
+        if isinstance(want, (dict, list)):
+            assert json.loads(text) == want, key
+        else:
+            assert text == str(want), key
 
 
 def test_exit_code_oracle_unavailable(capsys, tmp_path):

@@ -57,6 +57,33 @@ def test_fraction_view_guard_sees_calls():
     assert sorted(_called_name(c) for c in calls) == ["left_mul_matrix", "solve"]
 
 
+def _stdout_writes(node, exempt):
+    """Writes to stdout under node, skipping the functions named in exempt: a
+    print with no file= argument, or any use of sys.stdout."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exempt:
+        return
+    if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+            or isinstance(node, ast.Call) and _called_name(node) == "print"
+            and all(k.arg != "file" for k in node.keywords)):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _stdout_writes(child, exempt)
+
+
+def test_cli_writes_stdout_only_through_finish():
+    # every report goes through cli._finish, the one JSON and text writer;
+    # cmd_gen prints its instance file as JSON whatever --json says
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert [node.lineno for node in _stdout_writes(tree, {"_finish", "cmd_gen"})] == []
+
+
+def test_stdout_guard_sees_writes():
+    src = ("def cmd_x(a):\n    print(a)\n    print(a, file=sys.stderr)\n"
+           "    sys.stdout.write(a)\n    print(a, file=sys.stdout)\n"
+           "def _finish(a):\n    print(a)\n")
+    assert [node.lineno for node in _stdout_writes(ast.parse(src), {"_finish"})] == [2, 4, 5]
+
+
 def test_every_traced_name_resolves():
     # the benchmark's tracer wraps these by name; read its list without importing it
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())

@@ -16,6 +16,7 @@ from addalg.errors import (
     LambdaOutOfRange,
     NoInvertibleFound,
     NoInvertibleInA,
+    NoInvertibleInB,
     NotCommutative,
     NotInB,
     NotInvertible,
@@ -247,8 +248,10 @@ def test_certificate_needs_invertibles():
     qt2 = algebra_fixture("QT2")
     nilp = sub.from_vecs(qt2, [qt2.basis_vec(1)])
     full = sub.full_space(qt2)
-    with pytest.raises(NoInvertibleInA):
+    with pytest.raises(NoInvertibleInA, match="^certificate NO_PROVEN for A$"):
         sumsets.diderrich_certificate(nilp, full)
+    with pytest.raises(NoInvertibleInB, match="^certificate NO_PROVEN for B$"):
+        sumsets.diderrich_certificate(full, nilp)
 
 
 def test_certificate_random_sweep():
