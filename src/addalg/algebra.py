@@ -295,11 +295,15 @@ class Element:
     def is_invertible(self) -> bool:
         """The one invertibility test: x -> self*x has full rank.
 
-        The images self*b_i go into one forward echelon form (echelon_add)
-        one at a time, and the first that reduces to zero shows a rank
-        below dim: no further image is formed or reduced.
+        When the basis is orthogonal idempotents (split_etale) the map is
+        diagonal, with the coordinates on its diagonal.  Otherwise the images
+        self*b_i go into one forward echelon form (echelon_add) one at a
+        time, and the first that reduces to zero shows a rank below dim: no
+        further image is formed or reduced.
         """
         alg = self.algebra
+        if alg.split_etale:
+            return all(self.num)
         xs = linalg.nonzeros(self.num)
         out, pivots = [], []
         for i in range(alg.dim):

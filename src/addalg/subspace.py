@@ -23,8 +23,11 @@ In a monomial algebra (Algebra.monomial) the product span of two
 coordinate spaces (Subspace.coordinate), such as the lifts of two subsets
 of a monoid, is the coordinate span of the cells' basis indices, with no
 multiplication and no elimination.  Invertibility certificates and
-invertible bases take their points from one Vandermonde line; the module
-also builds generated subalgebras, and the radical as the kernel of the
+invertible bases take their points from one Vandermonde line; the
+invertible points of an invertible basis are also drawn lazily
+(_invertible_points), so the e-transform recursion tests none past the
+pivot it takes.  The module also builds generated subalgebras, whose
+closure stops at the full algebra, and the radical as the kernel of the
 trace form's integer Gram matrix.
 """
 
@@ -506,11 +509,12 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
     return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 
 
-def invertible_basis(v: Subspace) -> list[Element]:
-    """Basis of V consisting of invertible elements.
+def _invertible_points(v: Subspace):
+    """The first r = dim(V) invertible points of the Vandermonde line p(t)
+    through a basis of V whose first vector is invertible, lazily, in the
+    order of t = 0, 1, ...: the points are tested as they are drawn.
 
-    The Vandermonde line p(t) through a basis of V whose first vector is
-    invertible has r = dim(V) independent points at any r parameters.
+    Any r points of the line at distinct parameters are independent.
     det(y -> p(t) y) has degree at most n(r - 1) in t, n = dim(algebra), and
     is nonzero at t = 0, so the n(r - 1) + r parameters 0, 1, ... give r
     invertible points.
@@ -529,8 +533,14 @@ def invertible_basis(v: Subspace) -> list[Element]:
     if len(elems) != r:
         raise NoInvertibleFound(f"witness {a!r} does not lie in {v!r}")
     line = vandermonde_line(elems, range(alg.dim * (r - 1) + r))
-    out = list(islice((x for x in line if x.is_invertible), r))
-    if len(out) < r or span_of(out) != v:
+    return islice((x for x in line if x.is_invertible), r)
+
+
+def invertible_basis(v: Subspace) -> list[Element]:
+    """Basis of V consisting of invertible elements: the points of
+    _invertible_points, checked to span V."""
+    out = list(_invertible_points(v))
+    if len(out) < v.dim or span_of(out) != v:
         raise NoInvertibleFound("Vandermonde-line points do not span V")
     return out
 
@@ -540,7 +550,7 @@ def subalgebra_generated(elements: list[Element]) -> Subspace:
 
     The first span is of the unit's integer row (unit_num) and the
     elements' rows; products of that span with itself grow it until it
-    stops growing.
+    stops growing or fills the algebra, which is closed with no product.
     """
     if not elements:
         raise EmptyGeneratingSet("subalgebra of empty generating set")
@@ -549,6 +559,8 @@ def subalgebra_generated(elements: list[Element]) -> Subspace:
         raise AlgebraMismatch("generators from different algebras")
     cur = _span(alg, [alg.unit_num, *(x.num for x in elements)])
     for _ in range(alg.dim + 1):
+        if cur.dim == alg.dim:
+            return cur
         nxt = product_span(cur, cur)  # holds cur, since cur holds the unit
         if nxt.dim == cur.dim:
             return cur

@@ -9,7 +9,9 @@ lambda it enumerates the subalgebras of a split etale algebra.
 The e-transform works in A's own coordinates: it forms the images a_i*e
 once, reads their residuals against B's projection, and takes A n Be^-1
 from one kernel over dim A columns and B + Ae from the same images.  The
-recursion tests span(AB) <= B product by product against B's projection.
+recursion tests span(AB) <= B product by product against B's projection,
+and draws its pivots one at a time from B's invertible points
+(subspace._invertible_points), stopping at the first that shrinks A.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ __all__ = [
 
 
 def _pairwise_commuting(v: Subspace) -> bool:
+    if v.algebra.commutative:
+        return True
     elems = v.elements()
     return all(x * y == y * x for i, x in enumerate(elems) for y in elems[i + 1:])
 
@@ -144,11 +148,12 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     mul, right = a.algebra.mul_pairs, b.row_nonzeros
     if all(b._holds(mul(x, y)) for x in a.row_nonzeros for y in right):
         return sub.subalgebra_generated(a.elements()), b, 0
-    for e in sub.invertible_basis(b):  # each already tested invertible
+    for e in sub._invertible_points(b):  # each already tested invertible
         a_e, b_e = _e_step(a, b, e)
         if a_e.dim < a.dim:
             h, v, depth = _recurse(a_e, b_e)
             return h, v, depth + 1
+    sub.invertible_basis(b)  # raises NoInvertibleFound when the points fall short
     raise AddalgError("no invertible basis pivot shrank A although span(AB) is not "
                       "inside B, against the lemma that Ae <= B for a basis of B "
                       "gives span(AB) <= B")

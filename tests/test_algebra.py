@@ -22,7 +22,15 @@ from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture, cyclic, table_fixtur
 from addalg.polynomials import Poly
 from addalg.serialize import algebra_from_desc
 
-from oracles import ref, ref_direct_product_tensor, ref_matrix_tensor, ref_tensor
+from oracles import (
+    change_of_basis,
+    ref,
+    ref_direct_product_tensor,
+    ref_matrix_tensor,
+    ref_mul_matrix,
+    ref_tensor,
+    unimodular,
+)
 
 T = Poly.x()
 
@@ -132,17 +140,37 @@ def test_singular_invert_eliminates_once(monkeypatch):
 
 
 def test_is_invertible_stops_at_the_first_dependent_image(monkeypatch):
-    # each image x*b_i is reduced as it is formed; e_0 of Q^3 has e_0*b_1 = 0
+    # each image x*b_i is reduced as it is formed; T^2 in Q[T]/(T^3) has T^2*T = 0
     calls = []
     real = linalg.echelon_add
     monkeypatch.setattr(linalg, "echelon_add",
                         lambda out, pivots, row: calls.append(1) or real(out, pivots, row))
-    q3 = split_etale_algebra(3)
-    assert not q3.basis_element(0).is_invertible
+    qt3 = algebra_fixture("QT3")
+    assert not qt3.basis_element(2).is_invertible
     assert len(calls) == 2
     calls.clear()
-    assert q3.element([1, 2, 3]).is_invertible
+    assert qt3.element([1, 2, 3]).is_invertible
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_invertible_matches_ref_in_q_n_in_any_basis(n):
+    # Q^n reads invertibility off the coordinates; Q^n in another basis is
+    # not split_etale and takes the rank test, with the same answers
+    rng = random.Random(n)
+    q = split_etale_algebra(n)
+    table, unit, inv = change_of_basis(q.table, q.unit, unimodular(n, rng))
+    moved = from_structure_constants(table, unit)
+    assert q.split_etale and not moved.split_etale
+    seen = set()
+    for _ in range(40):
+        x = rand_elem(q, rng, -2, 2)  # a coordinate is 0 one time in five
+        y = moved.element([sum(x.coords[k] * inv[k][j] for k in range(n)) for j in range(n)])
+        want = ref.rank(ref_mul_matrix(q.table, x.coords)) == n
+        assert want == (ref.rank(ref_mul_matrix(table, y.coords)) == n)
+        assert x.is_invertible == y.is_invertible == want
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_invert_roundtrip_random():

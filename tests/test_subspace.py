@@ -15,7 +15,7 @@ from addalg.errors import (
 from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly
 
-from oracles import ref, ref_invert, ref_mul, ref_radical
+from oracles import generated_subalgebra, ref, ref_invert, ref_mul, ref_radical
 
 
 def rand_space(alg, dim, rng):
@@ -327,6 +327,33 @@ def test_subalgebra_generated_examples():
     assert got.dim == 2
     assert got.contains(x) and got.contains_unit()
     assert sub.is_subalgebra(got)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_subalgebra_generated_matches_the_reference(name):
+    # V = span(1, gens) holds the unit, so the reference's V u^-1 generates
+    # the same subalgebra as gens
+    alg = algebra_fixture(name)
+    rng = random.Random(name)
+    table, unit = alg.table, alg.unit
+    for k in (1, 1, 2, 2):
+        gens = [alg.element([F(rng.randint(-2, 2)) for _ in range(alg.dim)]) for _ in range(k)]
+        want = generated_subalgebra(table, unit, [unit, *(x.coords for x in gens)])
+        assert sub.subalgebra_generated(gens) == sub.from_vecs(alg, want)
+
+
+def test_subalgebra_generated_stops_at_the_full_algebra(monkeypatch):
+    # g generates QZ5: span(1, g) squares to span(1, g, g^2), then to the
+    # whole algebra, which is closed with no third product
+    dims = []
+    real = sub.product_span
+    monkeypatch.setattr(sub, "product_span", lambda v, w: dims.append(v.dim) or real(v, w))
+    alg = algebra_fixture("QZ5")
+    assert sub.subalgebra_generated([alg.basis_element(1)]) == sub.full_space(alg)
+    assert dims == [2, 3]
+    dims.clear()
+    assert sub.subalgebra_generated([alg.basis_element(i) for i in range(5)]) == sub.full_space(alg)
+    assert dims == []
 
 
 def test_subalgebra_generated_refuses_elements_of_two_algebras():

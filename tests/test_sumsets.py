@@ -157,30 +157,79 @@ def test_recursion_calls_no_elimination_helper(monkeypatch):
 
 
 def test_recursion_tests_no_pivot_beyond_invertible_basis(monkeypatch):
-    # invertible_basis keeps only points that pass is_invertible, so the
+    # _invertible_points yields only points that pass is_invertible, so the
     # recursion's e-transforms take them untested
     outside, inside = [], [False]
-    real_test, real_basis = Element.is_invertible.fget, sub.invertible_basis
+    real_test, real_points = Element.is_invertible.fget, sub._invertible_points
 
     def test(x):
         if not inside[0]:
             outside.append(x)
         return real_test(x)
 
-    def basis(v):
+    def guarded(f, *args):
         inside[0] = True
         try:
-            return real_basis(v)
+            return f(*args)
         finally:
             inside[0] = False
 
+    def points(v):
+        # the stream tests its points as they are drawn, so each draw is inside
+        stream = guarded(real_points, v)
+        while (x := guarded(next, stream, None)) is not None:
+            yield x
+
     monkeypatch.setattr(Element, "is_invertible", property(test))
-    monkeypatch.setattr(sub, "invertible_basis", basis)
+    monkeypatch.setattr(sub, "_invertible_points", points)
     for name, a_idx, b_idx in (("QZ5", [0, 1], [0, 1, 2]), ("QS3", [0, 1, 2], [0, 3])):
         alg = algebra_fixture(name)
         a, b = sub.coordinate_span(alg, a_idx), sub.coordinate_span(alg, b_idx)
         _, _, depth = sumsets._recurse(a, b)
         assert depth >= 1 and outside == []
+
+
+def test_recursion_without_pivots_raises_no_invertible_found(monkeypatch):
+    # the path the lemma rules out: when no drawn point shrinks A, the
+    # recursion asks invertible_basis for B's basis, which names the shortfall
+    monkeypatch.setattr(sub, "_invertible_points", lambda v: iter(()))
+    alg = algebra_fixture("QZ5")
+    a, b = sub.coordinate_span(alg, [0, 1]), sub.coordinate_span(alg, [0, 1, 2])
+    with pytest.raises(NoInvertibleFound):
+        sumsets._recurse(a, b)
+
+
+# The family mix and dimensions of perfbench/certify.py's pool.
+CERTIFY_MIX = (("split", 4), ("split", 5), ("group", 5), ("group", 7), ("group", 8),
+               ("polyprod", 2), ("polyprod", 3))
+CERTIFY_DIMS = ((2, 2), (1, 3), (2, 3), (3, 2), (2, 2, 1))
+
+
+def eager_recurse(a, b):
+    """The recursion with B's whole invertible basis formed before its first
+    pivot is tried, and span(AB) <= B tested on the product span."""
+    if a.dim == 1:
+        return sub.unit_span(a.algebra), b, 0
+    if b.contains_space(sub.product_span(a, b)):
+        return sub.subalgebra_generated(a.elements()), b, 0
+    for e in sub.invertible_basis(b):
+        a_e, b_e = sumsets.e_transform(a, b, e)
+        if a_e.dim < a.dim:
+            h, v, depth = eager_recurse(a_e, b_e)
+            return h, v, depth + 1
+    raise AssertionError("no pivot of the invertible basis shrank A")
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2001])
+def test_lazy_pivots_give_the_eager_recursion(seed):
+    base = random.Random(seed).randrange(2 ** 31)
+    for i in range(210):
+        fam, n = CERTIFY_MIX[i % len(CERTIFY_MIX)]
+        inst = gen.gen_instance(fam, base + i, n=n, dims=CERTIFY_DIMS[i % len(CERTIFY_DIMS)])
+        a, b = inst.subspaces["A"], inst.subspaces["B"]
+        a = sub.preimage(sub.contains_invertible(a).witness, a, side="left")
+        b = sub.preimage(sub.contains_invertible(b).witness, b, side="right")
+        assert sumsets._recurse(a, b) == eager_recurse(a, b), (fam, inst.seed)
 
 
 # -- certificates ------------------------------------------------------
