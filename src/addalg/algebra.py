@@ -10,7 +10,10 @@ The dense tensor table[i][j] and the unit vector are Fraction views, and
 from_structure_constants is the one dense entry point; the other
 constructors (group/monoid multiplication tables, products of polynomial
 quotients, companion-matrix subalgebras, full matrix algebras and direct
-products) emit the sparse cells directly.  An Element is one integer row
+products) emit the sparse cells directly.  Products of polynomial
+quotients and direct products share one block-diagonal layout
+(_block_diagonal): each factor's cells, in its own coordinates, are
+shifted into place and the product is built as one Algebra.  An Element is one integer row
 over one denominator, in lowest terms; Element.coords, mul_coords and the
 multiplication matrices are Fraction views.  An Algebra holds only integers,
 the unit as unit_num over unit_den, and its label: nothing points back.
@@ -382,6 +385,24 @@ def monoid_algebra(mtable, label="") -> Algebra:
     return Algebra(cells, unit, label=label or f"Q[{mtable.label}]")
 
 
+def _block_diagonal(blocks, label) -> Algebra:
+    """The product of the blocks, each (cells, unit) in its own coordinates.
+
+    The one layout loop of the product constructors: each block's basis is
+    shifted past the ones before it and every row is padded to the full
+    dimension, so a product of any number of factors is one Algebra.
+    """
+    n = sum(len(cells) for cells, _ in blocks)
+    rows, unit = [], []
+    for cells, block_unit in blocks:
+        off = len(unit)
+        for row in cells:
+            rows.append([()] * off + [tuple((off + k, c) for k, c in cell) for cell in row]
+                        + [()] * (n - off - len(cells)))
+        unit += block_unit
+    return Algebra(rows, unit, label=label)
+
+
 def poly_quotient_product(polys, label="") -> Algebra:
     """Product of quotients Q[T]/(P_i), power basis per factor.
 
@@ -391,25 +412,16 @@ def poly_quotient_product(polys, label="") -> Algebra:
     polys = [p.monic() for p in polys]
     if not polys:
         raise EmptyDescription("need at least one factor polynomial")
+    blocks = []
     for p in polys:
         if p.is_constant:
             raise EmptyDescription("factor polynomials must be non-constant")
-    n = sum(p.degree for p in polys)
-    cells = [[()] * n for _ in range(n)]
-    unit = [0] * n
-    off = 0
-    for p in polys:
         d = p.degree
         rems = [Poly.monomial(m) % p for m in range(2 * d - 1)]
-        for i in range(d):
-            for j in range(d):
-                cells[off + i][off + j] = tuple((off + k, c)
-                                                for k, c in enumerate(rems[i + j].coeffs) if c)
-        unit[off] = 1
-        off += d
-    if not label:
-        label = " x ".join(f"Q[T]/({p})" for p in polys)
-    return Algebra(cells, unit, label=label)
+        cells = [[tuple((k, c) for k, c in enumerate(rems[i + j].coeffs) if c)
+                  for j in range(d)] for i in range(d)]
+        blocks.append((cells, [1] + [0] * (d - 1)))
+    return _block_diagonal(blocks, label or " x ".join(f"Q[T]/({p})" for p in polys))
 
 
 def split_etale_algebra(n: int, label="") -> Algebra:
@@ -432,21 +444,13 @@ def direct_product(*factors: Algebra, label="") -> Algebra:
     product equals the pairwise fold from the left, down to the default
     label "(L) x (R)" of each step.
     """
-    n = sum(f.dim for f in factors)
-    cells, unit, off = [], [], 0
-    for f in factors:
-        for row in f.sparse:
-            cells.append([()] * off
-                         + [tuple((off + k, Fraction(c, f.den)) for k, c in cell)
-                            for cell in row]
-                         + [()] * (n - off - f.dim))
-        unit += f.unit
-        off += f.dim
     if not label:
         label = factors[0].label
         for f in factors[1:]:
             label = f"({label}) x ({f.label})"
-    return Algebra(cells, unit, label=label)
+    return _block_diagonal(
+        [([[tuple((k, Fraction(c, f.den)) for k, c in cell) for cell in row] for row in f.sparse],
+          f.unit) for f in factors], label)
 
 
 def companion_algebra(polys, label="") -> Algebra:

@@ -125,16 +125,8 @@ def combinatorial_stabilizer(m: MulTable, a: frozenset[int], side="left") -> fro
     """{h : hA = A} (left) or {h : Ah = A} (right); always a submonoid."""
     if not a:
         raise EmptySubset("stabilizer of the empty subset")
-    t = m.table
-    out = set()
-    for h in range(m.size):
-        if side == "left":
-            image = {t[h][x] for x in a}
-        else:
-            image = {t[x][h] for x in a}
-        if image == a:
-            out.add(h)
-    return frozenset(out)
+    rows = m.table if side == "left" else tuple(zip(*m.table))  # rows[h][x] = hx or xh
+    return frozenset(h for h in range(m.size) if {rows[h][x] for x in a} == a)
 
 
 def _cell_table(alg: Algebra) -> tuple[tuple[int, ...], ...]:

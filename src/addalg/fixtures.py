@@ -125,19 +125,15 @@ def table_fixture(name: str) -> MulTable:
                           f"known: {', '.join(TABLE_NAMES)}") from None
 
 
-def _t_power(n):
-    return Poly.monomial(n)
-
-
 def _algebra_catalog():
     cat = {}
     for n in range(2, 5):
-        cat[f"QT{n}"] = (lambda n=n: poly_quotient_product([_t_power(n)], label=f"QT{n}"))
+        cat[f"QT{n}"] = (lambda n=n: poly_quotient_product([Poly.monomial(n)], label=f"QT{n}"))
     # (T^2 + 1)^2 expanded: T^4 + 2 T^2 + 1
     cat["QP2"] = lambda: poly_quotient_product(
         [Poly.of(1, 0, 2, 0, 1)], label="QP2")
     cat["QT2xQT2"] = lambda: poly_quotient_product(
-        [_t_power(2), _t_power(2)], label="QT2xQT2")
+        [Poly.monomial(2), Poly.monomial(2)], label="QT2xQT2")
     for n in range(1, 7):
         cat[f"Q{n}"] = (lambda n=n: split_etale_algebra(n, label=f"Q{n}"))
     cat["M2x2"] = lambda: matrix_algebra(2, label="M2x2")

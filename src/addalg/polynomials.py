@@ -130,9 +130,6 @@ class Poly:
             return self
         return self.scale(1 / self.leading)
 
-    def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -173,6 +173,7 @@ class Subspace:
         return self._holds(x.num)
 
     def contains_space(self, other: "Subspace") -> bool:
+        _check_same(self, other)
         return all(self._holds(y) for y in other.rows)
 
     def elements(self) -> list[Element]:

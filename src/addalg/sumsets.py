@@ -24,7 +24,6 @@ from . import subspace as sub
 from .algebra import Element
 from .errors import (
     AddalgError,
-    AlgebraMismatch,
     EpsilonOutOfRange,
     LambdaOutOfRange,
     NoInvertibleFound,
@@ -73,8 +72,7 @@ def e_transform(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspac
         raise NotInB("transform pivot e must lie in B")
     if not e.is_invertible:
         raise NotInvertible("transform pivot e must be invertible")
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("subspaces of different algebras")
+    sub._check_same(a, b)
     return _e_step(a, b, e)
 
 
@@ -170,6 +168,7 @@ def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichC
     shrinks A, since Ae <= B for every e of a basis of B gives span(AB) <= B.
     The seed drives only the invertibility searches on A and B.
     """
+    sub._check_same(a, b)
     if not _pairwise_commuting(a):
         raise NotCommutative("A must consist of pairwise commuting elements")
     cert_a = sub.contains_invertible(a, seed=seed)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addalg import cli, fixtures, gen
+from addalg import classify, cli, fixtures, gen
 from addalg.algebra import (
     companion_algebra,
     direct_product,
@@ -811,6 +811,25 @@ def test_gen_families():
 
     with pytest.raises(SchemaError):
         gen.gen_instance("nope", 0)
+
+
+def test_polyprod_instances_are_finite_at_the_first_candidate():
+    # P has distinct integer roots, so Q[T]/(P) is Q^n and T (or 1 when n = 1)
+    # generates it; gen does not classify, so the invariant is pinned here
+    for n in range(1, 10):
+        for seed in range(5):
+            verdict = classify.finite_subalgebras_verdict(
+                gen.gen_instance("polyprod", seed, n=n).algebra, trials=0)
+            assert (verdict.kind, verdict.trials_used) == ("Finite", 1), (n, seed)
+
+
+def test_gen_instance_does_not_classify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen classified an algebra")
+
+    monkeypatch.setattr(classify, "finite_subalgebras_verdict", refuse)
+    for family in gen.FAMILIES:
+        assert gen.gen_instance(family, 3).algebra.dim >= 1
 
 
 def test_gen_reruns_are_identical_objects():

@@ -84,12 +84,17 @@ def test_stdout_guard_sees_writes():
     assert [node.lineno for node in _stdout_writes(ast.parse(src), {"_finish"})] == [2, 4, 5]
 
 
-def test_every_traced_name_resolves():
-    # the benchmark's tracer wraps these by name; read its list without importing it
+def _traced():
+    """The tracer's (layer, module, attribute) list, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these by name
+    traced = _traced()
     missing = []
     for _, modname, attr in traced:
         owner = importlib.import_module(modname)
@@ -144,3 +149,60 @@ def test_workflow_runs_the_offline_checks_through_ci_local():
     assert all("tests/ci_local.py" in body for body in steps.values())
     assert "perfbench/run.py" not in text
     assert "deep.json" not in text and '"[" *' not in text
+
+
+# definitions no library code calls, kept on purpose: public API for paper
+# results, and an argparse override (ROADMAP item 4's "Keep")
+KEPT = {"e_transform", "connectivity_value", "olson_weak_certificate", "stab_correspondence_check",
+        "poly_at", "bell_number", "_Parser.error", "StabCorrespondence.matches"}
+# orphans whose deletion waits on their test references (ROADMAP item 4)
+PENDING = {"Algebra.basis_vec", "lattice_sum"}
+
+
+def _definitions(texts):
+    """(defined, unreferenced): the qualified names of the functions, methods
+    and classes in the module texts, and those of them that no
+    Name, Attribute or import there refers to by name.  Dunder methods are
+    called by the interpreter and count as referenced."""
+    defined, refs = set(), set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(prefix + child.name)
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    for text in texts:
+        tree = ast.parse(text)
+        walk(tree, "")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                refs.update(alias.name.rpartition(".")[2] for alias in node.names)
+    unreferenced = set()
+    for qual in defined:
+        name = qual.rpartition(".")[2]
+        if name not in refs and not (name.startswith("__") and name.endswith("__")):
+            unreferenced.add(qual)
+    return defined, unreferenced
+
+
+def test_every_library_definition_has_a_caller():
+    # a definition that only tests call is dead weight: delete it, or list it above
+    defined, unreferenced = _definitions(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert unreferenced - {attr for _, _, attr in _traced()} - KEPT - PENDING == set()
+    assert KEPT | PENDING <= defined  # the lists shrink when a name is deleted
+
+
+def test_caller_guard_sees_orphans():
+    src = ("class C:\n    def used(self): pass\n    def orphan(self): pass\n"
+           "    def __len__(self): return 0\n"
+           "def f():\n    def inner(): pass\n    return C().used()\n")
+    defined, unreferenced = _definitions([src, "from m import f\n"])
+    assert defined == {"C", "C.used", "C.orphan", "C.__len__", "f", "f.inner"}
+    assert unreferenced == {"C.orphan", "f.inner"}

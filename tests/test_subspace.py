@@ -5,7 +5,7 @@ import pytest
 
 from addalg import linalg
 from addalg import subspace as sub
-from addalg.algebra import Algebra, Element, poly_quotient_product
+from addalg.algebra import Algebra, Element, poly_quotient_product, split_etale_algebra
 from addalg.errors import (
     AlgebraMismatch,
     EmptyGeneratingSet,
@@ -64,6 +64,16 @@ def test_translate_refuses_an_element_of_another_algebra():
     for side in ("left", "right"):
         with pytest.raises(AlgebraMismatch):
             sub.translate(x, v, side=side)
+
+
+def test_contains_space_refuses_a_space_of_another_algebra():
+    # two Q^3 share their rows, so only the algebra tells their spaces apart
+    q3, other, q5 = split_etale_algebra(3), split_etale_algebra(3), split_etale_algebra(5)
+    v = sub.coordinate_span(q3, [0])
+    for w in (sub.full_space(other), sub.zero_space(other), sub.coordinate_span(q5, [0, 4])):
+        for x, y in ((v, w), (w, v)):
+            with pytest.raises(AlgebraMismatch):
+                x.contains_space(y)
 
 
 def test_preimage_matches_the_reference():

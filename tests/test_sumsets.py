@@ -103,6 +103,17 @@ def test_e_transform_refuses_spaces_of_two_algebras():
             sumsets.e_transform(a, b, other.one())
 
 
+def test_diderrich_certificate_refuses_spaces_of_two_algebras():
+    # refused before any other check: the M2x2 space does not commute, and
+    # the Q^3 spaces' rows are too short for Q^4
+    q3, other, q4 = (sub.full_space(split_etale_algebra(n)) for n in (3, 3, 4))
+    m2 = sub.full_space(algebra_fixture("M2x2"))
+    for a, b in ((q3, q4), (q4, q3), (q3, other), (m2, q4)):
+        for certify in (sumsets.diderrich_certificate, sumsets.olson_weak_certificate):
+            with pytest.raises(AlgebraMismatch, match="subspaces of different algebras"):
+                certify(a, b)
+
+
 TRANSFORM_ALGEBRAS = {name: algebra_fixture(name) for name in ("Q4", "QZ5", "QT3", "QS3", "M2x2")}
 TRANSFORM_ALGEBRAS["polyprod"] = gen.gen_instance("polyprod", 0).algebra
 
