@@ -407,7 +407,8 @@ def poly_quotient_product(polys, label="") -> Algebra:
     """Product of quotients Q[T]/(P_i), power basis per factor.
 
     In the block of a factor P of degree d, b_i b_j is T^(i+j) mod P, one
-    remainder for each i + j < 2d - 1.
+    remainder for each i + j < 2d - 1.  P is monic, so each remainder is
+    the last one times T, less its top coefficient times P.
     """
     polys = [p.monic() for p in polys]
     if not polys:
@@ -417,8 +418,12 @@ def poly_quotient_product(polys, label="") -> Algebra:
         if p.is_constant:
             raise EmptyDescription("factor polynomials must be non-constant")
         d = p.degree
-        rems = [Poly.monomial(m) % p for m in range(2 * d - 1)]
-        cells = [[tuple((k, c) for k, c in enumerate(rems[i + j].coeffs) if c)
+        rems = [[Fraction(1)] + [Fraction(0)] * (d - 1)]  # coefficients of T^0 mod P
+        for _ in range(2 * d - 2):
+            top = rems[-1][-1]
+            shifted = [Fraction(0)] + rems[-1][:-1]
+            rems.append([r - top * c for r, c in zip(shifted, p.coeffs)] if top else shifted)
+        cells = [[tuple((k, c) for k, c in enumerate(rems[i + j]) if c)
                   for j in range(d)] for i in range(d)]
         blocks.append((cells, [1] + [0] * (d - 1)))
     return _block_diagonal(blocks, label or " x ".join(f"Q[T]/({p})" for p in polys))

@@ -4,10 +4,11 @@ Bridges combinatorial Minkowski products and stabilizers to the monoid
 algebra: subsets lift to indicator-vector subspaces, where cardinalities
 become dimensions.  The single-pair checks take subsets as frozensets
 (minkowski, combinatorial_stabilizer, lift_subset); the group sweep holds
-each subset as its integer mask, bit i for element i, and reads AB and
-H(AB) as ORs of image masks off the multiplication table, once the
-algebra's cells are found to copy that table.  A table owns its algebra,
-which keeps no pointer back: lift_subset reads the cells alone.
+each subset as its integer mask, bit i for element i, reads AB and H(AB)
+as ORs of bits off the multiplication table, once the algebra's cells are
+found to copy that table, and tests each pair against one limit per
+distinct AB.  A table owns its algebra, which keeps no pointer back:
+lift_subset reads the cells alone.
 """
 
 from __future__ import annotations
@@ -200,12 +201,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _images(rows, members) -> list[int]:
-    """The mask of xS for each x, S the set of members: the OR of rows[x][y]
-    over y in S, where rows[x][y] is the bit of xy."""
-    return [reduce(or_, [row[y] for y in members]) for row in rows]
-
-
 def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> SweepReport:
     """Check |AB| >= |A| + |B| - |H_AB| over subset pairs of a group.
 
@@ -215,9 +210,15 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
     is the lift of the k of the cells b_x b_y = c b_k over x in A, y in B,
     so it is the lift of AB for every pair once the cells' k table equals
     the multiplication table: one comparison of all n^2 cells checks that,
-    or raises TableMismatch.  Per distinct B the images xB are computed
-    once, and AB is their OR over x in A; per distinct AB, |H_AB| (the g
-    with gAB = AB) and the stabilizer dimension of AB's lift are computed once.
+    or raises TableMismatch.
+
+    Per distinct AB, |H_AB| (the g with gAB = AB) and the stabilizer
+    dimension of AB's lift are computed once, and both checks fold into
+    one limit: |AB| + |H_AB|, or -1 when the dimension differs from |H_AB|.
+    A pair is reported iff its limit is below |A| + |B|, and only then is
+    its record built.  An exhaustive sweep forms, per A, the n translates
+    Ay and then AB for every B at once by doubling over the bits of B; a
+    sampled one forms AB as the OR of xy over the drawn A and B.
     """
     if exhaustive and not m.is_group():
         raise NotAGroup(f"{m.label} has non-invertible elements")
@@ -228,48 +229,61 @@ def group_kneser_sweep(m: MulTable, exhaustive=True, seed=0, count=200) -> Sweep
     report = SweepReport()
     n = m.size
     masks = range(1, 1 << n)
-    if exhaustive:
-        pairs = ((a, b) for a in masks for b in masks)
-    else:
-        # choice draws the same index from masks as from the list of all subsets
-        rng = random.Random(seed)
-        pairs = ((rng.choice(masks), rng.choice(masks)) for _ in range(count))
     table_bits = [[1 << k for k in row] for row in t]
-    members = {}  # mask -> its set bits
-    images = {}  # B -> xB for each x
     stabs = {}  # AB -> (|H(AB)|, dim of the left stabilizer of AB's lift)
-    for a, b in pairs:
-        if a not in members:
-            members[a] = _bits(a)
-        xs = members[a]
-        if b not in images:
-            if b not in members:
-                members[b] = _bits(b)
-            images[b] = _images(table_bits, members[b])
-        by_table = images[b]
+    limits = {}  # AB -> |AB| + |H(AB)|, or -1 where the two routes disagree
+
+    def add_limits(products):
+        for ab in products:
+            members = _bits(ab)
+            h = sum(reduce(or_, [row[z] for z in members]) == ab for row in table_bits)
+            hdim = sub.stabilizer(sub.coordinate_span(alg, members), "left").dim
+            stabs[ab] = h, hdim
+            limits[ab] = len(members) + h if hdim == h else -1
+
+    def record(xs, ys, ab):
+        h, hdim = stabs[ab]
+        size_ab = ab.bit_count()
+        if size_ab < len(xs) + len(ys) - h:
+            return {"A": list(xs), "B": list(ys), "issue": "combinatorial bound",
+                    "|AB|": size_ab, "|A|": len(xs), "|B|": len(ys), "|H|": h}
+        return {"A": list(xs), "B": list(ys), "issue": "algebra route disagrees",
+                "dim_span": size_ab, "|AB|": size_ab, "dim_stab": hdim, "|H|": h}
+
+    if exhaustive:
+        sizes = [b.bit_count() for b in range(1 << n)]
+        columns = list(zip(*table_bits))  # columns[y][x] is the bit of xy
+        for a in masks:
+            xs = _bits(a)
+            prods = [0]  # prods[B] = AB: bit y of B adds the translate Ay
+            for column in columns:
+                ay = reduce(or_, [column[x] for x in xs])
+                prods += [p | ay for p in prods]
+            add_limits(set(prods).difference(limits, (0,)))  # the new ABs; B = 0 is no pair
+            size_a = len(xs)
+            report.pairs_checked += len(masks)
+            report.violations += [record(xs, _bits(b), prods[b]) for b in masks
+                                  if limits[prods[b]] < size_a + sizes[b]]
+        return report
+    # choice draws the same index from masks as from the list of all subsets
+    rng = random.Random(seed)
+    members = {}  # drawn mask -> its set bits
+    for _ in range(count):
+        a, b = rng.choice(masks), rng.choice(masks)
+        for mask in (a, b):
+            if mask not in members:
+                members[mask] = _bits(mask)
+        xs, ys = members[a], members[b]
         ab = 0
         for x in xs:
-            ab |= by_table[x]
-        if ab not in stabs:
-            # gAB is the OR of (gx)B over x in A
-            h = sum(reduce(or_, [by_table[row[x]] for x in xs]) == ab for row in t)
-            stabs[ab] = h, sub.stabilizer(sub.coordinate_span(alg, _bits(ab)), "left").dim
-        h, hdim = stabs[ab]
+            row = table_bits[x]
+            for y in ys:
+                ab |= row[y]
+        if ab not in limits:
+            add_limits((ab,))
         report.pairs_checked += 1
-        size_ab, size_a, size_b = ab.bit_count(), len(xs), b.bit_count()
-        if size_ab < size_a + size_b - h:
-            report.violations.append({
-                "A": list(xs), "B": list(members[b]),
-                "issue": "combinatorial bound",
-                "|AB|": size_ab, "|A|": size_a, "|B|": size_b, "|H|": h,
-            })
-        elif hdim != h:
-            report.violations.append({
-                "A": list(xs), "B": list(members[b]),
-                "issue": "algebra route disagrees",
-                "dim_span": size_ab, "|AB|": size_ab,
-                "dim_stab": hdim, "|H|": h,
-            })
+        if limits[ab] < len(xs) + len(ys):
+            report.violations.append(record(xs, ys, ab))
     return report
 
 

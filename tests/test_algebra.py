@@ -91,6 +91,23 @@ def test_min_poly_examples():
     assert min_poly(t) == Poly.monomial(4)
 
 
+def test_poly_quotient_cells_are_the_remainders_of_t_powers():
+    # each cell b_i b_j is T^(i+j) mod P, here recomputed by one division per cell
+    rng = random.Random(5)
+    polys = [Poly.monomial(4), Poly.of(1, 0, 2, 0, 1), Poly.monomial(2), T,
+             (T - Poly.one()) * (T - Poly.of(2)) * (T - Poly.of(3)),
+             Poly.of(F(1, 3), F(-2, 5), F(7, 2), 1)]
+    polys += [Poly.of(*[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)], 1)
+              for d in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    for p in polys:
+        alg = poly_quotient_product([p])
+        d = p.degree
+        for i in range(d):
+            for j in range(d):
+                want = {k: c for k, c in enumerate((Poly.monomial(i + j) % p).coeffs) if c}
+                assert {k: F(c, alg.den) for k, c in alg.sparse[i][j]} == want
+
+
 def test_min_poly_annihilates_and_is_minimal():
     rng = random.Random(2)
     for name in ("QZ4", "QT4", "Q5", "QP2"):

@@ -245,7 +245,7 @@ def test_group_kneser_sweep_sampled_s3():
     assert rep.ok
 
 
-@pytest.mark.parametrize("name", ["Z4", "V4", "Z6", "S3"])
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "V4", "Z5", "Z6", "S3"])
 def test_exhaustive_sweep_matches_memo_free_reference(name):
     m = table_fixture(name)
     got = discrete.group_kneser_sweep(m).to_json()
@@ -265,23 +265,49 @@ def test_sampled_sweep_matches_memo_free_reference(name, seed):
         assert issues == {"combinatorial bound", "algebra route disagrees"}
 
 
+def test_sampled_sweep_defaults_to_seed_0_and_200_pairs():
+    m = graded_m()
+    got = discrete.group_kneser_sweep(m, exhaustive=False).to_json()
+    assert got["pairs_checked"] == 200
+    assert json.dumps(got) == json.dumps(memo_free_sweep(m, exhaustive=False, seed=0, count=200))
+    assert got != discrete.group_kneser_sweep(m, exhaustive=False, seed=1).to_json()
+
+
 @pytest.mark.parametrize("name", ["Z8", "Z12"])
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_sampled_sweep_builds_only_the_drawn_subsets(name, seed, monkeypatch):
     # the pairs come from masks drawn like indices into the list of all
-    # 2^n - 1 subsets, and image masks are computed only for the drawn B
-    # masks, each once
+    # 2^n - 1 subsets; the set bits are formed for each drawn mask once and
+    # for each distinct AB once, whose lift gets the one stabilizer call
     m = table_fixture(name)
-    processed = []
-    real_images = discrete._images
-    monkeypatch.setattr(discrete, "_images", lambda rows, members: processed.append(
-        sum(1 << y for y in members)) or real_images(rows, members))
+    formed, spans = [], []
+    real_bits, real_stabilizer = discrete._bits, sub.stabilizer
+    monkeypatch.setattr(discrete, "_bits", lambda mask: formed.append(mask) or real_bits(mask))
+    monkeypatch.setattr(sub, "stabilizer", lambda v, side="left": spans.append(v.rows)
+                        or real_stabilizer(v, side))
     got = discrete.group_kneser_sweep(m, exhaustive=False, seed=seed, count=40).to_json()
-    drawn = {sum(1 << y for y in b) for _, b in ref.sampled_pairs(m.size, seed, 40)}
-    assert Counter(processed) == {mask: 1 for mask in drawn}
+    pairs = ref.sampled_pairs(m.size, seed, 40)
+    drawn = {sum(1 << y for y in s) for pair in pairs for s in pair}
+    products = {ref.set_product(m.table, a, b) for a, b in pairs}
+    assert Counter(formed) == Counter(drawn) + Counter(sum(1 << z for z in ab) for ab in products)
     assert 0 < len(drawn) <= 80
+    assert sorted(spans) == sorted(sub.coordinate_span(m.algebra(), ab).rows for ab in products)
+    monkeypatch.undo()
     want = memo_free_sweep(m, exhaustive=False, seed=seed, count=40)
     assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("name, records", [("paper-m7", 655), ("graded-m", 3681)])
+def test_exhaustive_sweep_records_match_memo_free_reference_on_monoids(name, records, monkeypatch):
+    # Kneser holds in groups, so only a monoid reaches the exhaustive record
+    # path: let the group check pass and require both issues, in order
+    monkeypatch.setattr(MulTable, "is_group", lambda self: True)
+    m = table_fixture(name)
+    got = discrete.group_kneser_sweep(m).to_json()
+    want = memo_free_sweep(m)
+    assert json.dumps(got) == json.dumps(want)
+    issues = Counter(v["issue"] for v in want["violations"])
+    assert sum(issues.values()) == records and len(issues) == 2
 
 
 def test_sampled_sweep_draws_its_pairs_lazily():
