@@ -26,9 +26,11 @@ multiplication and no elimination.  Invertibility certificates and
 invertible bases take their points from one Vandermonde line; the
 invertible points of an invertible basis are also drawn lazily
 (_invertible_points), so the e-transform recursion tests none past the
-pivot it takes.  The module also builds generated subalgebras, whose
-closure stops at the full algebra, and the radical as the kernel of the
-trace form's integer Gram matrix.
+pivot it takes.  span(XW) <= T is tested product by product against T's
+projection (_products_within), with no span of XW built.  The module also
+builds generated subalgebras, as the last span of a lazy closure chain
+(_closure) that stops at the full algebra, and the radical as the kernel
+of the trace form's integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -313,6 +315,17 @@ def product_span(v: Subspace, w: Subspace) -> Subspace:
     return _span(alg, products)
 
 
+def _products_within(left, w: Subspace, t: Subspace) -> bool:
+    """Whether span(XW) <= T, X the span of the integer rows `left` of T's
+    algebra, each given as its nonzero (index, entry) pairs
+    (Subspace.row_nonzeros): every product x*y of such a row x by a row y of
+    W lies in T.  Each product is read through T's projection, the first
+    outside T stops the test, and no span of XW is built."""
+    _check_same(w, t)
+    mul, right = t.algebra.mul_pairs, w.row_nonzeros
+    return all(t._holds(mul(x, y)) for x in left for y in right)
+
+
 def translate(x: Element, v: Subspace, side="left") -> Subspace:
     """Span of x*V (left) or V*x (right)."""
     alg = v.algebra
@@ -546,12 +559,13 @@ def invertible_basis(v: Subspace) -> list[Element]:
     return out
 
 
-def subalgebra_generated(elements: list[Element]) -> Subspace:
-    """Least unital subalgebra containing the given elements.
-
-    The first span is of the unit's integer row (unit_num) and the
-    elements' rows; products of that span with itself grow it until it
-    stops growing or fills the algebra, which is closed with no product.
+def _closure(elements: list[Element]):
+    """The spans of the closure of the given elements, lazily, each holding
+    the one before: span(1, S) of the unit's integer row (unit_num) and the
+    elements' rows, then its square, and so on.  Every one lies in the
+    subalgebra S generates, and the last is that subalgebra: the chain stops
+    at a span whose square does not grow it, or at the full algebra, which
+    is closed with no product.
     """
     if not elements:
         raise EmptyGeneratingSet("subalgebra of empty generating set")
@@ -560,10 +574,18 @@ def subalgebra_generated(elements: list[Element]) -> Subspace:
         raise AlgebraMismatch("generators from different algebras")
     cur = _span(alg, [alg.unit_num, *(x.num for x in elements)])
     for _ in range(alg.dim + 1):
+        yield cur
         if cur.dim == alg.dim:
-            return cur
+            return
         nxt = product_span(cur, cur)  # holds cur, since cur holds the unit
         if nxt.dim == cur.dim:
-            return cur
+            return
         cur = nxt
     raise AssertionError("saturation failed to stabilize within dim iterations")
+
+
+def subalgebra_generated(elements: list[Element]) -> Subspace:
+    """Least unital subalgebra containing the given elements: the last span
+    of their _closure."""
+    *_, last = _closure(elements)
+    return last

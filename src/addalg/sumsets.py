@@ -9,9 +9,11 @@ lambda it enumerates the subalgebras of a split etale algebra.
 The e-transform works in A's own coordinates: it forms the images a_i*e
 once, reads their residuals against B's projection, and takes A n Be^-1
 from one kernel over dim A columns and B + Ae from the same images.  The
-recursion tests span(AB) <= B product by product against B's projection,
-and draws its pivots one at a time from B's invertible points
-(subspace._invertible_points), stopping at the first that shrinks A.
+recursion tests span(AB) <= B product by product against B's projection
+(subspace._products_within), and draws its pivots one at a time from B's
+invertible points (subspace._invertible_points), stopping at the first that
+shrinks A.  A certificate's checks each stop at their first proof: see
+DiderrichCertificate.violations.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from . import subspace as sub
 from .algebra import Element
 from .errors import (
     AddalgError,
+    AlgebraMismatch,
     EpsilonOutOfRange,
     LambdaOutOfRange,
     NoInvertibleFound,
@@ -94,6 +97,19 @@ def _e_step(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
     return sub._inverse_image(alg, a.rows, images, b), sub._span(alg, [*b.rows, *images])
 
 
+def _unit_line(h: Subspace) -> bool:
+    """Whether H is the unit line Q*1: then H lies in every unital subalgebra,
+    and H*X = X for every space X."""
+    return h.dim == 1 and h.contains_unit()
+
+
+def _in_generated(h: Subspace, a: Subspace) -> bool:
+    """Whether H lies in K[A], the subalgebra A generates: at once when H is
+    the unit line; otherwise at the first span of A's closure chain that
+    holds H, each of which lies in K[A], and False once the chain saturates."""
+    return _unit_line(h) or any(s.contains_space(h) for s in sub._closure(a.elements()))
+
+
 @dataclass(frozen=True)
 class DiderrichCertificate:
     """Constructive witness (subalgebra, module space) for the sum bound."""
@@ -106,21 +122,34 @@ class DiderrichCertificate:
     source_b: Subspace
 
     def violations(self) -> list[str]:
-        """Mechanical check of every certificate invariant; empty means valid."""
+        """Mechanical check of every certificate invariant; empty means valid.
+
+        Each check reads only the certificate and its sources, and stops at
+        its first proof.  H lies in K[A] at once when it is the unit line,
+        and otherwise as soon as one span of A's closure chain holds it (each
+        lies in K[A]).  aB <= V and H*V <= V are read product by product
+        through V's projection; when H holds the unit, H*V <= V gives
+        H*V = V, and only an H without it has its product span formed.
+        """
         out = []
         h, v = self.subalgebra, self.space
         src_a, src_b = self.source_a, self.source_b
         if not sub.is_subalgebra(h):
             out.append("subalgebra closure")
-        if not h.contains_unit():
+        unit = h.contains_unit()
+        if not unit:
             out.append("unit in subalgebra")
-        if not sub.subalgebra_generated(src_a.elements()).contains_space(h):
+        if not _in_generated(h, src_a):
             out.append("subalgebra inside generated algebra of A")
         if not sub.product_span(src_a, src_b).contains_space(v):
             out.append("space inside span of AB")
-        if not v.contains_space(sub.translate(self.a, src_b, side="left")):
+        if self.a.algebra is not src_b.algebra:
+            raise AlgebraMismatch("element from a different algebra")
+        if not sub._products_within([linalg.nonzeros(self.a.num)], src_b, v):
             out.append("span of aB inside space")
-        if sub.product_span(h, v) != v:
+        sub._check_same(h, v)
+        if not (sub._products_within(h.row_nonzeros, v, v)
+                and (unit or sub.product_span(h, v) == v)):
             out.append("module property H*V = V")
         if sub.contains_invertible(v).kind != "YES":
             out.append("invertible in space")
@@ -138,13 +167,12 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     span(AB) is not inside B, some element of B's invertible basis shrinks A.
     span(AB) <= B iff every product a_i*b_j of their rows lies in B, so the
     test reads each product through B's projection, stopping at the first
-    outside B, and builds no span of AB.
+    outside B (subspace._products_within), and builds no span of AB.
     """
     if a.dim == 1:
         return sub.unit_span(a.algebra), b, 0
     # span(AB) <= B gives Ae <= B, so A n Be^-1 = A, for every e in B: no pivot can shrink A
-    mul, right = a.algebra.mul_pairs, b.row_nonzeros
-    if all(b._holds(mul(x, y)) for x in a.row_nonzeros for y in right):
+    if sub._products_within(a.row_nonzeros, b, b):
         return sub.subalgebra_generated(a.elements()), b, 0
     for e in sub._invertible_points(b):  # each already tested invertible
         a_e, b_e = _e_step(a, b, e)
@@ -164,9 +192,12 @@ def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichC
     invertibles so the unit lies in a^-1 A and B b^-1, shrink A while
     span(AB) is not contained in span(B), and fall back to the generated
     subalgebra once it is.  Every division is a preimage (subspace.preimage),
-    so no inverse is formed.  An element of B's invertible basis always
-    shrinks A, since Ae <= B for every e of a basis of B gives span(AB) <= B.
-    The seed drives only the invertibility searches on A and B.
+    so no inverse is formed; a side whose chosen invertible is the unit,
+    which it is exactly when the side holds the unit, is taken as it is, and
+    its final translate is skipped (1*A = A and V*1 = V).  An element of B's
+    invertible basis always shrinks A, since Ae <= B for every e of a basis
+    of B gives span(AB) <= B.  The seed drives only the invertibility
+    searches on A and B.
     """
     sub._check_same(a, b)
     if not _pairwise_commuting(a):
@@ -177,11 +208,14 @@ def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichC
     cert_b = sub.contains_invertible(b, seed=seed)
     if cert_b.kind != "YES":
         raise NoInvertibleInB(f"certificate {cert_b.kind} for B")
-    xa, xb = cert_a.witness, cert_b.witness
-    a_norm = sub.preimage(xa, a, side="left")  # a^-1 A = {y : a*y in A}
-    b_norm = sub.preimage(xb, b, side="right")  # B b^-1 = {y : y*b in B}
+    xa, xb, one = cert_a.witness, cert_b.witness, a.algebra.one()
+    a_norm = a if xa == one else sub.preimage(xa, a, side="left")  # a^-1 A = {y : a*y in A}
+    b_norm = b if xb == one else sub.preimage(xb, b, side="right")  # B b^-1 = {y : y*b in B}
     h, v, depth = _recurse(a_norm, b_norm)
-    v = sub.translate(xa, sub.translate(xb, v, side="right"), side="left")
+    if xb != one:
+        v = sub.translate(xb, v, side="right")
+    if xa != one:
+        v = sub.translate(xa, v, side="left")
     return DiderrichCertificate(a=xa, subalgebra=h, space=v, recursion_depth=depth,
                                 source_a=a, source_b=b)
 
@@ -277,6 +311,7 @@ def kneser_nfold_check(spaces: list[Subspace]) -> NfoldReport:
     The strengthened bound through the dims_ih = dim span(H A_i) is a
     theorem only in a commutative algebra, so it is checked only there
     (where H A_i = A_i H); elsewhere dims_ih and strong_bound_holds are None.
+    When H is the unit line, H A_i = A_i and dims_ih is dims.
     """
     if len(spaces) < 2:
         raise ValueError("need at least two factors")
@@ -289,7 +324,7 @@ def kneser_nfold_check(spaces: list[Subspace]) -> NfoldReport:
     plain = prod.dim >= sum(dims) - (n - 1) * h.dim
     if not prod.algebra.commutative:
         return NfoldReport(dims, prod.dim, h.dim, plain)
-    dims_ih = tuple(sub.product_span(h, s).dim for s in spaces)
+    dims_ih = dims if _unit_line(h) else tuple(sub.product_span(h, s).dim for s in spaces)
     strong = prod.dim >= sum(dims_ih) - (n - 1) * h.dim
     return NfoldReport(dims, prod.dim, h.dim, plain, dims_ih, strong)
 

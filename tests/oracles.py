@@ -10,7 +10,9 @@ schoolbook polynomial Euclid, Yun's squarefree decomposition on top of
 it and products, the canonical RREF with its pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
 solve, minimal polynomial and inverse on top of ref's elimination, the
-subalgebra generated by V u^-1 on top of that inverse, the trace form's
+closure of a span under products, the subalgebra generated by V u^-1 on
+top of that inverse, a Diderrich certificate's violated invariants read
+off spans formed in full, the trace form's
 radical and the commutant dimension dim End_A(J/J^2), monoid-check's
 atom and Hamidoune verdict from a multiplication table,
 dense tensors built from each algebra's definition, and a seeded
@@ -200,33 +202,73 @@ def ref_invert(table, unit, x):
     return "inverse", y
 
 
-def generated_subalgebra(table, unit, rows):
-    """Canonical basis of the subalgebra generated by V u^-1, u invertible
-    in V, the span of rows; None when V holds no invertible.
+def _first_invertible(table, unit, basis):
+    """(u, u^-1) for the first invertible point u = sum c_i v_i, c in
+    {1..n+1}^r, over the basis v_1..v_r, or None when V holds no invertible.
 
-    u is the first invertible point sum c_i v_i, c in {1..n+1}^r, over V's
-    canonical basis v_1..v_r: the determinant of y -> u y has degree at
-    most n in each c_i, so it vanishes on that whole grid only when it
-    vanishes on all of V.  V u^-1 is V's basis times ref_invert's inverse,
-    and the span of the unit and V u^-1 takes in the products of its basis
-    vectors until its rank stops growing.
+    The determinant of y -> u y has degree at most n in each c_i, so it
+    vanishes on that whole grid only when it vanishes on all of V.
     """
     n = len(table)
-    basis = ref.basis(rows)
     for cs in product(range(1, n + 2), repeat=len(basis)):
         u = [sum(c * v[k] for c, v in zip(cs, basis)) for k in range(n)]
         kind, inverse = ref_invert(table, unit, u)
         if kind == "inverse":
-            break
-    else:
-        return None
-    span = ref.basis([unit, *(ref_mul(table, v, inverse) for v in basis)])
+            return u, inverse
+    return None
+
+
+def ref_closure(table, rows):
+    """Canonical basis of the span of rows grown by the products of its basis
+    vectors until its rank stops growing: the least subspace closed under
+    products that holds the rows."""
+    span = ref.basis(rows)
     while True:
         grown = ref.basis([*span, *(ref_mul(table, x, y) for x in span for y in span)])
         if len(grown) == len(span):
             return span
         span = grown
 
+
+def generated_subalgebra(table, unit, rows):
+    """Canonical basis of the subalgebra generated by V u^-1, u invertible
+    in V, the span of rows; None when V holds no invertible.
+
+    u is _first_invertible's point over V's canonical basis, V u^-1 is V's
+    basis times ref_invert's inverse, and the subalgebra is the closure of
+    the unit and V u^-1.
+    """
+    basis = ref.basis(rows)
+    found = _first_invertible(table, unit, basis)
+    if found is None:
+        return None
+    inverse = found[1]
+    return ref_closure(table, [unit, *(ref_mul(table, v, inverse) for v in basis)])
+
+
+def ref_certificate_violations(table, unit, a, h, v, src_a, src_b):
+    """The violated invariants of a Diderrich certificate (a, H, V) for the
+    sources A and B, all given as dense rows, in the order and with the
+    names of DiderrichCertificate.violations, each read off spans formed in
+    full: H*H, K[A] (the closure of the unit and A), span(AB), aB and H*V.
+    V must not be 0."""
+    def products(xs, ys):
+        return [ref_mul(table, x, y) for x in xs for y in ys]
+
+    unit = tuple(map(Fraction, unit))
+    holds_unit = ref.contains(h, [unit])
+    checks = [
+        ("subalgebra closure", holds_unit and ref.contains(h, products(h, h))),
+        ("unit in subalgebra", holds_unit),
+        ("subalgebra inside generated algebra of A",
+         ref.contains(ref_closure(table, [unit, *src_a]), h)),
+        ("space inside span of AB", ref.contains(products(src_a, src_b), v)),
+        ("span of aB inside space", ref.contains(v, products([a], src_b))),
+        ("module property H*V = V", ref.same_span(products(h, v), v)),
+        ("invertible in space", _first_invertible(table, unit, ref.basis(v)) is not None),
+        ("dimension inequality", ref.rank(v) + ref.rank(h) >= ref.rank(src_a) + ref.rank(src_b)),
+    ]
+    return [name for name, ok in checks if not ok]
 
 
 def ref_radical(table):

@@ -366,6 +366,22 @@ def test_subalgebra_generated_stops_at_the_full_algebra(monkeypatch):
     assert dims == []
 
 
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_closure_chain_grows_to_the_generated_subalgebra(name):
+    # each span lies in the next, each square grows it until the last, which
+    # is closed, and the first is span(1, gens)
+    alg = algebra_fixture(name)
+    rng = random.Random(name)
+    for k in (1, 2):
+        gens = [alg.element([F(rng.randint(-2, 2)) for _ in range(alg.dim)]) for _ in range(k)]
+        chain = list(sub._closure(gens))
+        assert chain[0] == sub.span_of([alg.one(), *gens])
+        for cur, nxt in zip(chain, chain[1:]):
+            assert nxt == sub.product_span(cur, cur) and nxt.dim > cur.dim
+        assert chain[-1] == sub.subalgebra_generated(gens)
+        assert chain[-1].dim == alg.dim or sub.product_span(chain[-1], chain[-1]) == chain[-1]
+
+
 def test_subalgebra_generated_refuses_elements_of_two_algebras():
     # QZ3 and Q3 share a dimension, so the rows alone cannot tell them apart
     q3, qz3 = algebra_fixture("Q3"), algebra_fixture("QZ3")

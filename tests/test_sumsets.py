@@ -1,5 +1,7 @@
+import dataclasses
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +27,8 @@ from addalg.errors import (
 )
 from addalg.fixtures import algebra_fixture
 
-from oracles import generated_subalgebra, ref, ref_invert, ref_mul
+from oracles import generated_subalgebra, ref, ref_certificate_violations, ref_invert, ref_mul
+from test_acceptance import _instance_stream
 from test_algebra import fixture_reference
 
 
@@ -324,6 +327,25 @@ def test_certificate_random_sweep():
         assert cert.recursion_depth < max(inst.subspaces["A"].dim, 1) + 1
 
 
+def test_certificate_seed_drives_a_sampled_witness_and_defaults_to_0():
+    # V in Q^9 has the canonical basis e_i + sum_k q_k[i] e_k, i < 4, with
+    # q_4..q_8 cubics whose roots cover t = 1..14: every basis vector and
+    # every point sum t^i e_i of its Vandermonde line has a zero coordinate.
+    # Its grid of 10^4 points is past the cap, so A's witness is the first
+    # seeded random draw, the 19th trial.
+    alg = split_etale_algebra(9)
+    roots = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)]
+    cubics = [(-a * b * c, a * b + a * c + b * c, -(a + b + c), 1) for a, b, c in roots]
+    v = sub.from_vecs(alg, [[int(j == i) for j in range(4)] + [q[i] for q in cubics]
+                            for i in range(4)])
+    full = sub.full_space(alg)
+    certs = [sumsets.diderrich_certificate(v, full, seed=seed) for seed in (0, 1)]
+    assert [sub.contains_invertible(v, seed=seed).trials_used for seed in (0, 1)] == [19, 19]
+    assert certs[0].a != certs[1].a
+    assert sumsets.diderrich_certificate(v, full) == certs[0]
+    assert certs[0].violations() == certs[1].violations() == []
+
+
 def test_certificate_path_forms_no_inverse(monkeypatch):
     # a^-1 A, B b^-1 and each A n Be^-1 are preimages; no inverse is formed
     def refuse(self):
@@ -358,6 +380,145 @@ def test_certificate_path_forms_no_inverse(monkeypatch):
             assert a_e == sub.lattice_intersect(a, b_inv)
             assert b_e == sub.lattice_sum(b, sub.translate(e, a, side="right"))
     assert pivots >= 40  # the e-transforms must actually have been exercised
+
+
+def ref_violations(cert):
+    """The reference's violated invariants for the certificate's dense rows."""
+    alg = cert.source_a.algebra
+    return ref_certificate_violations(alg.table, alg.unit, cert.a.coords, cert.subalgebra.basis,
+                                      cert.space.basis, cert.source_a.basis, cert.source_b.basis)
+
+
+def forged_certificates():
+    """(certificate, violated invariants) pairs, each a valid certificate
+    with its a, H or V replaced.  In Q^4, with e1 and e2 the first two
+    idempotents, A = span(1, e1) generates K[A] = A and span(AB) is
+    span(1, e1, e2) for B = span(1, e2); in Q[Z5], g generates K[A] = Q[Z5]
+    from A = span(1, g), and span(AB) is the whole algebra for
+    B = span(1, g, g^2, g^3), so every H with the unit has H*V = V = Q[Z5].
+    An H without the unit is never a subalgebra, so those break two
+    invariants at once."""
+    q4 = algebra_fixture("Q4")
+    one, e1, e2 = (1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0)
+    a, b = sub.from_vecs(q4, [one, e1]), sub.from_vecs(q4, [one, e2])
+    valid = sumsets.DiderrichCertificate(q4.one(), a, sub.from_vecs(q4, [one, e1, e2]), 0, a, b)
+    forge = dataclasses.replace
+    yield valid, []
+    yield forge(valid, subalgebra=sub.unit_span(q4)), []
+    yield forge(valid, a=q4.element((2, 1, 1, 1))), []  # an invertible a other than 1
+    yield forge(valid, subalgebra=b), ["subalgebra inside generated algebra of A"]
+    yield forge(valid, space=sub.full_space(q4)), ["space inside span of AB"]
+    yield forge(valid, space=a), ["span of aB inside space"]
+    yield forge(valid, a=q4.element((2, 1, 1, 1)), space=a), ["span of aB inside space"]
+    yield forge(valid, space=b), ["module property H*V = V"]
+    yield forge(valid, a=q4.element(e1), space=sub.from_vecs(q4, [e1, e2])), ["invertible in space"]
+    yield forge(valid, subalgebra=sub.unit_span(q4), space=b), ["dimension inequality"]
+    yield forge(valid, subalgebra=sub.from_vecs(q4, [e1]), space=b), [
+        "subalgebra closure", "unit in subalgebra", "module property H*V = V",
+        "dimension inequality"]
+
+    qz5 = algebra_fixture("QZ5")
+    g = [qz5.basis_vec(i) for i in range(5)]
+    a, b = sub.from_vecs(qz5, g[:2]), sub.from_vecs(qz5, g[:4])
+    full = sub.full_space(qz5)
+    # K[A] holds H = Q[Z5] only at the third span of A's closure chain
+    valid = sumsets.DiderrichCertificate(qz5.one(), full, full, 0, a, b)
+    yield valid, []
+    yield forge(valid, subalgebra=a), ["subalgebra closure"]
+    # g*V = V although g is not the unit; (1 - g)*V is the augmentation ideal
+    yield forge(valid, subalgebra=sub.from_vecs(qz5, g[1:2])), [
+        "subalgebra closure", "unit in subalgebra"]
+    yield forge(valid, subalgebra=sub.from_vecs(qz5, [[1, -1, 0, 0, 0]])), [
+        "subalgebra closure", "unit in subalgebra", "module property H*V = V"]
+
+
+def test_forged_certificates_report_exactly_what_they_break():
+    seen = set()
+    for cert, want in forged_certificates():
+        assert cert.violations() == want == ref_violations(cert), (cert, want)
+        seen.update(want)
+    assert len(seen) == 8
+
+
+def test_forged_certificates_of_two_algebras_are_refused():
+    q4, other = split_etale_algebra(4), split_etale_algebra(4)
+    a = sub.full_space(q4)
+    valid = sumsets.DiderrichCertificate(q4.one(), a, a, 0, a, a)
+    assert valid.violations() == []
+    for forged in (dataclasses.replace(valid, subalgebra=sub.unit_span(other)),
+                   dataclasses.replace(valid, subalgebra=sub.full_space(other)),
+                   dataclasses.replace(valid, a=other.one())):
+        with pytest.raises(AlgebraMismatch):
+            forged.violations()
+
+
+def always_normalised_certificate(a, b):
+    """diderrich_certificate with both sides normalised by their witnesses and
+    V translated back, whether or not a witness is the unit."""
+    xa, xb = sub.contains_invertible(a).witness, sub.contains_invertible(b).witness
+    h, v, depth = sumsets._recurse(sub.preimage(xa, a, side="left"),
+                                   sub.preimage(xb, b, side="right"))
+    v = sub.translate(xa, sub.translate(xb, v, side="right"), side="left")
+    return sumsets.DiderrichCertificate(xa, h, v, depth, a, b)
+
+
+def certificate_pairs():
+    """The (A, B) pairs of the certificate acceptance stream and of
+    test_certificate_random_sweep."""
+    for inst in _instance_stream(500, 10_000):
+        yield inst.subspaces["A"], inst.subspaces["B"]
+    rng = random.Random(3)
+    for seed in range(40):
+        fam = ("split", "group", "polyprod")[seed % 3]
+        inst = gen.gen_instance(fam, seed, dims=(rng.randint(1, 3), rng.randint(1, 3)))
+        yield inst.subspaces["A"], inst.subspaces["B"]
+
+
+def test_certificates_equal_the_always_normalised_ones():
+    # a side holding the unit has the unit for witness, and is neither
+    # normalised nor translated back
+    witnesses = Counter()
+    for a, b in certificate_pairs():
+        cert = sumsets.diderrich_certificate(a, b)
+        assert cert == always_normalised_certificate(a, b)
+        assert cert.violations() == ref_violations(cert) == []
+        one = a.algebra.one()
+        witnesses[cert.a == one, sub.contains_invertible(b).witness == one] += 1
+    assert len(witnesses) == 4, witnesses
+
+
+def test_the_closure_check_is_membership_in_the_generated_subalgebra():
+    rng = random.Random(5)
+    outcomes = Counter()
+    for name in ("Q4", "QZ5", "QT3", "QS3", "M2x2", "QZ6"):
+        alg = algebra_fixture(name)
+        for _ in range(15):
+            a = rand_space(alg, rng.randint(1, 2), rng)
+            first = sub.lattice_sum(sub.unit_span(alg), a)
+            k = sub.subalgebra_generated(a.elements())
+            inside = [sum((x.scale(rng.randint(-2, 2)) for x in k.elements()), alg.one())
+                      for _ in range(rng.randint(1, 2))]
+            for h in (sub.unit_span(alg), rand_space(alg, rng.randint(1, 3), rng),
+                      sub.span_of(inside), k):
+                got = sumsets._in_generated(h, a)
+                assert got == k.contains_space(h), (name, a.basis, h.basis)
+                outcomes[got, got and first.contains_space(h)] += 1
+    # inside K[A] at the first span and only at a later one, and outside it
+    assert len(outcomes) == 3, outcomes
+
+
+def test_nfold_dims_ih_are_the_product_spans_with_h():
+    stabilizers = Counter()
+    for i in range(60):
+        inst = gen.gen_instance(("split", "group")[i % 2], 20_000 + i, dims=(2, 2, 1))
+        spaces = [inst.subspaces[k] for k in ("A", "B", "C")]
+        rep = sumsets.kneser_nfold_check(spaces)
+        alg = inst.algebra
+        h = sub.stabilizer(sub.product_span(sub.product_span(spaces[0], spaces[1]), spaces[2]))
+        assert rep.dims_ih == tuple(sub.product_span(h, s).dim for s in spaces)
+        kind = "unit" if h == sub.unit_span(alg) else "full" if h.dim == alg.dim else "other"
+        stabilizers[inst.family, kind] += 1
+    assert stabilizers["group", "unit"] and stabilizers["split", "full"], stabilizers
 
 
 @st.composite
@@ -480,6 +641,19 @@ def test_kneser_nfold():
         assert sumsets.kneser_nfold_check([a, b]) == sumsets.NfoldReport(
             (a.dim, b.dim), pair.dim_product, pair.dim_stab, pair.bound_holds, ih,
             pair.strong_bound_holds)
+
+
+def test_nfold_reports_the_bounds_where_they_fail():
+    # outside the paper's hypotheses both bounds can fail: for the first row
+    # of M_2(Q) times M_2(Q), and in the commutative Q[graded-m], which has
+    # infinitely many subalgebras, for A = B the span of b1, b2, b4 and b5
+    m2 = algebra_fixture("M2x2")
+    row, full = sub.coordinate_span(m2, [0, 1]), sub.full_space(m2)
+    assert sumsets.kneser_nfold_check([row, full]) == sumsets.NfoldReport((2, 4), 2, 3, False)
+    graded = algebra_fixture("Q[graded-m]")
+    a = sub.coordinate_span(graded, [1, 2, 4, 5])
+    assert sumsets.kneser_nfold_check([a, a]) == sumsets.NfoldReport(
+        (4, 4), 2, 5, False, (4, 4), False)
 
 
 # -- connectivity ------------------------------------------------------
