@@ -6,17 +6,15 @@ iff it is monogenic with generator minimal polynomial of the shape
 A generator's minimal polynomial decides the shape exactly.  Whether a
 generator exists is decided exactly too, with no sampling: with J the
 radical of the trace form and M = J/J^2, the algebra is monogenic iff
-dim End_A(M) = dim M, one commutant kernel (_monogenic).  Seeded draws
-look for a generator only once one is proven to exist.
+dim End_A(M) = dim M, one commutant kernel (_monogenic); a bounded stretch
+of the Vandermonde line through the basis then holds a generator.
 For Q^n the subalgebra lattice is exactly the partition lattice.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 
 from . import linalg
 from . import subspace as sub
@@ -56,9 +54,7 @@ def profile_ok(p: SqfProfile) -> bool:
 
 @dataclass(frozen=True)
 class Verdict:
-    # "ProbablyInfinite" only when a generator is proven to exist and the
-    # candidates ran out before one was found
-    kind: str  # "Finite" | "Infinite" | "ProbablyInfinite"
+    kind: str  # "Finite" | "Infinite"
     reason: str | None = None  # for Infinite: "NonCommutative" | "BadProfile" | "NotMonogenic"
     generator: Element | None = None
     profile: SqfProfile | None = None
@@ -75,24 +71,19 @@ class Verdict:
         return out
 
 
+def _line(alg: Algebra, params):
+    """The points sum_i t^i b_i, t in params, of the line through the basis."""
+    return sub.vandermonde_line(sub.full_space(alg).elements(), params)
+
+
 def _fixed_candidates(alg: Algebra):
     """The 2n + 3 deterministic candidates: (0, 1, ..., n - 1), the basis,
-    and n + 2 points of the Vandermonde line through the basis."""
+    and the points t = 1, ..., n + 2 of the line through the basis."""
     n = alg.dim
     yield alg.element(range(n))
     for i in range(n):
         yield alg.basis_element(i)
-    yield from sub.vandermonde_line(sub.full_space(alg).elements(), range(1, n + 3))
-
-
-def _sampled_candidates(alg: Algebra, trials: int, seed: int):
-    """trials seeded random integer points, their coefficient bound growing."""
-    n = alg.dim
-    rng = random.Random(seed)
-    for k in range(0, trials, 8):  # the coefficient bound grows by 2 every 8 draws
-        draws = linalg.random_coefficients(n, 2 + k // 4, rng)
-        for coords in islice(draws, min(8, trials - k)):
-            yield alg.element(coords)
+    yield from _line(alg, range(1, n + 3))
 
 
 def _generator_poly(g: Element):
@@ -140,7 +131,7 @@ def _monogenic(alg: Algebra) -> bool:
     return m * m - len(linalg.int_rref(eqs)[1]) == m
 
 
-def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) -> Verdict:
+def finite_subalgebras_verdict(alg: Algebra) -> Verdict:
     """Decide whether alg has finitely many subalgebras.
 
     Non-commutative algebras are Infinite outright (finite forces
@@ -148,9 +139,11 @@ def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) ->
     algebra decides the question exactly through its minimal polynomial.
     When none of the 2n + 3 deterministic candidates generates, the
     commutant test (_monogenic) decides whether a generator exists: if
-    none does the verdict is Infinite, NotMonogenic; if one does, trials
-    seeded random candidates look for it, and only their failure is
-    sampling-dependent (ProbablyInfinite).
+    none does the verdict is Infinite, NotMonogenic; if one does, the line
+    through the basis goes on to t = n(n+1)/2 (n - 1) + 1.  Over Q-bar, x
+    generates iff the characters differ at x and, in each local factor with
+    m != 0, x - chi(x) lies outside m^2: x avoids the kernels of at most
+    n(n+1)/2 nonzero linear forms, each with at most n - 1 roots on the line.
     """
     if not alg.commutative:
         return Verdict(kind="Infinite", reason="NonCommutative")
@@ -158,10 +151,12 @@ def finite_subalgebras_verdict(alg: Algebra, trials: int = 64, seed: int = 0) ->
     if g is None:
         if not _monogenic(alg):
             return Verdict(kind="Infinite", reason="NotMonogenic", trials_used=used)
-        g, mu, sampled = sub._first(_sampled_candidates(alg, trials, seed), _generator_poly)
-        used += sampled
+        n = alg.dim
+        g, mu, more = sub._first(_line(alg, range(n + 3, n * (n + 1) // 2 * (n - 1) + 2)),
+                                 _generator_poly)
+        used += more
         if g is None:
-            return Verdict(kind="ProbablyInfinite", trials_used=used)
+            raise AssertionError(f"no generator among {used} candidates of a monogenic algebra")
     profile = squarefree_decompose(mu)
     if profile_ok(profile):
         return Verdict(kind="Finite", generator=g, profile=profile, trials_used=used)

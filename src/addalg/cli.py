@@ -5,13 +5,13 @@ gen's writes its report through _finish: canonical JSON with --json, else
 one `key: value` line per key in sorted order, with lists and objects
 written as compact JSON, so no nesting is lost.  COMMANDS declares each
 subcommand with only the options its handler reads, besides group-sweep's
---threads and certificate's --trials, which are accepted for
-compatibility; any other flag is a usage error.  Exit codes: 0 all checks
-pass, 1 a checked inequality failed, 2 input/schema error (an invalid
-structure-constant table among them), 3 the generator's retry budget
-exhausted, no exact atom (outside a split etale algebra or above --cap,
-save hamidoune at lambda = 1), or no exact atom to decide a monoid-check
-whose candidate atom's bound fails.
+--threads, certificate's --trials and classify's --trials and --seed,
+which are accepted for compatibility; any other flag is a usage error.
+Exit codes: 0 all checks pass, 1 a checked inequality failed, 2
+input/schema error (an invalid structure-constant table among them), 3
+the generator's retry budget exhausted, no exact atom (outside a split
+etale algebra or above --cap, save hamidoune at lambda = 1), or no exact
+atom to decide a monoid-check whose candidate atom's bound fails.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def _cmd_solution_space(args, op):
 
 def cmd_classify(args):
     alg, _ = _source(args.infile, args.fixture)
-    verdict = classify.finite_subalgebras_verdict(alg, trials=args.trials,
-                                                  seed=args.seed)
+    verdict = classify.finite_subalgebras_verdict(alg)
     return _finish(args, {"label": alg.label, **verdict.to_json()})
 
 
@@ -247,8 +246,7 @@ OPTIONS = {
     "--fixture": {},
     "--seed": {"type": int, "default": 0},
     "--trials": {"type": nonnegative_int, "default": 64,
-                 "help": "classify: sampled generators; certificate: accepted for "
-                         "compatibility, the output does not depend on it"},
+                 "help": "accepted for compatibility; the output does not depend on it"},
     "--cap": {"type": nonnegative_int, "default": classify.DEFAULT_PARTITION_CAP},
     "--count": {"type": nonnegative_int, "default": 200},
     "--threads": {"type": int, "default": 1,

@@ -452,7 +452,7 @@ def radical(alg: Algebra) -> Subspace:
 
 @dataclass(frozen=True)
 class InvertibilityCertificate:
-    kind: str  # "YES" | "NO_PROVEN" | "PROBABLY_NO"
+    kind: str  # "YES" | "NO_PROVEN" | "PROBABLY_NO" (non-commutative algebras only)
     witness: Element | None
     trials_used: int
 
@@ -493,28 +493,32 @@ SAMPLES = 64
 
 
 def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
-    """Search V for an invertible element.
+    """Search V for an invertible element: the unit, V's basis v_i, then the
+    points t = 1, 2, ... of the Vandermonde line p(t) = sum t^i v_i.
 
-    Deterministic candidates first (basis vectors, unit, points on the
-    Vandermonde line through the basis), then an exact grid decision when
-    the space is small enough, then seeded random sampling.  NO is only
-    claimed when proven: det of left multiplication restricted to V is a
-    polynomial of degree <= dim(algebra) per coordinate, so vanishing on
-    a full (n+1)-point grid per coordinate proves it vanishes identically.
-    Grid points are not counted in trials_used.
+    In a commutative algebra the line decides.  x is invertible iff none of
+    the at most n = dim(algebra) characters chi over Q-bar vanishes at x;
+    each is linear and, when V holds an invertible, nonzero on V, so
+    chi(p(t)) has at most r - 1 roots (r = dim V), and NO is proven after
+    max(n + r + 1, n(r - 1) + 1) points.  Elsewhere (Edmonds' problem) the
+    line stops at t = n + r + 1; an exact grid of (n+1)^r points decides
+    when small enough (det of y -> x y has degree <= n per coordinate),
+    else seeded sampling.  Grid points are not counted in trials_used.
     """
     alg = v.algebra
     if v.dim == 0:
         raise ZeroSubspace("cannot search the zero subspace for invertibles")
     if v.contains_unit():
         return InvertibilityCertificate("YES", alg.one(), 0)
-    r = v.dim
+    n, r = alg.dim, v.dim
     elems = v.elements()
-    w, _, used = _first(chain(elems, vandermonde_line(elems, range(1, alg.dim + r + 2))),
-                        _invertible)
+    last = max(n + r + 1, n * (r - 1) + 1) if alg.commutative else n + r + 1
+    w, _, used = _first(chain(elems, vandermonde_line(elems, range(1, last + 1))), _invertible)
     if w is not None:
         return InvertibilityCertificate("YES", w, used)
-    grid = range(alg.dim + 1)
+    if alg.commutative:
+        return InvertibilityCertificate("NO_PROVEN", None, used)
+    grid = range(n + 1)
     if len(grid) ** r <= GRID_CAP:
         w, _, _ = _first(_combinations(elems, product(grid, repeat=r)), _invertible)
         return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)

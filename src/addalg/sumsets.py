@@ -26,7 +26,6 @@ from . import subspace as sub
 from .algebra import Element
 from .errors import (
     AddalgError,
-    AlgebraMismatch,
     EpsilonOutOfRange,
     LambdaOutOfRange,
     NoInvertibleFound,
@@ -143,8 +142,10 @@ class DiderrichCertificate:
             out.append("subalgebra inside generated algebra of A")
         if not sub.product_span(src_a, src_b).contains_space(v):
             out.append("space inside span of AB")
-        if self.a.algebra is not src_b.algebra:
-            raise AlgebraMismatch("element from a different algebra")
+        if not src_a.contains(self.a):
+            out.append("a inside A")
+        if not self.a.is_invertible:
+            out.append("a invertible")
         if not sub._products_within([linalg.nonzeros(self.a.num)], src_b, v):
             out.append("span of aB inside space")
         sub._check_same(h, v)

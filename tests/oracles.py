@@ -202,7 +202,7 @@ def ref_invert(table, unit, x):
     return "inverse", y
 
 
-def _first_invertible(table, unit, basis):
+def first_invertible(table, unit, basis):
     """(u, u^-1) for the first invertible point u = sum c_i v_i, c in
     {1..n+1}^r, over the basis v_1..v_r, or None when V holds no invertible.
 
@@ -234,12 +234,12 @@ def generated_subalgebra(table, unit, rows):
     """Canonical basis of the subalgebra generated by V u^-1, u invertible
     in V, the span of rows; None when V holds no invertible.
 
-    u is _first_invertible's point over V's canonical basis, V u^-1 is V's
+    u is first_invertible's point over V's canonical basis, V u^-1 is V's
     basis times ref_invert's inverse, and the subalgebra is the closure of
     the unit and V u^-1.
     """
     basis = ref.basis(rows)
-    found = _first_invertible(table, unit, basis)
+    found = first_invertible(table, unit, basis)
     if found is None:
         return None
     inverse = found[1]
@@ -263,9 +263,11 @@ def ref_certificate_violations(table, unit, a, h, v, src_a, src_b):
         ("subalgebra inside generated algebra of A",
          ref.contains(ref_closure(table, [unit, *src_a]), h)),
         ("space inside span of AB", ref.contains(products(src_a, src_b), v)),
+        ("a inside A", ref.contains(src_a, [a])),
+        ("a invertible", ref_invert(table, unit, a)[0] == "inverse"),
         ("span of aB inside space", ref.contains(v, products([a], src_b))),
         ("module property H*V = V", ref.same_span(products(h, v), v)),
-        ("invertible in space", _first_invertible(table, unit, ref.basis(v)) is not None),
+        ("invertible in space", first_invertible(table, unit, ref.basis(v)) is not None),
         ("dimension inequality", ref.rank(v) + ref.rank(h) >= ref.rank(src_a) + ref.rank(src_b)),
     ]
     return [name for name, ok in checks if not ok]

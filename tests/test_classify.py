@@ -18,7 +18,7 @@ from addalg.errors import CapExceeded, NotSplitEtale
 from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly, squarefree_decompose
 
-from oracles import ref, ref_commutant_dim
+from oracles import ref, ref_commutant_dim, ref_min_poly
 
 T = Poly.x()
 
@@ -76,12 +76,17 @@ def test_verdict_truth_table():
 
 
 def test_verdict_seed_independent():
-    for name in ("QT3", "QT4", "Q4"):
-        kinds = {
-            classify.finite_subalgebras_verdict(algebra_fixture(name), seed=s).kind
-            for s in (0, 1, 2)
-        }
-        assert len(kinds) == 1
+    # classify accepts --seed and --trials for compatibility and reads neither
+    for name in ("QT3", "QT4", "Q4", "Q[graded-m]"):
+        outs = set()
+        for seed, trials in (("0", "64"), ("1", "0"), ("2", "16")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["classify", "--fixture", name, "--seed", seed,
+                                 "--trials", trials, "--json"])
+            assert code == 0
+            outs.add(out.getvalue())
+        assert len(outs) == 1, name
 
 
 def test_verdict_group_algebras():
@@ -218,7 +223,7 @@ COMMUTATIVE_VERDICTS = {
     **{f"QZ{n}": ("Finite", None) for n in range(2, 13)},
     **{name: ("Infinite", "BadProfile") for name in ("QT4", "QP2", "QT2xQT2")},
     # its deterministic candidates all fail, so it is the one fixture the
-    # commutant test decides; sampling used to give ProbablyInfinite
+    # commutant test decides
     "Q[graded-m]": ("Infinite", "NotMonogenic"),
 }
 
@@ -242,15 +247,51 @@ def test_zero_trials_still_run_the_exact_test():
     assert (got["verdict"], got["reason"], got["trials_used"]) == ("Infinite", "NotMonogenic", 15)
 
 
-def test_a_proven_monogenic_algebra_keeps_sampling(monkeypatch):
-    # with the unit as its only fixed candidate, QT2 goes to the commutant
-    # test, which proves a generator exists, so the seeded draws look for it
+def test_a_proven_monogenic_algebra_continues_the_line(monkeypatch):
+    # with the unit as its only fixed candidate, QT3 = Q[x]/(x^3) goes to the
+    # commutant test, which proves a generator exists, and the line through
+    # the basis goes on at t = 6: 1 + 6x + 36x^2 generates.  QT2's line ends
+    # at t = n(n+1)/2 (n - 1) + 1 = 4 = n + 2, so nothing is left to continue.
     monkeypatch.setattr(classify, "_fixed_candidates", lambda alg: iter([alg.one()]))
-    alg = algebra_fixture("QT2")
-    v = classify.finite_subalgebras_verdict(alg, trials=0)
-    assert (v.kind, v.reason, v.trials_used) == ("ProbablyInfinite", None, 1)
-    v = classify.finite_subalgebras_verdict(alg, trials=16)
-    assert (v.kind, v.reason) == ("Finite", None) and 1 < v.trials_used <= 17
+    alg = algebra_fixture("QT3")
+    v = classify.finite_subalgebras_verdict(alg)
+    assert (v.kind, v.reason, v.trials_used) == ("Finite", None, 2)
+    assert v.generator == alg.element((1, 6, 36))
+    with pytest.raises(AssertionError, match="no generator among 1 candidates"):
+        classify.finite_subalgebras_verdict(algebra_fixture("QT2"))
+
+
+def test_running_off_the_line_is_an_internal_error(monkeypatch):
+    # QT3's 9 fixed candidates and its line's points t = 6..13
+    monkeypatch.setattr(classify, "_generator_poly", lambda x: None)
+    with pytest.raises(AssertionError, match="no generator among 17 candidates"):
+        classify.finite_subalgebras_verdict(algebra_fixture("QT3"))
+
+
+def line_bound(n):
+    """The points of the line through the basis that hold a generator of a
+    monogenic commutative algebra of dimension n: n(n+1)/2 (n - 1) + 1."""
+    return n * (n + 1) // 2 * (n - 1) + 1
+
+
+MONOGENIC_CASES = [name for name in ALGEBRA_NAMES if algebra_fixture(name).commutative
+                   and name != "Q[graded-m]"]
+
+
+@pytest.mark.parametrize("name", [*MONOGENIC_CASES, "QT3xQT3", "QZ6xQZ4"])
+def test_every_monogenic_algebra_has_a_generator_early_on_the_line(name):
+    if name in MONOGENIC_CASES:
+        alg = algebra_fixture(name)
+    else:
+        alg = direct_product(*map(algebra_fixture, name.split("x", 1)))
+    assert classify._monogenic(alg)
+    n = alg.dim
+    # the reference minimal polynomial of sum t^i b_i, whose coordinates are t^i
+    first = next(t for t in range(1, line_bound(n) + 1)
+                 if len(ref_min_poly(alg.table, alg.unit, [F(t) ** i for i in range(n)])) == n + 1)
+    v = classify.finite_subalgebras_verdict(alg)
+    assert v.generator is not None
+    assert v.trials_used <= 1 + n + max(n + 2, first)
 
 
 @pytest.mark.parametrize(("alg", "fixed"), [(square_zero(2), 9),
@@ -260,8 +301,6 @@ def test_a_non_monogenic_verdict_stops_after_the_fixed_candidates(alg, fixed, mo
     calls = []
     real = classify.min_poly
     monkeypatch.setattr(classify, "min_poly", lambda x: calls.append(x) or real(x))
-    for trials in (0, 16, 64):
-        calls.clear()
-        v = classify.finite_subalgebras_verdict(alg, trials=trials)
-        assert (v.kind, v.reason) == ("Infinite", "NotMonogenic")
-        assert v.trials_used == len(calls) == fixed == 2 * alg.dim + 3
+    v = classify.finite_subalgebras_verdict(alg)
+    assert (v.kind, v.reason) == ("Infinite", "NotMonogenic")
+    assert v.trials_used == len(calls) == fixed == 2 * alg.dim + 3

@@ -679,7 +679,9 @@ def test_mutated_instance_files_keep_the_exit_contract(tmp_path_factory, inst, c
 # Declared options no handler reads: gen prints its instance as JSON
 # whatever --json says, and --threads is kept for callers that pass it.
 # So is certificate's --trials: the e-transform recursion samples no pivots.
-UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}, "certificate": {"trials"}}
+# So are classify's --trials and --seed: its generator search samples nothing.
+UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}, "certificate": {"trials"},
+                  "classify": {"trials", "seed"}}
 
 
 class ReadRecorder:
@@ -819,7 +821,7 @@ def test_polyprod_instances_are_finite_at_the_first_candidate():
     for n in range(1, 10):
         for seed in range(5):
             verdict = classify.finite_subalgebras_verdict(
-                gen.gen_instance("polyprod", seed, n=n).algebra, trials=0)
+                gen.gen_instance("polyprod", seed, n=n).algebra)
             assert (verdict.kind, verdict.trials_used) == ("Finite", 1), (n, seed)
 
 

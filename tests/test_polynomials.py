@@ -1,5 +1,5 @@
 import random
-from itertools import chain, islice
+from itertools import chain, count, islice
 from fractions import Fraction as F
 
 import pytest
@@ -130,14 +130,15 @@ def test_squarefree_structured_products():
 
 def _yun_inputs():
     """The min polys of the first 8 generator candidates of every commutative
-    fixture, the T^n - 1 of Q[Z_n] for n = 2..12, and seeded products of
-    factors with coefficients up to 10^6 at multiplicities 1..5."""
+    fixture (the fixed ones, then the line through the basis from t = n + 3),
+    the T^n - 1 of Q[Z_n] for n = 2..12, and seeded products of factors with
+    coefficients up to 10^6 at multiplicities 1..5."""
     out = []
     for name in ALGEBRA_NAMES:
         alg = algebra_fixture(name)
         if alg.commutative:
             candidates = chain(classify._fixed_candidates(alg),
-                               classify._sampled_candidates(alg, 64, 0))
+                               classify._line(alg, count(alg.dim + 3)))
             out += [min_poly(g) for g in islice(candidates, 8)]
     out += [Poly.monomial(n) - Poly.one() for n in range(2, 13)]
     rng = random.Random(30)

@@ -15,7 +15,7 @@ from addalg.errors import (
 from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
 from addalg.polynomials import Poly
 
-from oracles import generated_subalgebra, ref, ref_invert, ref_mul, ref_radical
+from oracles import first_invertible, generated_subalgebra, ref, ref_invert, ref_mul, ref_radical
 
 
 def rand_space(alg, dim, rng):
@@ -272,6 +272,64 @@ def test_contains_invertible_no_proven_in_matrix_corner():
     m2 = algebra_fixture("M2x2")
     v = sub.from_vecs(m2, [m2.basis_vec(1)])  # E_01
     assert sub.contains_invertible(v).kind == "NO_PROVEN"
+
+
+COMMUTATIVE_FIXTURES = [name for name in ALGEBRA_NAMES if algebra_fixture(name).commutative]
+
+
+def grid_dim(n):
+    """The largest r whose reference grid of (n+1)^r points is quick to walk."""
+    return 3 if n <= 4 else 2 if n <= 6 else 1
+
+
+def singular_spaces(alg, rng):
+    """Random subspaces of the proper ideal xA, x the first of b_i, b_i - 1,
+    b_i + 1 that is nonzero and, by the reference, not invertible: none of
+    them holds an invertible.  Their dimension keeps the reference's grid of
+    (n+1)^r points small."""
+    n = alg.dim
+    units = [tuple(F(int(i == k)) for i in range(n)) for k in range(n)]
+    one = tuple(F(c) for c in alg.unit)
+    shifted = [tuple(a + s * b for a, b in zip(u, one)) for s in (-1, 1) for u in units]
+    for x in [*units, *shifted]:
+        if any(x) and ref_invert(alg.table, alg.unit, x)[0] != "inverse":
+            break
+    else:
+        return
+    ideal = ref.basis([ref_mul(alg.table, x, u) for u in units])
+    for r in range(1, min(len(ideal), grid_dim(n)) + 1):
+        for _ in range(2):
+            coefficients = [[rng.randint(-2, 2) for _ in ideal] for _ in range(r)]
+            rows = [[sum(c * y[k] for c, y in zip(cs, ideal)) for k in range(n)]
+                    for cs in coefficients]
+            if ref.rank(rows) == r:
+                yield sub.from_vecs(alg, rows)
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE_FIXTURES)
+def test_a_commutative_search_decides_against_the_reference_grid(name):
+    # the line decides in a commutative algebra: YES with an invertible
+    # witness in V, or NO_PROVEN after r basis vectors and
+    # max(n + r + 1, n(r - 1) + 1) line points, where the reference's grid
+    # over {1..n+1}^r finds no invertible either; never PROBABLY_NO
+    alg = algebra_fixture(name)
+    n = alg.dim
+    rng = random.Random(n)
+    spaces = [rand_space(alg, rng.randint(1, min(n, grid_dim(n))), rng) for _ in range(6)]
+    spaces += list(singular_spaces(alg, rng))
+    proven = 0
+    for v in spaces:
+        cert = sub.contains_invertible(v, seed=rng.randrange(100))
+        r = v.dim
+        if cert.kind == "YES":
+            w = cert.witness.coords
+            assert ref.contains(v.basis, [w]) and ref_invert(alg.table, alg.unit, w)[0] == "inverse"
+            continue
+        assert cert.kind == "NO_PROVEN", (name, v.basis, cert.kind)
+        assert cert.trials_used == r + max(n + r + 1, n * (r - 1) + 1)
+        assert first_invertible(alg.table, alg.unit, v.basis) is None, (name, v.basis)
+        proven += 1
+    assert proven >= (n > 1)
 
 
 def test_invertible_basis():

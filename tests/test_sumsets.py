@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from addalg import classify, gen, linalg, sumsets
 from addalg import subspace as sub
-from addalg.algebra import Element, split_etale_algebra
+from addalg.algebra import Element, direct_product, matrix_algebra, split_etale_algebra
 from addalg.errors import (
     AlgebraMismatch,
     CapExceeded,
@@ -327,20 +327,49 @@ def test_certificate_random_sweep():
         assert cert.recursion_depth < max(inst.subspaces["A"].dim, 1) + 1
 
 
-def test_certificate_seed_drives_a_sampled_witness_and_defaults_to_0():
-    # V in Q^9 has the canonical basis e_i + sum_k q_k[i] e_k, i < 4, with
-    # q_4..q_8 cubics whose roots cover t = 1..14: every basis vector and
-    # every point sum t^i e_i of its Vandermonde line has a zero coordinate.
-    # Its grid of 10^4 points is past the cap, so A's witness is the first
-    # seeded random draw, the 19th trial.
-    alg = split_etale_algebra(9)
-    roots = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)]
+def cubic_columns(heads, roots):
+    """Four rows: row i is heads[i] followed by the i-th coefficient of each
+    cubic (t - a)(t - b)(t - c), (a, b, c) in roots, so the point
+    sum t^i row_i carries each cubic's value at t."""
     cubics = [(-a * b * c, a * b + a * c + b * c, -(a + b + c), 1) for a, b, c in roots]
-    v = sub.from_vecs(alg, [[int(j == i) for j in range(4)] + [q[i] for q in cubics]
-                            for i in range(4)])
+    return [head + [q[i] for q in cubics] for i, head in enumerate(heads)]
+
+
+def test_a_commutative_witness_is_a_line_point_whatever_the_seed():
+    # V in Q^9 has the canonical basis e_i + sum_k q_k[i] e_k, i < 4, with
+    # q_4..q_8 cubics whose roots cover t = 1..15: every basis vector and
+    # the points sum t^i e_i of its Vandermonde line up to t = 15 have a
+    # zero coordinate.  The line goes on to t = n(r - 1) + 1 = 28, so A's
+    # witness is its point at t = 16, the 20th trial, for every seed.
+    alg = split_etale_algebra(9)
+    rows = cubic_columns([[int(j == i) for j in range(4)] for i in range(4)],
+                         [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)])
+    v = sub.from_vecs(alg, rows)
+    point = [sum(16 ** i * row[k] for i, row in enumerate(rows)) for k in range(9)]
+    for seed in (0, 1, 2):
+        cert = sub.contains_invertible(v, seed=seed)
+        assert (cert.kind, cert.trials_used, cert.witness) == ("YES", 20, alg.element(point))
+    full = sub.full_space(alg)
+    cert = sumsets.diderrich_certificate(v, full)
+    assert cert.a == alg.element(point) and cert.violations() == []
+    assert sumsets.diderrich_certificate(v, full, seed=1) == cert
+
+
+def test_certificate_seed_drives_a_sampled_witness_and_defaults_to_0():
+    # In M_2(Q) x Q^8, V has the canonical basis E11, E22, e1, e2 (pivots
+    # 0, 3, 4, 5), each plus sum_k q_k[i] e_{k+2}, with q_1..q_6 cubics whose
+    # roots cover t = 1..18: V's elements commute, and every basis vector
+    # and every point of its Vandermonde line up to t = n + r + 1 = 17 is
+    # singular.  The algebra is not commutative and the grid of 13^4 points
+    # is past the cap, so A's witness is the first seeded random draw, the
+    # 22nd trial.
+    alg = direct_product(matrix_algebra(2), split_etale_algebra(8))
+    v = sub.from_vecs(alg, cubic_columns(
+        [[int(i == 0), 0, 0, int(i == 1), int(i == 2), int(i == 3)] for i in range(4)],
+        [(3 * k + 1, 3 * k + 2, 3 * k + 3) for k in range(6)]))
     full = sub.full_space(alg)
     certs = [sumsets.diderrich_certificate(v, full, seed=seed) for seed in (0, 1)]
-    assert [sub.contains_invertible(v, seed=seed).trials_used for seed in (0, 1)] == [19, 19]
+    assert [sub.contains_invertible(v, seed=seed).trials_used for seed in (0, 1)] == [22, 22]
     assert certs[0].a != certs[1].a
     assert sumsets.diderrich_certificate(v, full) == certs[0]
     assert certs[0].violations() == certs[1].violations() == []
@@ -411,7 +440,11 @@ def forged_certificates():
     yield forge(valid, space=a), ["span of aB inside space"]
     yield forge(valid, a=q4.element((2, 1, 1, 1)), space=a), ["span of aB inside space"]
     yield forge(valid, space=b), ["module property H*V = V"]
-    yield forge(valid, a=q4.element(e1), space=sub.from_vecs(q4, [e1, e2])), ["invertible in space"]
+    yield forge(valid, a=q4.element((1, 2, 1, 1))), ["a inside A"]  # invertible, in V
+    yield forge(valid, a=q4.element(e1)), ["a invertible"]  # e1 B = span(e1) <= V
+    yield forge(valid, a=q4.element(e2)), ["a inside A", "a invertible"]
+    yield forge(valid, a=q4.element(e1), space=sub.from_vecs(q4, [e1, e2])), [
+        "a invertible", "invertible in space"]
     yield forge(valid, subalgebra=sub.unit_span(q4), space=b), ["dimension inequality"]
     yield forge(valid, subalgebra=sub.from_vecs(q4, [e1]), space=b), [
         "subalgebra closure", "unit in subalgebra", "module property H*V = V",
@@ -437,7 +470,7 @@ def test_forged_certificates_report_exactly_what_they_break():
     for cert, want in forged_certificates():
         assert cert.violations() == want == ref_violations(cert), (cert, want)
         seen.update(want)
-    assert len(seen) == 8
+    assert len(seen) == 10
 
 
 def test_forged_certificates_of_two_algebras_are_refused():
