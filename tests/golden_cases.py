@@ -37,8 +37,9 @@ from oracles import ref_matrix_tensor
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
-# Q^5 with a 4-dimensional A that holds no invertible: the invertibility
-# search runs through its grid-free sampling branch and reports PROBABLY_NO.
+# Q^5 with a 4-dimensional A whose column 4 is zero, so it holds no
+# invertible: the invertibility search walks the Vandermonde line through
+# A's basis to its end and reports NO_PROVEN.
 INSTANCES = {
     "q5-singular": dumps({
         "algebra": {"kind": "poly_quotient_product",

@@ -220,14 +220,18 @@ def check_certificate(rec, instances):
     the first invertible row of A's canonical basis when one is.  The
     space V and the subalgebra H satisfy dim B <= dim V <= dim span(AB),
     dim V + dim H >= dim A + dim B and dim H >= 1, and the recursion
-    shrank A at most dim A - 1 times.  A refusal for A is checked by a
-    nonzero z with x z = 0 for every row x of A, so no element of A is
-    invertible.
+    shrank A at most dim A - 1 times.  A refusal for A is a proof: A has a
+    zero column k, so the idempotent e_k, nonzero, has e_k x = 0 for every
+    row x of A, and no element of A is invertible; the same holds for
+    every nonzero z with x z = 0.
     """
     flags, mult, space = _inputs(rec["argv"], instances)
     a_rows, b_rows = space[flags["--A"]], space[flags["--B"]]
     if rec["code"] == 2:
-        assert (rec["stdout"], rec["stderr"]) == ("", "error: certificate PROBABLY_NO for A\n")
+        assert (rec["stdout"], rec["stderr"]) == ("", "error: certificate NO_PROVEN for A\n")
+        (k,) = [k for k in range(mult.dim) if not any(x[k] for x in a_rows)]
+        e_k = [Fraction(int(i == k)) for i in range(mult.dim)]
+        assert mult.mul(e_k, e_k) == e_k and not any(any(mult.mul(e_k, x)) for x in a_rows)
         assert ref_side(mult, "right").left_annihilator(a_rows)
         return
     out = json.loads(rec["stdout"])
