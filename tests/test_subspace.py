@@ -5,7 +5,13 @@ import pytest
 
 from addalg import linalg
 from addalg import subspace as sub
-from addalg.algebra import Algebra, Element, poly_quotient_product, split_etale_algebra
+from addalg.algebra import (
+    Algebra,
+    Element,
+    matrix_algebra,
+    poly_quotient_product,
+    split_etale_algebra,
+)
 from addalg.errors import (
     AlgebraMismatch,
     EmptyGeneratingSet,
@@ -261,10 +267,22 @@ def test_contains_invertible_yes_and_proven_no():
     q2 = algebra_fixture("Q2")
     idems = sub.from_vecs(q2, [q2.basis_vec(0), q2.basis_vec(1)])
     cert = sub.contains_invertible(idems)
-    assert cert.kind == "YES"
+    assert (cert.kind, cert.witness, cert.trials_used) == ("YES", q2.one(), 0)  # holds the unit
 
     with pytest.raises(ZeroSubspace):
         sub.contains_invertible(sub.zero_space(q2))
+
+
+def test_a_non_commutative_search_walks_the_whole_grid(monkeypatch):
+    # the first row of M_3(Q) holds no invertible; after its 3 basis vectors
+    # and 9 + 3 + 1 = 13 line points, the grid of (9 + 1)^3 = 1000 points,
+    # exactly the cap, proves it, and grid points are not counted
+    m3 = matrix_algebra(3)
+    v = sub.coordinate_span(m3, range(3))
+    tested = []
+    monkeypatch.setattr(sub, "_invertible", lambda x: tested.append(x) or x.is_invertible)
+    cert = sub.contains_invertible(v)
+    assert (cert.kind, cert.trials_used, len(tested)) == ("NO_PROVEN", 16, 16 + sub.GRID_CAP)
 
 
 def test_contains_invertible_no_proven_in_matrix_corner():

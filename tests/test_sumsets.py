@@ -364,12 +364,18 @@ def test_certificate_seed_drives_a_sampled_witness_and_defaults_to_0():
     # is past the cap, so A's witness is the first seeded random draw, the
     # 22nd trial.
     alg = direct_product(matrix_algebra(2), split_etale_algebra(8))
-    v = sub.from_vecs(alg, cubic_columns(
+    rows = cubic_columns(
         [[int(i == 0), 0, 0, int(i == 1), int(i == 2), int(i == 3)] for i in range(4)],
-        [(3 * k + 1, 3 * k + 2, 3 * k + 3) for k in range(6)]))
+        [(3 * k + 1, 3 * k + 2, 3 * k + 3) for k in range(6)])
+    v = sub.from_vecs(alg, rows)
     full = sub.full_space(alg)
     certs = [sumsets.diderrich_certificate(v, full, seed=seed) for seed in (0, 1)]
     assert [sub.contains_invertible(v, seed=seed).trials_used for seed in (0, 1)] == [22, 22]
+    assert sub.contains_invertible(v) == sub.contains_invertible(v, seed=0)
+    # the draws' coefficients lie in [-9, 9]
+    for seed, cert in enumerate(certs):
+        cs = next(linalg.random_coefficients(4, 9, random.Random(seed)))
+        assert cert.a == alg.element(linalg.combine(cs, rows))
     assert certs[0].a != certs[1].a
     assert sumsets.diderrich_certificate(v, full) == certs[0]
     assert certs[0].violations() == certs[1].violations() == []
