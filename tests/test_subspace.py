@@ -347,7 +347,8 @@ def test_a_commutative_search_decides_against_the_reference_grid(name):
         assert cert.trials_used == r + max(n + r + 1, n * (r - 1) + 1)
         assert first_invertible(alg.table, alg.unit, v.basis) is None, (name, v.basis)
         proven += 1
-    assert proven >= (n > 1)
+    if n > 1:  # Q1 has no proper nonzero ideal to draw a NO from
+        assert proven
 
 
 def test_invertible_basis():
