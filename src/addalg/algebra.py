@@ -29,7 +29,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import AlgebraMismatch, BadUnit, EmptyDescription, NotAssociative
-from .linalg import ONE, ZERO, Vec, vec
+from .linalg import Vec, vec
 from .polynomials import Poly, poly_gcd
 
 __all__ = [
@@ -100,9 +100,6 @@ class Algebra:
     def unit(self) -> Vec:
         """The Fraction view of the unit element."""
         return linalg.fraction_row(self.unit_num, self.unit_den)
-
-    def basis_vec(self, i: int) -> Vec:
-        return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def mul_pairs(self, xs, ys) -> list[int]:
         """den * (x*y), from the nonzero (index, integer) pairs of x and of y.

@@ -5,7 +5,7 @@ gen's writes its report through _finish: canonical JSON with --json, else
 one `key: value` line per key in sorted order, with lists and objects
 written as compact JSON, so no nesting is lost.  COMMANDS declares each
 subcommand with only the options its handler reads, besides group-sweep's
---threads, certificate's --trials and classify's --trials and --seed,
+--threads, and the --trials and --seed of certificate and of classify,
 which are accepted for compatibility; any other flag is a usage error.
 Exit codes: 0 all checks pass, 1 a checked inequality failed, 2
 input/schema error (an invalid structure-constant table among them), 3
@@ -131,7 +131,7 @@ def cmd_classify(args):
 
 def cmd_certificate(args):
     a, b = _named(args, args.A, args.B)
-    cert = sumsets.diderrich_certificate(a, b, seed=args.seed)
+    cert = sumsets.diderrich_certificate(a, b)
     violations = cert.violations()
     return _finish(args, {
         "a": [rat_str(c) for c in cert.a.coords],

@@ -63,7 +63,10 @@ def random_subspace(alg: Algebra, dim: int, rng: random.Random) -> Subspace:
         got = sub.from_vecs(alg, list(islice(draws, dim)))
         if got.dim != dim:
             continue
-        if sub.contains_invertible(got, seed=rng.randint(0, 2**30)).kind == "YES":
+        # one draw per candidate that nothing reads: it fixes rng's stream,
+        # and with it every generated instance
+        rng.randint(0, 2**30)
+        if sub.contains_invertible(got).kind == "YES":
             return got
     raise RetryBudgetExhausted(
         f"no invertible-containing subspace of dim {dim} in {RETRIES} draws")

@@ -62,7 +62,6 @@ __all__ = [
     "full_space",
     "unit_span",
     "zero_space",
-    "lattice_sum",
     "lattice_intersect",
     "product_span",
     "stabilizer",
@@ -134,20 +133,15 @@ class Subspace:
         """ranks[mask]: the rank of V's columns in the bit mask, for every mask < 2^n.
 
         Each mask's forward echelon form is its prefix's (the mask without its
-        top bit) plus that column, and a mask whose prefix has rank dim V has
-        that rank too: every superset of a saturated mask is saturated.
+        top bit) plus that column.
         """
-        n, d = self.algebra.dim, self.dim
+        n = self.algebra.dim
         cols = list(zip(*self.rows))
         forms = [([], [])] * (1 << n)  # mask -> echelon form (rows, pivots) of its columns
         ranks = [0] * (1 << n)
         for mask in range(1, 1 << n):  # a mask's prefix is smaller
             k = mask.bit_length() - 1
-            prefix = mask ^ (1 << k)
-            if ranks[prefix] == d:
-                ranks[mask] = d
-                continue
-            rows, pivots = forms[prefix]
+            rows, pivots = forms[mask ^ (1 << k)]
             rows, pivots = rows[:], pivots[:]
             linalg.echelon_add(rows, pivots, cols[k])
             forms[mask] = rows, pivots
@@ -269,11 +263,6 @@ def _check_same(v: Subspace, w: Subspace):
         raise AlgebraMismatch("subspaces of different algebras")
 
 
-def lattice_sum(v: Subspace, w: Subspace) -> Subspace:
-    _check_same(v, w)
-    return _span(v.algebra, v.rows + w.rows)
-
-
 def lattice_intersect(v: Subspace, w: Subspace) -> Subspace:
     """V n W: the combinations of V's rows that lie in W (_inverse_image)."""
     _check_same(v, w)
@@ -297,10 +286,9 @@ def product_span(v: Subspace, w: Subspace) -> Subspace:
     product b_i b_j of their basis vectors is c b_k with c != 0, read off
     the cell sparse[i][j], or 0; the span is then the coordinate span of
     those k.  Other spaces multiply their integer rows through mul_pairs.
+    A zero factor gives the zero span on either path.
     """
     _check_same(v, w)
-    if v.dim == 0 or w.dim == 0:
-        return zero_space(v.algebra)
     alg = v.algebra
     if alg.monomial and v.coordinate and w.coordinate:
         sparse = alg.sparse
@@ -492,7 +480,7 @@ GRID_CAP = 1000
 SAMPLES = 64
 
 
-def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
+def contains_invertible(v: Subspace) -> InvertibilityCertificate:
     """Search V for an invertible element: the unit, V's basis v_i, then the
     points t = 1, 2, ... of the Vandermonde line p(t) = sum t^i v_i.
 
@@ -503,7 +491,9 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
     max(n + r + 1, n(r - 1) + 1) points.  Elsewhere (Edmonds' problem) the
     line stops at t = n + r + 1; an exact grid of (n+1)^r points decides
     when small enough (det of y -> x y has degree <= n per coordinate),
-    else seeded sampling.  Grid points are not counted in trials_used.
+    else SAMPLES random combinations, drawn from the fixed stream
+    random.Random(0), so every answer is a function of V alone.  Grid
+    points are not counted in trials_used.
     """
     alg = v.algebra
     if v.dim == 0:
@@ -522,7 +512,7 @@ def contains_invertible(v: Subspace, seed: int = 0) -> InvertibilityCertificate:
     if len(grid) ** r <= GRID_CAP:
         w, _, _ = _first(_combinations(elems, product(grid, repeat=r)), _invertible)
         return InvertibilityCertificate("NO_PROVEN" if w is None else "YES", w, used)
-    draws = islice(linalg.random_coefficients(r, 9, random.Random(seed)), SAMPLES)
+    draws = islice(linalg.random_coefficients(r, 9, random.Random(0)), SAMPLES)
     w, _, sampled = _first(_combinations(elems, draws), _invertible)
     return InvertibilityCertificate("PROBABLY_NO" if w is None else "YES", w, used + sampled)
 

@@ -83,16 +83,13 @@ def _e_step(a: Subspace, b: Subspace, e: Element) -> tuple[Subspace, Subspace]:
 
     Both halves come from the images a_i*e of A's rows, formed once.  Be^-1
     is {y : y*e in B}, so A n Be^-1 is the combinations of A's rows whose
-    image lies in B (subspace._inverse_image), with no inverse formed.  When
-    every image lies in B the pair is (A, B) itself; otherwise B + Ae is the
-    span of B's rows and the images.
+    image lies in B (subspace._inverse_image), with no inverse formed, and
+    B + Ae is the span of B's rows and the images.
     """
     alg = b.algebra
     es = linalg.nonzeros(e.num)
     # den * a_i*e; a common positive scale changes neither span nor kernel
     images = [alg.mul_pairs(x, es) for x in a.row_nonzeros]
-    if all(map(b._holds, images)):
-        return a, b
     return sub._inverse_image(alg, a.rows, images, b), sub._span(alg, [*b.rows, *images])
 
 
@@ -168,7 +165,10 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
     span(AB) is not inside B, some element of B's invertible basis shrinks A.
     span(AB) <= B iff every product a_i*b_j of their rows lies in B, so the
     test reads each product through B's projection, stopping at the first
-    outside B (subspace._products_within), and builds no span of AB.
+    outside B (subspace._products_within), and builds no span of AB.  The
+    pivots are B's r = dim B invertible line points (subspace._invertible_points),
+    which the degree bound guarantees and which span B, so one of them
+    shrinks A; the closing AddalgError names a breach of that lemma.
     """
     if a.dim == 1:
         return sub.unit_span(a.algebra), b, 0
@@ -180,13 +180,12 @@ def _recurse(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace, int]:
         if a_e.dim < a.dim:
             h, v, depth = _recurse(a_e, b_e)
             return h, v, depth + 1
-    sub.invertible_basis(b)  # raises NoInvertibleFound when the points fall short
     raise AddalgError("no invertible basis pivot shrank A although span(AB) is not "
                       "inside B, against the lemma that Ae <= B for a basis of B "
                       "gives span(AB) <= B")
 
 
-def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichCertificate:
+def diderrich_certificate(a: Subspace, b: Subspace) -> DiderrichCertificate:
     """Constructive certificate for dim V + dim H >= dim A + dim B.
 
     Follows the e-transform recursion: normalize both sides by chosen
@@ -197,16 +196,15 @@ def diderrich_certificate(a: Subspace, b: Subspace, seed: int = 0) -> DiderrichC
     which it is exactly when the side holds the unit, is taken as it is, and
     its final translate is skipped (1*A = A and V*1 = V).  An element of B's
     invertible basis always shrinks A, since Ae <= B for every e of a basis
-    of B gives span(AB) <= B.  The seed drives only the invertibility
-    searches on A and B.
+    of B gives span(AB) <= B.
     """
     sub._check_same(a, b)
     if not _pairwise_commuting(a):
         raise NotCommutative("A must consist of pairwise commuting elements")
-    cert_a = sub.contains_invertible(a, seed=seed)
+    cert_a = sub.contains_invertible(a)
     if cert_a.kind != "YES":
         raise NoInvertibleInA(f"certificate {cert_a.kind} for A")
-    cert_b = sub.contains_invertible(b, seed=seed)
+    cert_b = sub.contains_invertible(b)
     if cert_b.kind != "YES":
         raise NoInvertibleInB(f"certificate {cert_b.kind} for B")
     xa, xb, one = cert_a.witness, cert_b.witness, a.algebra.one()
@@ -230,9 +228,9 @@ class OlsonReport:
     chain_ok: bool
 
 
-def olson_weak_certificate(v: Subspace, w: Subspace, seed: int = 0) -> OlsonReport:
+def olson_weak_certificate(v: Subspace, w: Subspace) -> OlsonReport:
     """Subspace S and subalgebra H with dim<VW> >= dim S >= dim V + dim W - dim H."""
-    cert = diderrich_certificate(v, w, seed=seed)
+    cert = diderrich_certificate(v, w)
     prod = sub.product_span(v, w)
     s, h = cert.space, cert.subalgebra
     chain = prod.dim >= s.dim >= v.dim + w.dim - h.dim

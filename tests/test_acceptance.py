@@ -175,7 +175,7 @@ def test_criterion_7_connectivity_suite():
             continue
         lam = F(1 + done % 4, 4)
         c = lambda w: sumsets.connectivity_value(w, v, lam)
-        assert c(sub.lattice_sum(w1, w2)) + c(inter) <= c(w1) + c(w2)
+        assert c(sub.from_vecs(alg, [*w1.basis, *w2.basis])) + c(inter) <= c(w1) + c(w2)
         done += 1
 
     # exact atoms in Q^n (n <= 6) plus the connectivity lower bound on 200 W

@@ -65,8 +65,8 @@ def test_validation_catches_non_associativity():
 def test_group_algebra_circulant():
     alg = cyclic(3).algebra()
     e1, e2 = alg.basis_element(1), alg.basis_element(2)
-    assert (e1 * e2).coords == alg.basis_vec(0)
-    assert (e1 * e1).coords == alg.basis_vec(2)
+    assert (e1 * e2).coords == alg.basis_element(0).coords
+    assert (e1 * e1).coords == alg.basis_element(2).coords
     assert alg.commutative
 
 
@@ -136,7 +136,7 @@ def test_invert_examples():
     alg = cyclic(5).algebra()
     inv = alg.basis_element(2).invert()
     assert isinstance(inv, Element)
-    assert inv.coords == alg.basis_vec(3)  # group inverse
+    assert inv.coords == alg.basis_element(3).coords  # group inverse
 
     one = alg.one()
     assert one.invert().coords == one.coords

@@ -23,6 +23,8 @@ from addalg.errors import SchemaError
 from addalg.polynomials import Poly
 from addalg.serialize import algebra_from_desc, dumps, load_instance, parse_rat
 
+from test_sumsets import sampled_witness_rows
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -158,6 +160,20 @@ def test_certificate_with_many_singular_line_points(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["violations"] == [] and data["recursion_depth"] == 1
+
+
+def test_certificate_output_does_not_depend_on_the_seed(capsys, tmp_path):
+    # A's invertible is found only by sampling (test_sumsets.sampled_witness_rows),
+    # and the samples come from one fixed stream, so --seed is not read
+    alg = direct_product(matrix_algebra(2), split_etale_algebra(8))
+    inst = {"algebra": structure_constants(alg),
+            "subspaces": {"A": [list(map(str, row)) for row in sampled_witness_rows()],
+                          "B": [[str(int(i == j)) for j in range(12)] for i in range(12)]}}
+    path = write_instance(tmp_path, inst)
+    outs = [run(capsys, "certificate", "--in", path, "--A", "A", "--B", "B",
+                "--seed", seed, "--json") for seed in ("0", "1", "5")]
+    assert outs[0][0] == 0 and json.loads(outs[0][1])["violations"] == []
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_atom_hamidoune_tao(capsys, tmp_path):
@@ -678,9 +694,11 @@ def test_mutated_instance_files_keep_the_exit_contract(tmp_path_factory, inst, c
 
 # Declared options no handler reads: gen prints its instance as JSON
 # whatever --json says, and --threads is kept for callers that pass it.
-# So is certificate's --trials: the e-transform recursion samples no pivots.
-# So are classify's --trials and --seed: its generator search samples nothing.
-UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}, "certificate": {"trials"},
+# So are certificate's --trials and --seed: the e-transform recursion
+# samples no pivots, and the invertibility search samples from one fixed
+# stream.  So are classify's --trials and --seed: its generator search
+# samples nothing.
+UNREAD_OPTIONS = {"gen": {"json"}, "group-sweep": {"threads"}, "certificate": {"trials", "seed"},
                   "classify": {"trials", "seed"}}
 
 

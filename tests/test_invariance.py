@@ -95,7 +95,7 @@ SPLIT = [name for name in ALGEBRA_NAMES if algebra_fixture(name).split_etale]
 def test_exact_atom_does_not_depend_on_the_basis(name):
     alg, new, inv = rewritten(name)
     # span(1, b_0) holds the unit, so it holds an invertible element
-    v = sub.lattice_sum(sub.unit_span(alg), sub.coordinate_span(alg, [0]))
+    v = sub.from_vecs(alg, [alg.unit, alg.basis_element(0).coords])
     for lam in (F(1, 3), F(1, 2), F(1)):
         want = sumsets.atom_exact_split(v, lam)
         got = sumsets.atom_exact_split(moved(v, new, inv), lam)

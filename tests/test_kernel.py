@@ -180,7 +180,7 @@ def subspaces(draw, alg):
     n = alg.dim
     if draw(st.booleans()):
         picked = draw(st.sets(st.integers(0, n - 1)))
-        return sub.from_vecs(alg, [alg.basis_vec(i) for i in sorted(picked)])
+        return sub.from_vecs(alg, [alg.basis_element(i).coords for i in sorted(picked)])
     vec = st.lists(SPARSE_RATS, min_size=n, max_size=n)
     return sub.from_vecs(alg, draw(st.lists(vec, max_size=n)))
 
@@ -237,7 +237,7 @@ def test_left_and_right_stabilizers_differ_in_m2():
     # V = span(E11, E12) is the right ideal E11 M_2: V x <= V for every x,
     # while x V <= V only for upper-triangular x
     m2 = ALGEBRAS["M2x2"]
-    v = sub.from_vecs(m2, [m2.basis_vec(0), m2.basis_vec(1)])
+    v = sub.from_vecs(m2, [m2.basis_element(0).coords, m2.basis_element(1).coords])
     left, right = sub.stabilizer(v, "left"), sub.stabilizer(v, "right")
     assert left.dim == 3 and right.dim == 4
     for side, got in (("left", left), ("right", right)):
@@ -277,7 +277,7 @@ def _assert_stored_form(space):
 @given(space_pairs())
 def test_stored_form_is_canonical(case):
     alg, v, w = case
-    spaces = [v, w, sub.product_span(v, w), sub.lattice_sum(v, w),
+    spaces = [v, w, sub.product_span(v, w), sub.from_vecs(alg, [*v.basis, *w.basis]),
               sub.lattice_intersect(v, w), sub.full_space(alg), sub.zero_space(alg)]
     for side in ("left", "right"):
         spaces += [sub.stabilizer(v, side), sub.annihilator(w, side)]
@@ -315,7 +315,7 @@ def test_from_vecs_basis_matches_reference(name, data):
     assert (got.basis, got.pivots) == ref_rref(vecs)
     picked = data.draw(st.sets(st.integers(0, alg.dim - 1)))
     assert sub.coordinate_span(alg, picked) == sub.from_vecs(
-        alg, [alg.basis_vec(i) for i in sorted(picked)])
+        alg, [alg.basis_element(i).coords for i in sorted(picked)])
 
 
 @st.composite
@@ -334,7 +334,8 @@ def membership_cases(draw):
     x = draw(st.sampled_from([
         tuple(draw(vec)),
         inside,
-        tuple(a + b for a, b in zip(inside, alg.basis_vec(draw(st.integers(0, n - 1))))),
+        tuple(a + b for a, b in
+              zip(inside, alg.basis_element(draw(st.integers(0, n - 1))).coords)),
     ]))
     return alg, gens_v, gens_w, x
 

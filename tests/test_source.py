@@ -156,7 +156,7 @@ def test_workflow_runs_the_offline_checks_through_ci_local():
 KEPT = {"e_transform", "connectivity_value", "olson_weak_certificate", "stab_correspondence_check",
         "poly_at", "bell_number", "_Parser.error", "StabCorrespondence.matches"}
 # orphans whose deletion waits on their test references (ROADMAP item 4)
-PENDING = {"Algebra.basis_vec", "lattice_sum"}
+PENDING = set()
 
 
 def _definitions(texts):

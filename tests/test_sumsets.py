@@ -12,6 +12,7 @@ from addalg import classify, gen, linalg, sumsets
 from addalg import subspace as sub
 from addalg.algebra import Element, direct_product, matrix_algebra, split_etale_algebra
 from addalg.errors import (
+    AddalgError,
     AlgebraMismatch,
     CapExceeded,
     EpsilonOutOfRange,
@@ -55,10 +56,10 @@ def test_e_transform_unit_pivot():
     alg = algebra_fixture("QZ5")
     rng = random.Random(0)
     a = rand_space(alg, 2, rng)
-    b = sub.lattice_sum(sub.unit_span(alg), rand_space(alg, 2, rng))
+    b = sub.from_vecs(alg, [alg.unit, *rand_space(alg, 2, rng).basis])
     ae, be = sumsets.e_transform(a, b, alg.one())
     assert ae == sub.lattice_intersect(a, b)
-    assert be == sub.lattice_sum(a, b)
+    assert be == sub.from_vecs(alg, [*a.basis, *b.basis])
     assert ae.dim + be.dim == a.dim + b.dim
 
 
@@ -93,7 +94,7 @@ def test_e_transform_guards():
     with pytest.raises(NotInvertible):
         sumsets.e_transform(full, full, t)  # T is nilpotent
     outside = alg.one() + alg.one()
-    nilp = sub.from_vecs(alg, [alg.basis_vec(1)])
+    nilp = sub.from_vecs(alg, [alg.basis_element(1).coords])
     with pytest.raises(NotInB):
         sumsets.e_transform(full, nilp, outside)
 
@@ -147,9 +148,10 @@ def transform_cases(draw):
 @given(transform_cases())
 def test_e_transform_matches_the_lattice_formula(case):
     a, b, e = case
+    ae = sub.translate(e, a, side="right")
     assert sumsets.e_transform(a, b, e) == (
         sub.lattice_intersect(a, sub.preimage(e, b, side="right")),
-        sub.lattice_sum(b, sub.translate(e, a, side="right")))
+        sub.from_vecs(b.algebra, [*b.basis, *ae.basis]))
 
 
 def test_recursion_calls_no_elimination_helper(monkeypatch):
@@ -203,13 +205,13 @@ def test_recursion_tests_no_pivot_beyond_invertible_basis(monkeypatch):
         assert depth >= 1 and outside == []
 
 
-def test_recursion_without_pivots_raises_no_invertible_found(monkeypatch):
+def test_recursion_without_pivots_raises_the_lemma_error(monkeypatch):
     # the path the lemma rules out: when no drawn point shrinks A, the
-    # recursion asks invertible_basis for B's basis, which names the shortfall
+    # recursion names the breach of the lemma
     monkeypatch.setattr(sub, "_invertible_points", lambda v: iter(()))
     alg = algebra_fixture("QZ5")
     a, b = sub.coordinate_span(alg, [0, 1]), sub.coordinate_span(alg, [0, 1, 2])
-    with pytest.raises(NoInvertibleFound):
+    with pytest.raises(AddalgError, match="against the lemma"):
         sumsets._recurse(a, b)
 
 
@@ -272,8 +274,8 @@ def test_certificate_subalgebra_fixed_point():
 
 def test_certificate_group_algebra_ap():
     alg = algebra_fixture("QZ5")
-    a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1)])
-    b = sub.from_vecs(alg, [alg.basis_vec(i) for i in range(3)])
+    a = sub.from_vecs(alg, [alg.basis_element(0).coords, alg.basis_element(1).coords])
+    b = sub.from_vecs(alg, [alg.basis_element(i).coords for i in range(3)])
     cert = sumsets.diderrich_certificate(a, b)
     assert not cert.violations()
     assert cert.subalgebra.dim == 1
@@ -292,7 +294,7 @@ def test_certificate_stabilized_pair_tries_no_pivot(monkeypatch):
 
     monkeypatch.setattr(sumsets, "_e_step", counting)
     alg = algebra_fixture("QZ5")
-    a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1), alg.basis_vec(3)])
+    a = sub.from_vecs(alg, [alg.basis_element(i).coords for i in (0, 1, 3)])
     full = sub.full_space(alg)
     cert = sumsets.diderrich_certificate(a, full)
     assert calls == []
@@ -309,7 +311,7 @@ def test_certificate_rejects_noncommutative_a():
 
 def test_certificate_needs_invertibles():
     qt2 = algebra_fixture("QT2")
-    nilp = sub.from_vecs(qt2, [qt2.basis_vec(1)])
+    nilp = sub.from_vecs(qt2, [qt2.basis_element(1).coords])
     full = sub.full_space(qt2)
     with pytest.raises(NoInvertibleInA, match="^certificate NO_PROVEN for A$"):
         sumsets.diderrich_certificate(nilp, full)
@@ -340,45 +342,45 @@ def test_a_commutative_witness_is_a_line_point_whatever_the_seed():
     # q_4..q_8 cubics whose roots cover t = 1..15: every basis vector and
     # the points sum t^i e_i of its Vandermonde line up to t = 15 have a
     # zero coordinate.  The line goes on to t = n(r - 1) + 1 = 28, so A's
-    # witness is its point at t = 16, the 20th trial, for every seed.
+    # witness is its point at t = 16, the 20th trial, with no draw.
     alg = split_etale_algebra(9)
     rows = cubic_columns([[int(j == i) for j in range(4)] for i in range(4)],
                          [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)])
     v = sub.from_vecs(alg, rows)
     point = [sum(16 ** i * row[k] for i, row in enumerate(rows)) for k in range(9)]
-    for seed in (0, 1, 2):
-        cert = sub.contains_invertible(v, seed=seed)
-        assert (cert.kind, cert.trials_used, cert.witness) == ("YES", 20, alg.element(point))
-    full = sub.full_space(alg)
-    cert = sumsets.diderrich_certificate(v, full)
+    cert = sub.contains_invertible(v)
+    assert (cert.kind, cert.trials_used, cert.witness) == ("YES", 20, alg.element(point))
+    cert = sumsets.diderrich_certificate(v, sub.full_space(alg))
     assert cert.a == alg.element(point) and cert.violations() == []
-    assert sumsets.diderrich_certificate(v, full, seed=1) == cert
 
 
-def test_certificate_seed_drives_a_sampled_witness_and_defaults_to_0():
-    # In M_2(Q) x Q^8, V has the canonical basis E11, E22, e1, e2 (pivots
-    # 0, 3, 4, 5), each plus sum_k q_k[i] e_{k+2}, with q_1..q_6 cubics whose
-    # roots cover t = 1..18: V's elements commute, and every basis vector
-    # and every point of its Vandermonde line up to t = n + r + 1 = 17 is
-    # singular.  The algebra is not commutative and the grid of 13^4 points
-    # is past the cap, so A's witness is the first seeded random draw, the
-    # 22nd trial.
-    alg = direct_product(matrix_algebra(2), split_etale_algebra(8))
-    rows = cubic_columns(
+def sampled_witness_rows():
+    """The four rows of a V in M_2(Q) x Q^8 whose invertible is found only
+    by sampling.
+
+    V has the canonical basis E11, E22, e1, e2 (pivots 0, 3, 4, 5), each
+    plus sum_k q_k[i] e_{k+2}, with q_1..q_6 cubics whose roots cover
+    t = 1..18: V's elements commute, and every basis vector and every point
+    of its Vandermonde line up to t = n + r + 1 = 17 is singular.  The
+    algebra is not commutative and the grid of 13^4 points is past the cap.
+    """
+    return cubic_columns(
         [[int(i == 0), 0, 0, int(i == 1), int(i == 2), int(i == 3)] for i in range(4)],
         [(3 * k + 1, 3 * k + 2, 3 * k + 3) for k in range(6)])
+
+
+def test_a_sampled_witness_is_the_first_draw_of_the_fixed_stream():
+    # A's witness is the first random draw, the 22nd trial, and the draws
+    # come from random.Random(0) with coefficients in [-9, 9]
+    alg = direct_product(matrix_algebra(2), split_etale_algebra(8))
+    rows = sampled_witness_rows()
     v = sub.from_vecs(alg, rows)
-    full = sub.full_space(alg)
-    certs = [sumsets.diderrich_certificate(v, full, seed=seed) for seed in (0, 1)]
-    assert [sub.contains_invertible(v, seed=seed).trials_used for seed in (0, 1)] == [22, 22]
-    assert sub.contains_invertible(v) == sub.contains_invertible(v, seed=0)
-    # the draws' coefficients lie in [-9, 9]
-    for seed, cert in enumerate(certs):
-        cs = next(linalg.random_coefficients(4, 9, random.Random(seed)))
-        assert cert.a == alg.element(linalg.combine(cs, rows))
-    assert certs[0].a != certs[1].a
-    assert sumsets.diderrich_certificate(v, full) == certs[0]
-    assert certs[0].violations() == certs[1].violations() == []
+    cs = next(linalg.random_coefficients(4, 9, random.Random(0)))
+    cert = sub.contains_invertible(v)
+    assert (cert.kind, cert.trials_used) == ("YES", 22)
+    assert cert.witness == alg.element(linalg.combine(cs, rows))
+    certificate = sumsets.diderrich_certificate(v, sub.full_space(alg))
+    assert certificate.a == cert.witness and certificate.violations() == []
 
 
 def test_certificate_path_forms_no_inverse(monkeypatch):
@@ -398,7 +400,7 @@ def test_certificate_path_forms_no_inverse(monkeypatch):
     for name in ("M2x2", "QS3", "QT3"):
         alg = algebra_fixture(name)
         for _ in range(4):
-            b = sub.lattice_sum(sub.unit_span(alg), rand_space(alg, 2, rng))
+            b = sub.from_vecs(alg, [alg.unit, *rand_space(alg, 2, rng).basis])
             spaces.append((rand_space(alg, rng.randint(1, 3), rng), b))
     pivots = 0  # random invertible pivots in B
     for a, b in spaces:
@@ -413,7 +415,8 @@ def test_certificate_path_forms_no_inverse(monkeypatch):
             b_inv = sub.from_vecs(alg, [ref_mul(alg.table, y, inv) for y in b.basis])
             a_e, b_e = sumsets.e_transform(a, b, e)
             assert a_e == sub.lattice_intersect(a, b_inv)
-            assert b_e == sub.lattice_sum(b, sub.translate(e, a, side="right"))
+            ae = sub.translate(e, a, side="right")
+            assert b_e == sub.from_vecs(alg, [*b.basis, *ae.basis])
     assert pivots >= 40  # the e-transforms must actually have been exercised
 
 
@@ -457,7 +460,7 @@ def forged_certificates():
         "dimension inequality"]
 
     qz5 = algebra_fixture("QZ5")
-    g = [qz5.basis_vec(i) for i in range(5)]
+    g = [qz5.basis_element(i).coords for i in range(5)]
     a, b = sub.from_vecs(qz5, g[:2]), sub.from_vecs(qz5, g[:4])
     full = sub.full_space(qz5)
     # K[A] holds H = Q[Z5] only at the third span of A's closure chain
@@ -533,7 +536,7 @@ def test_the_closure_check_is_membership_in_the_generated_subalgebra():
         alg = algebra_fixture(name)
         for _ in range(15):
             a = rand_space(alg, rng.randint(1, 2), rng)
-            first = sub.lattice_sum(sub.unit_span(alg), a)
+            first = sub.from_vecs(alg, [alg.unit, *a.basis])
             k = sub.subalgebra_generated(a.elements())
             inside = [sum((x.scale(rng.randint(-2, 2)) for x in k.elements()), alg.one())
                       for _ in range(rng.randint(1, 2))]
@@ -585,8 +588,8 @@ def test_some_invertible_basis_pivot_shrinks_a(case):
 
 def test_olson_weak_certificate():
     alg = algebra_fixture("QZ5")
-    a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1)])
-    b = sub.from_vecs(alg, [alg.basis_vec(i) for i in range(3)])
+    a = sub.from_vecs(alg, [alg.basis_element(0).coords, alg.basis_element(1).coords])
+    b = sub.from_vecs(alg, [alg.basis_element(i).coords for i in range(3)])
     rep = sumsets.olson_weak_certificate(a, b)
     assert rep.chain_ok
     assert rep.dim_product == 4
@@ -608,8 +611,8 @@ def test_kneser_examples():
     assert rep.bound_holds and rep.dim_product == 2 and rep.dim_stab == 2
 
     alg = algebra_fixture("QZ5")
-    a = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1)])
-    b = sub.from_vecs(alg, [alg.basis_vec(i) for i in range(3)])
+    a = sub.from_vecs(alg, [alg.basis_element(0).coords, alg.basis_element(1).coords])
+    b = sub.from_vecs(alg, [alg.basis_element(i).coords for i in range(3)])
     rep = sumsets.kneser_check(a, b)
     assert rep.dim_product == 4 and rep.dim_stab == 1
     assert rep.bound_holds and rep.strong_bound_holds
@@ -623,7 +626,7 @@ def test_kneser_noncommutative_checks_the_plain_bound_only():
     for name in ("M2x2", "QS3"):
         alg = algebra_fixture(name)
         rng = random.Random(1)
-        a = sub.lattice_sum(sub.unit_span(alg), rand_space(alg, 1, rng))
+        a = sub.from_vecs(alg, [alg.unit, *rand_space(alg, 1, rng).basis])
         b = rand_space(alg, 2, rng)
         rep = sumsets.kneser_check(a, b)
         assert rep.dim_ha is rep.dim_hb is rep.strong_bound_holds is None
@@ -651,7 +654,7 @@ def test_kneser_random_finite_verdict_instances():
 
 def test_kneser_nfold():
     alg = algebra_fixture("QZ7")
-    s = sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(1)])
+    s = sub.from_vecs(alg, [alg.basis_element(0).coords, alg.basis_element(1).coords])
     rep = sumsets.kneser_nfold_check([s, s, s])
     assert rep.dim_product == 4 and rep.dim_stab == 1
     assert rep.bound_holds and rep.strong_bound_holds
@@ -663,11 +666,11 @@ def test_kneser_nfold():
     # n=2 agrees with the pairwise check on every field; H is the left
     # stabilizer, and the strengthened bound, through HA and HB, is checked
     # in the commutative algebras only
-    pairs = [(s, sub.from_vecs(alg, [alg.basis_vec(0), alg.basis_vec(2)]))]
+    pairs = [(s, sub.from_vecs(alg, [alg.basis_element(0).coords, alg.basis_element(2).coords]))]
     rng = random.Random(2)
     for name in ("QZ7", "Q3", "QS3", "M2x2"):
         other = algebra_fixture(name)
-        pairs += [(sub.lattice_sum(sub.unit_span(other), rand_space(other, 1, rng)),
+        pairs += [(sub.from_vecs(other, [other.unit, *rand_space(other, 1, rng).basis]),
                    rand_space(other, 2, rng)) for _ in range(3)]
     for a, b in pairs:
         pair = sumsets.kneser_check(a, b)
@@ -734,7 +737,7 @@ def test_connectivity_submodular():
         w2 = rand_space(alg, rng.randint(1, 3), rng)
         lam = F(rng.randint(1, 4), 4)
         c = lambda w: sumsets.connectivity_value(w, v, lam)
-        s = sub.lattice_sum(w1, w2)
+        s = sub.from_vecs(alg, [*w1.basis, *w2.basis])
         i = sub.lattice_intersect(w1, w2)
         if i.dim == 0:
             continue  # c is defined on nonzero fragments
@@ -963,6 +966,20 @@ def _translate_of_partition_span(n, rng):
     x = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(n)]
     return sub.from_vecs(SPLIT[n], [[F(x[i]) if i in b else F(0) for i in range(n)]
                                     for b in part])
+
+
+def test_block_rank_table_matches_the_reference():
+    """_column_ranks has one entry per mask < 2^n: the rank of V's columns
+    in the mask, 0 for the empty mask.  Spaces of every dim 1..n reach rank
+    dim V on masks below the full one."""
+    rng = random.Random(31)
+    for n, alg in SPLIT.items():
+        for v in [rand_space(alg, d, rng) for d in range(1, n + 1)]:
+            ranks = v._column_ranks
+            assert len(ranks) == 2 ** n
+            for mask, rank in enumerate(ranks):
+                block = [i for i in range(n) if mask >> i & 1]
+                assert rank == ref.rank([[r[i] for i in block] for r in v.basis]), (n, mask)
 
 
 def test_each_subspace_builds_one_block_rank_table(monkeypatch):
