@@ -7,7 +7,7 @@ bridges."""
 from fractions import Fraction as Rat
 
 from .algebra import Algebra, Element, NonInvertible, min_poly
-from .polynomials import Poly, SqfProfile, poly_gcd, squarefree_decompose
+from .polynomials import Poly, SqfProfile, poly_gcd, poly_lcm, squarefree_decompose
 from .subspace import Subspace
 
 __version__ = "0.1.0"
@@ -21,6 +21,7 @@ __all__ = [
     "Rat",
     "SqfProfile",
     "poly_gcd",
+    "poly_lcm",
     "squarefree_decompose",
     "Subspace",
     "__version__",

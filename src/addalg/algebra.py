@@ -10,8 +10,10 @@ The dense tensor table[i][j] and the unit vector are Fraction views, and
 from_structure_constants is the one dense entry point; the other
 constructors (group/monoid multiplication tables, products of polynomial
 quotients, companion-matrix subalgebras, full matrix algebras and direct
-products) emit the sparse cells directly.  Products of polynomial
-quotients and direct products share one block-diagonal layout
+products) emit the sparse cells directly.  A companion-matrix subalgebra
+is the quotient by the lcm of its blocks, which polynomials.poly_lcm
+forms in the integer core.  Products of polynomial quotients and direct
+products share one block-diagonal layout
 (_block_diagonal): each factor's cells, in its own coordinates, are
 shifted into place and the product is built as one Algebra.  An Element is one integer row
 over one denominator, in lowest terms; Element.coords, mul_coords and the
@@ -23,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count
 from math import gcd, lcm
 
 from . import linalg
 from .errors import AlgebraMismatch, BadUnit, EmptyDescription, NotAssociative
 from .linalg import Vec, vec
-from .polynomials import Poly, poly_gcd
+from .polynomials import Poly, poly_lcm
 
 __all__ = [
     "Algebra",
@@ -460,16 +462,14 @@ def companion_algebra(polys, label="") -> Algebra:
 
     Q[M] is presented in the power basis of M, i.e. as Q[T]/(mu_M): the
     minimal polynomial of the companion matrix of p is p, and that of a
-    block-diagonal matrix is the lcm of its blocks'.
+    block-diagonal matrix is the lcm of its blocks', folded with poly_lcm.
     """
     polys = [p.monic() for p in polys]
     if not polys:
         raise EmptyDescription("need at least one companion polynomial")
     if any(p.is_zero for p in polys):
         raise EmptyDescription("companion polynomials must be nonzero")
-    mu = Poly.one()
-    for p in polys:
-        mu = mu * p // poly_gcd(mu, p)
+    mu = reduce(poly_lcm, polys)
     if mu.is_constant:
         raise EmptyDescription("algebra must have positive dimension")
     return poly_quotient_product([mu], label=label or f"Q[M], mu = {mu}")

@@ -109,8 +109,6 @@ def _monogenic(alg: Algebra) -> bool:
     j = sub.radical(alg)
     j2 = sub.product_span(j, j)
     m = j.dim - j2.dim
-    if m <= 1:  # End_A(M) holds the scalars and lies in m x m matrices
-        return True
     out, pivots = list(j2.rows), list(j2.pivots)
     comp = [c for c in j.rows if linalg.echelon_add(out, pivots, c)[1] is not None]
     images = [alg.mul_pairs(((i, 1),), linalg.nonzeros(c))

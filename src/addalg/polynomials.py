@@ -4,10 +4,13 @@ Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple and its degree is None (a sentinel, never -1).
 Poly.__post_init__ is the one normal form: every constructor and
 operation passes its coefficients through it, and it stores them as
-Fractions with no trailing zeros.  Includes monic gcd and Yun-style
-squarefree decomposition, which is all the subalgebra classifier needs.
-Both run on primitive integer coefficient lists through one
-pseudo-remainder core, _int_gcd; only their results become Polys.
+Fractions with no trailing zeros.  A Poly is a ring element only: it adds,
+subtracts, multiplies and is made monic, and has no division.
+Polynomials are divided in one place, the integer core: _int_divmod is the
+one long-division loop, and _int_gcd (the primitive pseudo-remainder
+sequence) runs on it.  poly_gcd, poly_lcm and Yun's squarefree
+decomposition, which is all the subalgebra classifier needs, work on
+primitive integer coefficient lists there; only their results become Polys.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ class Poly:
         return Poly.of(0, 1)
 
     @staticmethod
-    def monomial(deg: int, c=1) -> "Poly":
-        return Poly.of(*([0] * deg + [c]))
+    def monomial(deg: int) -> "Poly":
+        return Poly.of(*([0] * deg + [1]))
 
     @property
     def degree(self) -> int | None:
@@ -96,45 +99,11 @@ class Poly:
                     out[i + j] += a * b
         return Poly(out)
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly.zero()
-        return Poly(tuple(c * a for a in self.coeffs))
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.leading
-        quo = [Fraction(0)] * max(dd - dv + 1, 0)
-        while len(rem) - 1 >= dv and rem:
-            c = rem[-1] / lead
-            k = len(rem) - 1 - dv
-            quo[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        lead = self.leading
+        return Poly(tuple(c / lead for c in self.coeffs))
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -168,6 +137,27 @@ def _to_int_poly(f: Poly) -> list[int]:
     return _primitive_part(linalg.integer_row(f.coeffs)[0])
 
 
+def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of integer polynomials a by nonzero b, lowest
+    degree first, the remainder with no trailing zeros.
+
+    The one long-division loop: it clears the coefficients of a from the
+    top, one fixed position per quotient coefficient, and each quotient
+    coefficient is an exact integer when b divides a in Z[x], or when a has
+    been multiplied by lead(b)^(deg a - deg b + 1) (pseudo-division).
+    """
+    rem, db, lead = a[:], len(b) - 1, b[-1]
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q = quo[k] = rem[k + db] // lead
+        if q:
+            for j, bc in enumerate(b):
+                rem[k + j] -= q * bc
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd, leading coefficient positive, of integer polynomials
     (lowest degree first) by the primitive pseudo-remainder sequence.
@@ -178,37 +168,10 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        # pseudo-remainder of a by b
-        d = len(a) - len(b)
-        lead = b[-1]
-        rem = [c * lead ** (d + 1) for c in a]
-        while len(rem) >= len(b) and rem:
-            # exact: rem starts as a * lead^(d+1), and each of the at most
-            # d + 1 steps uses up one factor lead of every coefficient
-            q = rem[-1] // lead
-            k = len(rem) - len(b)
-            for j, bc in enumerate(b):
-                rem[k + j] -= q * bc
-            while rem and rem[-1] == 0:
-                rem.pop()
+        lead, d = b[-1], len(a) - len(b)
+        rem = _int_divmod([c * lead ** (d + 1) for c in a], b)[1]
         a, b = b, rem and _primitive_part(rem)
     return a and _primitive_part(a)
-
-
-def _int_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials where b divides a in Z[x].
-
-    Long division then meets only exact integer quotients: each step reads
-    one coefficient of the integer quotient.
-    """
-    a, db, lead = a[:], len(b) - 1, b[-1]
-    quo = [0] * (len(a) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        q = quo[k] = a[k + db] // lead
-        if q:
-            for j, bc in enumerate(b):
-                a[k + j] -= q * bc
-    return quo
 
 
 def _int_derivative(a: list[int]) -> list[int]:
@@ -229,6 +192,20 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     coefficients from exploding; only the final result is made monic.
     """
     return Poly(_int_gcd(_to_int_poly(f), _to_int_poly(g))).monic()
+
+
+def poly_lcm(f: Poly, g: Poly) -> Poly:
+    """Monic lcm, (a / gcd) * b on the primitive integer forms a and b.
+
+    The gcd is primitive, so by Gauss's lemma a / gcd is an integer
+    polynomial and _int_divmod meets only exact quotients.  The lcm of zero
+    and anything is zero.
+    """
+    a, b = _to_int_poly(f), _to_int_poly(g)
+    d = _int_gcd(a, b)
+    if not d:  # f and g both zero
+        return Poly.zero()
+    return (Poly(_int_divmod(a, d)[0]) * Poly(b)).monic()
 
 
 @dataclass(frozen=True)
@@ -264,14 +241,14 @@ def squarefree_decompose(f: Poly) -> SqfProfile:
     p = _to_int_poly(f)
     dp = _int_derivative(p)
     g = _int_gcd(p, dp)
-    c = _int_quotient(p, g)
-    d = _int_sub(_int_quotient(dp, g), _int_derivative(c))
+    c = _int_divmod(p, g)[0]
+    d = _int_sub(_int_divmod(dp, g)[0], _int_derivative(c))
     parts, i = [], 1
     while len(c) > 1:
         a = _int_gcd(c, d)
         if len(a) > 1:
             parts.append((i, Poly(a).monic()))
-        c = _int_quotient(c, a)
-        d = _int_sub(_int_quotient(d, a), _int_derivative(c))
+        c = _int_divmod(c, a)[0]
+        d = _int_sub(_int_divmod(d, a)[0], _int_derivative(c))
         i += 1
     return SqfProfile(parts=tuple(parts), content=f.leading)

@@ -29,8 +29,8 @@ invertible points of an invertible basis are also drawn lazily
 pivot it takes.  span(XW) <= T is tested product by product against T's
 projection (_products_within), with no span of XW built.  The module also
 builds generated subalgebras, as the last span of a lazy closure chain
-(_closure) that stops at the full algebra, and the radical as the kernel
-of the trace form's integer Gram matrix.
+(_closure) that stops when a square does not grow the span, and the
+radical as the kernel of the trace form's integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -558,8 +558,7 @@ def _closure(elements: list[Element]):
     the one before: span(1, S) of the unit's integer row (unit_num) and the
     elements' rows, then its square, and so on.  Every one lies in the
     subalgebra S generates, and the last is that subalgebra: the chain stops
-    at a span whose square does not grow it, or at the full algebra, which
-    is closed with no product.
+    at a span whose square does not grow it.
     """
     if not elements:
         raise EmptyGeneratingSet("subalgebra of empty generating set")
@@ -569,8 +568,6 @@ def _closure(elements: list[Element]):
     cur = _span(alg, [alg.unit_num, *(x.num for x in elements)])
     for _ in range(alg.dim + 1):
         yield cur
-        if cur.dim == alg.dim:
-            return
         nxt = product_span(cur, cur)  # holds cur, since cur holds the unit
         if nxt.dim == cur.dim:
             return

@@ -12,7 +12,8 @@ structure-constant tensor, the opposite product for right-side checks,
 solve, minimal polynomial and inverse on top of ref's elimination, the
 closure of a span under products, the subalgebra generated by V u^-1 on
 top of that inverse, a Diderrich certificate's violated invariants read
-off spans formed in full, the trace form's
+off spans formed in full, the partition atom of Q^n from spans formed in
+full, the trace form's
 radical and the commutant dimension dim End_A(J/J^2), monoid-check's
 atom and Hamidoune verdict from a multiplication table,
 dense tensors built from each algebra's definition, and a seeded
@@ -271,6 +272,38 @@ def ref_certificate_violations(table, unit, a, h, v, src_a, src_b):
         ("dimension inequality", ref.rank(v) + ref.rank(h) >= ref.rank(src_a) + ref.rank(src_b)),
     ]
     return [name for name, ok in checks if not ok]
+
+
+def partition_atom(table, unit, rows, lam, cap):
+    """The atom of V = span(rows) at lambda over the partition spans W_pi of
+    Q^n, read off the dense tensor with ref alone.
+
+    Returns the first refusal, in the library's order, as a string: "no
+    invertible" when first_invertible finds no unit in V, "not split" when
+    the basis is not orthogonal idempotents (b_i b_j = [i = j] b_i), "cap"
+    when n > cap.  Otherwise (evaluated, atom, tie): evaluated pairs each pi
+    of ref.partitions, in restricted-growth (lex) order, with
+    c(W_pi) = rank{split_mul(w, v) : w in block_vectors(pi), v in V} - lambda |pi|,
+    each span formed in full; atom is the first pi of least c with the
+    fewest blocks, and tie says another pi has that c and block count.
+    """
+    n = len(table)
+    if first_invertible(table, unit, ref.basis(rows)) is None:
+        return "no invertible"
+    zero = (Fraction(0),) * n
+    if any(table[i][j] != (_unit_vec(n, i) if i == j else zero)
+           for i in range(n) for j in range(n)):
+        return "not split"
+    if n > cap:
+        return "cap"
+    parts = sorted(ref.partitions(range(n)),
+                   key=lambda part: [next(k for k, b in enumerate(part) if i in b)
+                                     for i in range(n)])
+    evaluated = [(part, ref.rank([ref.split_mul(w, v) for w in ref.block_vectors(part, n)
+                                  for v in rows]) - lam * len(part)) for part in parts]
+    keys = [(c, len(part)) for part, c in evaluated]
+    best = min(keys)
+    return evaluated, parts[keys.index(best)], keys.count(best) > 1
 
 
 def ref_radical(table):

@@ -1,9 +1,11 @@
 """CLI goldens re-derived from the reference alone.
 
 Each stabilizer, annihilator, kneser, nfold, group-sweep and monoid-check
-record of golden_cli.json, and each hamidoune record at lambda = 1, is
+record of golden_cli.json, and each atom, hamidoune and tao record, is
 recomputed from its argv and its instance with perfbench/ref.py and
-tests/oracles.py, not with addalg.  Every certificate record is
+tests/oracles.py, not with addalg.  The atom at lambda = 1 of hamidoune
+is the subalgebra generated by V u^-1; every other atom is the partition
+oracle's, whose refusals come in the library's order.  Every certificate record is
 checked against the e-transform certificate's invariants instead, since
 its space and subalgebra are not the only ones that satisfy them, and
 every classify record against the fixture's definition: a generator's
@@ -27,6 +29,7 @@ from golden_cases import GOLDEN, INSTANCES, cases
 from oracles import (
     generated_subalgebra,
     monoid_atom_dim,
+    partition_atom,
     monoid_hamidoune_holds,
     ref,
     ref_commutant_dim,
@@ -39,12 +42,17 @@ from oracles import (
 )
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
-DERIVED = REBUILT + ("certificate", "classify")
+DERIVED = REBUILT + ("certificate", "classify", "atom", "hamidoune", "tao")
 INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in REBUILT]
 CERTIFICATES = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "certificate"]
 CLASSIFIED = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "classify"]
 LAMBDA_ONE = [i for i, (argv, _) in enumerate(cases())
               if argv[0] == "hamidoune" and argv[argv.index("--lambda") + 1] == "1"]
+SPLIT_HAMIDOUNE = [i for i, (argv, _) in enumerate(cases())
+                   if argv[0] == "hamidoune" and i not in LAMBDA_ONE]
+ATOMS = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "atom"]
+TAOS = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "tao"]
+DEFAULT_CAP = 10  # the CLI's --cap default
 TABLES = {"Z5": ref.cyclic_table(5), "S3": ref.s3_table()}
 UNDECIDED = "error: no exact atom at lambda {}, and the candidate atom's bound fails\n"
 
@@ -253,22 +261,90 @@ def check_certificate(rec, instances):
     assert 0 <= out["recursion_depth"] < dim_a
 
 
-def check_lambda_one_hamidoune(rec, instances):
-    """The lambda = 1 hamidoune record, from the oracle's atom: the
-    subalgebra generated by V u^-1, or exit 2 when V holds no invertible."""
+def _partition_atom(rec, instances, lam):
+    """oracles.partition_atom for the record's --V at lambda, or None after
+    checking that the record is the refusal it returns."""
+    flags, mult, space = _inputs(rec["argv"], instances)
+    cap = int(flags.get("--cap", DEFAULT_CAP))
+    found = partition_atom(*ref_tensor(mult), space[flags["--V"]], lam, cap)
+    if not isinstance(found, str):
+        return found
+    label = instances[flags["--in"][1:]]["algebra"]["label"]
+    code, message = {
+        "no invertible": (2, "V must contain an invertible element"),
+        "not split": (3, f"Algebra({label}, dim={mult.dim}) was not built with an idempotent basis"),
+        "cap": (3, f"dimension {mult.dim} above enumeration cap {cap}"),
+    }[found]
+    assert (rec["code"], rec["stdout"], rec["stderr"]) == (code, "", f"error: {message}\n")
+    return None
+
+
+def check_atom(rec, instances):
+    """The atom record: every partition's c, the atom and the tie flag, from
+    the partition oracle."""
+    lam = Fraction(_flags(rec["argv"])["--lambda"])
+    found = _partition_atom(rec, instances, lam)
+    if found is None:
+        return
+    evaluated, part, tie = found
+    out = {"schema_version": 1, "lambda": str(lam), "kappa": str(dict(evaluated)[part]),
+           "atom_partition": [list(b) for b in part], "atom_dim": len(part),
+           "evaluated": [{"partition": [list(b) for b in p], "c": str(c)} for p, c in evaluated],
+           "tie_anomaly": tie}
+    assert rec["stderr"] == "" and rec["code"] == (1 if tie else 0)
+    assert json.loads(rec["stdout"]) == out
+
+
+def check_hamidoune(rec, instances):
+    """The hamidoune record, from the oracle's atom: at lambda = 1 the
+    subalgebra generated by V u^-1, or exit 2 when V holds no invertible;
+    at any other lambda the partition oracle's atom, or its refusal."""
     flags, mult, space = _inputs(rec["argv"], instances)
     v, w = space[flags["--V"]], space[flags["--W"]]
-    atom = generated_subalgebra(*ref_tensor(mult), v)
-    if atom is None:
-        assert (rec["code"], rec["stdout"]) == (2, "")
-        assert rec["stderr"] == "error: V must contain an invertible element\n"
-        return
+    lam = Fraction(flags["--lambda"])
+    if lam == 1:
+        atom = generated_subalgebra(*ref_tensor(mult), v)
+        if atom is None:
+            assert (rec["code"], rec["stdout"]) == (2, "")
+            assert rec["stderr"] == "error: V must contain an invertible element\n"
+            return
+        atom_dim = len(atom)
+    else:
+        found = _partition_atom(rec, instances, lam)
+        if found is None:
+            return
+        atom_dim = len(found[1])
     dim_wv, dim_w, dim_v = ref.rank(mult.products(w, v)), ref.rank(w), ref.rank(v)
-    rhs = dim_w + dim_v - len(atom)
-    out = {"schema_version": 1, "lambda": "1", "dim_WV": dim_wv, "dim_W": dim_w,
-           "dim_V": dim_v, "atom_dim": len(atom), "rhs": str(rhs),
+    rhs = lam * dim_w + dim_v - lam * atom_dim
+    out = {"schema_version": 1, "lambda": str(lam), "dim_WV": dim_wv, "dim_W": dim_w,
+           "dim_V": dim_v, "atom_dim": atom_dim, "rhs": str(rhs),
            "holds": dim_wv >= rhs, "slack": str(dim_wv - rhs)}
     assert rec["stderr"] == "" and rec["code"] == (0 if dim_wv >= rhs else 1)
+    assert json.loads(rec["stdout"]) == out
+
+
+def check_tao(rec, instances):
+    """The tao record: the hypotheses from ranks, then H, the partition
+    oracle's atom at lambda = 1 - epsilon/2, and HV formed in full."""
+    flags, mult, space = _inputs(rec["argv"], instances)
+    v, w = space[flags["--V"]], space[flags["--W"]]
+    eps = Fraction(flags["--epsilon"])
+    dim_v, dim_w, dim_wv = ref.rank(v), ref.rank(w), ref.rank(mult.products(w, v))
+    out = {"schema_version": 1, "epsilon": str(eps), "dim_V": dim_v, "dim_W": dim_w,
+           "dim_WV": dim_wv, "hypotheses_met": dim_w >= dim_v and dim_wv <= (2 - eps) * dim_v}
+    if out["hypotheses_met"]:
+        found = _partition_atom(rec, instances, 1 - eps / 2)
+        if found is None:
+            return
+        h = ref.block_vectors(found[1], mult.dim)
+        hv = mult.products(h, v)
+        budget = 2 / eps - 1
+        out.update(dim_H=len(h), dim_HV=ref.rank(hv),
+                   h_small=len(h) <= budget * dim_v, v_in_hv=ref.contains(hv, v),
+                   hv_small=ref.rank(hv) <= budget * len(h))
+        out["conclusions_hold"] = out["h_small"] and out["v_in_hv"] and out["hv_small"]
+    assert rec["stderr"] == ""
+    assert rec["code"] == (0 if out.get("conclusions_hold", True) else 1)
     assert json.loads(rec["stdout"]) == out
 
 
@@ -354,10 +430,12 @@ def derive(argv, instances):
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
-                      "group-sweep": 3, "monoid-check": 4, "certificate": 40, "classify": 32}
+                      "group-sweep": 3, "monoid-check": 4, "certificate": 40, "classify": 32,
+                      "atom": 34, "hamidoune": 35, "tao": 29}
     assert (len(INDICES), len(CERTIFICATES)) == (143, 40)
     # 8 among the split-instance records, 6 where the atom needs no split algebra
-    assert len(LAMBDA_ONE) == 14
+    assert (len(LAMBDA_ONE), len(SPLIT_HAMIDOUNE)) == (14, 21)
+    assert sum(counts.values()) == 313
 
 
 @pytest.mark.parametrize("index", INDICES)
@@ -376,7 +454,22 @@ def test_certificate_golden_holds_from_reference(golden, instances, index):
 
 @pytest.mark.parametrize("index", LAMBDA_ONE)
 def test_lambda_one_hamidoune_golden_matches_the_oracle(golden, instances, index):
-    check_lambda_one_hamidoune(golden[index], instances)
+    check_hamidoune(golden[index], instances)
+
+
+@pytest.mark.parametrize("index", SPLIT_HAMIDOUNE)
+def test_split_hamidoune_golden_matches_the_partition_oracle(golden, instances, index):
+    check_hamidoune(golden[index], instances)
+
+
+@pytest.mark.parametrize("index", ATOMS)
+def test_atom_golden_matches_the_partition_oracle(golden, instances, index):
+    check_atom(golden[index], instances)
+
+
+@pytest.mark.parametrize("index", TAOS)
+def test_tao_golden_matches_the_partition_oracle(golden, instances, index):
+    check_tao(golden[index], instances)
 
 
 @pytest.mark.parametrize("index", CLASSIFIED)

@@ -8,10 +8,10 @@ from addalg import classify
 from addalg.algebra import min_poly
 from addalg.errors import ConstantPolynomial
 from addalg.fixtures import ALGEBRA_NAMES, algebra_fixture
-from addalg.polynomials import Poly, poly_gcd, squarefree_decompose
+from addalg.polynomials import Poly, _int_divmod, poly_gcd, poly_lcm, squarefree_decompose
 from addalg.serialize import poly_from_json
 
-from oracles import _derivative, euclid_gcd, sqf_rebuild, yun
+from oracles import _derivative, _divmod, _rem, euclid_gcd, sqf_rebuild, yun
 
 T = Poly.x()
 
@@ -61,22 +61,72 @@ def test_gcd_matches_euclid_oracle_on_random_pairs():
         got = poly_gcd(f, g)
         want = Poly(tuple(euclid_gcd(list(f.coeffs), list(g.coeffs))))
         assert got == want
-        if not f.is_zero:
-            assert (f % got).is_zero
-        if not g.is_zero:
-            assert (g % got).is_zero
+        if not got.is_zero:
+            assert _rem(list(f.coeffs), list(got.coeffs)) == []
+            assert _rem(list(g.coeffs), list(got.coeffs)) == []
 
 
-def test_divmod_roundtrip():
-    rng = random.Random(11)
-    for _ in range(100):
-        f = Poly(tuple(F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 8))))
-        g = Poly(tuple(F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 6))))
-        if g.is_zero:
-            continue
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.is_zero or r.degree < g.degree
+def _int_poly(rng, deg, bound):
+    """A seeded integer polynomial of degree deg, leading coefficient nonzero."""
+    return [rng.randint(-bound, bound) for _ in range(deg)] + [rng.choice((-1, 1)) * rng.randint(1, bound)]
+
+
+def test_int_divmod_matches_schoolbook_division():
+    # the exact case, a = b * q, where every quotient coefficient is an
+    # integer; then pseudo-division, a premultiplied by
+    # lead(b)^(deg a - deg b + 1), whose remainder need not be zero
+    rng = random.Random(40)
+    for _ in range(300):
+        b = _int_poly(rng, rng.randint(0, 5), 6)
+        a = [int(c) for c in sqf_rebuild(1, [(1, b), (1, _int_poly(rng, rng.randint(0, 5), 6))])]
+        want = _divmod([F(c) for c in a], [F(c) for c in b])
+        assert want[1] == [] and _int_divmod(a, b) == want
+    for _ in range(300):
+        a = _int_poly(rng, rng.randint(0, 8), 9)
+        b = _int_poly(rng, rng.randint(0, 6), 9)
+        pa = [c * b[-1] ** max(len(a) - len(b) + 1, 0) for c in a]
+        got = _int_divmod(pa, b)
+        assert all(type(c) is int for c in got[0] + got[1])
+        assert got == _divmod([F(c) for c in pa], [F(c) for c in b])
+
+
+def test_int_divmod_of_a_lower_degree_or_zero_dividend():
+    assert _int_divmod([], [1, 2]) == ([], [])
+    assert _int_divmod([0, 3], [1, 0, 2]) == ([], [0, 3])
+    assert _int_divmod([5], [7]) == ([0], [5])
+
+
+def _oracle_lcm(f, g):
+    """Monic lcm (f / gcd) * g from euclid_gcd and schoolbook division and product."""
+    prod = sqf_rebuild(1, [(1, _divmod(f, euclid_gcd(f, g))[0]), (1, g)])
+    return [c / prod[-1] for c in prod]
+
+
+def test_lcm_matches_euclid_oracle_on_random_pairs():
+    # small factors, so that the pairs often share some
+    rng = random.Random(41)
+    factors = [Poly.of(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+    factors += [Poly.of(F(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-2, 2), 1) for _ in range(3)]
+    for _ in range(300):
+        polys = []
+        for _ in range(2):
+            f = Poly.of(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+            for _ in range(rng.randint(0, 3)):
+                f = f * rng.choice(factors)
+            polys.append(f)
+        f, g = polys
+        got = poly_lcm(f, g)
+        assert list(got.coeffs) == _oracle_lcm(list(f.coeffs), list(g.coeffs))
+        assert poly_lcm(g, f) == got
+
+
+def test_lcm_with_zero_is_zero():
+    f = T * T - Poly.one()
+    assert poly_lcm(f, Poly.zero()).is_zero
+    assert poly_lcm(Poly.zero(), f).is_zero
+    assert poly_lcm(Poly.zero(), Poly.zero()).is_zero
+    assert poly_lcm(Poly.of(3), Poly.of(F(1, 2))) == Poly.one()
+    assert poly_lcm(T - Poly.one(), T * T - Poly.one()) == T * T - Poly.one()
 
 
 def test_squarefree_examples():
@@ -125,7 +175,7 @@ def test_squarefree_structured_products():
         got = {m: g for m, g in p.parts}
         assert sorted(got) == mults
         for r, m in zip(roots, mults):
-            assert got[m](F(r)) == 0
+            assert _rem(list(got[m].coeffs), list(lin(r).coeffs)) == []
 
 
 def _yun_inputs():

@@ -18,6 +18,14 @@ def test_library_has_no_assert_statements():
     assert list(SRC.glob("*.py")) and found == []
 
 
+def test_poly_defines_no_division():
+    # polynomials are divided in one place, the integer core's _int_divmod
+    tree = ast.parse((SRC / "polynomials.py").read_text())
+    poly = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Poly")
+    assert not {node.name for node in poly.body if isinstance(node, ast.FunctionDef)} & {
+        "__divmod__", "__floordiv__", "__mod__", "__truediv__"}
+
+
 # the Fraction views of the one integer elimination path and of the one
 # product core, kept for the tests and the benchmark's tracer; library code
 # eliminates in int_rref and multiplies in mul_pairs instead

@@ -430,18 +430,19 @@ def test_subalgebra_generated_matches_the_reference(name):
         assert sub.subalgebra_generated(gens) == sub.from_vecs(alg, want)
 
 
-def test_subalgebra_generated_stops_at_the_full_algebra(monkeypatch):
+def test_subalgebra_generated_squares_until_the_span_stops_growing(monkeypatch):
     # g generates QZ5: span(1, g) squares to span(1, g, g^2), then to the
-    # whole algebra, which is closed with no third product
+    # whole algebra, whose square shows it closed; the whole algebra as
+    # span(1, S) takes that one square
     dims = []
     real = sub.product_span
     monkeypatch.setattr(sub, "product_span", lambda v, w: dims.append(v.dim) or real(v, w))
     alg = algebra_fixture("QZ5")
     assert sub.subalgebra_generated([alg.basis_element(1)]) == sub.full_space(alg)
-    assert dims == [2, 3]
+    assert dims == [2, 3, 5]
     dims.clear()
     assert sub.subalgebra_generated([alg.basis_element(i) for i in range(5)]) == sub.full_space(alg)
-    assert dims == []
+    assert dims == [5]
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -457,7 +458,7 @@ def test_closure_chain_grows_to_the_generated_subalgebra(name):
         for cur, nxt in zip(chain, chain[1:]):
             assert nxt == sub.product_span(cur, cur) and nxt.dim > cur.dim
         assert chain[-1] == sub.subalgebra_generated(gens)
-        assert chain[-1].dim == alg.dim or sub.product_span(chain[-1], chain[-1]) == chain[-1]
+        assert sub.product_span(chain[-1], chain[-1]) == chain[-1]
 
 
 def test_subalgebra_generated_refuses_elements_of_two_algebras():
