@@ -7,7 +7,8 @@ reports on each of them, the atom, hamidoune and tao reports on split
 instances, with their error exits, the nfold reports on the generated
 instances and on one pair in the non-commutative Q[S3], and stabilizers
 and annihilators on both sides in M_2(Q) and Q[S3], most of them neither
-the scalars nor 0, and monoid-check at lambda = 1 and 1/2.  The
+the scalars nor 0, monoid-check at lambda = 1 and 1/2, and info and
+classify on a companion-matrix instance.  The
 generated instances and certificates depend on the order in which the
 seeded candidate streams draw, so a replay that matches byte for byte
 shows that order is unchanged.
@@ -93,6 +94,12 @@ INSTANCES = {
                     "unit": [str(c) for c in ref_matrix_tensor(2)[1]]},
         "subspaces": {"V": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]},
     }),
+    # Q[M] for M block-diagonal with companion blocks T - 1, T - 2, T - 1:
+    # the quotient by their lcm (T - 1)(T - 2), in the power basis of M.
+    "companion": dumps({
+        "algebra": {"kind": "companion", "polys": [["-1", "1"], ["-2", "1"], ["-1", "1"]]},
+        "subspaces": {"V": [["1", "1"]]},
+    }),
 }
 
 GEN_CASES = [(family, n, dims, seed)
@@ -163,6 +170,7 @@ def cases():
     out += _solution_space_cases()
     out += _lambda_one_cases()
     out += _monoid_candidate_cases()
+    out += [([cmd, "--in", "@companion", "--json"], None) for cmd in ("info", "classify")]
     return out
 
 

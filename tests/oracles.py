@@ -10,6 +10,7 @@ schoolbook polynomial Euclid, Yun's squarefree decomposition on top of
 it and products, the canonical RREF with its pivots, products and multiplication matrices read off a dense
 structure-constant tensor, the opposite product for right-side checks,
 solve, minimal polynomial and inverse on top of ref's elimination, the
+minimal polynomial of a block-diagonal companion matrix, the
 closure of a span under products, the subalgebra generated by V u^-1 on
 top of that inverse, a Diderrich certificate's violated invariants read
 off spans formed in full, the partition atom of Q^n from spans formed in
@@ -184,6 +185,37 @@ def ref_min_poly(table, unit, x):
     while True:
         cur = ref_mul(table, powers[-1], x)
         sol = ref_solve([tuple(p[j] for p in powers) for j in range(n)], cur)
+        if sol is not None:
+            return tuple(-c for c in sol) + (Fraction(1),)
+        powers.append(cur)
+
+
+def companion_by_matrix_min_poly(polys):
+    """The monic minimal polynomial, lowest degree first, of the
+    block-diagonal matrix M whose blocks are the companion matrices of the
+    non-constant coefficient lists polys (lowest degree first).
+
+    Block p of degree d has 1 below its diagonal and -p_i / p_d in row i of
+    its last column.  Powers of M come by schoolbook matrix products; the
+    first power that solves against the lower ones gives the dependence.
+    """
+    polys = [_strip([Fraction(c) for c in p]) for p in polys]
+    r = sum(len(p) - 1 for p in polys)
+    m = [[Fraction(0)] * r for _ in range(r)]
+    off = 0
+    for p in polys:
+        d = len(p) - 1
+        for i in range(d):
+            if i:
+                m[off + i][off + i - 1] = Fraction(1)
+            m[off + i][off + d - 1] = -p[i] / p[-1]
+        off += d
+    powers = [[[Fraction(int(i == j)) for j in range(r)] for i in range(r)]]
+    while True:
+        cur = _matmul(powers[-1], m)
+        flat = [[c for row in q for c in row] for q in powers]
+        sol = ref_solve([tuple(q[k] for q in flat) for k in range(r * r)],
+                        [c for row in cur for c in row])
         if sol is not None:
             return tuple(-c for c in sol) + (Fraction(1),)
         powers.append(cur)

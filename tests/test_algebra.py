@@ -25,6 +25,7 @@ from addalg.serialize import algebra_from_desc
 from oracles import (
     _rem,
     change_of_basis,
+    companion_by_matrix_min_poly,
     ref,
     ref_direct_product_tensor,
     ref_matrix_tensor,
@@ -296,23 +297,6 @@ def test_invert_raises_on_non_associative_constants():
         alg.basis_element(1).invert()
 
 
-def companion_by_matrix_min_poly(polys):
-    """Q[M] by the minimal polynomial of the block-diagonal companion matrix in M_r(Q)."""
-    polys = [p.monic() for p in polys]
-    r = sum(p.degree for p in polys)
-    coords = [F(0)] * (r * r)  # E_ij at index i*r + j
-    off = 0
-    for p in polys:
-        d = p.degree
-        for i in range(d):
-            if i:
-                coords[(off + i) * r + off + i - 1] = F(1)
-            coords[(off + i) * r + off + d - 1] = -p.coeffs[i]
-        off += d
-    mu = min_poly(matrix_algebra(r).element(coords))
-    return poly_quotient_product([mu], label=f"Q[M], mu = {mu}")
-
-
 def test_companion_mu_is_the_lcm_of_the_blocks():
     # blocks drawn from a few small factors, so they often share some
     rng = random.Random(6)
@@ -321,7 +305,9 @@ def test_companion_mu_is_the_lcm_of_the_blocks():
                                                                   for b in linear]
     for _ in range(60):
         polys = [rng.choice(blocks) for _ in range(rng.randint(1, 3))]
-        got, want = companion_algebra(polys), companion_by_matrix_min_poly(polys)
+        mu = Poly(companion_by_matrix_min_poly([p.coeffs for p in polys]))
+        got = companion_algebra(polys)
+        want = poly_quotient_product([mu], label=f"Q[M], mu = {mu}")
         assert (got.label, got.table, got.unit) == (want.label, want.table, want.unit)
 
 

@@ -8,7 +8,10 @@ is the subalgebra generated by V u^-1; every other atom is the partition
 oracle's, whose refusals come in the library's order.  Every certificate record is
 checked against the e-transform certificate's invariants instead, since
 its space and subalgebra are not the only ones that satisfy them, and
-every classify record against the fixture's definition: a generator's
+every classify record against its algebra's definition (a fixture's,
+or a companion instance's: Q[T]/(mu), mu the reference minimal
+polynomial of the block-diagonal companion matrix, which also derives
+its info record): a generator's
 reference minimal polynomial has degree dim, its Yun decomposition is
 the profile and decides the verdict, and a NotMonogenic verdict has a
 commutant dimension other than dim J/J^2.  An
@@ -27,6 +30,7 @@ import pytest
 
 from golden_cases import GOLDEN, INSTANCES, cases
 from oracles import (
+    companion_by_matrix_min_poly,
     generated_subalgebra,
     monoid_atom_dim,
     partition_atom,
@@ -42,10 +46,11 @@ from oracles import (
 )
 
 REBUILT = ("stabilizer", "annihilator", "kneser", "nfold", "group-sweep", "monoid-check")
-DERIVED = REBUILT + ("certificate", "classify", "atom", "hamidoune", "tao")
+DERIVED = REBUILT + ("certificate", "classify", "info", "atom", "hamidoune", "tao")
 INDICES = [i for i, (argv, _) in enumerate(cases()) if argv[0] in REBUILT]
 CERTIFICATES = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "certificate"]
 CLASSIFIED = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "classify"]
+INFOS = [i for i, (argv, _) in enumerate(cases()) if argv[0] == "info"]
 LAMBDA_ONE = [i for i, (argv, _) in enumerate(cases())
               if argv[0] == "hamidoune" and argv[argv.index("--lambda") + 1] == "1"]
 SPLIT_HAMIDOUNE = [i for i, (argv, _) in enumerate(cases())
@@ -373,8 +378,44 @@ def _finite_profile(parts):
                             and len(repeated[0][1]) == 2)
 
 
-def check_classify(rec):
-    """The classify record, from the fixture's definition alone.
+def _poly_str(coeffs):
+    """A polynomial as the library writes it: the nonzero terms c*T^i, lowest
+    degree first, joined by " + ", with a coefficient 1 dropped and T^1 written T."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            mono = "" if i == 0 else "T" if i == 1 else f"T^{i}"
+            terms.append(mono if c == 1 and mono else f"{c}*{mono}" if mono else str(c))
+    return " + ".join(terms)
+
+
+def _companion(desc):
+    """(label, reference product) of a companion description: Q[T]/(mu) in the
+    power basis, mu the minimal polynomial of the block-diagonal companion matrix."""
+    mu = companion_by_matrix_min_poly(desc["polys"])
+    return (desc.get("label") or f"Q[M], mu = {_poly_str(mu)}",
+            ref.Mult.from_desc({"kind": "poly_quotient_product", "factors": [mu]}))
+
+
+def check_info(rec, instances):
+    """The info record of a companion instance, from its definition alone."""
+    inst = instances[_flags(rec["argv"])["--in"][1:]]
+    label, mult = _companion(inst["algebra"])
+    table, unit = ref_tensor(mult)
+    n = mult.dim
+    idempotents = all(table[i][j] == tuple(Fraction(int(i == j == k)) for k in range(n))
+                      for i in range(n) for j in range(n))
+    assert (rec["code"], rec["stderr"]) == (0, "")
+    assert json.loads(rec["stdout"]) == {
+        "schema_version": 1, "label": label, "dim": n, "commutative": _commutative(mult),
+        "split_etale": idempotents, "unit": [str(c) for c in unit],
+        "subspaces": {name: ref.rank([[Fraction(c) for c in row] for row in rows])
+                      for name, rows in inst["subspaces"].items()}}
+
+
+def check_classify(rec, instances):
+    """The classify record, from the fixture's or the companion instance's
+    definition alone.
 
     A non-commutative table is Infinite, NonCommutative, with no candidate
     tried.  A record without a generator is NotMonogenic: the commutant
@@ -384,13 +425,16 @@ def check_classify(rec):
     verdict; the commutant dimension then equals dim J/J^2.
     """
     flags = _flags(rec["argv"])
-    name = flags["--fixture"]
-    mult = _fixture_mult(name)
+    if "--in" in flags:
+        label, mult = _companion(instances[flags["--in"][1:]]["algebra"])
+    else:
+        name = flags["--fixture"]
+        label, mult = GROUP_LABELS.get(name, name), _fixture_mult(name)
     table, unit = ref_tensor(mult)
     n = mult.dim
     out = json.loads(rec["stdout"])
     assert (rec["code"], rec["stderr"], out.pop("schema_version")) == (0, "", 1)
-    assert out.pop("label") == GROUP_LABELS.get(name, name)
+    assert out.pop("label") == label
     if not _commutative(mult):
         assert out == {"verdict": "Infinite", "reason": "NonCommutative", "trials_used": 0}
         return
@@ -430,12 +474,12 @@ def derive(argv, instances):
 def test_derived_goldens_cover_every_record_of_their_commands():
     counts = {cmd: sum(argv[0] == cmd for argv, _ in cases()) for cmd in DERIVED}
     assert counts == {"stabilizer": 40, "annihilator": 40, "kneser": 19, "nfold": 37,
-                      "group-sweep": 3, "monoid-check": 4, "certificate": 40, "classify": 32,
-                      "atom": 34, "hamidoune": 35, "tao": 29}
+                      "group-sweep": 3, "monoid-check": 4, "certificate": 40, "classify": 33,
+                      "info": 1, "atom": 34, "hamidoune": 35, "tao": 29}
     assert (len(INDICES), len(CERTIFICATES)) == (143, 40)
     # 8 among the split-instance records, 6 where the atom needs no split algebra
     assert (len(LAMBDA_ONE), len(SPLIT_HAMIDOUNE)) == (14, 21)
-    assert sum(counts.values()) == 313
+    assert sum(counts.values()) == 315
 
 
 @pytest.mark.parametrize("index", INDICES)
@@ -473,5 +517,10 @@ def test_tao_golden_matches_the_partition_oracle(golden, instances, index):
 
 
 @pytest.mark.parametrize("index", CLASSIFIED)
-def test_classify_golden_holds_from_reference(golden, index):
-    check_classify(golden[index])
+def test_classify_golden_holds_from_reference(golden, instances, index):
+    check_classify(golden[index], instances)
+
+
+@pytest.mark.parametrize("index", INFOS)
+def test_info_golden_matches_the_companion_matrix(golden, instances, index):
+    check_info(golden[index], instances)
