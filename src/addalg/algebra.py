@@ -416,12 +416,12 @@ def poly_quotient_product(polys, label="") -> Algebra:
     for p in polys:
         if p.is_constant:
             raise EmptyDescription("factor polynomials must be non-constant")
-        d = p.degree
-        rems = [[Fraction(1)] + [Fraction(0)] * (d - 1)]  # coefficients of T^0 mod P
+        d, coeffs = p.degree, [int(c) if c.denominator == 1 else c for c in p.coeffs]
+        rems = [[1] + [0] * (d - 1)]  # coefficients of T^0 mod P, ints while P's are
         for _ in range(2 * d - 2):
             top = rems[-1][-1]
-            shifted = [Fraction(0)] + rems[-1][:-1]
-            rems.append([r - top * c for r, c in zip(shifted, p.coeffs)] if top else shifted)
+            shifted = [0] + rems[-1][:-1]
+            rems.append([r - top * c for r, c in zip(shifted, coeffs)] if top else shifted)
         cells = [[tuple((k, c) for k, c in enumerate(rems[i + j]) if c)
                   for j in range(d)] for i in range(d)]
         blocks.append((cells, [1] + [0] * (d - 1)))

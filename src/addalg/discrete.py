@@ -1,14 +1,14 @@
 """Finite monoids and groups as multiplication tables.
 
-Bridges combinatorial Minkowski products and stabilizers to the monoid
-algebra: subsets lift to indicator-vector subspaces, where cardinalities
-become dimensions.  The single-pair checks take subsets as frozensets
-(minkowski, combinatorial_stabilizer, lift_subset); the group sweep holds
-each subset as its integer mask, bit i for element i, reads AB and H(AB)
-as ORs of bits off the multiplication table, once the algebra's cells are
-found to copy that table, and tests each pair against one limit per
-distinct AB.  A table owns its algebra, which keeps no pointer back:
-lift_subset reads the cells alone.
+A MulTable checks each entry is an element index before reading any,
+then the unit law, then associativity a row at a time: row (ij) against
+i(jk) over all k, seeking k only to name the first failing (i, j, k).
+Subsets lift to indicator spans of the monoid algebra, where sizes become
+dimensions; single-pair checks take frozensets, and the group sweep holds
+each subset as its mask, bit i for element i, and tests each pair against
+one limit per distinct AB, reading AB and H(AB) as ORs of bits off the
+table once the algebra's cells are found to copy it.  A table owns its
+algebra, which keeps no pointer back: lift_subset reads the cells alone.
 """
 
 from __future__ import annotations
@@ -52,32 +52,32 @@ class MulTable:
     label: str = ""
 
     def __post_init__(self):
-        n = self.size
-        t = self.table
+        n, t, u = self.size, self.table, self.unit_index
         if len(t) != n or any(len(r) != n for r in t):
             raise TableMismatch("table is not n x n")
-        if not 0 <= self.unit_index < n:
-            raise TableMismatch(f"unit index {self.unit_index} is not in 0..{n - 1}")
+        if not 0 <= u < n:
+            raise TableMismatch(f"unit index {u} is not in 0..{n - 1}")
         if len(self.labels) != n:
             raise TableMismatch(f"{len(self.labels)} labels for {n} elements")
         if len(set(self.labels)) != n:
             raise TableMismatch("element labels are not distinct")
+        for i, j, x in ((i, j, x) for i, r in enumerate(t) for j, x in enumerate(r)
+                        if type(x) is not int or not 0 <= x < n):
+            raise TableMismatch(f"table entry {x!r} at ({i},{j}) is not in 0..{n - 1}")
         for i in range(n):
-            if t[self.unit_index][i] != i or t[i][self.unit_index] != i:
+            if t[u][i] != i or t[i][u] != i:
                 raise NotAssociative(f"unit law fails at element {i}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[t[i][j]][k] != t[i][t[j][k]]:
-                        raise NotAssociative(f"associativity fails at ({i},{j},{k})")
+        for i, row in enumerate(t):  # row (ij) against the i(jk) over all k at once
+            for j, ij in enumerate(row):
+                if t[ij] != tuple([row[x] for x in t[j]]):
+                    k = next(k for k in range(n) if t[ij][k] != row[t[j][k]])
+                    raise NotAssociative(f"associativity fails at ({i},{j},{k})")
 
     @staticmethod
     def build(rows, unit_index=0, labels=None, label=""):
         rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        return MulTable(n, rows, unit_index, tuple(labels), label)
+        labels = [str(i) for i in range(len(rows))] if labels is None else labels
+        return MulTable(len(rows), rows, unit_index, tuple(labels), label)
 
     def index_of(self, name: str) -> int:
         try:

@@ -100,7 +100,7 @@ class Poly:
         return Poly(out)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if self.is_zero or self.coeffs[-1] == 1:
             return self
         lead = self.leading
         return Poly(tuple(c / lead for c in self.coeffs))

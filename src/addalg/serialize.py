@@ -1,15 +1,19 @@
 """JSON (de)serialization: rationals, polynomials, algebra descriptions
 and instance files.
 
-Rationals travel as "p/q" or integer strings.  An algebra description
-is a dict with a "kind" discriminator; an instance file bundles one
-algebra description with named subspace generator lists.
+Rationals travel as "p/q" or integer strings.  The canonical forms are
+read by int() alone, and any other literal Fraction accepts still parses;
+subspace rows go in and bases come out as integer rows, with no Fraction
+between.  An algebra description is a dict with a "kind" discriminator;
+an instance file bundles one algebra description with named subspace
+generator lists.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import subspace as sub
 from .algebra import (
@@ -40,15 +44,29 @@ __all__ = [
 ]
 
 
-def parse_rat(s) -> Fraction:
+def _ratio(s) -> tuple[int, int]:
+    """s as integers (num, den), den > 0: ASCII -?digits and -?digits/digits, the
+    forms rat_str writes, by int(), numerator first as Fraction reads them;
+    anything else, or a zero den, through Fraction(str(s)), with its errors."""
     if isinstance(s, bool):
         raise SchemaError(f"not a rational: {s!r}")
     if isinstance(s, int):
-        return Fraction(s)
+        return s, 1
     try:
-        return Fraction(str(s))
+        if type(s) is str and s.isascii():
+            num, slash, den = s.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+                p, q = int(num), int(den or 1)
+                if q:
+                    return p, q
+        f = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"bad rational {s!r}: {e}") from None
+    return f.numerator, f.denominator
+
+
+def parse_rat(s) -> Fraction:
+    return Fraction(*_ratio(s))
 
 
 def rat_str(x: Fraction) -> str:
@@ -56,8 +74,11 @@ def rat_str(x: Fraction) -> str:
 
 
 def basis_json(space) -> list[list[str]]:
-    """A subspace's canonical basis as rows of rational strings."""
-    return [[rat_str(c) for c in row] for row in space.basis]
+    """A subspace's canonical basis as rows of rational strings, as rat_str
+    writes them: each entry a of a primitive row over its pivot p > 0, a/p
+    reduced by one gcd."""
+    return [[str(a // g) if (g := gcd(a, p)) == p else f"{a // g}/{p // g}" for a in row]
+            for row, p in ((row, row[pc]) for row, pc in zip(space.rows, space.pivots))]
 
 
 def _array(items, what: str) -> list:
@@ -89,8 +110,11 @@ def _string(x, what: str) -> str:
 
 def table_from_json(d) -> MulTable:
     try:
-        rows = [[_index(x, "table entry") for x in _array(row, "table row")]
-                for row in _array(d["table"], "table")]
+        rows = _array(d["table"], "table")
+        for row in rows:  # a row at once; entry by entry only to name the bad one
+            if not all(type(x) is int for x in _array(row, "table row")):
+                for x in row:
+                    _index(x, "table entry")
         labels = d.get("labels")
         labels = None if labels is None else [_string(x, "element label")
                                               for x in _array(labels, "labels")]
@@ -178,10 +202,11 @@ def load_instance(path: str):
     for name, rows in named.items():
         if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
             raise SchemaError(f"subspace {name!r} must be a nonempty matrix")
-        vecs = [[parse_rat(c) for c in row] for row in rows]
-        if any(len(v) != alg.dim for v in vecs):
+        rows = [[_ratio(c) for c in row] for row in rows]
+        if any(len(r) != alg.dim for r in rows):
             raise SchemaError(f"subspace {name!r} rows must have length {alg.dim}")
-        spaces[name] = sub.from_vecs(alg, vecs)
+        dens = [lcm(*[q for _, q in r]) for r in rows]  # each row cleared to integers
+        spaces[name] = sub._span(alg, [[p * (d // q) for p, q in r] for r, d in zip(rows, dens)])
     return raw, alg, spaces
 
 

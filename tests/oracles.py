@@ -17,7 +17,8 @@ off spans formed in full, the partition atom of Q^n from spans formed in
 full, the trace form's
 radical and the commutant dimension dim End_A(J/J^2), monoid-check's
 atom and Hamidoune verdict from a multiplication table,
-dense tensors built from each algebra's definition, and a seeded
+dense tensors built from each algebra's definition, rows of rationals
+written one Fraction at a time, and a seeded
 unimodular change of basis of a dense tensor.  Used to cross-check
 library results.
 """
@@ -71,6 +72,12 @@ def euclid_gcd(f, g):
         return []
     lead = f[-1]
     return [c / lead for c in f]
+
+
+def rational_strs(rows):
+    """Rows of rationals written one Fraction at a time, as str(Fraction) gives
+    them: the basis formatter serialize.basis_json had before it read integer rows."""
+    return [[str(Fraction(c)) for c in row] for row in rows]
 
 
 def _derivative(p):

@@ -325,6 +325,29 @@ def test_exit_code_schema_errors(capsys, tmp_path):
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
+def test_monoid_table_entries_out_of_range_exit_2_naming_the_cell(capsys, tmp_path):
+    # -1 used to wrap as an index and fail associativity; 5 used to end in
+    # "bad monoid table: tuple index out of range"
+    for rows, cell in (([[0, 1], [1, -1]], "-1 at (1,1)"), ([[0, 1], [1, 5]], "5 at (1,1)")):
+        path = write_instance(tmp_path, {"algebra": {"kind": "monoid_table", "table": rows}})
+        for argv in (["info", "--in", path], ["group-sweep", "--in", path],
+                     ["monoid-check", "--in", path, "--A", "0", "--B", "0", "--lambda", "1"]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: table entry {cell} is not in 0..1\n")
+
+
+def test_table_errors_come_row_by_row(capsys, tmp_path):
+    # each row is checked in full before the next, as the first error names
+    for name, rows, message in (
+            ("entry-first.json", [[0, True], "10"], "table entry must be an integer"),
+            ("row-first.json", ["01", [0, True]], "table row must be a JSON array"),
+            ("late-entry.json", [[0, 1], [1, 0.5]], "table entry must be an integer")):
+        path = write_instance(tmp_path, {"algebra": {"kind": "group_table", "table": rows}},
+                              name)
+        assert cli.main(["group-sweep", "--in", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_instance_nested_past_the_recursion_limit_exits_2(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text('{"algebra": ' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import tracemalloc
 import weakref
 from collections import Counter
@@ -85,6 +86,52 @@ def test_table_validation():
     with pytest.raises(TableMismatch):
         # a repeated label would leave element 1 without a name
         MulTable.build([[0, 1], [1, 0]], labels=["e", "e"])
+
+
+def test_table_entries_are_range_checked_before_any_lookup():
+    # -1 would index row 1 from the end, 5 and 2 would index past it, and
+    # an entry in the unit row is checked before the unit law reads it
+    for rows, cell in (([[0, 1], [1, -1]], "-1 at (1,1)"), ([[0, 1], [1, 5]], "5 at (1,1)"),
+                       ([[0, 1], [1, 2]], "2 at (1,1)"), ([[0, 2], [1, 0]], "2 at (0,1)"),
+                       ([[0, 1], [1, True]], "True at (1,1)"), ([[0, 1.0], [1, 0]], "1.0 at (0,1)"),
+                       ([[0, 7, 9], [9, 0, 0], [0, 0, -3]], "7 at (0,1)")):
+        n = len(rows)
+        with pytest.raises(TableMismatch) as info:
+            MulTable.build(rows)
+        assert str(info.value) == f"table entry {cell} is not in 0..{n - 1}"
+    # the bounds themselves are element indices: 0 and n - 1 pass
+    assert MulTable.build([[0, 1], [1, 0]]).table == ((0, 1), (1, 0))
+
+
+def _first_failing_triple(rows):
+    """The lexicographically first (i, j, k) with (ij)k != i(jk), or None."""
+    n = len(rows)
+    return next(((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                 if rows[rows[i][j]][k] != rows[i][rows[j][k]]), None)
+
+
+def test_associativity_failure_names_the_first_failing_triple():
+    # unit-respecting magmas on 3..5 elements, drawn with the unit at 0; most
+    # fail associativity at several triples, and the first one is reported
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(300):
+        n = rng.randint(3, 5)
+        rows = [[j if i == 0 else i if j == 0 else rng.randrange(n) for j in range(n)]
+                for i in range(n)]
+        first = _first_failing_triple(rows)
+        if first is None:
+            assert MulTable.build(rows).size == n
+            continue
+        failures += 1
+        with pytest.raises(NotAssociative) as info:
+            MulTable.build(rows)
+        assert str(info.value) == "associativity fails at ({},{},{})".format(*first)
+    assert failures > 250
+    # fails at (1,1,2), (1,2,2), (2,1,1) and (2,2,1)
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 2]]
+    with pytest.raises(NotAssociative, match=r"associativity fails at \(1,1,2\)"):
+        MulTable.build(rows)
 
 
 def test_units():
