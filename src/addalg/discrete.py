@@ -52,7 +52,8 @@ class MulTable:
     label: str = ""
 
     def __post_init__(self):
-        n, t, u = self.size, self.table, self.unit_index
+        n, t, u = self.size, tuple(map(tuple, self.table)), self.unit_index
+        object.__setattr__(self, "table", t)  # the row check below compares tuples
         if len(t) != n or any(len(r) != n for r in t):
             raise TableMismatch("table is not n x n")
         if not 0 <= u < n:
@@ -75,7 +76,6 @@ class MulTable:
 
     @staticmethod
     def build(rows, unit_index=0, labels=None, label=""):
-        rows = tuple(tuple(r) for r in rows)
         labels = [str(i) for i in range(len(rows))] if labels is None else labels
         return MulTable(len(rows), rows, unit_index, tuple(labels), label)
 

@@ -98,11 +98,12 @@ def test_poly_quotient_cells_are_the_remainders_of_t_powers():
     rng = random.Random(5)
     polys = [Poly.monomial(4), Poly.of(1, 0, 2, 0, 1), Poly.monomial(2), T,
              (T - Poly.one()) * (T - Poly.of(2)) * (T - Poly.of(3)),
-             Poly.of(F(1, 3), F(-2, 5), F(7, 2), 1)]
+             Poly.of(F(1, 3), F(-2, 5), F(7, 2), 1), Poly.of(-2, 0, 2), Poly.of(1, F(2, 3))]
     polys += [Poly.of(*[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)], 1)
               for d in (1, 2, 3, 4, 5, 6) for _ in range(3)]
     for p in polys:
         alg = poly_quotient_product([p])
+        assert alg.label == f"Q[T]/({p.monic()})"
         d = p.degree
         for i in range(d):
             for j in range(d):

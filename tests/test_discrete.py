@@ -101,6 +101,24 @@ def test_table_entries_are_range_checked_before_any_lookup():
         assert str(info.value) == f"table entry {cell} is not in 0..{n - 1}"
     # the bounds themselves are element indices: 0 and n - 1 pass
     assert MulTable.build([[0, 1], [1, 0]]).table == ((0, 1), (1, 0))
+    # so is the unit index
+    for unit in (-1, 2):
+        with pytest.raises(TableMismatch, match=rf"^unit index {unit} is not in 0\.\.1$"):
+            MulTable.build([[0, 1], [1, 0]], unit)
+
+
+def test_table_rows_are_stored_as_tuples_whatever_the_caller_passes():
+    m = MulTable(2, [[0, 1], [1, 0]], 0, ("e", "a"))
+    assert m.table == ((0, 1), (1, 0)) and m == MulTable(2, ((0, 1), (1, 0)), 0, ("e", "a"))
+    with pytest.raises(NotAssociative, match=r"^associativity fails at \(1,1,2\)$"):
+        MulTable(3, [[0, 1, 2], [1, 2, 0], [2, 0, 2]], 0, ("0", "1", "2"))
+
+
+def test_unit_law_fails_on_either_side_alone():
+    # xy = y is associative and 0 is a left unit only; xy = x, a right unit only
+    for rows in ([[0, 1], [0, 1]], [[0, 0], [1, 1]]):
+        with pytest.raises(NotAssociative, match=r"^unit law fails at element 1$"):
+            MulTable.build(rows)
 
 
 def _first_failing_triple(rows):

@@ -9,18 +9,24 @@ over the Fraction view.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from addalg import serialize
 from addalg import subspace as sub
 from addalg.algebra import split_etale_algebra
 from addalg.errors import SchemaError
 from addalg.fixtures import algebra_fixture
-from addalg.serialize import basis_json, dumps, load_instance, parse_rat
+from addalg.serialize import basis_json, dumps, load_instance, parse_rat, table_from_json
 
 from oracles import rational_strs
 
 LONG = "7" * 4301  # one digit past the interpreter's int-from-str limit
+# the canonical shapes, each side perturbed by a sign, a decimal point, an
+# exponent, an underscore, a space or a non-ASCII digit
+NEAR_CANONICAL = st.from_regex(r"[-+ ]?[0-9._e٣²]{0,4}(/[-+ ]?[0-9._e٣²]{0,4})?",
+                               fullmatch=True)
 
 
 def fraction_or_message(s):
@@ -36,8 +42,8 @@ def fraction_or_message(s):
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
-@given(st.one_of(st.text("0123456789/-+._e ٣²", max_size=12), st.integers(), st.booleans(),
-                 st.fractions().map(str), st.fractions()))
+@given(st.one_of(st.text("0123456789/-+._e ٣²", max_size=12), NEAR_CANONICAL, st.integers(),
+                 st.booleans(), st.fractions().map(str), st.fractions()))
 @example(LONG)
 @example("-" + LONG)
 @example("1/" + LONG)
@@ -46,6 +52,10 @@ def fraction_or_message(s):
 @example("-0/007")
 @example("-6/4")
 @example("007/010")
+@example("5/")
+@example(".5")
+@example("-.5")
+@example("x1")
 def test_parse_rat_matches_fraction_of_str(s):
     want = fraction_or_message(s)
     try:
@@ -54,6 +64,19 @@ def test_parse_rat_matches_fraction_of_str(s):
         got = str(e)
     assert got == want
     assert type(got) is type(want)
+
+
+def test_canonical_forms_are_read_without_parsing_a_fraction(monkeypatch):
+    # the documented fast path: only the other forms reach Fraction(str)
+    def fraction(*args):
+        assert not any(isinstance(a, str) for a in args), args
+        return Fraction(*args)
+
+    monkeypatch.setattr(serialize, "Fraction", fraction)
+    for text in ("12", "-12", "6/4", "-6/4", "0", "-0/7", LONG[:40] + "/3"):
+        assert parse_rat(text) == Fraction(text)
+    with pytest.raises(AssertionError):
+        parse_rat("1.5")
 
 
 def test_basis_json_matches_str_of_the_fraction_view():
@@ -76,6 +99,14 @@ def test_basis_json_of_the_zero_and_the_full_space():
     assert basis_json(sub.from_vecs(alg, [[0, 0, 0]])) == []
     assert basis_json(sub.from_vecs(alg, [[1, 2, 3], [0, 1, 0], [0, 0, 5]])) == [
         ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def test_table_unit_defaults_to_element_0_and_bad_rows_name_an_entry():
+    # 1 absorbs, so only element 0 is a unit
+    assert table_from_json({"table": [[0, 1], [1, 1]]}).unit_index == 0
+    # a row with no integer at all is still reported entry by entry
+    with pytest.raises(SchemaError, match="^table entry must be an integer$"):
+        table_from_json({"table": [[True, False], [False, True]]})
 
 
 def test_loaded_subspaces_span_their_rows(tmp_path):
