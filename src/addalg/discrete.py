@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from . import subspace as sub
 from .algebra import Algebra, monoid_algebra
@@ -65,12 +65,12 @@ class MulTable:
         for i, j, x in ((i, j, x) for i, r in enumerate(t) for j, x in enumerate(r)
                         if type(x) is not int or not 0 <= x < n):
             raise TableMismatch(f"table entry {x!r} at ({i},{j}) is not in 0..{n - 1}")
-        for i in range(n):
-            if t[u][i] != i or t[i][u] != i:
-                raise NotAssociative(f"unit law fails at element {i}")
-        for i, row in enumerate(t):  # row (ij) against the i(jk) over all k at once
-            for j, ij in enumerate(row):
-                if t[ij] != tuple([row[x] for x in t[j]]):
+        for i in (i for i in range(n) if t[u][i] != i or t[i][u] != i):
+            raise NotAssociative(f"unit law fails at element {i}")
+        composed = [itemgetter(*r) for r in t] if n > 1 else []  # itemgetter(x) is no tuple
+        for i, row in enumerate(t):  # row (ij) against composed[j](t[i]), i(jk) for all k
+            for j, (ij, compose) in enumerate(zip(row, composed)):
+                if t[ij] != compose(row):
                     k = next(k for k in range(n) if t[ij][k] != row[t[j][k]])
                     raise NotAssociative(f"associativity fails at ({i},{j},{k})")
 

@@ -99,8 +99,10 @@ def test_table_entries_are_range_checked_before_any_lookup():
         with pytest.raises(TableMismatch) as info:
             MulTable.build(rows)
         assert str(info.value) == f"table entry {cell} is not in 0..{n - 1}"
-    # the bounds themselves are element indices: 0 and n - 1 pass
+    # the bounds themselves are element indices: 0 and n - 1 pass, and so
+    # does the one-element group
     assert MulTable.build([[0, 1], [1, 0]]).table == ((0, 1), (1, 0))
+    assert MulTable.build([[0]]).is_group()
     # so is the unit index
     for unit in (-1, 2):
         with pytest.raises(TableMismatch, match=rf"^unit index {unit} is not in 0\.\.1$"):
